@@ -568,8 +568,7 @@ def _fmt_ohat_element(ohat, elem):
 # -- commands ------------------------------------------------------------------
 
 
-def run(command, doc, order=None, module_names=None, elem_text=None,
-        seed=None):
+def run(command, doc, order=None, module_names=None, elem_text=None):
     report = Report(command, doc)
     t0 = time.monotonic()
     alg = doc.algebra
@@ -764,8 +763,6 @@ def main(argv=None):
                         help="scalar combination of basis labels")
     parser.add_argument("--format", dest="fmt", choices=["text", "tree"],
                         default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property tests")
     parser.add_argument("--timing", action="store_true",
                         help="append a (nondeterministic) timing line")
     args = parser.parse_args(argv)
@@ -775,8 +772,7 @@ def main(argv=None):
         doc = parse(text)
         modules = args.modules.split(",") if args.modules else None
         report = run(args.command, doc, order=args.order,
-                     module_names=modules, elem_text=args.elem,
-                     seed=args.seed)
+                     module_names=modules, elem_text=args.elem)
     except (InputError, ValidationError, UnsupportedAlgebraError,
             NotAUnitError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -86,7 +86,8 @@ class RPointedAlgebra:
                 continue
             block = self.word_block(next(iter(rel)))
             for u, v, prod in self._frames(rel, block):
-                spans.setdefault(block, []).append(prod)
+                spans.setdefault(self.word_block(next(iter(prod))),
+                                 []).append(prod)
         self._ech = {}
         for block, vecs in spans.items():
             coords = self.block_words[block]
@@ -263,25 +264,29 @@ class HullTower:
 
     def __init__(self, final):
         self.final = final
-        self.stages = {n: final.truncate(n) for n in range(2, final.order + 1)}
-        self.stages[final.order] = final
         self.stabilized = None     # set by hull()
         self.new_relations_by_stage = {}
 
     def stage(self, n):
-        return self.stages[n]
+        """H_n: the final algebra with words longer than n discarded."""
+        if n == self.final.order:
+            return self.final
+        return self.final.truncate(n)
 
     def check_smallness(self):
-        """(ker pi_{n-1}) * m_n = 0 inside each stage."""
-        for n in range(3, self.final.order + 1):
-            h = self.stages[n]
-            kernel = [("m", w) for w in h.reduced_words if len(w) == n]
-            mword = [("m", w) for w in h.reduced_words]
-            for kk in kernel:
-                x = {kk: h.field.one}
+        """(ker pi_{n-1}) * m_n = 0 inside each stage H_n, evaluated in the
+        final algebra by discarding words longer than n."""
+        h = self.final
+        f = h.field
+        for n in range(3, h.order + 1):
+            mword = [("m", w) for w in h.reduced_words if len(w) <= n]
+            for w in h.reduced_words:
+                if len(w) != n:
+                    continue
                 for mk in mword:
-                    y = {mk: h.field.one}
-                    if not h.is_zero(h.mul(x, y)):
+                    prod = h.mul({("m", w): f.one}, {mk: f.one})
+                    if any((k[0] == "e" or len(k[1]) <= n)
+                           and not f.is_zero(c) for k, c in prod.items()):
                         return False
         return True
 
@@ -389,8 +394,15 @@ class MatricOHat:
             out = self.add(out, self.scale(c, table_elem))
         return out
 
-    def flatten(self, elem):
-        """Deterministic flat coordinate vector of an element."""
+    def _flat_words(self, order):
+        words = self.hull.reduced_words
+        return words if order is None else [w for w in words
+                                            if len(w) <= order]
+
+    def flatten(self, elem, order=None):
+        """Deterministic flat coordinate vector of an element; with an
+        order, its image in the stage of that order (longer words
+        discarded)."""
         f = self.field
         coords = []
         for i in range(len(self.dims)):
@@ -399,7 +411,7 @@ class MatricOHat:
             block = m.data if m is not None else [[f.zero] * d] * d
             for row in block:
                 coords.extend(row)
-        for w in self.hull.reduced_words:
+        for w in self._flat_words(order):
             key = ("m", w)
             r, c = self.key_shape(key)
             m = elem.get(key)
@@ -408,9 +420,9 @@ class MatricOHat:
                 coords.extend(row)
         return coords
 
-    def flat_dim(self):
+    def flat_dim(self, order=None):
         total = sum(d * d for d in self.dims)
-        for w in self.hull.reduced_words:
+        for w in self._flat_words(order):
             r, c = self.key_shape(("m", w))
             total += r * c
         return total
@@ -518,69 +530,73 @@ class _HullBuilder:
         self.generators = generators
 
     def build(self):
-        f = self.field
-        algebra = self.algebra
-        relations = {}        # (i, j, l) -> {word: coeff}
-        hull_alg = RPointedAlgebra(f, self.r, self.generators, self.order, [])
-        # C: word -> 1-cochain (list of Mats per algebra basis element)
-        C = {}
-        for g, psi in self.deriv_seed.items():
-            C[(g,)] = psi
-        new_by_stage = {}
-        for stage in range(2, self.order + 1):
-            stage_new = self._run_stage(stage, hull_alg, C, relations)
-            new_by_stage[stage] = stage_new
-            if stage_new:
-                hull_alg = RPointedAlgebra(
-                    f, self.r, self.generators, self.order,
-                    list(relations.values()))
-                C = self._refold(hull_alg, C)
-        rho_table = self._rho_table(hull_alg, C)
-        ohat = MatricOHat(hull_alg, self.modules, rho_table)
+        hull_alg, C, new_by_stage = self._run_stages(self.order)
+        ohat = MatricOHat(hull_alg, self.modules,
+                          self._rho_table(hull_alg, C))
         self._verify(ohat)
         tower = HullTower(hull_alg)
         tower.new_relations_by_stage = new_by_stage
         if not tower.check_smallness():
             raise InternalInvariantError("tower smallness condition fails")
         # stabilization: last stage added nothing and the image dimension
-        # matches the one at order N-1; at N = 2 the only finite
-        # certificate is vanishing Ext^2 (no relation can ever appear)
+        # matches the one at order N-1, read off the same pass (pivots are
+        # the lowest words, so the stage N-1 reduction is this one cut at
+        # N-1); at N = 2 the only finite certificate is vanishing Ext^2
+        # (no relation can ever appear)
         stab = not new_by_stage.get(self.order)
         if stab and self.order >= 3:
-            stab = _image_dim(ohat, self.algebra) == _image_dim_truncated(
-                self, self.order - 1)
+            stab = _image_dim(ohat) == _image_dim(ohat, self.order - 1)
         elif stab:
             stab = all(e.dimension == 0 for e in self.ext2.values())
         tower.stabilized = bool(stab)
-        self.C = C
         return tower, ohat
 
-    def _run_stage(self, stage, hull_alg, C, relations):
-        """Correct the defect at the given stage; returns new relation keys."""
+    def _run_stages(self, last):
+        """One pass over stages 2..last: correct each defect, extend the
+        relations and refold C.  Returns (hull_alg, C, new relation keys
+        per stage)."""
         f = self.field
-        algebra = self.algebra
-        defects = self._stage_defects(stage, hull_alg, C)
-        new_keys = []
-        for w in [w for w in hull_alg.reduced_words if len(w) == stage]:
-            block = hull_alg.word_block(w)
-            coch = defects[w]
-            mi, mj = self.modules[block[0]], self.modules[block[1]]
+        relations = {}        # (i, j, l) -> {word: coeff}
+        hull_alg = RPointedAlgebra(f, self.r, self.generators, self.order, [])
+        # C: word -> 1-cochain (list of Mats per algebra basis element)
+        C = {(g,): psi for g, psi in self.deriv_seed.items()}
+        new_by_stage = {}
+        for stage in range(2, last + 1):
+            stage_new = []
+            for w, (lambdas, psi) in self._stage_classes(
+                    stage, hull_alg, C).items():
+                block = hull_alg.word_block(w)
+                C[w] = psi
+                for l, lam in enumerate(lambdas):
+                    if f.is_zero(lam):
+                        continue
+                    key = (block[0], block[1], l)
+                    rel = relations.setdefault(key, {})
+                    rel[w] = f.add(rel.get(w, f.zero), lam)
+                    stage_new.append((key, w))
+            new_by_stage[stage] = stage_new
+            if stage_new:
+                hull_alg = RPointedAlgebra(
+                    f, self.r, self.generators, self.order,
+                    list(relations.values()))
+                C = self._refold(hull_alg, C)
+        return hull_alg, C, new_by_stage
+
+    def _stage_classes(self, stage, hull_alg, C):
+        """Split each nonzero defect of the given stage into its Ext^2
+        coordinates and a coboundary part: {word: (lambdas, psi)}."""
+        out = {}
+        for w, coch in self._stage_defects(stage, hull_alg, C).items():
             if all(m.is_zero() for m in coch.values()):
                 continue
-            if not is_two_cocycle(algebra, mi, mj, coch):
+            block = hull_alg.word_block(w)
+            mi, mj = self.modules[block[0]], self.modules[block[1]]
+            if not is_two_cocycle(self.algebra, mi, mj, coch):
                 raise InternalInvariantError(
                     "stage defect is not a Hochschild 2-cocycle")
-            lambdas, psi = split_two_cocycle(
-                algebra, mi, mj, coch, self.ext2_hh[block])
-            C[w] = psi
-            for l, lam in enumerate(lambdas):
-                if f.is_zero(lam):
-                    continue
-                key = (block[0], block[1], l)
-                rel = relations.setdefault(key, {})
-                rel[w] = f.add(rel.get(w, f.zero), lam)
-                new_keys.append((key, w))
-        return new_keys
+            out[w] = split_two_cocycle(self.algebra, mi, mj, coch,
+                                       self.ext2_hh[block])
+        return out
 
     def _stage_defects(self, stage, hull_alg, C):
         """Defect 2-cochains on the reduced words of the given length."""
@@ -674,15 +690,11 @@ class _HullBuilder:
                         "rho is not multiplicative in the truncation")
 
 
-def _image_dim(ohat, algebra):
-    flats = [ohat.flatten(ohat.rho_table[a]) for a in range(algebra.dim)]
-    return len(row_space_basis(ohat.field, flats, length=ohat.flat_dim()))
-
-
-def _image_dim_truncated(builder, order):
-    sub = _HullBuilder(builder.algebra, builder.modules, order)
-    tower, ohat = sub.build()
-    return _image_dim(ohat, builder.algebra)
+def _image_dim(ohat, order=None):
+    """dim im(rho), or of its image in the stage of the given order."""
+    flats = [ohat.flatten(t, order) for t in ohat.rho_table]
+    return len(row_space_basis(ohat.field, flats,
+                               length=ohat.flat_dim(order)))
 
 
 def default_order(algebra):
@@ -727,32 +739,16 @@ def massey_step(algebra, modules, order):
     length.  At order 2 this is the cup product on dual generators."""
     builder = _HullBuilder(algebra, modules, max(order, 2))
     f = algebra.field
-    relations = {}
-    hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
-                               builder.order, [])
-    C = {}
-    for g, psi in builder.deriv_seed.items():
-        C[(g,)] = psi
-    for stage in range(2, order):
-        new = builder._run_stage(stage, hull_alg, C, relations)
-        if new:
-            hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
-                                       builder.order,
-                                       list(relations.values()))
-            C = builder._refold(hull_alg, C)
-    defects = builder._stage_defects(order, hull_alg, C)
+    hull_alg, C, _ = builder._run_stages(order - 1)
+    classes = builder._stage_classes(order, hull_alg, C)
     out = {}
-    for w, coch in defects.items():
-        block = hull_alg.word_block(w)
-        mi, mj = modules[block[0]], modules[block[1]]
-        if all(m.is_zero() for m in coch.values()):
-            out[w] = [f.zero] * len(builder.ext2_hh[block])
+    for w in hull_alg.reduced_words:
+        if len(w) != order:
             continue
-        if not is_two_cocycle(algebra, mi, mj, coch):
-            raise InternalInvariantError("defect is not a 2-cocycle")
-        lambdas, _ = split_two_cocycle(algebra, mi, mj, coch,
-                                       builder.ext2_hh[block])
-        out[w] = lambdas
+        if w in classes:
+            out[w] = classes[w][0]
+        else:
+            out[w] = [f.zero] * len(builder.ext2_hh[hull_alg.word_block(w)])
     return out
 
 
@@ -963,82 +959,6 @@ def _two_sided_ideal(o, x):
             vecs.append(o.coords_of(prod))
     return row_space_basis(f, [v for v in vecs if v is not None],
                            length=o.dim)
-
-
-def radical_nilpotency_bound_ok(target, order):
-    """rad(target)^{order+1} = 0, so morphisms from an order-truncated
-    hull are well defined."""
-    words = [("m", w) for w in target.reduced_words]
-    if not words:
-        return True
-    products = [{k: target.field.one} for k in words]
-    for _ in range(order):
-        nxt = []
-        for x in products:
-            for k in words:
-                y = target.mul(x, {k: target.field.one})
-                if not target.is_zero(y):
-                    nxt.append(y)
-        products = nxt
-        if not products:
-            return True
-    return not products
-
-
-def enumerate_pointed_morphisms(h, target):
-    """All r-pointed morphisms h -> target over a finite prime field.
-
-    Returns the list of assignments: per generator, a {key: scalar}
-    element of the target's radical in the matching block."""
-    from .fields import PrimeField
-
-    f = h.field
-    if not isinstance(f, PrimeField):
-        raise InputError("morphism enumeration needs a finite prime field")
-    if f != target.field or h.r != target.r:
-        raise InputError("mismatched base or pointedness")
-    if not radical_nilpotency_bound_ok(target, h.order):
-        raise InputError(
-            "target radical is not nilpotent within the hull truncation")
-    p = f.p
-    slots = []
-    for label, i, j in h.generators:
-        words = [w for w in target.reduced_words
-                 if target.word_block(w) == (i, j)]
-        slots.append(words)
-    from itertools import product as iproduct
-
-    def assignment(coeff_tuple):
-        out = []
-        pos = 0
-        for words in slots:
-            elem = {}
-            for w in words:
-                c = coeff_tuple[pos]
-                pos += 1
-                if c % p:
-                    elem[("m", w)] = c % p
-            out.append(elem)
-        return out
-
-    total = sum(len(words) for words in slots)
-    found = []
-    for coeffs in iproduct(range(p), repeat=total):
-        images = assignment(coeffs)
-        ok = True
-        for rel in h.relations:
-            acc = {}
-            for word, c in rel.items():
-                term = target.one()
-                for g in word:
-                    term = target.mul(term, images[g])
-                acc = target.add(acc, target.scale(c, term))
-            if not target.is_zero(acc):
-                ok = False
-                break
-        if ok:
-            found.append(images)
-    return found
 
 
 def closure_check(algebra, modules, order=None):

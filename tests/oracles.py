@@ -2,11 +2,16 @@
 
 Everything here deliberately avoids the production code paths: naive
 Gaussian elimination, determinant-of-minors ranks, path enumeration,
-extension and deformation enumeration over small prime fields.
+extension and deformation enumeration over small prime fields.  The
+one exception is the morphism count out of a hull, which reads the
+hull and the target through their `RPointedAlgebra` arithmetic.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from aspec.errors import InputError
+from aspec.fields import PrimeField
 
 
 def naive_gauss_rank(rows_in, p=None):
@@ -419,3 +424,79 @@ def rank_by_minors_mod_p(mat, p):
                 if det_int(sub) % p != 0:
                     return size
     return 0
+
+
+# -- r-pointed morphisms out of a truncated hull ---------------------------
+
+
+def radical_nilpotency_bound_ok(target, order):
+    """rad(target)^{order+1} = 0, so morphisms from an order-truncated
+    hull are well defined."""
+    words = [("m", w) for w in target.reduced_words]
+    if not words:
+        return True
+    products = [{k: target.field.one} for k in words]
+    for _ in range(order):
+        nxt = []
+        for x in products:
+            for k in words:
+                y = target.mul(x, {k: target.field.one})
+                if not target.is_zero(y):
+                    nxt.append(y)
+        products = nxt
+        if not products:
+            return True
+    return not products
+
+
+def enumerate_pointed_morphisms(h, target):
+    """All r-pointed morphisms h -> target over a finite prime field.
+
+    Returns the list of assignments: per generator, a {key: scalar}
+    element of the target's radical in the matching block."""
+    f = h.field
+    if not isinstance(f, PrimeField):
+        raise InputError("morphism enumeration needs a finite prime field")
+    if f != target.field or h.r != target.r:
+        raise InputError("mismatched base or pointedness")
+    if not radical_nilpotency_bound_ok(target, h.order):
+        raise InputError(
+            "target radical is not nilpotent within the hull truncation")
+    p = f.p
+    slots = []
+    for label, i, j in h.generators:
+        words = [w for w in target.reduced_words
+                 if target.word_block(w) == (i, j)]
+        slots.append(words)
+
+    def assignment(coeff_tuple):
+        out = []
+        pos = 0
+        for words in slots:
+            elem = {}
+            for w in words:
+                c = coeff_tuple[pos]
+                pos += 1
+                if c % p:
+                    elem[("m", w)] = c % p
+            out.append(elem)
+        return out
+
+    total = sum(len(words) for words in slots)
+    found = []
+    for coeffs in product(range(p), repeat=total):
+        images = assignment(coeffs)
+        ok = True
+        for rel in h.relations:
+            acc = {}
+            for word, c in rel.items():
+                term = target.one()
+                for g in word:
+                    term = target.mul(term, images[g])
+                acc = target.add(acc, target.scale(c, term))
+            if not target.is_zero(acc):
+                ok = False
+                break
+        if ok:
+            found.append(images)
+    return found

@@ -15,7 +15,6 @@ from aspec.fields import GF, QQ
 from aspec.hull import (
     default_order,
     closure_check,
-    enumerate_pointed_morphisms,
     hull,
     invert_unit,
     maximal_ideals,
@@ -32,7 +31,13 @@ from aspec.topology import (
     spec_compare,
 )
 from conftest import corpus
-from oracles import E12_OBJECT, T2_OBJECT, T3_OBJECT, count_lift_gauge_classes
+from oracles import (
+    E12_OBJECT,
+    T2_OBJECT,
+    T3_OBJECT,
+    count_lift_gauge_classes,
+    enumerate_pointed_morphisms,
+)
 from test_ext import ext_dim_oracle
 from test_hull_oracle import eta_scalars, target_algebra
 

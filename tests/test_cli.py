@@ -213,6 +213,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["simples", "--input", str(missing)]) == 2
 
 
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(K2_DOC, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["simples", "--input", str(doc), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_console_entrypoint(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text(DUAL_DOC, encoding="utf-8")

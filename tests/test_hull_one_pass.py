@@ -1,0 +1,92 @@
+"""The hull is built in one pass: every lower stage H_n and the image of
+rho in it are read off the order-N build by discarding words longer
+than n.  These tests compare that against a fresh build at order n."""
+
+import pytest
+
+from aspec.ext import Resolution
+from aspec.fields import GF, QQ
+from aspec.hull import HullTower, RPointedAlgebra, hull
+from aspec.modules import simple_modules
+from aspec.polyquot import from_poly_quotient
+from aspec.quiver import QuiverPresentation, from_quiver
+from conftest import corpus, make_a2
+from test_hull_stress import make_double_loop, make_fat_point, make_kronecker
+
+F5 = GF(5)
+
+
+def make_a3(field=QQ):
+    return from_quiver(QuiverPresentation(
+        ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]), field=field)
+
+
+def make_kx4(field=QQ):
+    return from_poly_quotient(field, ["x"], [{(4,): field.one}])
+
+
+ORDER = 4
+
+
+def cases():
+    out = [pytest.param(alg, id=f"{name}/{field}")
+           for field in (QQ, F5) for name, alg in corpus(field)]
+    out += [pytest.param(make(), id=make.__name__)
+            for make in (make_kx4, make_a3, make_kronecker,
+                         make_double_loop, make_fat_point)]
+    return out
+
+
+def _relations(h):
+    return sorted(sorted(rel.items()) for rel in h.relations)
+
+
+@pytest.mark.parametrize("alg", cases())
+def test_truncated_pass_equals_fresh_build(alg):
+    s = simple_modules(alg)
+    tower, ohat = hull(alg, s, ORDER)
+    for n in range(2, ORDER):
+        fresh_tower, fresh = hull(alg, s, n)
+        fresh_h = fresh_tower.final
+        assert [w for w in tower.final.reduced_words if len(w) <= n] == \
+            fresh_h.reduced_words
+        assert tower.stage(n).reduced_words == fresh_h.reduced_words
+        assert _relations(tower.stage(n)) == _relations(fresh_h)
+        assert [ohat.flatten(t, n) for t in ohat.rho_table] == \
+            [fresh.flatten(t) for t in fresh.rho_table]
+        assert ohat.flat_dim(n) == fresh.flat_dim()
+
+
+def test_hull_builds_one_resolution_per_module(monkeypatch):
+    built = []
+    init = Resolution.__init__
+
+    def counting_init(self, module):
+        built.append(module)
+        init(self, module)
+
+    monkeypatch.setattr(Resolution, "__init__", counting_init)
+    a2 = make_a2()
+    s = simple_modules(a2)
+    built.clear()
+    hull(a2, s, 3)
+    assert len(built) == 2
+
+
+def test_tower_stages_are_built_on_demand(monkeypatch):
+    a = make_kx4()
+    tower, _ = hull(a, simple_modules(a), 5)
+    built = []
+    init = RPointedAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RPointedAlgebra, "__init__", counting_init)
+    fresh = HullTower(tower.final)
+    assert fresh.check_smallness()
+    assert fresh.stage(5) is tower.final
+    assert built == []
+    assert fresh.stage(3).order == 3
+    assert len(built) == 1

@@ -4,10 +4,16 @@ liftings versus r-pointed morphisms counted from the presentation."""
 import pytest
 
 from aspec.fields import GF
-from aspec.hull import RPointedAlgebra, enumerate_pointed_morphisms, hull
+from aspec.hull import RPointedAlgebra, hull
 from aspec.modules import simple_modules
 from conftest import corpus
-from oracles import E12_OBJECT, T2_OBJECT, T3_OBJECT, count_lift_gauge_classes
+from oracles import (
+    E12_OBJECT,
+    T2_OBJECT,
+    T3_OBJECT,
+    count_lift_gauge_classes,
+    enumerate_pointed_morphisms,
+)
 
 P = 5
 F5 = GF(P)

@@ -2,14 +2,21 @@
 multi-relation obstruction spaces, cross-checked against the lift
 enumeration oracle over F5."""
 
+import pytest
+
 from aspec.ext import ext
 from aspec.fields import GF, QQ
-from aspec.hull import enumerate_pointed_morphisms, hull, o_algebra
+from aspec.hull import hull, maximal_ideals, o_algebra
 from aspec.linalg import row_space_basis
 from aspec.modules import simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
-from oracles import T2_OBJECT, T3_OBJECT, count_lift_gauge_classes
+from oracles import (
+    T2_OBJECT,
+    T3_OBJECT,
+    count_lift_gauge_classes,
+    enumerate_pointed_morphisms,
+)
 from test_hull_oracle import eta_scalars, target_algebra
 
 P = 5
@@ -74,6 +81,31 @@ def test_fat_point_image_recovers_algebra():
     assert o.dim == a.dim == 3
     flats = [o.rho_coords(list(a.basis_vector(i))) for i in range(a.dim)]
     assert len(row_space_basis(a.field, flats, length=o.dim)) == a.dim
+
+
+def make_a4_zero(zero_at, field=QQ):
+    """A4 with the zero relation a_k . a_{k+1} at k = zero_at."""
+    arrows = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]
+    rel = [(field.one, [arrows[zero_at][0], arrows[zero_at + 1][0]])]
+    return from_quiver(QuiverPresentation(
+        ["1", "2", "3", "4"], arrows, [rel]), field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("zero_at", [0, 1])
+def test_a4_zero_relation_beside_an_arrow(zero_at, field):
+    # the hull relation t_k.t_{k+1} has an arrow on one side, so its
+    # frame products t.rel and rel.t fall in other blocks than rel
+    a = make_a4_zero(zero_at, field)
+    s = simple_modules(a)
+    tower, ohat = hull(a, s)
+    assert tower.final.dim == a.dim == 8
+    assert tower.stabilized
+    o = o_algebra(ohat)
+    assert o.dim == 8
+    infos = maximal_ideals(o)
+    assert len(infos) == 4
+    assert all(i["quotient_isomorphic_to_module"] for i in infos)
 
 
 def _check_oracle(alg, family, spec_obj, order):
