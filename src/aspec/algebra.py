@@ -16,10 +16,10 @@ from .errors import (
 from .fields import characteristic
 from .linalg import (
     Mat,
-    _Echelon,
+    Span,
     kernel_basis,
+    quotient_basis,
     row_space_basis,
-    solve,
     unit_vec,
     vec_add,
     vec_is_zero,
@@ -290,23 +290,16 @@ class Algebra:
         f = self.field
         rad = self.radical_basis()
         std = [self.basis_vector(i) for i in range(self.dim)]
-        from .linalg import quotient_basis
         reps = quotient_basis(f, std, rad, length=self.dim)
-        ech = _Echelon(f, self.dim)
-        for v in rad:
-            ech.insert(v)
-        coords = []        # rows of the projection in the rep basis
-        rep_ech = _Echelon(f, self.dim)
-        reduced_reps = []
-        for v in reps:
-            reduced_reps.append(ech.reduce(v))
-        # coordinates of x mod rad in terms of reduced representatives
+        # reps are independent modulo rad: x = sum c_i reps_i + (rad part)
+        span = Span(f, reps + rad, self.dim)
+
         def project(x):
-            y = ech.reduce(x)
-            coeffs = _coords_in_basis(f, reduced_reps, y, self.dim)
+            coeffs = span.coords(x)
             if coeffs is None:
                 raise InternalInvariantError("projection failed")
-            return coeffs
+            return coeffs[:len(reps)]
+
         qdim = len(reps)
         labels = [f"q{i}" for i in range(qdim)]
         table = []
@@ -386,19 +379,6 @@ class Algebra:
         return kernel_basis(m)
 
 
-def _coords_in_basis(field, basis, v, length):
-    """Coefficients of v in the given (not necessarily echelon) basis."""
-    if not basis:
-        return [] if vec_is_zero(field, v) else None
-    m = Mat(field, [[basis[k][i] for k in range(len(basis))]
-                    for i in range(length)], cols=len(basis))
-    return solve(m, list(v))
-
-
-def coords_in_basis(field, basis, v, length):
-    return _coords_in_basis(field, basis, v, length)
-
-
 def split_commutative_semisimple(alg):
     """Primitive idempotents of a commutative semisimple split algebra.
 
@@ -421,9 +401,9 @@ def split_commutative_semisimple(alg):
                 continue
             # matrix of multiplication by x on the block
             mat_rows = []
+            span = Span(f, block, alg.dim)
             for v in block:
-                prod = alg.mul(v, x)
-                coeffs = _coords_in_basis(f, block, prod, alg.dim)
+                coeffs = span.coords(alg.mul(v, x))
                 if coeffs is None:
                     raise InternalInvariantError("block not invariant")
                 mat_rows.append(coeffs)
@@ -467,7 +447,7 @@ def split_commutative_semisimple(alg):
     for block in blocks:
         v = block[0]
         sq = alg.mul(v, v)
-        coeffs = _coords_in_basis(f, [v], sq, alg.dim)
+        coeffs = Span(f, [v], alg.dim).coords(sq)
         if coeffs is None or f.is_zero(coeffs[0]):
             raise InternalInvariantError("semisimple block without idempotent")
         idems.append(vec_scale(f, f.inv(coeffs[0]), v))
@@ -493,19 +473,20 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     basis_mats = [Mat(field, [row[i * n:(i + 1) * n] for i in range(n)], cols=n)
                   for row in basis_flat]
     dim = len(basis_mats)
+    span = Span(field, basis_flat, n * n)
     labels = labels or [f"m{i}" for i in range(dim)]
     table = []
     for a in basis_mats:
         row = []
         for b in basis_mats:
             prod = a.mul(b)
-            coeffs = _coords_in_basis(field, basis_flat, sum(prod.data, []), n * n)
+            coeffs = span.coords(sum(prod.data, []))
             if coeffs is None:
                 raise ValidationError("matrix span is not multiplicatively closed")
             row.append(coeffs)
         table.append(row)
     ident = Mat.identity(field, n)
-    unit = _coords_in_basis(field, basis_flat, sum(ident.data, []), n * n)
+    unit = span.coords(sum(ident.data, []))
     if unit is None:
         raise ValidationError("matrix span does not contain the identity")
     alg = Algebra(field, labels, table, unit, validate=False)

@@ -579,6 +579,9 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
     if order is None:
         order = 4
     if command == "simples":
+        if is_poly_ring(alg):
+            raise InputError("simples needs a finite-dimensional algebra; "
+                             "a poly_ring document declares its points")
         simples = simple_modules(alg)
         entries = []
         for s in simples:
@@ -783,6 +786,10 @@ def main(argv=None):
     except AspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other failure is an engine bug, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text_out = report.text(args.timing) if args.fmt == "text" \
         else report.tree(args.timing)
     sys.stdout.write(text_out)

@@ -12,15 +12,14 @@ which only needs the resolution up to homological degree d.
 
 from __future__ import annotations
 
-from .algebra import coords_in_basis
 from .errors import InternalInvariantError, ValidationError
 from .linalg import (
     Mat,
+    Span,
     _Echelon,
     kernel_basis,
     quotient_basis,
     row_space_basis,
-    solve,
     unit_vec,
     vec_is_zero,
     zero_vec,
@@ -41,6 +40,8 @@ class ProjectiveModule(ModuleRep):
             rows = [algebra.mul(e, algebra.basis_vector(b))
                     for b in range(algebra.dim)]
             self.slot_bases.append(row_space_basis(f, rows, length=algebra.dim))
+        self._slot_spans = [Span(f, base, algebra.dim)
+                            for base in self.slot_bases]
         offsets = [0]
         for base in self.slot_bases:
             offsets.append(offsets[-1] + len(base))
@@ -53,7 +54,7 @@ class ProjectiveModule(ModuleRep):
                 off = self.offsets[s]
                 for r, w in enumerate(base):
                     img = algebra.mul(w, algebra.basis_vector(b))
-                    coeffs = coords_in_basis(f, base, img, algebra.dim)
+                    coeffs = self._slot_spans[s].coords(img)
                     if coeffs is None:
                         raise InternalInvariantError("e_v A not action-closed")
                     for c, val in enumerate(coeffs):
@@ -66,7 +67,7 @@ class ProjectiveModule(ModuleRep):
         f = self.algebra.field
         idems = self.algebra.ensure_idempotents()
         e = idems[self.slots[s]]
-        coeffs = coords_in_basis(f, self.slot_bases[s], e, self.algebra.dim)
+        coeffs = self._slot_spans[s].coords(e)
         row = zero_vec(f, self.dim)
         for c, val in enumerate(coeffs):
             row[self.offsets[s] + c] = val
@@ -225,7 +226,7 @@ class ExtSpace:
         vec = _flatten(cochain_matrix)
         reduced = self._boundary_ech.reduce(vec)
         reps = [self._boundary_ech.reduce(_flatten(c)) for c in self.cocycles]
-        coeffs = coords_in_basis(f, reps, reduced, len(vec))
+        coeffs = Span(f, reps, len(vec)).coords(reduced)
         if coeffs is None:
             raise InternalInvariantError(
                 "cochain is not a cocycle modulo boundaries")
@@ -361,10 +362,9 @@ def _lift_through(proj, target_res, rhs_rows, depth):
                 raise InternalInvariantError("lift has empty source subspace")
             images.append(zero_vec(f, term.dim))
             continue
-        cols = [dmat.transpose().apply_col(r) for r in sub_rows]
-        m = Mat(f, [[cols[k][i] for k in range(len(cols))]
-                    for i in range(dmat.cols)], cols=len(cols))
-        sol = solve(m, list(rhs))
+        dT = dmat.transpose()
+        sol = Span(f, [dT.apply_col(r) for r in sub_rows],
+                   dmat.cols).coords(rhs)
         if sol is None:
             raise InternalInvariantError("projective lift failed")
         y = zero_vec(f, term.dim)

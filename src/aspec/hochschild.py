@@ -14,10 +14,12 @@ from .errors import InternalInvariantError
 from .ext import _row_image
 from .linalg import (
     Mat,
-    solve,
+    Span,
+    _Echelon,
+    kernel_basis,
+    quotient_basis,
     unit_vec,
     vec_add,
-    vec_is_zero,
     vec_scale,
     zero_vec,
 )
@@ -39,18 +41,22 @@ class BarComparison:
         d2 = resolution.diffs[2]
         p0, p1, p2 = resolution.terms[0], resolution.terms[1], resolution.terms[2]
 
+        # coordinates in the rows of eps, d1 and d2 (row convention: a
+        # preimage of y under D is x with x.D = y)
+        eps_span = Span(f, eps.data, eps.cols)
+        d1_span = Span(f, d1.data, d1.cols)
+        d2_span = Span(f, d2.data, d2.cols)
+
         # sigma: k-linear section of eps (rows indexed by module basis)
         self.sigma = []
-        epsT = eps.transpose()
         for m in range(module.dim):
-            sol = solve(epsT, unit_vec(f, module.dim, m))
+            sol = eps_span.coords(unit_vec(f, module.dim, m))
             if sol is None:
                 raise InternalInvariantError("augmentation is not surjective")
             self.sigma.append(sol)
 
         # nu[m][a]: d1-preimage of sigma(m . a) - sigma(m) . a
         self.nu = []
-        d1T = d1.transpose()
         for m in range(module.dim):
             row = []
             for a in range(algebra.dim):
@@ -60,8 +66,7 @@ class BarComparison:
                     self._sigma_of(ma),
                     p0.act(algebra.basis_vector(a)).transpose().apply_col(
                         self.sigma[m]))]
-                sol = solve(d1T, rhs) if p1.dim else ([] if vec_is_zero(f, rhs)
-                                                      else None)
+                sol = d1_span.coords(rhs)
                 if sol is None:
                     raise InternalInvariantError("nu lift failed")
                 row.append(sol)
@@ -69,7 +74,6 @@ class BarComparison:
 
         # mu[m][a][b]: d2-preimage of nu(m.a, b) - nu(m, ab) + nu(m, a).b
         self.mu = []
-        d2T = d2.transpose()
         for m in range(module.dim):
             rows = []
             for a in range(algebra.dim):
@@ -83,8 +87,7 @@ class BarComparison:
                     t3 = p1.act(algebra.basis_vector(b)).transpose().apply_col(
                         self.nu[m][a]) if p1.dim else []
                     w = [f.add(f.sub(x, y), z) for x, y, z in zip(t1, t2, t3)]
-                    sol = solve(d2T, w) if p2.dim else (
-                        [] if vec_is_zero(f, w) else None)
+                    sol = d2_span.coords(w)
                     if sol is None:
                         raise InternalInvariantError("mu lift failed")
                     cell.append(sol)
@@ -216,11 +219,6 @@ def derivation_space(algebra, source, target):
     n = algebra.dim
     di, dj = source.dim, target.dim
     ncoords = n * di * dj
-
-    def flatten(psi):
-        return sum((sum(([x for x in row] for row in m.data), [])
-                    for m in psi), [])
-
     rows = []
     for a in range(n):
         for b in range(n):
@@ -246,7 +244,6 @@ def derivation_space(algebra, source, target):
                             row[e * di * dj + r * dj + c] = f.sub(
                                 row[e * di * dj + r * dj + c], ce)
                     rows.append(row)
-    from .linalg import kernel_basis
     mat = Mat(f, rows, cols=ncoords) if rows else Mat.zeros(f, 0, ncoords)
     basis = []
     for v in kernel_basis(mat):
@@ -260,12 +257,11 @@ def derivation_space(algebra, source, target):
 
 
 def hh1_dimension(algebra, source, target):
-    from .linalg import quotient_basis
-
     f = algebra.field
+
     def flatten(psi):
-        return sum((sum(([x for x in row] for row in m.data), [])
-                    for m in psi), [])
+        return [x for m in psi for row in m.data for x in row]
+
     z = [flatten(p) for p in derivation_space(algebra, source, target)]
     b = [flatten(p) for p in inner_derivations(algebra, source, target)]
     n = algebra.dim * source.dim * target.dim
@@ -274,70 +270,65 @@ def hh1_dimension(algebra, source, target):
     return len(quotient_basis(f, z, b, length=n))
 
 
-def two_cocycle_classes_independent(algebra, source, target, cochains):
-    """Are the given 2-cocycles linearly independent modulo coboundaries?"""
-    from .linalg import quotient_basis
+def flatten2(algebra, coch):
+    """Flat coordinates of a basis-indexed 2-cochain, pairs (a, b) in
+    order, each block row by row."""
+    n = algebra.dim
+    return [x for a in range(n) for b in range(n)
+            for row in coch[(a, b)].data for x in row]
 
+
+def coboundary_columns(algebra, source, target):
+    """flatten2 of delta(psi) for the unit 1-cochains psi, whose single
+    nonzero entry psi(a)[r][c] = 1 runs over (a, r, c) in order."""
     f = algebra.field
     n = algebra.dim
     di, dj = source.dim, target.dim
-    if not cochains:
-        return True
-
-    def flatten2(c):
-        return sum((sum(([x for x in row] for row in c[(a, b)].data), [])
-                    for a in range(n) for b in range(n)), [])
-
-    length = n * n * di * dj
-    bounds = []
+    out = []
     for idx in range(n * di * dj):
         a0, rest = divmod(idx, di * dj)
         r0, c0 = divmod(rest, dj)
         psi = [Mat.zeros(f, di, dj) for _ in range(n)]
         psi[a0].data[r0][c0] = f.one
-        bounds.append(flatten2(coboundary_1(algebra, source, target, psi)))
-    span = [flatten2(c) for c in cochains] + bounds
-    reps = quotient_basis(f, span, bounds, length=length)
-    return len(reps) == len(cochains)
+        out.append(flatten2(algebra, coboundary_1(algebra, source, target,
+                                                  psi)))
+    return out
 
 
-def split_two_cocycle(algebra, source, target, coch, hh2_basis):
+def two_cocycle_classes_independent(algebra, source, target, cochains):
+    """Are the given 2-cocycles linearly independent modulo coboundaries?"""
+    ech = _Echelon(algebra.field,
+                   algebra.dim ** 2 * source.dim * target.dim)
+    for v in coboundary_columns(algebra, source, target):
+        ech.insert(v)
+    return all(ech.insert(flatten2(algebra, c)) is not None
+               for c in cochains)
+
+
+def two_cocycle_span(algebra, source, target, hh2_basis):
+    """The Span over [Ext^2 basis | coboundary_columns] that
+    split_two_cocycle reads coordinates from; one per block (i, j)."""
+    return Span(algebra.field,
+                [flatten2(algebra, c) for c in hh2_basis]
+                + coboundary_columns(algebra, source, target),
+                algebra.dim ** 2 * source.dim * target.dim)
+
+
+def split_two_cocycle(algebra, source, target, coch, span):
     """Write a 2-cocycle as sum(lambda_l * basis_l) + coboundary(psi).
 
-    Returns (lambdas, psi).  Raises when the class is outside the span,
-    which would mean the Ext^2 basis is incomplete.
+    `span` is the block's two_cocycle_span.  Returns (lambdas, psi).
+    Raises when the class is outside the span, which would mean the
+    Ext^2 basis is incomplete.
     """
     f = algebra.field
-    n = algebra.dim
     di, dj = source.dim, target.dim
-    pair_coords = n * n * di * dj
-
-    def flatten2(c):
-        return sum((sum(([x for x in row] for row in c[(a, b)].data), [])
-                    for a in range(n) for b in range(n)), [])
-
-    unknowns = []
-    columns = []
-    for basis_c in hh2_basis:
-        columns.append(flatten2(basis_c))
-    onecochain_count = n * di * dj
-    for idx in range(onecochain_count):
-        a0, rest = divmod(idx, di * dj)
-        r0, c0 = divmod(rest, dj)
-        psi = [Mat.zeros(f, di, dj) for _ in range(n)]
-        psi[a0].data[r0][c0] = f.one
-        columns.append(flatten2(coboundary_1(algebra, source, target, psi)))
-    rhs = flatten2(coch)
-    m = Mat(f, [[columns[k][i] for k in range(len(columns))]
-                for i in range(pair_coords)], cols=len(columns))
-    sol = solve(m, rhs)
+    sol = span.coords(flatten2(algebra, coch))
     if sol is None:
         raise InternalInvariantError(
             "2-cocycle not in span(Ext^2 basis) + coboundaries")
-    lambdas = sol[:len(hh2_basis)]
-    psi = [Mat.zeros(f, di, dj) for _ in range(n)]
-    for idx in range(onecochain_count):
-        a0, rest = divmod(idx, di * dj)
-        r0, c0 = divmod(rest, dj)
-        psi[a0].data[r0][c0] = sol[len(hh2_basis) + idx]
-    return lambdas, psi
+    nl = span.count - algebra.dim * di * dj
+    psi = [Mat(f, [sol[nl + (a * di + r) * dj:nl + (a * di + r + 1) * dj]
+                   for r in range(di)], cols=dj)
+           for a in range(algebra.dim)]
+    return sol[:nl], psi

@@ -13,7 +13,7 @@ is deterministic.
 
 from __future__ import annotations
 
-from .algebra import Algebra, coords_in_basis
+from .algebra import Algebra
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -26,9 +26,11 @@ from .hochschild import (
     is_two_cocycle,
     split_two_cocycle,
     two_cocycle_classes_independent,
+    two_cocycle_span,
 )
 from .linalg import (
     Mat,
+    Span,
     _Echelon,
     row_space_basis,
     unit_vec,
@@ -491,6 +493,7 @@ class _HullBuilder:
         self.order = order
         self.field = algebra.field
         self.r = len(modules)
+        self._split_spans = {}
         self._prepare_ext()
 
     def _prepare_ext(self):
@@ -594,8 +597,11 @@ class _HullBuilder:
             if not is_two_cocycle(self.algebra, mi, mj, coch):
                 raise InternalInvariantError(
                     "stage defect is not a Hochschild 2-cocycle")
+            if block not in self._split_spans:
+                self._split_spans[block] = two_cocycle_span(
+                    self.algebra, mi, mj, self.ext2_hh[block])
             out[w] = split_two_cocycle(self.algebra, mi, mj, coch,
-                                       self.ext2_hh[block])
+                                       self._split_spans[block])
         return out
 
     def _stage_defects(self, stage, hull_alg, C):
@@ -769,6 +775,7 @@ class OAlgebra:
         self.basis_flat = row_space_basis(self.field, flats,
                                           length=self.flat_len)
         self.dim = len(self.basis_flat)
+        self._span = Span(self.field, self.basis_flat, self.flat_len)
         self._check_closure()
 
     def _check_closure(self):
@@ -807,11 +814,10 @@ class OAlgebra:
         return [self._unflatten(v) for v in self.basis_flat]
 
     def coords_of(self, elem):
-        return coords_in_basis(self.field, self.basis_flat,
-                               self.ohat.flatten(elem), self.flat_len)
+        return self._span.coords(self.ohat.flatten(elem))
 
     def contains(self, elem):
-        return self.coords_of(elem) is not None
+        return self._span.contains(self.ohat.flatten(elem))
 
     def rho_coords(self, algebra_elem_coords):
         return self.coords_of(self.ohat.rho(algebra_elem_coords))
@@ -906,7 +912,7 @@ def maximal_ideals(o):
     elems = o.basis_elements()
     o_alg = o.as_algebra()
     out = []
-    ideal_membership = []
+    ideal_spans = []
     from .linalg import kernel_basis
     from .modules import ModuleRep, is_simple
     for i in range(r):
@@ -929,21 +935,14 @@ def maximal_ideals(o):
             "irreducible": simple,
             "quotient_isomorphic_to_module": iso,
         })
-        ideal_membership.append(ker)
+        ideal_spans.append(Span(f, ker, o.dim))
     # every proper principal two-sided ideal sits inside some m_i
     for idx, x in enumerate(elems):
         span = _two_sided_ideal(o, x)
         if len(span) == o.dim:
             continue
-        inside = False
-        for ker in ideal_membership:
-            ech = _Echelon(f, o.dim)
-            for v in ker:
-                ech.insert(v)
-            if all(ech.contains(v) for v in span):
-                inside = True
-                break
-        if not inside:
+        if not any(all(ideal.contains(v) for v in span)
+                   for ideal in ideal_spans):
             raise InternalInvariantError(
                 "a proper principal ideal escapes every maximal ideal")
     return out

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the scalar fields.
 
 Everything downstream (Ext groups, hulls, section algebras) reduces to
-rref/kernel/solve/quotient over Q or F_p.  Pivoting is deterministic
-(first nonzero entry in column order) so all chosen bases are
-reproducible run to run.
+rref, kernels, quotients and coordinates in a fixed basis (`Span`) over
+Q or F_p.  Pivoting is deterministic (first nonzero entry in column
+order) so all chosen bases are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class Mat:
             m.data[i][i] = field.one
         return m
 
-    @classmethod
-    def from_rows(cls, field, rows, cols=None):
-        return cls(field, rows, cols=cols)
-
     def copy(self):
         return Mat(self.field, self.data, cols=self.cols)
 
@@ -59,12 +55,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field}, {self.rows}x{self.cols})"
-
-    def row(self, i):
-        return list(self.data[i])
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
 
     def is_zero(self):
         f = self.field
@@ -108,20 +98,6 @@ class Mat:
     def transpose(self):
         return Mat(self.field, [[self.data[i][j] for i in range(self.rows)]
                                 for j in range(self.cols)], cols=self.rows)
-
-    def apply_row(self, v):
-        """Row vector times matrix: v (len rows) -> v.M (len cols)."""
-        if len(v) != self.rows:
-            raise DimensionError("row-vector length mismatch")
-        f = self.field
-        out = [f.zero] * self.cols
-        for i, a in enumerate(v):
-            if f.is_zero(a):
-                continue
-            row = self.data[i]
-            for j in range(self.cols):
-                out[j] = f.add(out[j], f.mul(a, row[j]))
-        return out
 
     def apply_col(self, v):
         """Matrix times column vector: M.v (len cols) -> (len rows)."""
@@ -199,23 +175,6 @@ def kernel_basis(m):
     return basis
 
 
-def solve(m, b):
-    """Some x with m.x = b, or None; free variables are set to 0."""
-    if len(b) != m.rows:
-        raise DimensionError("rhs length mismatch")
-    f = m.field
-    aug = Mat(f, [list(row) + [bv] for row, bv in zip(m.data, b)], cols=m.cols + 1)
-    if m.rows == 0:
-        return [f.zero] * m.cols
-    r, pivots, rk = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r.data[i][m.cols]
-    return x
-
-
 def row_space_basis(field, vectors, length=None):
     """Echelonized basis of the span of the given row vectors."""
     if not vectors:
@@ -223,16 +182,6 @@ def row_space_basis(field, vectors, length=None):
     mat = Mat(field, vectors, cols=length)
     r, pivots, rk = rref(mat)
     return [r.data[i] for i in range(rk)]
-
-
-def in_span(field, vectors, v):
-    """Is v in the span of vectors (all same length)?"""
-    n = len(v)
-    base = row_space_basis(field, vectors, length=n)
-    if not base:
-        return all(field.is_zero(x) for x in v)
-    together = row_space_basis(field, base + [list(v)], length=n)
-    return len(together) == len(base)
 
 
 class _Echelon:
@@ -283,6 +232,44 @@ class _Echelon:
         return len(self.rows)
 
 
+class Span:
+    """Coordinates in a fixed list of vectors, echelonized once.
+
+    Each vector is inserted with its unit tag appended, so every echelon
+    row records the combination of the inputs it is.  Pivots are sought
+    in the first `length` columns only: a vector that depends on earlier
+    ones is never inserted and gets coordinate 0.  `coords` is therefore
+    the solution supported on the greedy-independent prefix, the pivot
+    columns of the matrix whose columns are the vectors.
+    """
+
+    def __init__(self, field, vectors, length):
+        self.field = field
+        self.length = length
+        self.count = len(vectors)
+        self._ech = _Echelon(field, length)
+        for k, v in enumerate(vectors):
+            self._ech.insert(list(v) + unit_vec(field, self.count, k))
+
+    def coords(self, v):
+        """x with sum_k x_k * vectors[k] = v, or None when v is outside."""
+        f = self.field
+        self._check(v)
+        r = self._ech.reduce(list(v) + [f.zero] * self.count)
+        if not vec_is_zero(f, r[:self.length]):
+            return None
+        return [f.neg(x) for x in r[self.length:]]
+
+    def contains(self, v):
+        # reduce() zips v with the longer tagged rows: only the head is kept
+        self._check(v)
+        return vec_is_zero(self.field, self._ech.reduce(v))
+
+    def _check(self, v):
+        if len(v) != self.length:
+            raise DimensionError("vector length mismatch")
+
+
 def quotient_basis(field, space, sub, length=None):
     """Vectors of `space` mapping to a basis of span(space)/span(sub).
 
@@ -312,31 +299,8 @@ def quotient_basis(field, space, sub, length=None):
     return reps
 
 
-def intersect_spans(field, a_vectors, b_vectors, length):
-    """Basis of span(a) ∩ span(b) via the kernel of the stacked system."""
-    if not a_vectors or not b_vectors:
-        return []
-    f = field
-    cols = [list(v) for v in a_vectors] + [[f.neg(x) for x in v] for v in b_vectors]
-    m = Mat(f, [[cols[k][i] for k in range(len(cols))] for i in range(length)],
-            cols=len(cols))
-    out = []
-    for ker in kernel_basis(m):
-        coeffs = ker[:len(a_vectors)]
-        v = [f.zero] * length
-        for c, av in zip(coeffs, a_vectors):
-            if not f.is_zero(c):
-                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, av)]
-        if any(not f.is_zero(x) for x in v):
-            out.append(v)
-    return row_space_basis(field, out, length=length)
-
-
 def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
 
 def vec_scale(field, c, v):
     return [field.mul(c, x) for x in v]

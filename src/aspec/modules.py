@@ -7,7 +7,7 @@ homomorphism for the fixed left-to-right composition convention.
 
 from __future__ import annotations
 
-from .algebra import Algebra, coords_in_basis, regular_algebra_of_matrices
+from .algebra import regular_algebra_of_matrices
 from .errors import (
     InternalInvariantError,
     UnsupportedAlgebraError,
@@ -15,6 +15,7 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    Span,
     _Echelon,
     kernel_basis,
     quotient_basis,
@@ -114,13 +115,12 @@ class QuotientModuleRep(ModuleRep):
         A = ambient.algebra
         f = A.field
         self.ambient = ambient
-        self._field = f
         std = [unit_vec(f, ambient.dim, i) for i in range(ambient.dim)]
         self.rep_rows = quotient_basis(f, std, sub_rows, length=ambient.dim)
-        self._sub_ech = _Echelon(f, ambient.dim)
-        for v in sub_rows:
-            self._sub_ech.insert(v)
-        self._reduced_reps = [self._sub_ech.reduce(v) for v in self.rep_rows]
+        # rep_rows are independent modulo sub_rows, so their coordinates
+        # are those of the class
+        self._span = Span(f, self.rep_rows + [list(v) for v in sub_rows],
+                          ambient.dim)
         mats = []
         for i in range(A.dim):
             act = ambient.action[i]
@@ -132,12 +132,10 @@ class QuotientModuleRep(ModuleRep):
         super().__init__(A, mats, name=name, validate=False)
 
     def project(self, v):
-        f = self._field
-        w = self._sub_ech.reduce(v)
-        coeffs = coords_in_basis(f, self._reduced_reps, w, self.ambient.dim)
+        coeffs = self._span.coords(v)
         if coeffs is None:
             raise InternalInvariantError("quotient projection failed")
-        return coeffs
+        return coeffs[:len(self.rep_rows)]
 
 
 def simple_modules(algebra):
@@ -152,28 +150,24 @@ def simple_modules(algebra):
     if len(idems) != quot.dim:
         raise UnsupportedAlgebraError(
             "semisimple quotient is not k^r; algebra is not basic split")
+    rad = algebra.radical_basis()
     out = []
     for i, e in enumerate(idems):
+        # e_i A e_i = k e_i + (rad part): the scalar through which basis
+        # element b acts on the i-th simple is the e_i-coordinate of
+        # e_i * b * e_i
+        span = Span(f, [e] + rad, algebra.dim)
         mats = []
         for b in range(algebra.dim):
-            # scalar through which basis element b acts on the i-th simple:
-            # the coefficient of e_i in (e_i * b * e_i) mod rad
             x = algebra.mul(algebra.mul(e, algebra.basis_vector(b)), e)
-            coeffs = coords_in_basis(f, [e], _mod_radical(algebra, x),
-                                     algebra.dim)
-            lam = coeffs[0] if coeffs else f.zero
-            mats.append(Mat(f, [[lam]], cols=1))
+            coeffs = span.coords(x)
+            if coeffs is None:
+                raise InternalInvariantError(
+                    f"e_{i + 1} * {algebra.labels[b]} * e_{i + 1} is not in "
+                    "k e + rad")
+            mats.append(Mat(f, [[coeffs[0]]], cols=1))
         out.append(ModuleRep(algebra, mats, name=f"S{i + 1}", validate=True))
     return out
-
-
-def _mod_radical(algebra, x):
-    f = algebra.field
-    rad = algebra.radical_basis()
-    ech = _Echelon(f, algebra.dim)
-    for v in rad:
-        ech.insert(v)
-    return ech.reduce(x)
 
 
 def image_algebra(module):

@@ -114,19 +114,18 @@ def groebner(field, polys, nvars):
             gens.append((rem, leading(rem)))
             new = len(gens) - 1
             pairs.extend((k, new) for k in range(new))
-    # interreduce
-    out = []
-    for idx, (g, gl) in enumerate(gens):
-        others = [gens[k] for k in range(len(gens)) if k != idx]
-        rem = poly_reduce(field, g, others)
+    # interreduce in place, each generator against the current others:
+    # of two generators sharing a leading monomial only the first vanishes
+    idx = 0
+    while idx < len(gens):
+        rem = poly_reduce(field, gens[idx][0], gens[:idx] + gens[idx + 1:])
         if rem:
-            out.append((rem, leading(rem)))
-    # normalize monic, dedupe
-    seen = {}
-    for g, gl in out:
-        g = poly_scale(field, field.inv(g[gl]), g)
-        seen[tuple(sorted(g.items()))] = (g, gl)
-    return list(seen.values())
+            gens[idx] = (rem, leading(rem))
+            idx += 1
+        else:
+            del gens[idx]
+    # leading monomials are now distinct, so no two monic ones coincide
+    return [(poly_scale(field, field.inv(g[gl]), g), gl) for g, gl in gens]
 
 
 def standard_monomials(field, gens, nvars, bound=64):

@@ -9,7 +9,6 @@ with the kernel inclusion verified rather than assumed).
 
 from __future__ import annotations
 
-from .algebra import coords_in_basis
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -17,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .hull import hull, o_algebra
-from .linalg import Mat, kernel_basis, rank, row_space_basis, unit_vec
+from .linalg import Mat, Span, kernel_basis, rank, row_space_basis, unit_vec
 from .modules import (
     ModuleRep,
     SpectralPoint,
@@ -264,6 +263,7 @@ class ASpecSpace:
         f = self.base_field()
         su = self.sheaf_sections(bigger)
         sv = self.sheaf_sections(smaller)
+        span = Span(f, sv["basis"], sv["total"])
         rows = []
         for vec in su["basis"]:
             proj = []
@@ -272,7 +272,7 @@ class ASpecSpace:
                 width = su["offsets"][upos + 1] - su["offsets"][upos]
                 proj.extend(vec[su["offsets"][upos]:
                                 su["offsets"][upos] + width])
-            coeffs = coords_in_basis(f, sv["basis"], proj, sv["total"])
+            coeffs = span.coords(proj)
             if coeffs is None:
                 raise InternalInvariantError(
                     "projected family is not compatible")
@@ -448,32 +448,44 @@ def restriction_matrix(algebra, sec_u, sec_v):
             for s in range(order + 1):
                 m.data[upos * (order + 1) + s][vpos * (order + 1) + s] = f.one
         return m
-    flats_u = _rho_flats(algebra, sec_u)
-    flats_v = _rho_flats(algebra, sec_v)
-    # well-definedness: ker(rho_U) must sit inside ker(rho_V)
-    mat_u = Mat(f, [[flats_u[a][t] for a in range(algebra.dim)]
-                    for t in range(sec_u.dim)], cols=algebra.dim)
-    for kvec in kernel_basis(mat_u):
-        img = [f.zero] * sec_v.dim
-        for c, row in zip(kvec, flats_v):
+    return _universal_map(f, _rho_flats(algebra, sec_u),
+                          _rho_flats(algebra, sec_v), sec_u.dim, sec_v.dim,
+                          "restriction")
+
+
+def _universal_map(field, src, dst, src_dim, dst_dim, name):
+    """O_src -> O_dst from the universal property, rho_src(a) -> rho_dst(a).
+
+    src[k] and dst[k] are the coordinates of the images of the same
+    algebra element a_k.  Raises when the map is not well defined
+    (ker(rho_src) escapes ker(rho_dst)) or rho_src does not span.
+    Returns the matrix in the row convention.
+    """
+    f = field
+    span = Span(f, src, src_dim)
+
+    def image(coeffs):
+        out = [f.zero] * dst_dim
+        for c, row in zip(coeffs, dst):
             if not f.is_zero(c):
-                img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-        if any(not f.is_zero(x) for x in img):
+                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
+        return out
+
+    # ker(rho_src) is spanned by e_k - coords(src[k]), one per src[k]
+    # that depends on the earlier ones
+    for v, w in zip(src, dst):
+        if image(span.coords(v)) != list(w):
             raise InternalInvariantError(
-                "restriction is not well defined: ker(rho_U) escapes "
-                "ker(rho_V)")
-    out_rows = []
-    for i in range(sec_u.dim):
-        coeffs = coords_in_basis(f, flats_u, unit_vec(f, sec_u.dim, i),
-                                 sec_u.dim)
+                f"{name} is not well defined: ker(rho) of the source "
+                "escapes ker(rho) of the target")
+    rows = []
+    for i in range(src_dim):
+        coeffs = span.coords(unit_vec(f, src_dim, i))
         if coeffs is None:
-            raise InternalInvariantError("rho_U does not span O(U)")
-        img = [f.zero] * sec_v.dim
-        for c, row in zip(coeffs, flats_v):
-            if not f.is_zero(c):
-                img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-        out_rows.append(img)
-    return Mat(f, out_rows, cols=sec_v.dim)
+            raise InternalInvariantError(
+                f"{name}: rho does not span the source sections")
+        rows.append(image(coeffs))
+    return Mat(f, rows, cols=dst_dim)
 
 
 def compare_section_algebras(algebra, sec_a, sec_b):
@@ -558,27 +570,8 @@ def aspec_morphism(phi_rows, source_algebra, target_algebra, space):
                    for i in range(B.dim)]
         flats_a = [sec_u.o.rho_coords(list(apply(B.basis_vector(i))))
                    for i in range(B.dim)]
-        mat_b = Mat(f, [[flats_b[a][t] for a in range(B.dim)]
-                        for t in range(sec_v.dim)], cols=B.dim)
-        for kvec in kernel_basis(mat_b):
-            img = [f.zero] * sec_u.dim
-            for c, row in zip(kvec, flats_a):
-                if not f.is_zero(c):
-                    img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-            if any(not f.is_zero(x) for x in img):
-                raise InternalInvariantError("section map not well defined")
-        rows = []
-        for i in range(sec_v.dim):
-            coeffs = coords_in_basis(f, flats_b, unit_vec(f, sec_v.dim, i),
-                                     sec_v.dim)
-            if coeffs is None:
-                raise InternalInvariantError("rho_B does not span O_B(V)")
-            img = [f.zero] * sec_u.dim
-            for c, row in zip(coeffs, flats_a):
-                if not f.is_zero(c):
-                    img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-            rows.append(img)
-        section_maps[v] = Mat(f, rows, cols=sec_u.dim)
+        section_maps[v] = _universal_map(f, flats_b, flats_a, sec_v.dim,
+                                         sec_u.dim, "section map")
     # compatibility with restrictions on nested opens
     for v in target_space.opens():
         for w in target_space.opens():
@@ -865,30 +858,12 @@ def global_sections_roundtrip(space):
         flats_g = [sec_v.o.rho_coords(list(g_alg.basis_vector(t)))
                    for t in range(g_alg.dim)]
         flats_a = [list(res.data[t]) for t in range(g_alg.dim)]
-        mat_g = Mat(f, [[flats_g[a][t] for a in range(g_alg.dim)]
-                        for t in range(sec_v.dim)], cols=g_alg.dim)
-        for kvec in kernel_basis(mat_g):
-            img = [f.zero] * sec_u.dim
-            for c, row in zip(kvec, flats_a):
-                if not f.is_zero(c):
-                    img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-            if any(not f.is_zero(x) for x in img):
-                return {"passed": False,
-                        "reason": "comparison map not well defined",
-                        "open": sorted(u)}
-        rows = []
-        for t in range(sec_v.dim):
-            coeffs = coords_in_basis(f, flats_g, unit_vec(f, sec_v.dim, t),
-                                     sec_v.dim)
-            if coeffs is None:
-                return {"passed": False, "reason": "rho_G does not span",
-                        "open": sorted(u)}
-            img = [f.zero] * sec_u.dim
-            for c, row in zip(coeffs, flats_a):
-                if not f.is_zero(c):
-                    img = [f.add(x, f.mul(c, y)) for x, y in zip(img, row)]
-            rows.append(img)
-        if rank(Mat(f, rows, cols=sec_u.dim)) != sec_u.dim:
+        try:
+            mat = _universal_map(f, flats_g, flats_a, sec_v.dim, sec_u.dim,
+                                 "comparison map")
+        except InternalInvariantError as exc:
+            return {"passed": False, "reason": str(exc), "open": sorted(u)}
+        if rank(mat) != sec_u.dim:
             return {"passed": False, "reason": "sections not isomorphic",
                     "open": sorted(u)}
     return {"passed": True, "points": len(space.points),

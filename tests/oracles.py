@@ -500,3 +500,34 @@ def enumerate_pointed_morphisms(h, target):
         if ok:
             found.append(images)
     return found
+
+
+def solve_by_augmented_rref(columns, b, p=None):
+    """x with sum_k x_k * columns[k] = b by Gauss-Jordan on the augmented
+    matrix [columns | b], exact Fraction or mod p: None when b is outside
+    the span, else the solution with the free variables set to 0."""
+    norm = (lambda x: Fraction(x)) if p is None else (lambda x: x % p)
+    count = len(columns)
+    rows = [[norm(col[i]) for col in columns] + [norm(b[i])]
+            for i in range(len(b))]
+    pivots = []
+    for col in range(count + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col] if p is None else pow(rows[r][col], p - 2, p)
+        rows[r] = [norm(x * inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                c = rows[i][col]
+                rows[i] = [norm(x - c * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if count in pivots:
+        return None
+    x = [norm(0)] * count
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][count]
+    return x

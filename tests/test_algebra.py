@@ -144,6 +144,26 @@ def test_poly_quotient_bivariate():
     assert b.dim == 2
 
 
+def test_poly_quotient_recombined_relations_keep_dim():
+    """An invertible recombination of x^2, xy, y^2 presents the same
+    ideal.  Each sample has two relations with leading monomial x^2,
+    which the Groebner interreduction must not cancel against each
+    other."""
+    f = GF(5)
+    monos = [(2, 0), (1, 1), (0, 2)]
+    rng = random.Random(5)
+    samples = 0
+    while samples < 6:
+        mat = [[rng.randrange(5) for _ in monos] for _ in monos]
+        if rank(Mat(f, mat)) < 3 or sum(1 for row in mat if row[0]) < 2:
+            continue
+        samples += 1
+        rels = [{m: c for m, c in zip(monos, row) if c} for row in mat]
+        a = from_poly_quotient(f, ["x", "y"], rels)
+        assert a.dim == 3, mat
+        assert sorted(a.labels) == ["1", "x", "y"]
+
+
 def test_radical_dual_numbers():
     a = make_dual_numbers()
     rad, index = a.radical()

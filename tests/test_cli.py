@@ -6,6 +6,9 @@ import pytest
 
 from aspec.cli import main, parse, run
 from aspec.errors import InputError
+from aspec.ext import ext
+from aspec.hull import hull, o_algebra
+from aspec.modules import simple_modules
 
 A2_DOC = """\
 field Q
@@ -267,3 +270,52 @@ def test_golden_outputs(args, golden):
     assert proc.returncode == 0
     expected = (GOLDEN / golden).read_text()
     assert proc.stdout == expected
+
+
+def test_simples_on_poly_ring_is_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(POLY_DOC, encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    import aspec.cli as cli
+
+    def broken_run(*args, **kwargs):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(K2_DOC, encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == \
+        "internal error: ZeroDivisionError: integer division or modulo by zero\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field,relation", [
+    ("Q", "x^3 - 6*x^2 + 12*x - 8"),
+    ("F5", "x^3 + 4*x^2 + 2*x + 2"),
+])
+def test_shifted_cube_simple_acts_by_its_root(field, relation):
+    """k[x]/(x - 2)^3: the simple lives at x = 2, not at x = 0."""
+    doc = parse(f"field {field}\nalgebra poly_quotient\n  var x\n"
+                f"  relation {relation}\nend\n")
+    alg = doc.algebra
+    simples = simple_modules(alg)
+    assert len(simples) == 1
+    s = simples[0]
+    x = alg.element_from_label("x")
+    assert s.act(x).data == [[alg.field.of_int(2)]]
+    assert ext(s, s, 1).dimension == 1
+    assert ext(s, s, 2).dimension == 1
+    tower, ohat = hull(alg, simples)
+    assert tower.final.dim == 3
+    assert o_algebra(ohat).dim == 3
+    report = run("verify", doc)
+    verdicts = dict(report.sections[0][1])
+    assert verdicts and set(verdicts.values()) == {"PASS"}
+    assert not report.failed

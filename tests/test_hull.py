@@ -359,3 +359,21 @@ def test_hull_kx4_relation_at_order_four():
     assert tower.stabilized
     o = o_algebra(ohat)
     assert o.dim == 4
+
+
+def test_o_algebra_reads_coordinates_from_one_echelon(monkeypatch):
+    """Coordinates in O and in the maximal ideals come from one Span per
+    basis, not from an elimination per query (309 rref calls before)."""
+    import aspec.linalg as linalg
+    from aspec.quiver import QuiverPresentation, from_quiver
+
+    a3 = from_quiver(QuiverPresentation(
+        ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
+    tower, ohat = hull(a3, simple_modules(a3))
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
+    o = o_algebra(ohat)
+    infos = maximal_ideals(o)
+    assert o.dim == 6 and len(infos) == 3
+    assert len(calls) < 30

@@ -2,21 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspec.errors import DimensionError, FieldMismatchError, ValidationError
 from aspec.fields import GF, QQ
 from aspec.linalg import (
     Mat,
-    in_span,
-    intersect_spans,
+    Span,
     kernel_basis,
     quotient_basis,
     rank,
     row_space_basis,
     rref,
-    solve,
 )
-from oracles import naive_gauss_rank, rank_by_minors
+from oracles import naive_gauss_rank, rank_by_minors, solve_by_augmented_rref
 
 
 def test_rref_identity():
@@ -97,26 +97,70 @@ def test_kernel_vectors_annihilate():
             assert rank(Mat(f, basis, cols=5)) == len(basis)
 
 
+# the "solve" tests read x with sum_k x_k * v_k = b off Span(v).coords(b)
+
+
 def test_solve_identity():
-    m = Mat.identity(QQ, 3)
+    std = Mat.identity(QQ, 3).data
     b = [Fraction(2), Fraction(-1), Fraction(5)]
-    assert solve(m, b) == b
+    assert Span(QQ, std, 3).coords(b) == b
 
 
 def test_solve_free_variable_zeroed():
-    m = Mat(QQ, [[1, 1]])
-    assert solve(m, [Fraction(0)]) == [Fraction(0), Fraction(0)]
-    assert solve(m, [Fraction(3)]) == [Fraction(3), Fraction(0)]
+    span = Span(QQ, [[Fraction(1)], [Fraction(1)]], 1)
+    assert span.coords([Fraction(0)]) == [Fraction(0), Fraction(0)]
+    assert span.coords([Fraction(3)]) == [Fraction(3), Fraction(0)]
 
 
 def test_solve_inconsistent():
-    m = Mat(QQ, [[1], [1]])
-    assert solve(m, [Fraction(0), Fraction(1)]) is None
+    span = Span(QQ, [[Fraction(1), Fraction(1)]], 2)
+    assert span.coords([Fraction(0), Fraction(1)]) is None
 
 
 def test_solve_dimension_mismatch():
+    span = Span(QQ, Mat.identity(QQ, 2).data, 2)
     with pytest.raises(DimensionError):
-        solve(Mat.identity(QQ, 2), [Fraction(1)])
+        span.coords([Fraction(1)])
+    with pytest.raises(DimensionError):
+        span.contains([Fraction(1)])
+
+
+@st.composite
+def _systems(draw):
+    """(p, vectors, b) over Q (p None) or F_p: some vectors are zero or
+    combinations of earlier ones, and b is often in their span."""
+    p = draw(st.sampled_from([None, 2, 5, 7]))
+    entries = st.integers(-3, 3) if p is None else st.integers(0, p - 1)
+    length = draw(st.integers(0, 5))
+    vectors = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            vectors.append([0] * length)
+        elif kind == "combination" and vectors:
+            coeffs = [draw(entries) for _ in vectors]
+            vectors.append([sum(c * v[i] for c, v in zip(coeffs, vectors))
+                            for i in range(length)])
+        else:
+            vectors.append([draw(entries) for _ in range(length)])
+    if vectors and draw(st.booleans()):
+        coeffs = [draw(entries) for _ in vectors]
+        b = [sum(c * v[i] for c, v in zip(coeffs, vectors))
+             for i in range(length)]
+    else:
+        b = [draw(entries) for _ in range(length)]
+    return p, vectors, b
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_systems())
+def test_span_coords_against_augmented_rref(system):
+    p, vectors, b = system
+    f = QQ if p is None else GF(p)
+    span = Span(f, [[f.normalize(x) for x in v] for v in vectors], len(b))
+    want = solve_by_augmented_rref(vectors, b, p)
+    assert span.coords([f.normalize(x) for x in b]) == want
+    assert span.contains([f.normalize(x) for x in b]) == (want is not None)
 
 
 def test_field_mismatch():
@@ -164,15 +208,21 @@ def test_quotient_basis_rejects_outside_sub():
         quotient_basis(f, [[f.one, f.zero]], [[f.zero, f.one]])
 
 
-def test_in_span_and_intersection():
+def test_span_contains():
     f = QQ
     a = [[f.one, f.zero, f.zero], [f.zero, f.one, f.zero]]
-    b = [[f.zero, f.one, f.zero], [f.zero, f.zero, f.one]]
-    assert in_span(f, a, [f.one, f.one, f.zero])
-    assert not in_span(f, a, [f.zero, f.zero, f.one])
-    inter = intersect_spans(f, a, b, 3)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0
+    span = Span(f, a, 3)
+    assert span.contains([f.one, f.one, f.zero])
+    assert not span.contains([f.zero, f.zero, f.one])
+    assert span.coords([Fraction(2), Fraction(-3), f.zero]) == \
+        [Fraction(2), Fraction(-3)]
+
+
+def test_span_of_nothing():
+    span = Span(GF(5), [], 2)
+    assert span.coords([0, 0]) == []
+    assert span.coords([0, 1]) is None
+    assert span.contains([0, 0]) and not span.contains([1, 0])
 
 
 def test_no_unreduced_fractions():
