@@ -20,7 +20,6 @@ from .hull import (
     OAlgebra,
     RPointedAlgebra,
     closure_check,
-    compute_rho,
     hull,
     invert_unit,
     massey_step,
@@ -44,7 +43,7 @@ __all__ = [
     "is_simple", "simple_modules",
     "ExtSpace", "Resolution", "cup_product", "ext", "min_resolution",
     "HullTower", "MatricOHat", "OAlgebra", "RPointedAlgebra",
-    "closure_check", "compute_rho", "hull", "invert_unit", "massey_step",
+    "closure_check", "hull", "invert_unit", "massey_step",
     "maximal_ideals", "o_algebra",
     "PointModule", "PolynomialRing", "hull_poly_ring",
     "ASpecSpace", "aspec_morphism", "global_sections_roundtrip",

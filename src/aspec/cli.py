@@ -28,7 +28,7 @@ from .errors import (
 from .fields import field_from_name
 from .ext import ext
 from .hull import closure_check, default_order, hull, maximal_ideals, o_algebra
-from .linalg import Mat
+from .linalg import Mat, row_space_basis
 from .modules import ModuleRep, SpectralPoint, simple_modules
 from .polyquot import from_poly_quotient
 from .polyring import PointModule, PolynomialRing, is_poly_ring
@@ -107,11 +107,14 @@ def parse_poly_terms(field, text, var_names):
             if not factor:
                 continue
             if "^" in factor:
-                base, power = factor.split("^")
+                base, power = factor.split("^", 1)
                 base = base.strip()
                 if base not in var_names:
                     raise InputError(f"unknown variable {base!r}")
-                expo[var_names.index(base)] += int(power)
+                try:
+                    expo[var_names.index(base)] += int(power)
+                except ValueError:
+                    raise InputError(f"bad exponent in {factor!r}") from None
             elif factor in var_names:
                 expo[var_names.index(factor)] += 1
             else:
@@ -197,6 +200,13 @@ def _block(lines, pos, error):
         body.append((no, line))
         pos += 1
     error(start_no, "unterminated block (missing 'end')")
+
+
+def _parse_int(text, no, what, error):
+    try:
+        return int(text)
+    except ValueError:
+        error(no, f"bad {what} {text!r}")
 
 
 def _parse_algebra(doc, lines, pos, kind, error):
@@ -286,12 +296,17 @@ def _parse_algebra(doc, lines, pos, kind, error):
             if head[0] == "var":
                 var_names.extend(head[1:])
             elif head[0] == "relation":
-                rels.append(line[len("relation"):].strip())
+                rels.append((no, line[len("relation"):].strip()))
             else:
                 error(no, f"bad poly_quotient line: {line!r}")
         if not var_names:
             error(no0, "poly_quotient needs variables")
-        polys = [parse_poly_terms(f, r, var_names) for r in rels]
+        polys = []
+        for no, rel in rels:
+            try:
+                polys.append(parse_poly_terms(f, rel, var_names))
+            except InputError as exc:
+                error(no, str(exc))
         doc.algebra = from_poly_quotient(f, var_names, polys)
         doc.generator_names = list(var_names)
     elif kind == "poly_ring":
@@ -324,7 +339,7 @@ def _parse_module(doc, lines, pos, error):
     for no, line in body:
         head = line.split()
         if head[0] == "dim" and len(head) == 2:
-            dim = int(head[1])
+            dim = _parse_int(head[1], no, "module dimension", error)
         elif head[0] == "action" and len(head) >= 3:
             gen = head[1]
             mat_text = line.split(None, 2)[2]
@@ -403,7 +418,7 @@ def _parse_options(doc, lines, pos, error):
     for no, line in body:
         head = line.split(None, 1)
         if head[0] == "order" and len(head) == 2:
-            doc.options["order"] = int(head[1])
+            doc.options["order"] = _parse_int(head[1], no, "order", error)
         elif head[0] == "elem" and len(head) == 2:
             doc.options["elems"].append(head[1])
         else:
@@ -719,10 +734,11 @@ def _verify(doc, order):
         verdict("spec-comparison", report["passed"])
         return entries, failed
 
-    simples = simple_modules(alg)
-    tower, ohat = hull(alg, simples, max(2, default_order(alg)))
-    o = o_algebra(ohat)
-    from .linalg import row_space_basis
+    # the algebra-level checks run at the default order on the global
+    # sections of the space of simples; the space checks at the run order
+    n0 = max(2, default_order(alg))
+    space = space_of_simples(alg, order=n0)
+    o = space.sections(range(len(space.points))).o
     flats = [o.rho_coords(list(alg.basis_vector(i))) for i in range(alg.dim)]
     bij = o.dim == alg.dim and \
         len(row_space_basis(alg.field, flats, length=o.dim)) == alg.dim
@@ -730,13 +746,14 @@ def _verify(doc, order):
 
     infos = maximal_ideals(o)
     verdict("r-locality",
-            len(infos) == len(simples) and
+            len(infos) == len(space.points) and
             all(i["quotient_isomorphic_to_module"] for i in infos))
 
-    ok, _detail = closure_check(alg, simples)
+    ok, _detail = closure_check(alg, o)
     verdict("closure", ok)
 
-    space = space_of_simples(alg, order=order)
+    if order != n0:
+        space = space_of_simples(alg, order=order)
     if len(space.points) <= 3:
         sheaf = space.sheafify_check()
         verdict("sheaf-axioms", sheaf["passed"])

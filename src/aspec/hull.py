@@ -32,9 +32,11 @@ from .linalg import (
     Mat,
     Span,
     _Echelon,
+    kernel_basis,
     row_space_basis,
     unit_vec,
 )
+from .modules import ModuleRep, is_simple
 
 
 def _word_sort_key(word):
@@ -636,7 +638,6 @@ class _HullBuilder:
         return out
 
     def _rho_table(self, hull_alg, C):
-        f = self.field
         table = []
         for a in range(self.algebra.dim):
             elem = {}
@@ -725,20 +726,6 @@ def hull(algebra, modules, order=None):
     return tower, ohat
 
 
-def compute_rho(algebra, modules, tower):
-    """Recompute rho against a frozen tower (relations fixed).
-
-    An unsolvable lift here means the tower's relations are inconsistent
-    with the obstruction calculus: internal error."""
-    builder = _HullBuilder(algebra, modules, tower.final.order)
-    t2, ohat = builder.build()
-    if sorted(map(sorted, (r.items() for r in t2.final.relations))) != \
-            sorted(map(sorted, (r.items() for r in tower.final.relations))):
-        raise InternalInvariantError(
-            "frozen tower disagrees with the obstruction calculus")
-    return ohat
-
-
 def massey_step(algebra, modules, order):
     """Obstruction classes at the given order for the canonical defining
     system: {word: Ext^2 coordinate list}, on the reduced words of that
@@ -776,18 +763,21 @@ class OAlgebra:
                                           length=self.flat_len)
         self.dim = len(self.basis_flat)
         self._span = Span(self.field, self.basis_flat, self.flat_len)
-        self._check_closure()
-
-    def _check_closure(self):
-        f = self.field
-        elems = [self._unflatten(v) for v in self.basis_flat]
-        for x in elems:
-            for y in elems:
-                prod = self.ohat.mul(x, y)
-                if self.coords_of(prod) is None:
+        self._elems = [self._unflatten(v) for v in self.basis_flat]
+        # the structure table is the closure check: every product of two
+        # basis elements has coordinates in the basis
+        self.table = []
+        for x in self._elems:
+            row = []
+            for y in self._elems:
+                coords = self.coords_of(ohat.mul(x, y))
+                if coords is None:
                     raise InternalInvariantError(
                         "im(rho) span is not multiplicatively closed")
-        if self.coords_of(self.ohat.one()) is None:
+                row.append(coords)
+            self.table.append(row)
+        self.unit = self.coords_of(ohat.one())
+        if self.unit is None:
             raise InternalInvariantError("O does not contain 1")
 
     def _unflatten(self, flat):
@@ -811,7 +801,7 @@ class OAlgebra:
         return out
 
     def basis_elements(self):
-        return [self._unflatten(v) for v in self.basis_flat]
+        return list(self._elems)
 
     def coords_of(self, elem):
         return self._span.coords(self.ohat.flatten(elem))
@@ -824,20 +814,9 @@ class OAlgebra:
 
     def as_algebra(self, labels=None):
         """Structure constants of O on its echelon basis."""
-        f = self.field
-        elems = self.basis_elements()
         labels = labels or [f"o{i}" for i in range(self.dim)]
-        table = []
-        for x in elems:
-            row = []
-            for y in elems:
-                coords = self.coords_of(self.ohat.mul(x, y))
-                if coords is None:
-                    raise InternalInvariantError("closure lost")
-                row.append(coords)
-            table.append(row)
-        unit = self.coords_of(self.ohat.one())
-        return Algebra(f, labels, table, unit, validate=False)
+        return Algebra(self.field, labels, self.table, self.unit,
+                       validate=False)
 
     def block_action(self, i, elem):
         """pi_i of an O element: its action on M_i."""
@@ -864,7 +843,6 @@ def designated_units(ohat):
         id_flat.extend(sum(Mat.identity(f, d).data, []))
     m = Mat(f, [[cols[a][t] for a in range(n)] + [id_flat[t]]
                 for t in range(total)], cols=n + 1)
-    from .linalg import kernel_basis
     sols = kernel_basis(m)
     a0 = None
     kern = []
@@ -913,8 +891,6 @@ def maximal_ideals(o):
     o_alg = o.as_algebra()
     out = []
     ideal_spans = []
-    from .linalg import kernel_basis
-    from .modules import ModuleRep, is_simple
     for i in range(r):
         rows = []
         for e in elems:
@@ -937,8 +913,8 @@ def maximal_ideals(o):
         })
         ideal_spans.append(Span(f, ker, o.dim))
     # every proper principal two-sided ideal sits inside some m_i
-    for idx, x in enumerate(elems):
-        span = _two_sided_ideal(o, x)
+    for idx in range(o.dim):
+        span = _two_sided_ideal(o_alg, idx)
         if len(span) == o.dim:
             continue
         if not any(all(ideal.contains(v) for v in span)
@@ -948,24 +924,22 @@ def maximal_ideals(o):
     return out
 
 
-def _two_sided_ideal(o, x):
-    f = o.field
-    elems = o.basis_elements()
-    vecs = []
-    for u in elems:
-        for v in elems:
-            prod = o.ohat.mul(o.ohat.mul(u, x), v)
-            vecs.append(o.coords_of(prod))
-    return row_space_basis(f, [v for v in vecs if v is not None],
-                           length=o.dim)
+def _two_sided_ideal(o_alg, idx):
+    """Basis of O * o_idx * O, the products u * o_idx * v formed with the
+    structure table of O."""
+    basis = [o_alg.basis_vector(t) for t in range(o_alg.dim)]
+    vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
+            for u in basis for v in basis]
+    return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
 
 
-def closure_check(algebra, modules, order=None):
-    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity)."""
-    if order is None:
-        order = max(2, default_order(algebra))
-    tower, ohat = hull(algebra, modules, order)
-    o = o_algebra(ohat)
+def closure_check(algebra, o):
+    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity).
+
+    o is O^A(M), already built; the family M and the truncation order
+    are read off it, and only the hull over O is built here."""
+    modules = o.ohat.modules
+    order = o.ohat.hull.order
     o_alg = o.as_algebra()
     # idempotents of O: images of the base idempotents
     idems = []
@@ -979,7 +953,6 @@ def closure_check(algebra, modules, order=None):
         o_alg.idempotents = idems
     except ValidationError:
         pass  # fall back to lifting inside O
-    from .modules import ModuleRep
     new_modules = []
     for i, m in enumerate(modules):
         mats = [o.block_action(i, e) for e in o.basis_elements()]

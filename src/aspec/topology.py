@@ -158,38 +158,34 @@ class ASpecSpace:
 
     def sections(self, subset):
         key = frozenset(subset)
-        if key not in self._sections_cache:
-            if not self.is_open(key):
-                raise InputError("sections requested on a non-open subset")
-            self._sections_cache[key] = self._sections_for(key)
-        return self._sections_cache[key]
+        if not self.is_open(key):
+            raise InputError("sections requested on a non-open subset")
+        return self.family_o_algebra(key)
 
     def family_o_algebra(self, subset):
-        """O^A of an arbitrary finite point subset (not necessarily open)."""
+        """O^A of an arbitrary finite point subset (not necessarily open),
+        built once per subset; the only place the space builds a hull."""
         key = frozenset(subset)
-        if not key:
-            return SectionData("zero", None, key)
-        idxs = sorted(key)
-        if is_poly_ring(self.algebra):
-            pts = [self.points[i].module for i in idxs]
-            o = PolyOAlgebra(self.algebra, pts, self.order or 4)
-            return SectionData("poly", o, key)
-        fam = [self.points[i].module for i in idxs]
-        tower, ohat = hull(self.algebra, fam, self.order)
-        return SectionData("findim", o_algebra(ohat), key)
-
-    def _sections_for(self, key):
-        return self.family_o_algebra(key)
+        if key in self._sections_cache:
+            return self._sections_cache[key]
+        fam = [self.points[i].module for i in sorted(key)]
+        if not fam:
+            sec = SectionData("zero", None, key)
+        elif is_poly_ring(self.algebra):
+            sec = SectionData("poly", PolyOAlgebra(self.algebra, fam,
+                                                   self.order or 4), key)
+        else:
+            tower, ohat = hull(self.algebra, fam, self.order)
+            sec = SectionData("findim", o_algebra(ohat), key)
+        self._sections_cache[key] = sec
+        return sec
 
     def sections_simples_only(self, subset):
         """The presheaf limit taken over simple points only (reported
         alongside the all-points version; the definitions differ on
         spaces with non-simple spectral points)."""
-        simple_idx = frozenset(i for i in subset
-                               if is_simple_point(self.points[i]))
-        if not simple_idx:
-            return SectionData("zero", None, frozenset())
-        return self.family_o_algebra(simple_idx)
+        return self.family_o_algebra(
+            i for i in subset if is_simple_point(self.points[i]))
 
     # -- restriction maps ----------------------------------------------------
 
@@ -432,7 +428,7 @@ def _rho_flats(algebra, sec):
 
 def restriction_matrix(algebra, sec_u, sec_v):
     """O(U) -> O(V) from the universal property: rho_U(a) -> rho_V(a)."""
-    f = algebra.field if not is_poly_ring(algebra) else algebra.field
+    f = algebra.field
     if sec_v.kind == "zero":
         return Mat.zeros(f, sec_u.dim, 0)
     if sec_u.kind == "zero":

@@ -97,3 +97,16 @@ def qq():
 @pytest.fixture
 def f5():
     return GF(5)
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """The `_HullBuilder`s whose `build` runs during the test, in order.
+    (The package re-exports `hull`, which shadows the `aspec.hull`
+    submodule attribute, so the module comes from sys.modules.)"""
+    builder = sys.modules["aspec.hull"]._HullBuilder
+    calls = []
+    build = builder.build
+    monkeypatch.setattr(builder, "build",
+                        lambda self: calls.append(self) or build(self))
+    return calls

@@ -168,7 +168,8 @@ def test_criterion_06_closure():
     ok = True
     for name, alg in corpus():
         simples = simple_modules(alg)
-        passed, _detail = closure_check(alg, simples)
+        passed, _detail = closure_check(
+            alg, o_algebra(hull(alg, simples)[1]))
         ok = ok and passed
     _verdict(6, "closure of the O-construction", ok)
 

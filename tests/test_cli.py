@@ -319,3 +319,50 @@ def test_shifted_cube_simple_acts_by_its_root(field, relation):
     verdicts = dict(report.sections[0][1])
     assert verdicts and set(verdicts.values()) == {"PASS"}
     assert not report.failed
+
+
+@pytest.mark.parametrize("example,builds", [
+    ("a2_quiver.txt", 7),
+    ("dual_numbers.txt", 4),
+])
+def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
+    doc = parse((EXAMPLES / example).read_text())
+    report = run("verify", doc)
+    assert not report.failed
+    assert len(hull_builds) == builds
+
+
+def test_stalk_at_an_open_point_builds_one_hull(hull_builds):
+    doc = parse((EXAMPLES / "a2_quiver.txt").read_text())
+    report = run("stalk", doc, module_names=["S1"])
+    assert "comparison_isomorphism: yes" in report.text()
+    assert len(hull_builds) == 1
+
+
+def _exit_and_error(tmp_path, capsys, text):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text, encoding="utf-8")
+    code = main(["simples", "--input", str(doc)])
+    return code, capsys.readouterr().err
+
+
+def test_malformed_order_option_is_an_input_error(tmp_path, capsys):
+    code, err = _exit_and_error(
+        tmp_path, capsys, A2_DOC + "options\n  order x\nend\n")
+    assert code == 2
+    assert err == "input error: line 8: bad order 'x'\n"
+
+
+def test_malformed_module_dim_is_an_input_error(tmp_path, capsys):
+    code, err = _exit_and_error(
+        tmp_path, capsys, MODULE_DOC.replace("dim 2", "dim two"))
+    assert code == 2
+    assert err == "input error: line 8: bad module dimension 'two'\n"
+
+
+@pytest.mark.parametrize("term", ["x^a", "x^2^3"])
+def test_malformed_exponent_is_an_input_error(tmp_path, capsys, term):
+    code, err = _exit_and_error(
+        tmp_path, capsys, DUAL_DOC.replace("relation x^2", f"relation {term}"))
+    assert code == 2
+    assert err == f"input error: line 4: bad exponent in {term!r}\n"

@@ -8,7 +8,6 @@ from aspec.hull import (
     MatricOHat,
     RPointedAlgebra,
     closure_check,
-    compute_rho,
     default_order,
     hull,
     invert_unit,
@@ -263,17 +262,23 @@ def test_maximal_ideals_counts():
 def test_closure_corpus():
     for name, alg in corpus():
         s = simple_modules(alg)
-        ok, detail = closure_check(alg, s)
+        ok, detail = closure_check(alg, o_algebra(hull(alg, s)[1]))
         assert ok, (name, detail)
 
 
-def test_compute_rho_matches_frozen_tower():
-    a = make_kx3()
-    s = simple_modules(a)
-    tower, ohat = hull(a, s, 4)
-    ohat2 = compute_rho(a, s, tower)
-    for t1, t2 in zip(ohat.rho_table, ohat2.rho_table):
-        assert ohat.equal(t1, t2)
+def test_closure_check_builds_only_the_second_hull(hull_builds):
+    a = make_a2()
+    o = o_algebra(hull(a, simple_modules(a))[1])
+    del hull_builds[:]
+    ok, detail = closure_check(a, o)
+    assert ok and detail == {"dim_first": 3, "dim_second": 3}
+    assert len(hull_builds) == 1
+    # the family over O and the order come from the O that was passed
+    second = hull_builds[0]
+    assert [(m.name, m.dim) for m in second.modules] == \
+        [(m.name, m.dim) for m in o.ohat.modules]
+    assert second.algebra.dim == o.dim
+    assert second.order == o.ohat.hull.order
 
 
 def test_hull_rejects_bad_order():
@@ -337,11 +342,11 @@ def test_closure_on_subfamilies():
     a2 = make_a2()
     s = simple_modules(a2)
     for fam in ([s[0]], [s[1]]):
-        ok, detail = closure_check(a2, fam)
+        ok, detail = closure_check(a2, o_algebra(hull(a2, fam)[1]))
         assert ok, detail
     sq = make_split_quadratic()
     t = simple_modules(sq)
-    ok, detail = closure_check(sq, [t[0]])
+    ok, detail = closure_check(sq, o_algebra(hull(sq, [t[0]])[1]))
     assert ok, detail
 
 
@@ -377,3 +382,37 @@ def test_o_algebra_reads_coordinates_from_one_echelon(monkeypatch):
     infos = maximal_ideals(o)
     assert o.dim == 6 and len(infos) == 3
     assert len(calls) < 30
+
+
+def test_maximal_ideals_work_in_o_coordinates(monkeypatch):
+    """The principal ideals O * x * O are formed with O's structure
+    table, not by products in the matric algebra and a coordinate query
+    for each."""
+    from aspec.hull import OAlgebra, _two_sided_ideal
+    from aspec.linalg import row_space_basis
+    from aspec.quiver import QuiverPresentation, from_quiver
+
+    a4 = from_quiver(QuiverPresentation(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]))
+    o = o_algebra(hull(a4, simple_modules(a4))[1])
+    assert o.dim == 10
+    calls = []
+    coords_of = OAlgebra.coords_of
+    monkeypatch.setattr(OAlgebra, "coords_of",
+                        lambda self, e: calls.append(e) or coords_of(self, e))
+    infos = maximal_ideals(o)
+    assert len(calls) < 20
+    assert [(i["quotient_dim"], i["module_dim"], i["irreducible"],
+             i["quotient_isomorphic_to_module"]) for i in infos] == \
+        [(1, 1, True, True)] * 4
+    assert [len(i["ideal_basis"]) for i in infos] == [9] * 4
+    # each principal ideal equals the one from products in the matric
+    # algebra, read back through coords_of
+    elems = o.basis_elements()
+    o_alg = o.as_algebra()
+    for idx, x in enumerate(elems):
+        direct = [coords_of(o, o.ohat.mul(o.ohat.mul(u, x), v))
+                  for u in elems for v in elems]
+        assert _two_sided_ideal(o_alg, idx) == \
+            row_space_basis(o.field, direct, length=o.dim)

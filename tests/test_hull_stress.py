@@ -145,10 +145,11 @@ def test_stress_algebras_verify_pipeline():
     for make in (make_kronecker, make_double_loop, make_fat_point):
         alg = make()
         s = simple_modules(alg)
-        ok, _ = closure_check(alg, s)
-        assert ok, make.__name__
         tower, ohat = hull(alg, s)
-        infos = maximal_ideals(o_algebra(ohat))
+        o = o_algebra(ohat)
+        ok, _ = closure_check(alg, o)
+        assert ok, make.__name__
+        infos = maximal_ideals(o)
         assert len(infos) == len(s)
         space = space_of_simples(alg)
         assert global_sections_roundtrip(space)["passed"], make.__name__
