@@ -143,60 +143,87 @@ class BarComparison:
 # -- Hochschild cochain calculus -------------------------------------------
 
 
-def coboundary_1(algebra, source, target, psi):
-    """delta(psi)(a,b) = eta_i(a) psi(b) - psi(ab) + psi(a) eta_j(b)."""
+def _products_onto(algebra):
+    """{e: [(x, y, coefficient of basis e in x*y)]}, the nonzero
+    structure constants read by target basis element."""
     f = algebra.field
     out = {}
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            term1 = source.action[a].mul(psi[b])
-            term3 = psi[a].mul(target.action[b])
-            mid = psi_of(algebra, psi, algebra.table[a][b], source.dim,
-                         target.dim)
-            out[(a, b)] = term1.sub(mid).add(term3)
+    for x, row in enumerate(algebra.table):
+        for y, prod in enumerate(row):
+            for e, c in enumerate(prod):
+                if not f.is_zero(c):
+                    out.setdefault(e, []).append((x, y, c))
     return out
 
 
-def psi_of(algebra, psi, elem, rows, cols):
+def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
+    """delta of the unit p-cochain (p = len(args)) whose one nonzero
+    entry is c(args)[r0][c0] = 1, as {(basis tuple, r, c): coeff}:
+    eta_i(x) c(...) + sum_k (-1)^(k+1) c(.., x_k x_(k+1), ..)
+    + (-1)^(p+1) c(...) eta_j(x)."""
     f = algebra.field
-    out = Mat.zeros(f, rows, cols)
-    for c, m in zip(elem, psi):
-        if not f.is_zero(c):
-            out = out.add(m.scale(c))
+    out = {}
+
+    def put(key, x):
+        out[key] = f.add(out.get(key, f.zero), x)
+
+    for x, act in enumerate(source.action):
+        for r, row in enumerate(act.data):
+            if not f.is_zero(row[r0]):
+                put(((x,) + args, r, c0), row[r0])
+    for k, e in enumerate(args):
+        for x, y, v in onto.get(e, ()):
+            put((args[:k] + (x, y) + args[k + 1:], r0, c0),
+                v if k % 2 else f.neg(v))
+    for x, act in enumerate(target.action):
+        for c, v in enumerate(act.data[c0]):
+            if not f.is_zero(v):
+                put((args + (x,), r0, c), v if len(args) % 2 else f.neg(v))
     return out
 
 
-def cochain2_of(algebra, coch, x, y, rows, cols):
-    """Bilinear extension of a basis-indexed 2-cochain."""
+def _flat_index(n, di, dj, key):
+    """Position of entry (r, c) at the basis tuple args in the flat layout
+    of flatten2: tuples in lexicographic order, each block row by row."""
+    args, r, c = key
+    idx = 0
+    for x in args:
+        idx = idx * n + x
+    return (idx * di + r) * dj + c
+
+
+def coboundary_2(algebra, source, target):
+    """d^2 of the block (source, target) as sparse columns: column k,
+    for the flatten2 coordinate k of a 2-cochain, lists (flat index of
+    the (a, b, g) triple entry, coefficient) of delta of that unit
+    cochain.  Built once per block; is_two_cocycle reads it."""
     f = algebra.field
-    out = Mat.zeros(f, rows, cols)
-    for i, ci in enumerate(x):
-        if f.is_zero(ci):
+    n, di, dj = algebra.dim, source.dim, target.dim
+    onto = _products_onto(algebra)
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            for r in range(di):
+                for c in range(dj):
+                    delta = _unit_coboundary(algebra, source, target, onto,
+                                             (a, b), r, c)
+                    cols.append([(_flat_index(n, di, dj, key), v)
+                                 for key, v in delta.items()
+                                 if not f.is_zero(v)])
+    return cols
+
+
+def is_two_cocycle(algebra, coch, d2):
+    """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0 on basis
+    triples, as one sparse product with the block's coboundary_2 map."""
+    f = algebra.field
+    acc = {}
+    for x, col in zip(flatten2(algebra, coch), d2):
+        if f.is_zero(x):
             continue
-        for j, cj in enumerate(y):
-            if f.is_zero(cj):
-                continue
-            out = out.add(coch[(i, j)].scale(f.mul(ci, cj)))
-    return out
-
-
-def is_two_cocycle(algebra, source, target, coch):
-    """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0 on basis triples."""
-    f = algebra.field
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            for g in range(algebra.dim):
-                t1 = source.action[a].mul(coch[(b, g)])
-                t2 = cochain2_of(algebra, coch, algebra.table[a][b],
-                                 algebra.basis_vector(g), source.dim,
-                                 target.dim)
-                t3 = cochain2_of(algebra, coch, algebra.basis_vector(a),
-                                 algebra.table[b][g], source.dim, target.dim)
-                t4 = coch[(a, b)].mul(target.action[g])
-                total = t1.sub(t2).add(t3).sub(t4)
-                if not total.is_zero():
-                    return False
-    return True
+        for t, v in col:
+            acc[t] = f.add(acc.get(t, f.zero), f.mul(x, v))
+    return all(f.is_zero(v) for v in acc.values())
 
 
 def inner_derivations(algebra, source, target):
@@ -282,16 +309,17 @@ def coboundary_columns(algebra, source, target):
     """flatten2 of delta(psi) for the unit 1-cochains psi, whose single
     nonzero entry psi(a)[r][c] = 1 runs over (a, r, c) in order."""
     f = algebra.field
-    n = algebra.dim
-    di, dj = source.dim, target.dim
+    n, di, dj = algebra.dim, source.dim, target.dim
+    onto = _products_onto(algebra)
     out = []
-    for idx in range(n * di * dj):
-        a0, rest = divmod(idx, di * dj)
-        r0, c0 = divmod(rest, dj)
-        psi = [Mat.zeros(f, di, dj) for _ in range(n)]
-        psi[a0].data[r0][c0] = f.one
-        out.append(flatten2(algebra, coboundary_1(algebra, source, target,
-                                                  psi)))
+    for a in range(n):
+        for r in range(di):
+            for c in range(dj):
+                col = [f.zero] * (n * n * di * dj)
+                for key, v in _unit_coboundary(algebra, source, target,
+                                               onto, (a,), r, c).items():
+                    col[_flat_index(n, di, dj, key)] = v
+                out.append(col)
     return out
 
 

@@ -23,6 +23,7 @@ from .errors import (
 from .ext import Resolution, ext
 from .hochschild import (
     BarComparison,
+    coboundary_2,
     is_two_cocycle,
     split_two_cocycle,
     two_cocycle_classes_independent,
@@ -39,8 +40,32 @@ from .linalg import (
 from .modules import ModuleRep, is_simple
 
 
+# Most words (lengths 1..N, all blocks) a truncated r-pointed algebra
+# may enumerate.  The double loop at order 11 has 4094 words and its hull
+# takes about a minute and 200 MB (CPython 3.11, one Xeon core);
+# one order more doubles the words and quadruples the time.
+WORD_BUDGET = 4096
+
+
 def _word_sort_key(word):
     return (len(word), word)
+
+
+def _word_count(r, generators, order):
+    """Words of length 1..order: the entry sum of A + A^2 + ... + A^order,
+    A the r x r matrix of generator counts per block.  Past WORD_BUDGET + 1
+    lengths it stops: every nonzero A^L adds at least one word, so the
+    count is then over the budget whatever the order."""
+    adj = [[0] * r for _ in range(r)]
+    for _, i, j in generators:
+        adj[i][j] += 1
+    count = 0
+    power = adj
+    for _ in range(min(order, WORD_BUDGET + 1)):
+        count += sum(map(sum, power))
+        power = [[sum(row[k] * adj[k][j] for k in range(r))
+                  for j in range(r)] for row in power]
+    return count
 
 
 class RPointedAlgebra:
@@ -57,6 +82,13 @@ class RPointedAlgebra:
         self._build_reduction()
 
     def _build_words(self):
+        count = _word_count(self.r, self.generators, self.order)
+        if count > WORD_BUDGET:
+            if self.order > WORD_BUDGET + 1:
+                count = f"more than {WORD_BUDGET}"
+            raise InputError(
+                f"truncation order {self.order} gives {count} words, over "
+                f"the budget of {WORD_BUDGET}")
         words = {1: [(g,) for g in range(len(self.generators))]}
         for length in range(2, self.order + 1):
             layer = []
@@ -495,7 +527,7 @@ class _HullBuilder:
         self.order = order
         self.field = algebra.field
         self.r = len(modules)
-        self._split_spans = {}
+        self._block_maps = {}     # (i, j) -> (coboundary_2, two_cocycle_span)
         self._prepare_ext()
 
     def _prepare_ext(self):
@@ -596,14 +628,16 @@ class _HullBuilder:
                 continue
             block = hull_alg.word_block(w)
             mi, mj = self.modules[block[0]], self.modules[block[1]]
-            if not is_two_cocycle(self.algebra, mi, mj, coch):
+            if block not in self._block_maps:
+                self._block_maps[block] = (
+                    coboundary_2(self.algebra, mi, mj),
+                    two_cocycle_span(self.algebra, mi, mj,
+                                     self.ext2_hh[block]))
+            d2, span = self._block_maps[block]
+            if not is_two_cocycle(self.algebra, coch, d2):
                 raise InternalInvariantError(
                     "stage defect is not a Hochschild 2-cocycle")
-            if block not in self._split_spans:
-                self._split_spans[block] = two_cocycle_span(
-                    self.algebra, mi, mj, self.ext2_hh[block])
-            out[w] = split_two_cocycle(self.algebra, mi, mj, coch,
-                                       self._split_spans[block])
+            out[w] = split_two_cocycle(self.algebra, mi, mj, coch, span)
         return out
 
     def _stage_defects(self, stage, hull_alg, C):

@@ -256,6 +256,9 @@ class ASpecSpace:
 
     def sheaf_restriction(self, bigger, smaller):
         """Coordinate projection of compatible families, in the bases."""
+        key = ("sheaf", frozenset(bigger), frozenset(smaller))
+        if key in self._restriction_cache:
+            return self._restriction_cache[key]
         f = self.base_field()
         su = self.sheaf_sections(bigger)
         sv = self.sheaf_sections(smaller)
@@ -273,7 +276,9 @@ class ASpecSpace:
                 raise InternalInvariantError(
                     "projected family is not compatible")
             rows.append(coeffs)
-        return Mat(f, rows, cols=len(sv["basis"]))
+        mat = Mat(f, rows, cols=len(sv["basis"]))
+        self._restriction_cache[key] = mat
+        return mat
 
     def base_field(self):
         return self.algebra.field

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the production code paths: naive
 Gaussian elimination, determinant-of-minors ranks, path enumeration,
 extension and deformation enumeration over small prime fields.  The
-one exception is the morphism count out of a hull, which reads the
-hull and the target through their `RPointedAlgebra` arithmetic.
+two exceptions are the morphism count out of a hull, which reads the
+hull and the target through their `RPointedAlgebra` arithmetic, and the
+dense Hochschild coboundaries, which multiply the action matrices as
+`Mat`s one basis pair or triple at a time.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from itertools import combinations, product
 
 from aspec.errors import InputError
 from aspec.fields import PrimeField
+from aspec.linalg import Mat
 
 
 def naive_gauss_rank(rows_in, p=None):
@@ -531,3 +534,62 @@ def solve_by_augmented_rref(columns, b, p=None):
     for r, col in enumerate(pivots):
         x[col] = rows[r][count]
     return x
+
+
+# -- dense Hochschild cochain calculus --------------------------------------
+
+
+def coboundary_1(algebra, source, target, psi):
+    """delta(psi)(a,b) = eta_i(a) psi(b) - psi(ab) + psi(a) eta_j(b), one
+    dense product per basis pair."""
+    out = {}
+    for a in range(algebra.dim):
+        for b in range(algebra.dim):
+            term1 = source.action[a].mul(psi[b])
+            term3 = psi[a].mul(target.action[b])
+            mid = psi_of(algebra, psi, algebra.table[a][b], source.dim,
+                         target.dim)
+            out[(a, b)] = term1.sub(mid).add(term3)
+    return out
+
+
+def psi_of(algebra, psi, elem, rows, cols):
+    """Linear extension of a basis-indexed 1-cochain."""
+    f = algebra.field
+    out = Mat.zeros(f, rows, cols)
+    for c, m in zip(elem, psi):
+        if not f.is_zero(c):
+            out = out.add(m.scale(c))
+    return out
+
+
+def cochain2_of(algebra, coch, x, y, rows, cols):
+    """Bilinear extension of a basis-indexed 2-cochain."""
+    f = algebra.field
+    out = Mat.zeros(f, rows, cols)
+    for i, ci in enumerate(x):
+        if f.is_zero(ci):
+            continue
+        for j, cj in enumerate(y):
+            if f.is_zero(cj):
+                continue
+            out = out.add(coch[(i, j)].scale(f.mul(ci, cj)))
+    return out
+
+
+def is_two_cocycle_dense(algebra, source, target, coch):
+    """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0, checked with
+    dense products on every basis triple."""
+    for a in range(algebra.dim):
+        for b in range(algebra.dim):
+            for g in range(algebra.dim):
+                t1 = source.action[a].mul(coch[(b, g)])
+                t2 = cochain2_of(algebra, coch, algebra.table[a][b],
+                                 algebra.basis_vector(g), source.dim,
+                                 target.dim)
+                t3 = cochain2_of(algebra, coch, algebra.basis_vector(a),
+                                 algebra.table[b][g], source.dim, target.dim)
+                t4 = coch[(a, b)].mul(target.action[g])
+                if not t1.sub(t2).add(t3).sub(t4).is_zero():
+                    return False
+    return True

@@ -366,3 +366,42 @@ def test_malformed_exponent_is_an_input_error(tmp_path, capsys, term):
         tmp_path, capsys, DUAL_DOC.replace("relation x^2", f"relation {term}"))
     assert code == 2
     assert err == f"input error: line 4: bad exponent in {term!r}\n"
+
+
+DOUBLE_LOOP_DOC = """\
+field F5
+algebra quiver
+  vertex v
+  arrow x v v
+  arrow y v v
+  relation x.x
+  relation x.y
+  relation y.x
+  relation y.y
+end
+"""
+
+
+@pytest.mark.parametrize("order, count", [
+    ("25", "67108862"), ("12", "8190"), ("10000", "more than 4096")])
+def test_oversized_word_count_is_an_input_error(tmp_path, capsys, order,
+                                                count):
+    # the words are counted before any is built: 2^26 - 2 of them at
+    # order 25 would not fit in memory
+    doc = tmp_path / "doc.txt"
+    doc.write_text(DOUBLE_LOOP_DOC, encoding="utf-8")
+    assert main(["hull", "--input", str(doc), "--order", order]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: truncation order {order} gives {count} words, "
+        "over the budget of 4096\n")
+
+
+def test_word_count_of_a_nilpotent_quiver_stays_under_the_budget(
+        tmp_path, capsys):
+    # A2 has one generator and no composable pair: one word at any order,
+    # also past the 4097 lengths the count looks at
+    doc = tmp_path / "doc.txt"
+    doc.write_text(A2_DOC, encoding="utf-8")
+    assert main(["hull", "--input", str(doc), "--order", "4200"]) == 0
+    assert "generator t1 : 1 -> 2 (degree 1)\n  order: 4200\n" in \
+        capsys.readouterr().out

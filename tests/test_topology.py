@@ -1,5 +1,6 @@
 import pytest
 
+import aspec.topology as topology_module
 from aspec.errors import InputError
 from aspec.fields import GF, QQ
 from aspec.modules import SpectralPoint, simple_modules
@@ -310,3 +311,19 @@ def test_spec_compare_mixed_nonsplit_unsupported():
                                [{(4,): f5.one, (2,): f5.of_int(3)}])
     with pytest.raises(UnsupportedAlgebraError):
         spec_compare(mixed)
+
+
+def test_second_sheafify_check_reuses_the_restrictions(monkeypatch):
+    # k[x]/(x^4 - x^2): three points, 208 covers; every sheaf restriction
+    # is memoized, so a second check builds no coordinate Span
+    one = QQ.one
+    a = from_poly_quotient(QQ, ["x"], [{(4,): one, (2,): QQ.neg(one)}])
+    space = space_of_simples(a)
+    first = space.sheafify_check()
+    built = []
+    span = topology_module.Span
+    monkeypatch.setattr(topology_module, "Span",
+                        lambda *args: built.append(args) or span(*args))
+    assert space.sheafify_check() == first
+    assert built == []
+    assert first["passed"]
