@@ -1,9 +1,9 @@
 """Path algebras of quivers modulo admissible relations.
 
 Paths compose left to right: p*q traverses p, then q, and needs
-target(p) == source(q).  A noncommutative rewriting system (Bergman's
-diamond lemma, degree-lexicographic order on arrow words) turns the
-surviving paths into the algebra basis.
+target(p) == source(q).  The rewriting engine of `rewrite` (Bergman's
+diamond lemma, the highest degree-lexicographic arrow word leading each
+rule, no truncation) turns the surviving paths into the algebra basis.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 from .algebra import Algebra
 from .errors import InfiniteDimensionalError, InputError, ValidationError
 from .fields import QQ
-from .linalg import unit_vec
+from .linalg import row_space_basis, unit_vec
+from .rewrite import Rewriter
 
 
 class QuiverPresentation:
@@ -67,142 +68,6 @@ class QuiverPresentation:
         return tuple(self._arrow_index[n] for n in path_names)
 
 
-def _word_key(word):
-    return (len(word), word)
-
-
-class _Rewriter:
-    """Degree-lex rewriting system on composable arrow words."""
-
-    def __init__(self, field, arrows):
-        self.field = field
-        self.arrows = arrows         # (name, src, tgt)
-        self.rules = {}              # lead word -> tail poly {word: coeff}
-
-    def word_source(self, w):
-        return self.arrows[w[0]][1]
-
-    def word_target(self, w):
-        return self.arrows[w[-1]][2]
-
-    def reduce(self, poly):
-        f = self.field
-        poly = {w: c for w, c in poly.items() if not f.is_zero(c)}
-        changed = True
-        while changed:
-            changed = False
-            for w in sorted(poly, key=_word_key, reverse=True):
-                c = poly.get(w)
-                if c is None or f.is_zero(c):
-                    continue
-                hit = self._find_occurrence(w)
-                if hit is None:
-                    continue
-                lead, pos = hit
-                tail = self.rules[lead]
-                del poly[w]
-                u, v = w[:pos], w[pos + len(lead):]
-                for tw, tc in tail.items():
-                    nw = u + tw + v
-                    poly[nw] = f.add(poly.get(nw, f.zero), f.mul(c, tc))
-                poly = {ww: cc for ww, cc in poly.items() if not f.is_zero(cc)}
-                changed = True
-                break
-        return poly
-
-    def _find_occurrence(self, w):
-        for lead in self.rules:
-            L = len(lead)
-            if L > len(w):
-                continue
-            for pos in range(len(w) - L + 1):
-                if w[pos:pos + L] == lead:
-                    return lead, pos
-        return None
-
-    def add_relation(self, poly):
-        poly = self.reduce(poly)
-        if not poly:
-            return False
-        f = self.field
-        lead = max(poly, key=_word_key)
-        inv = f.neg(f.inv(poly[lead]))
-        tail = {w: f.mul(inv, c) for w, c in poly.items() if w != lead}
-        self.rules[lead] = tail
-        return True
-
-    def complete(self, max_degree):
-        """Resolve all overlap/inclusion ambiguities up to max_degree."""
-        f = self.field
-        done = set()
-        progress = True
-        while progress:
-            progress = False
-            leads = sorted(self.rules, key=_word_key)
-            for w1 in leads:
-                for w2 in leads:
-                    if w1 not in self.rules or w2 not in self.rules:
-                        continue
-                    # overlap: proper suffix of w1 == proper prefix of w2
-                    for k in range(1, min(len(w1), len(w2))):
-                        if w1[-k:] != w2[:k]:
-                            continue
-                        amb = w1 + w2[k:]
-                        if len(amb) > max_degree or (w1, w2, k) in done:
-                            continue
-                        done.add((w1, w2, k))
-                        left = {}   # apply rule w1 at position 0
-                        for tw, tc in self.rules[w1].items():
-                            left[tw + w2[k:]] = f.add(
-                                left.get(tw + w2[k:], f.zero), tc)
-                        right = {}  # apply rule w2 at the end
-                        for tw, tc in self.rules[w2].items():
-                            right[w1[:-k] + tw] = f.add(
-                                right.get(w1[:-k] + tw, f.zero), tc)
-                        spoly = dict(left)
-                        for ww, cc in right.items():
-                            spoly[ww] = f.sub(spoly.get(ww, f.zero), cc)
-                        if self.add_relation(spoly):
-                            progress = True
-                    # inclusion: w2 proper factor of w1
-                    if len(w2) < len(w1):
-                        for pos in range(len(w1) - len(w2) + 1):
-                            if w1[pos:pos + len(w2)] != w2:
-                                continue
-                            if (w1, w2, "inc", pos) in done:
-                                continue
-                            done.add((w1, w2, "inc", pos))
-                            left = dict(self.rules[w1])
-                            right = {}
-                            u, v = w1[:pos], w1[pos + len(w2):]
-                            for tw, tc in self.rules[w2].items():
-                                nw = u + tw + v
-                                right[nw] = f.add(right.get(nw, f.zero), tc)
-                            spoly = dict(left)
-                            for ww, cc in right.items():
-                                spoly[ww] = f.sub(spoly.get(ww, f.zero), cc)
-                            if self.add_relation(spoly):
-                                progress = True
-
-    def irreducible_words(self, upto):
-        """Irreducible composable words by length, as {length: [words]}."""
-        out = {0: [()]}
-        current = [(i,) for i in range(len(self.arrows))]
-        length = 1
-        while current and length <= upto:
-            good = [w for w in current if self._find_occurrence(w) is None]
-            out[length] = good
-            nxt = []
-            for w in good:
-                tgt = self.word_target(w)
-                for i, (_, src, _t) in enumerate(self.arrows):
-                    if src == tgt:
-                        nxt.append(w + (i,))
-            current = nxt
-            length += 1
-        return out
-
-
 def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
     """Algebra of the quiver modulo its relations.
 
@@ -210,7 +75,7 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
     the degree at which irreducible paths persist.
     """
     q = presentation
-    rw = _Rewriter(field, q.arrows)
+    rw = Rewriter(field)
     for terms in q.relations:
         poly = {}
         for coeff, path in terms:
@@ -224,7 +89,8 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
     degree_cap = max([4] + [2 * len(w) for w in rw.rules])
     while True:
         rw.complete(degree_cap)
-        words_by_len = rw.irreducible_words(degree_cap)
+        words_by_len = {length: good for length, (_, good) in enumerate(
+            rw.irreducible_words(q.arrows, degree_cap), 1)}
         empty_at = None
         for length in range(1, degree_cap + 1):
             if not words_by_len.get(length):
@@ -250,7 +116,7 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
         basis_words.append(("e", vi))
         labels.append(f"e_{v}")
     for length in range(1, empty_at):
-        for w in sorted(words_by_len[length]):
+        for w in words_by_len[length]:
             basis_words.append(("w", w))
             labels.append(".".join(q.arrows[i][0] for i in w))
     index = {bw: i for i, bw in enumerate(basis_words)}
@@ -261,7 +127,7 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
         if kind == "e":
             v = q.vertices[val]
             return v, v
-        return rw.word_source(val), rw.word_target(val)
+        return q.arrows[val[0]][1], q.arrows[val[-1]][2]
 
     def poly_to_vec(poly):
         vec = [field.zero] * dim
@@ -310,7 +176,6 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
     # admissibility: the arrow ideal must be nilpotent in the quotient
     arrow_basis = q.arrow_ideal_basis
     power = [list(v) for v in arrow_basis]
-    from .linalg import row_space_basis
     steps = 0
     while power:
         steps += 1

@@ -1,0 +1,164 @@
+"""Noncommutative rewriting: normal forms of words modulo a two-sided ideal.
+
+One engine serves quiver bases and hull words.  Words are tuples of
+letter indices under the degree-lexicographic order.  A rule replaces
+its lead word by a tail of words further from the lead end; once every
+overlap and inclusion ambiguity is resolved (Bergman's diamond lemma,
+Adv. Math. 1978), the normal form is unique and the irreducible words
+are a basis of the quotient.
+
+The one parameter is the truncation order:
+
+- `order=None` (quivers): the highest word leads each rule and words
+  are never cut;
+- `order=N` (hulls, the adic convention): the lowest word leads each
+  rule and words longer than N are zero.  Lowest leads terminate only
+  under a truncation, and the truncation is compatible with them: if
+  u.lead.v is longer than N, so is every u.tail.v.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from heapq import heappop, heappush
+
+
+def deglex(word):
+    return (len(word), word)
+
+
+def _highest_first(word):
+    return (-len(word), tuple(-g for g in word))
+
+
+class Rewriter:
+    """Rules keyed by lead word, completed up to a length."""
+
+    def __init__(self, field, order=None):
+        self.field = field
+        self.order = order
+        self.rules = {}           # lead word -> tail {word: coeff}
+        self._lengths = set()     # lengths of the leads
+        self._done = set()        # ambiguities already resolved
+        # heap key: the lead end of the order comes first
+        self._key = _highest_first if order is None else deglex
+
+    def find(self, word):
+        """(lead, position) of a rule lead inside word, or None."""
+        for n in self._lengths:
+            for pos in range(len(word) - n + 1):
+                if word[pos:pos + n] in self.rules:
+                    return word[pos:pos + n], pos
+        return None
+
+    def reduce(self, poly):
+        """Normal form of {word: coeff}.  One pass from the lead end: a
+        rewrite only moves words away from it, so each word is visited
+        once."""
+        f = self.field
+        pending = {}
+        heap = []
+
+        def push(word, c):
+            if self.order is not None and len(word) > self.order:
+                return
+            if word in pending:
+                pending[word] = f.add(pending[word], c)
+            else:
+                pending[word] = c
+                heappush(heap, (self._key(word), word))
+
+        for w, c in poly.items():
+            push(w, c)
+        out = {}
+        while heap:
+            w = heappop(heap)[1]
+            c = pending.pop(w)
+            if f.is_zero(c):
+                continue
+            hit = self.find(w)
+            if hit is None:
+                out[w] = c
+                continue
+            lead, pos = hit
+            u, v = w[:pos], w[pos + len(lead):]
+            for t, tc in self.rules[lead].items():
+                push(u + t + v, f.mul(c, tc))
+        return out
+
+    def add_relation(self, poly):
+        """Reduce poly and, unless it vanishes, make it a rule; returns
+        the new lead word or None."""
+        poly = self.reduce(poly)
+        if not poly:
+            return None
+        f = self.field
+        lead = min(poly, key=self._key)
+        inv = f.neg(f.inv(poly[lead]))
+        self.rules[lead] = {w: f.mul(inv, c) for w, c in poly.items()
+                            if w != lead}
+        self._lengths.add(len(lead))
+        return lead
+
+    def complete(self, degree=None):
+        """Resolve every ambiguity of length at most degree (by default
+        the truncation order), adding the rules that takes."""
+        degree = self.order if degree is None else degree
+        leads = list(self.rules)
+        pending = deque()
+        for k, a in enumerate(leads):
+            for b in leads[:k + 1]:
+                pending.extend(self._ambiguities(a, b, degree))
+        while pending:
+            lead = self.add_relation(pending.popleft())
+            if lead is not None:
+                for b in list(self.rules):
+                    pending.extend(self._ambiguities(lead, b, degree))
+
+    def _ambiguities(self, a, b, degree):
+        """Differences of the two one-step rewrites of every unresolved
+        overlap or inclusion of the leads a and b up to degree."""
+        found = []
+        for x, y in ((a, b), (b, a)):
+            for k in range(1, min(len(x), len(y))):
+                if x[-k:] == y[:k]:
+                    found.append((x + y[k:], x, 0, y, len(x) - k))
+            if len(y) < len(x):
+                for pos in range(len(x) - len(y) + 1):
+                    if x[pos:pos + len(y)] == y:
+                        found.append((x, x, 0, y, pos))
+        f = self.field
+        out = []
+        for amb in found:
+            if len(amb[0]) > degree or amb in self._done:
+                continue
+            self._done.add(amb)
+            word, x, px, y, py = amb
+            diff = self._rewrite(word, x, px)
+            for w, c in self._rewrite(word, y, py).items():
+                diff[w] = f.sub(diff.get(w, f.zero), c)
+            out.append(diff)
+        return out
+
+    def _rewrite(self, word, lead, pos):
+        u, v = word[:pos], word[pos + len(lead):]
+        return {u + t + v: c for t, c in self.rules[lead].items()}
+
+    def irreducible_words(self, letters, upto):
+        """Irreducible composable words in the letters (name, source,
+        target), grown layer by layer.  Returns [(candidates, irreducible)]
+        for the lengths 1, 2, ..., up to upto and the first empty layer,
+        each list sorted.  The candidates are the irreducible words one
+        letter shorter, extended: a factor of an irreducible word is
+        irreducible."""
+        follows = [[g for g, a in enumerate(letters) if a[1] == target]
+                   for _, _, target in letters]
+        layers = []
+        candidates = [(g,) for g in range(len(letters))]
+        while len(layers) < upto:
+            good = [w for w in candidates if self.find(w) is None]
+            layers.append((candidates, good))
+            if not good:
+                break
+            candidates = [w + (g,) for w in good for g in follows[w[-1]]]
+        return layers

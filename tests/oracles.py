@@ -593,3 +593,83 @@ def is_two_cocycle_dense(algebra, source, target, coch):
                 if not t1.sub(t2).add(t3).sub(t4).is_zero():
                     return False
     return True
+
+
+# -- the frame echelon: words modulo a two-sided ideal ------------------------
+
+
+class FrameEchelon:
+    """Normal forms of words modulo the two-sided ideal of `relations`
+    ({word: coeff} each), among the composable words of length 1..order
+    in `generators` ((label, i, j): a letter from block i to block j).
+
+    Every product u * rel * v over words u, v (terms longer than order
+    dropped) is echelonized, fully reduced.  The pivot of a row is its
+    lowest word in the degree-lexicographic order (lowest=True, the
+    hull's adic convention) or its highest (lowest=False, the quiver's).
+    The reduced words are the non-pivot words, by length and then
+    lexicographically."""
+
+    def __init__(self, field, generators, order, relations, lowest=True):
+        self.field = field
+        self.order = order
+        blocks = [(i, j) for _, i, j in generators]
+        self._block = lambda w: (blocks[w[0]][0], blocks[w[-1]][1])
+        layer = [(g,) for g in range(len(blocks))]
+        self.words = []
+        while layer and len(layer[0]) <= order:
+            self.words += layer
+            layer = [w + (g,) for w in layer for g in range(len(blocks))
+                     if blocks[g][0] == blocks[w[-1]][1]]
+        self.words.sort(key=lambda w: (len(w), w))
+        rank = {w: k if lowest else -k for k, w in enumerate(self.words)}
+        self._rank = rank.__getitem__
+        self._rows = {}         # pivot word -> row with coefficient 1 there
+        for rel in relations:
+            rel = {w: c for w, c in rel.items() if len(w) <= order}
+            if not rel:
+                continue
+            i, j = self._block(next(iter(rel)))
+            lefts = [()] + [u for u in self.words if self._block(u)[1] == i]
+            rights = [()] + [v for v in self.words if self._block(v)[0] == j]
+            for u in lefts:
+                for v in rights:
+                    prod = {}
+                    for w, c in rel.items():
+                        if len(u) + len(w) + len(v) <= order:
+                            nw = u + w + v
+                            prod[nw] = field.add(prod.get(nw, field.zero), c)
+                    self._insert(prod)
+        self.reduced_words = [w for w in self.words if w not in self._rows]
+
+    def _axpy(self, c, row, out):
+        """out - c * row, zero entries dropped."""
+        f = self.field
+        out = dict(out)
+        for w, x in row.items():
+            out[w] = f.sub(out.get(w, f.zero), f.mul(c, x))
+        return {w: x for w, x in out.items() if not f.is_zero(x)}
+
+    def _insert(self, vec):
+        f = self.field
+        vec = self.reduce(vec)
+        if not vec:
+            return
+        pivot = min(vec, key=self._rank)
+        inv = f.inv(vec[pivot])
+        vec = {w: f.mul(inv, c) for w, c in vec.items()}
+        for p, row in list(self._rows.items()):
+            if pivot in row:
+                self._rows[p] = self._axpy(row[pivot], vec, row)
+        self._rows[pivot] = vec
+
+    def reduce(self, poly):
+        """Normal form of {word: coeff}: the unique element of poly plus
+        the ideal supported on reduced words."""
+        f = self.field
+        out = {w: c for w, c in poly.items()
+               if len(w) <= self.order and not f.is_zero(c)}
+        for p, row in self._rows.items():
+            if p in out:
+                out = self._axpy(out[p], row, out)
+        return out
