@@ -15,6 +15,7 @@ from .modules import (
 )
 from .ext import ExtSpace, Resolution, cup_product, ext, min_resolution
 from .hull import (
+    ExtData,
     HullTower,
     MatricOHat,
     OAlgebra,
@@ -42,7 +43,7 @@ __all__ = [
     "ModuleRep", "SpectralPoint", "action_of", "contraction", "hom_A",
     "is_simple", "simple_modules",
     "ExtSpace", "Resolution", "cup_product", "ext", "min_resolution",
-    "HullTower", "MatricOHat", "OAlgebra", "RPointedAlgebra",
+    "ExtData", "HullTower", "MatricOHat", "OAlgebra", "RPointedAlgebra",
     "closure_check", "hull", "invert_unit", "massey_step",
     "maximal_ideals", "o_algebra",
     "PointModule", "PolynomialRing", "hull_poly_ring",

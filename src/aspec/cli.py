@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import field_from_name
-from .ext import ext
+from .ext import Resolution, ext
 from .hull import closure_check, default_order, hull, maximal_ideals, o_algebra
 from .linalg import Mat, row_space_basis
 from .modules import ModuleRep, SpectralPoint, simple_modules
@@ -617,11 +617,15 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
                         entries.append(
                             (f"Ext^{d}({a.name},{b.name})", str(dim)))
         else:
+            # one resolution per source module; none when A is semisimple
+            semisimple = not alg.radical_basis()
             for a in fam:
+                res = None if semisimple else Resolution(a)
                 for b in fam:
                     for d in (1, 2):
+                        dim = ext(a, b, d, resolution=res).dimension
                         entries.append((f"Ext^{d}({a.name},{b.name})",
-                                        str(ext(a, b, d).dimension)))
+                                        str(dim)))
         report.add("ext", entries)
     elif command == "hull":
         if is_poly_ring(alg):

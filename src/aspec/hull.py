@@ -429,57 +429,97 @@ def invert_unit(ambient, elem):
     return t
 
 
+class _PairExt:
+    """Ext^1 and Ext^2 of one ordered pair (M_i, M_j) with their Hochschild
+    forms: the Ext^2 basis as 2-cocycles (checked independent in HH^2),
+    the Ext^1 derivation seeds, and, on first use, the block's
+    (coboundary_2, two_cocycle_span)."""
+
+    def __init__(self, algebra, source, target, comparison):
+        self.algebra = algebra
+        self.source = source
+        self.target = target
+        res = comparison.res if comparison is not None else None
+        self.ext1 = ext(source, target, 1, resolution=res)
+        self.ext2 = ext(source, target, 2, resolution=res)
+        self.hh2 = [comparison.two_cochain_of(c) for c in self.ext2.cocycles]
+        if self.hh2 and not two_cocycle_classes_independent(
+                algebra, source, target, self.hh2):
+            raise InternalInvariantError(
+                "converted Ext^2 basis lost independence in HH^2")
+        self.seeds = [comparison.derivation_of(c)
+                      for c in self.ext1.cocycles]
+        self._maps = None
+
+    def block_maps(self):
+        if self._maps is None:
+            self._maps = (
+                coboundary_2(self.algebra, self.source, self.target),
+                two_cocycle_span(self.algebra, self.source, self.target,
+                                 self.hh2))
+        return self._maps
+
+
+class ExtData:
+    """The Ext data of modules over one algebra, built on first use: per
+    module its Resolution and BarComparison, per ordered pair a _PairExt.
+    Every hull given the same store reads the same entries, so the hulls
+    over the subfamilies of one family resolve each module once.
+
+    Entries are keyed by module identity and hold the modules, so an id
+    cannot be reused while the store lives; modules never refer back to
+    the store."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        # a semisimple algebra needs no resolution: Ext^1 = Ext^2 = 0
+        self._semisimple = not algebra.radical_basis()
+        self._comparisons = {}    # id(M) -> (M, BarComparison or None)
+        self._pairs = {}          # (id(M_i), id(M_j)) -> _PairExt
+
+    def _comparison(self, module):
+        entry = self._comparisons.get(id(module))
+        if entry is None:
+            bc = None if self._semisimple else BarComparison(
+                Resolution(module))
+            entry = self._comparisons[id(module)] = (module, bc)
+        return entry[1]
+
+    def pair(self, source, target):
+        key = (id(source), id(target))
+        entry = self._pairs.get(key)
+        if entry is None:
+            entry = self._pairs[key] = _PairExt(
+                self.algebra, source, target, self._comparison(source))
+        return entry
+
+
 class _HullBuilder:
     """Order-by-order construction of the hull and rho."""
 
-    def __init__(self, algebra, modules, order):
+    def __init__(self, algebra, modules, order, ext_data=None):
         if order < 2:
             raise InputError("truncation order must be >= 2")
         if not modules:
             raise InputError("module family is empty")
+        if ext_data is None:
+            ext_data = ExtData(algebra)
+        elif ext_data.algebra is not algebra:
+            raise ValidationError("the Ext store belongs to another algebra")
         self.algebra = algebra
         self.modules = list(modules)
         self.order = order
         self.field = algebra.field
         self.r = len(modules)
-        self._block_maps = {}     # (i, j) -> (coboundary_2, two_cocycle_span)
-        self._prepare_ext()
-
-    def _prepare_ext(self):
-        self.resolutions = {}
-        self.ext1 = {}
-        self.ext2 = {}
-        self.ext2_hh = {}
-        self.deriv_seed = {}
-        generators = []
-        semisimple = not self.algebra.radical_basis()
-        for i, mi in enumerate(self.modules):
-            if not semisimple:
-                res = Resolution(mi)
-                self.resolutions[i] = res
-                bc = BarComparison(res)
-            for j, mj in enumerate(self.modules):
-                if semisimple:
-                    e1 = ext(mi, mj, 1)
-                    e2 = ext(mi, mj, 2)
-                else:
-                    e1 = ext(mi, mj, 1, resolution=self.resolutions[i])
-                    e2 = ext(mi, mj, 2, resolution=self.resolutions[i])
-                self.ext1[(i, j)] = e1
-                self.ext2[(i, j)] = e2
-                hh2 = [] if semisimple else [
-                    bc.two_cochain_of(c) for c in e2.cocycles]
-                if hh2 and not two_cocycle_classes_independent(
-                        self.algebra, mi, mj, hh2):
-                    raise InternalInvariantError(
-                        "converted Ext^2 basis lost independence in HH^2")
-                self.ext2_hh[(i, j)] = hh2
-                for s, coc in enumerate(e1.cocycles):
-                    label = f"t{len(generators) + 1}"
-                    generators.append((label, i, j))
-                    self.deriv_seed[len(generators) - 1] = \
-                        bc.derivation_of(coc)
-        self.generators = generators
+        self.pairs = {(i, j): ext_data.pair(mi, mj)
+                      for i, mi in enumerate(self.modules)
+                      for j, mj in enumerate(self.modules)}
+        self.generators = []
+        self.deriv_seed = []      # per generator, its Ext^1 derivation
+        for (i, j), pair in self.pairs.items():
+            for psi in pair.seeds:
+                self.generators.append((f"t{len(self.generators) + 1}", i, j))
+                self.deriv_seed.append(psi)
 
     def build(self):
         hull_alg, C, new_by_stage = self._run_stages(self.order)
@@ -499,7 +539,7 @@ class _HullBuilder:
         if stab and self.order >= 3:
             stab = _image_dim(ohat) == _image_dim(ohat, self.order - 1)
         elif stab:
-            stab = all(e.dimension == 0 for e in self.ext2.values())
+            stab = all(p.ext2.dimension == 0 for p in self.pairs.values())
         tower.stabilized = bool(stab)
         return tower, ohat
 
@@ -511,7 +551,7 @@ class _HullBuilder:
         relations = {}        # (i, j, l) -> {word: coeff}
         hull_alg = RPointedAlgebra(f, self.r, self.generators, self.order, [])
         # C: word -> 1-cochain (list of Mats per algebra basis element)
-        C = {(g,): psi for g, psi in self.deriv_seed.items()}
+        C = {(g,): psi for g, psi in enumerate(self.deriv_seed)}
         new_by_stage = {}
         for stage in range(2, last + 1):
             # reduced words are closed under factors: an empty layer
@@ -545,18 +585,13 @@ class _HullBuilder:
         for w, coch in self._stage_defects(stage, hull_alg, C).items():
             if all(m.is_zero() for m in coch.values()):
                 continue
-            block = hull_alg.word_block(w)
-            mi, mj = self.modules[block[0]], self.modules[block[1]]
-            if block not in self._block_maps:
-                self._block_maps[block] = (
-                    coboundary_2(self.algebra, mi, mj),
-                    two_cocycle_span(self.algebra, mi, mj,
-                                     self.ext2_hh[block]))
-            d2, span = self._block_maps[block]
+            pair = self.pairs[hull_alg.word_block(w)]
+            d2, span = pair.block_maps()
             if not is_two_cocycle(self.algebra, coch, d2):
                 raise InternalInvariantError(
                     "stage defect is not a Hochschild 2-cocycle")
-            out[w] = split_two_cocycle(self.algebra, mi, mj, coch, span)
+            out[w] = split_two_cocycle(self.algebra, pair.source,
+                                       pair.target, coch, span)
         return out
 
     def _stage_defects(self, stage, hull_alg, C):
@@ -649,21 +684,24 @@ def default_order(algebra):
     return algebra.radical_index() + 1
 
 
-def hull(algebra, modules, order=None):
-    """Truncated pro-representing hull and matric algebra with rho."""
+def hull(algebra, modules, order=None, ext_data=None):
+    """Truncated pro-representing hull and matric algebra with rho.
+
+    ext_data is an ExtData of the algebra to read the Ext blocks from;
+    without one the hull builds its own."""
     if order is None:
         order = max(2, default_order(algebra))
-    builder = _HullBuilder(algebra, modules, order)
+    builder = _HullBuilder(algebra, modules, order, ext_data)
     tower, ohat = builder.build()
     # tangent-space correctness: generator counts match Ext^1 dimensions
     counts = {}
     for label, i, j in tower.final.generators:
         counts[(i, j)] = counts.get((i, j), 0) + 1
-    for (i, j), e in builder.ext1.items():
-        if counts.get((i, j), 0) != e.dimension:
+    for block, pair in builder.pairs.items():
+        if counts.get(block, 0) != pair.ext1.dimension:
             raise InternalInvariantError("tangent dimension mismatch")
-    ohat.ext1 = builder.ext1
-    ohat.ext2 = builder.ext2
+    ohat.ext1 = {block: p.ext1 for block, p in builder.pairs.items()}
+    ohat.ext2 = {block: p.ext2 for block, p in builder.pairs.items()}
     return tower, ohat
 
 
@@ -680,7 +718,7 @@ def massey_step(algebra, modules, order):
         if w in classes:
             out[w] = classes[w][0]
         else:
-            out[w] = [f.zero] * len(builder.ext2_hh[hull_alg.word_block(w)])
+            out[w] = [f.zero] * len(builder.pairs[hull_alg.word_block(w)].hh2)
     return out
 
 

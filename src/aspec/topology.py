@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedAlgebraError,
     ValidationError,
 )
-from .hull import hull, o_algebra
+from .hull import ExtData, hull, o_algebra
 from .linalg import Mat, Span, kernel_basis, rank, row_space_basis, unit_vec
 from .modules import (
     ModuleRep,
@@ -65,6 +65,7 @@ class ASpecSpace:
         self.extra_elements = [list(e) for e in extra_elements]
         self._sections_cache = {}
         self._restriction_cache = {}
+        self._ext_data = None     # shared by every hull of the space
         self._subbasis = None
         self._opens = None
 
@@ -175,7 +176,10 @@ class ASpecSpace:
             sec = SectionData("poly", PolyOAlgebra(self.algebra, fam,
                                                    self.order or 4), key)
         else:
-            tower, ohat = hull(self.algebra, fam, self.order)
+            if self._ext_data is None:
+                self._ext_data = ExtData(self.algebra)
+            tower, ohat = hull(self.algebra, fam, self.order,
+                               self._ext_data)
             sec = SectionData("findim", o_algebra(ohat), key)
         self._sections_cache[key] = sec
         return sec
@@ -228,20 +232,8 @@ class ASpecSpace:
         for d in dims:
             offsets.append(offsets[-1] + d)
         total = offsets[-1]
-        pair_rows = []
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                inter = neigh[idxs[a]] & neigh[idxs[b]]
-                ra = self.restriction(neigh[idxs[a]], inter)
-                rb = self.restriction(neigh[idxs[b]], inter)
-                for col in range(ra.cols):
-                    row = [f.zero] * total
-                    for i in range(dims[a]):
-                        row[offsets[a] + i] = ra.data[i][col]
-                    for i in range(dims[b]):
-                        row[offsets[b] + i] = f.sub(row[offsets[b] + i],
-                                                    rb.data[i][col])
-                    pair_rows.append(row)
+        pair_rows = _compatibility_rows(
+            f, [neigh[x] for x in idxs], dims, self.restriction)
         if total == 0:
             basis = []
         elif pair_rows:
@@ -334,56 +326,20 @@ class ASpecSpace:
         res_mats = [res_of(u, v) for v in family]
         dims = [dim_of(v) for v in family]
         total = sum(dims)
-        offsets = [0]
-        for d in dims:
-            offsets.append(offsets[-1] + d)
+        # row i: the restrictions of the i-th section over u to the cover
+        images = Mat(f, [[x for m in res_mats for x in m.data[i]]
+                         for i in range(dim_u)], cols=total)
         # locality: the joint restriction map is injective
-        if dim_u:
-            rows = []
-            for i in range(dim_u):
-                row = []
-                for m in res_mats:
-                    row.extend(m.data[i])
-                rows.append(row)
-            big = Mat(f, rows, cols=total)
-            if len(kernel_basis(big.transpose())) != 0:
-                return False, "locality fails"
-        # gluing: image = the compatible-family space
-        pair_rows = []
-        for a in range(len(family)):
-            for b in range(a + 1, len(family)):
-                inter = family[a] & family[b]
-                ra = res_of(family[a], inter)
-                rb = res_of(family[b], inter)
-                for col in range(ra.cols):
-                    row = [f.zero] * total
-                    for i in range(dims[a]):
-                        row[offsets[a] + i] = ra.data[i][col]
-                    for i in range(dims[b]):
-                        row[offsets[b] + i] = f.sub(row[offsets[b] + i],
-                                                    rb.data[i][col])
-                    pair_rows.append(row)
-        if total == 0:
-            return (dim_u == 0), ("" if dim_u == 0 else "gluing fails")
-        if pair_rows:
-            compat = kernel_basis(Mat(f, pair_rows, cols=total))
-        else:
-            compat = [unit_vec(f, total, i) for i in range(total)]
-        compat_dim = len(row_space_basis(f, compat, length=total))
-        images = []
-        for i in range(dim_u):
-            row = []
-            for m in res_mats:
-                row.extend(m.data[i])
-            images.append(row)
-        img_dim = len(row_space_basis(f, images, length=total)) if images \
-            else 0
-        if img_dim != dim_u:
-            return False, "locality fails (restriction map not injective)"
-        if img_dim != compat_dim:
+        if rank(images) != dim_u:
+            return False, "locality fails"
+        # gluing: the image is the space of compatible families, the
+        # kernel of the pair rows; of equal dimension, it is that kernel
+        # iff every pair row kills it
+        pairs = Mat(f, _compatibility_rows(f, family, dims, res_of),
+                    cols=total)
+        if dim_u != total - rank(pairs):
             return False, "gluing fails"
-        joined = row_space_basis(f, compat + images, length=total)
-        if len(joined) != compat_dim:
+        if not pairs.mul(images.transpose()).is_zero():
             return False, "restrictions are not compatible"
         return True, ""
 
@@ -406,6 +362,31 @@ class ASpecSpace:
         direct = self.family_o_algebra(subset)
         iso = compare_section_algebras(self.algebra, stalk_sections, direct)
         return StalkData(subset, u0, stalk_sections, direct, iso)
+
+
+def _compatibility_rows(field, opens, dims, res_of):
+    """Rows cutting out the compatible families in the direct sum of the
+    sections over `opens` (dims[a] = dim of the sections over opens[a]):
+    one row per coordinate of s_a - s_b restricted to opens[a] & opens[b]."""
+    f = field
+    offsets = [0]
+    for d in dims:
+        offsets.append(offsets[-1] + d)
+    rows = []
+    for a in range(len(opens)):
+        for b in range(a + 1, len(opens)):
+            inter = opens[a] & opens[b]
+            ra = res_of(opens[a], inter)
+            rb = res_of(opens[b], inter)
+            for col in range(ra.cols):
+                row = [f.zero] * offsets[-1]
+                for i in range(dims[a]):
+                    row[offsets[a] + i] = ra.data[i][col]
+                for i in range(dims[b]):
+                    row[offsets[b] + i] = f.sub(row[offsets[b] + i],
+                                                rb.data[i][col])
+                rows.append(row)
+    return rows
 
 
 def is_simple_point(pt):

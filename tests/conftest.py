@@ -110,3 +110,21 @@ def hull_builds(monkeypatch):
     monkeypatch.setattr(builder, "build",
                         lambda self: calls.append(self) or build(self))
     return calls
+
+
+@pytest.fixture
+def resolutions_built(monkeypatch):
+    """The arguments of every `Resolution` (a module) and `BarComparison`
+    (a resolution) constructed during the test, in order, by class name."""
+    from aspec.ext import Resolution
+    from aspec.hochschild import BarComparison
+    built = {}
+    for cls in (Resolution, BarComparison):
+        calls = built[cls.__name__] = []
+
+        def counting_init(self, arg, _init=cls.__init__, _calls=calls):
+            _calls.append(arg)
+            _init(self, arg)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built

@@ -66,6 +66,17 @@ algebra quiver
 end
 """
 
+A3_PATH_DOC = """\
+field Q
+algebra quiver
+  vertex 1
+  vertex 2
+  vertex 3
+  arrow a 1 2
+  arrow b 2 3
+end
+"""
+
 MODULE_DOC = """\
 field Q
 algebra quiver
@@ -330,6 +341,28 @@ def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
     report = run("verify", doc)
     assert not report.failed
     assert len(hull_builds) == builds
+
+
+@pytest.mark.parametrize("text, command, built", [
+    ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", 2),
+    ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", 6),
+    (A3_PATH_DOC, "aspec", 3),
+    (A3_PATH_DOC, "verify", 9),
+    (A3_PATH_DOC, "ext", 3),
+    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", 4),
+], ids=["a2-aspec", "a2-verify", "a3-aspec", "a3-verify", "a3-ext",
+        "dual-verify"])
+def test_each_space_resolves_each_module_once(resolutions_built, text,
+                                              command, built):
+    # aspec: one space of simples, whatever its number of opens.  verify
+    # adds the hull over O in the closure check and the roundtrip's space
+    # over O(X), each resolving every simple once; a commutative algebra
+    # adds spec_compare's own space.  ext: one resolution per source.
+    report = run(command, parse(text))
+    assert not report.failed
+    assert len(resolutions_built["Resolution"]) == built
+    assert len(resolutions_built["BarComparison"]) == \
+        (0 if command == "ext" else built)
 
 
 def test_stalk_at_an_open_point_builds_one_hull(hull_builds):

@@ -4,7 +4,6 @@ than n.  These tests compare that against a fresh build at order n."""
 
 import pytest
 
-from aspec.ext import Resolution
 from aspec.fields import GF, QQ
 from aspec.hull import HullTower, RPointedAlgebra, hull
 from aspec.modules import simple_modules
@@ -57,15 +56,8 @@ def test_truncated_pass_equals_fresh_build(alg):
         assert ohat.flat_dim(n) == fresh.flat_dim()
 
 
-def test_hull_builds_one_resolution_per_module(monkeypatch):
-    built = []
-    init = Resolution.__init__
-
-    def counting_init(self, module):
-        built.append(module)
-        init(self, module)
-
-    monkeypatch.setattr(Resolution, "__init__", counting_init)
+def test_hull_builds_one_resolution_per_module(resolutions_built):
+    built = resolutions_built["Resolution"]
     a2 = make_a2()
     s = simple_modules(a2)
     built.clear()

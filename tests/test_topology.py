@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 import aspec.topology as topology_module
-from aspec.errors import InputError
+from aspec.errors import InputError, ValidationError
 from aspec.fields import GF, QQ
+from aspec.hull import ExtData, hull, o_algebra
+from aspec.linalg import Mat
 from aspec.modules import SpectralPoint, simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.polyring import PointModule, PolynomialRing, taylor_shift
@@ -115,6 +119,80 @@ def test_sheaf_axioms_corpus():
             continue
         report = space.sheafify_check()
         assert report["passed"], (name, report["failures"])
+
+
+def _cover_verdict(dims, restrictions):
+    """_check_cover_generic on U = {0, 1, 2} covered by A = {0, 1} and
+    B = {1, 2}, with I = A & B, from hand-made section dimensions and
+    restriction matrices in place of a sheaf's."""
+    f = QQ
+    opens = {"U": {0, 1, 2}, "A": {0, 1}, "B": {1, 2}, "I": {1}}
+    names = {frozenset(v): k for k, v in opens.items()}
+    space = space_of_simples(make_k_times_k())
+
+    def res_of(x, y):
+        rows = restrictions[names[x] + names[y]]
+        return Mat(f, [[f.of_int(c) for c in row] for row in rows],
+                   cols=dims[names[y]])
+
+    return space._check_cover_generic(
+        frozenset(opens["U"]), [frozenset(opens["A"]), frozenset(opens["B"])],
+        lambda x: dims[names[x]], res_of)
+
+
+@pytest.mark.parametrize("dims, restrictions, verdict", [
+    # U -> A x B is injective onto {(s, t) : s|I = t|I}
+    ({"U": 1, "A": 1, "B": 1, "I": 1},
+     {"UA": [[1]], "UB": [[1]], "AI": [[1]], "BI": [[1]]}, (True, "")),
+    # both sections of U restrict to the same family
+    ({"U": 2, "A": 1, "B": 1, "I": 1},
+     {"UA": [[1], [1]], "UB": [[1], [1]], "AI": [[1]], "BI": [[1]]},
+     (False, "locality fails")),
+    # I has no sections, so every pair (s, t) is compatible: a 2-dim
+    # space that the 1-dim U cannot fill
+    ({"U": 1, "A": 1, "B": 1, "I": 0},
+     {"UA": [[1]], "UB": [[1]], "AI": [[]], "BI": [[]]},
+     (False, "gluing fails")),
+    # compatible means s = 2t, of the dimension of U, but U gives s = t
+    ({"U": 1, "A": 1, "B": 1, "I": 1},
+     {"UA": [[1]], "UB": [[1]], "AI": [[1]], "BI": [[2]]},
+     (False, "restrictions are not compatible")),
+], ids=["sheaf", "locality", "gluing", "compatibility"])
+def test_cover_check_reports_each_failure(dims, restrictions, verdict):
+    assert _cover_verdict(dims, restrictions) == verdict
+
+
+def _section_data(o):
+    h = o.ohat.hull
+    return (h.presentation_lines(), h.dim,
+            [o.ohat.flatten(t) for t in o.ohat.rho_table], o.dim)
+
+
+@pytest.mark.parametrize("largest_first", [True, False])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_space_sections_equal_fresh_hulls(field, largest_first):
+    # the space's hulls share one Ext store; a family reads pair entries
+    # made by families where its modules sat at other positions
+    for name, alg in corpus(field):
+        space = space_of_simples(alg)
+        n = len(space.points)
+        subsets = [frozenset(c) for k in range(1, n + 1)
+                   for c in combinations(range(n), k)]
+        if largest_first:
+            subsets.reverse()
+        for subset in subsets:
+            sec = space.family_o_algebra(subset)
+            fam = [space.points[i].module for i in sorted(subset)]
+            fresh = o_algebra(hull(alg, fam, space.order)[1])
+            assert _section_data(sec.o) == _section_data(fresh), \
+                (name, sorted(subset))
+
+
+def test_an_ext_store_serves_one_algebra():
+    a2, k2 = make_a2(), make_k_times_k()
+    store = ExtData(a2)
+    with pytest.raises(ValidationError, match="another algebra"):
+        hull(k2, simple_modules(k2), 2, store)
 
 
 def test_presheaf_defect_surfaced_on_a2():
