@@ -362,22 +362,6 @@ class Algebra:
                          vec_scale(f, f.of_int(2), cube))
         raise InternalInvariantError("idempotent lifting did not converge")
 
-    def center_basis(self):
-        # unknown x with sum_i x_i (b_i b_j - b_j b_i) = 0 for every j
-        f = self.field
-        cols = []
-        for i in range(self.dim):
-            bi = self.basis_vector(i)
-            flat = []
-            for j in range(self.dim):
-                bj = self.basis_vector(j)
-                comm = self.sub(self.mul(bi, bj), self.mul(bj, bi))
-                flat.extend(comm)
-            cols.append(flat)
-        m = Mat(f, [[cols[i][r] for i in range(self.dim)]
-                    for r in range(self.dim * self.dim)], cols=self.dim)
-        return kernel_basis(m)
-
 
 def split_commutative_semisimple(alg):
     """Primitive idempotents of a commutative semisimple split algebra.

@@ -757,7 +757,7 @@ def _verify(doc, order):
     verdict("closure", ok)
 
     if order != n0:
-        space = space_of_simples(alg, order=order)
+        space = space.at_order(order)
     if len(space.points) <= 3:
         sheaf = space.sheafify_check()
         verdict("sheaf-axioms", sheaf["passed"])

@@ -73,21 +73,6 @@ class ProjectiveModule(ModuleRep):
             row[self.offsets[s] + c] = val
         return row
 
-    def slot_subspace_rows(self, s, right_idem=None):
-        """Rows spanning slot s (optionally P * e_j within the slot)."""
-        f = self.algebra.field
-        rows = []
-        for c in range(len(self.slot_bases[s])):
-            row = zero_vec(f, self.dim)
-            row[self.offsets[s] + c] = f.one
-            rows.append(row)
-        if right_idem is not None:
-            act = self.act(right_idem)
-            rows = [act.transpose().apply_col(r) for r in rows]
-            rows = row_space_basis(f, rows, length=self.dim)
-        return rows
-
-
 def module_map_from_generators(proj, target, gen_images):
     """k-matrix (proj.dim x target.dim, row convention) of the A-map
     sending the slot generators to the given target rows."""

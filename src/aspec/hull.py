@@ -10,6 +10,10 @@ failure of multiplicativity on the new monomials is a Hochschild
 2-cocycle; its Ext^2 component extends the relations and the coboundary
 part is absorbed into rho's next coefficients.  Free variables in every
 solve are pinned to zero, so the output presentation is deterministic.
+
+`RPointedAlgebra` holds only the presentation of H; elements are
+computed in `MatricOHat`, the matric algebra with blocks of size
+dim M_i.  H itself is the same algebra with every block 1x1.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ def _word_count(r, generators, order):
 
 
 class RPointedAlgebra:
-    """Truncated r-pointed algebra: generators with blocks, monomial
-    words modulo a relation ideal, augmentation onto k^r.  Its reduced
-    words are the irreducible words of the relations' rewriting system,
-    grown layer by layer."""
+    """Presentation of a truncated r-pointed algebra: generators with
+    blocks, monomial words modulo a relation ideal, augmentation onto
+    k^r.  Its reduced words are the irreducible words of the relations'
+    rewriting system, grown layer by layer.  Elements and their
+    arithmetic live in MatricOHat, which is H itself with 1x1 blocks."""
 
     def __init__(self, field, r, generators, order, relations=()):
         self.field = field
@@ -107,51 +112,6 @@ class RPointedAlgebra:
             self._normal_forms[word] = nf
         return nf
 
-    def reduce_scalar_dict(self, elem):
-        """Reduce {key: scalar} modulo the ideal and the truncation."""
-        f = self.field
-        out = {}
-        words = {}
-        for key, c in elem.items():
-            if f.is_zero(c):
-                continue
-            if key[0] == "e":
-                out[key] = c
-            else:
-                words[key[1]] = c
-        for w, c in self.rewriter.reduce(words).items():
-            out[("m", w)] = c
-        return out
-
-    # -- element arithmetic (elements: {key: scalar}) ----------------------
-
-    def one(self):
-        return {("e", i): self.field.one for i in range(self.r)}
-
-    def iota(self, alphas):
-        f = self.field
-        return {("e", i): f.normalize(alphas[i]) for i in range(self.r)
-                if not f.is_zero(f.normalize(alphas[i]))}
-
-    def pi(self, elem):
-        f = self.field
-        return [elem.get(("e", i), f.zero) for i in range(self.r)]
-
-    def add(self, x, y):
-        f = self.field
-        out = dict(x)
-        for k, c in y.items():
-            out[k] = f.add(out.get(k, f.zero), c)
-        return {k: c for k, c in out.items() if not f.is_zero(c)}
-
-    def scale(self, c, x):
-        f = self.field
-        return {k: f.mul(c, v) for k, v in x.items() if not f.is_zero(f.mul(c, v))}
-
-    def neg(self, x):
-        f = self.field
-        return {k: f.neg(v) for k, v in x.items()}
-
     def _key_block(self, key):
         if key[0] == "e":
             return (key[1], key[1])
@@ -170,26 +130,6 @@ class RPointedAlgebra:
         if len(w) > self.order:
             return None
         return ("m", w)
-
-    def mul(self, x, y):
-        f = self.field
-        out = {}
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                k = self._compose_keys(k1, k2)
-                if k is None:
-                    continue
-                out[k] = f.add(out.get(k, f.zero), f.mul(c1, c2))
-        return self.reduce_scalar_dict(out)
-
-    def is_zero(self, x):
-        return all(self.field.is_zero(c) for c in x.values())
-
-    def equal(self, x, y):
-        return self.is_zero(self.add(x, self.neg(y)))
-
-    def generator_element(self, g):
-        return self.reduce_scalar_dict({("m", (g,)): self.field.one})
 
     def truncate(self, order):
         """Stage algebra at a lower order (surjection by discarding)."""
@@ -232,36 +172,35 @@ class HullTower:
 
     def check_smallness(self):
         """(ker pi_{n-1}) * m_n = 0 inside each stage H_n, evaluated in the
-        final algebra by discarding words longer than n."""
+        final algebra: no product of a word of length n with a word of
+        length <= n reduces onto a word of length <= n."""
         h = self.final
-        f = h.field
         for n in range(3, h.order + 1):
-            mword = [("m", w) for w in h.reduced_words if len(w) <= n]
-            for w in h.reduced_words:
-                if len(w) != n:
-                    continue
-                for mk in mword:
-                    prod = h.mul({("m", w): f.one}, {mk: f.one})
-                    if any((k[0] == "e" or len(k[1]) <= n)
-                           and not f.is_zero(c) for k, c in prod.items()):
+            short = [w for w in h.reduced_words if len(w) <= n]
+            for w in h.words_by_len.get(n, ()):
+                for m in short:
+                    key = h._compose_keys(("m", w), ("m", m))
+                    if key is not None and any(
+                            len(v) <= n for v in h.normal_form(key[1])):
                         return False
         return True
 
 
 class MatricOHat:
-    """H (x)_{k^r} Hom_k(M_i, M_j) with the lift rho of eta.
+    """H (x)_{k^r} Hom_k(M_i, M_j) for a hull algebra H and block sizes
+    d_i = dim M_i, with the lift rho of eta as a table over the algebra's
+    basis.  With every block 1x1 (the default) it is H itself.
 
     Elements: {key: Mat} with key ('e', i) carrying a d_i x d_i block
     and ('m', word) a d_i x d_j block for the word's ends.
     """
 
-    def __init__(self, hull_alg, modules, rho_table):
+    def __init__(self, hull_alg, dims=None, rho_table=()):
         self.hull = hull_alg
         self.order = hull_alg.order
-        self.modules = modules
-        self.rho_table = rho_table        # per algebra basis element
         self.field = hull_alg.field
-        self.dims = [m.dim for m in modules]
+        self.dims = [1] * hull_alg.r if dims is None else list(dims)
+        self.rho_table = list(rho_table)   # per algebra basis element
 
     def key_shape(self, key):
         if key[0] == "e":
@@ -376,6 +315,23 @@ class MatricOHat:
                 coords.extend(row)
         return coords
 
+    def unflatten(self, flat):
+        """The element with the given flat coordinates (inverse of
+        flatten without an order)."""
+        f = self.field
+        out = {}
+        pos = 0
+        keys = [("e", i) for i in range(len(self.dims))] + \
+            [("m", w) for w in self.hull.reduced_words]
+        for key in keys:
+            r, c = self.key_shape(key)
+            m = Mat(f, [flat[pos + i * c:pos + (i + 1) * c]
+                        for i in range(r)], cols=c)
+            pos += r * c
+            if not m.is_zero():
+                out[key] = m
+        return out
+
     def flat_dim(self, order=None):
         total = sum(d * d for d in self.dims)
         for w in self._flat_words(order):
@@ -387,25 +343,16 @@ class MatricOHat:
 def invert_unit(ambient, elem):
     """Two-sided inverse of iota(alpha) - x with nilpotent x (unit lemma).
 
-    ambient: RPointedAlgebra or MatricOHat; elem's degree-0 part must be
-    a nonzero scalar on every block."""
+    ambient: a MatricOHat (H itself when its blocks are 1x1); elem's
+    degree-0 part must be a nonzero scalar on every block."""
     f = ambient.field
     alphas = []
-    pi_part = ambient.pi(elem)
-    if isinstance(ambient, MatricOHat):
-        for i, m in enumerate(pi_part):
-            d = m.rows
-            a = m.data[0][0] if d else f.one
-            scalar = Mat.identity(f, d).scale(a)
-            if m != scalar or f.is_zero(a):
-                raise NotAUnitError(
-                    f"block {i} is not a nonzero scalar; cannot invert")
-            alphas.append(a)
-    else:
-        for i, a in enumerate(pi_part):
-            if f.is_zero(a):
-                raise NotAUnitError(f"diagonal scalar {i} vanishes")
-            alphas.append(a)
+    for i, m in enumerate(ambient.pi(elem)):
+        a = m.data[0][0] if m.rows else f.one
+        if m != Mat.identity(f, m.rows).scale(a) or f.is_zero(a):
+            raise NotAUnitError(
+                f"block {i} is not a nonzero scalar; cannot invert")
+        alphas.append(a)
     x = ambient.add(ambient.iota(alphas), ambient.neg(elem))
     # t = (sum_s (u^-1 x)^s) u^-1 with u = iota(alpha); ordered because
     # iota(alpha) is central only when all alpha_i agree
@@ -523,8 +470,7 @@ class _HullBuilder:
 
     def build(self):
         hull_alg, C, new_by_stage = self._run_stages(self.order)
-        ohat = MatricOHat(hull_alg, self.modules,
-                          self._rho_table(hull_alg, C))
+        ohat = self._matric(hull_alg, C)
         self._verify(ohat)
         tower = HullTower(hull_alg)
         tower.new_relations_by_stage = new_by_stage
@@ -596,10 +542,8 @@ class _HullBuilder:
 
     def _stage_defects(self, stage, hull_alg, C):
         """Defect 2-cochains on the reduced words of the given length."""
-        f = self.field
         algebra = self.algebra
-        ohat = MatricOHat(hull_alg, self.modules,
-                          self._rho_table(hull_alg, C))
+        ohat = self._matric(hull_alg, C)
         words = hull_alg.words_by_len.get(stage, [])
         out = {w: {} for w in words}
         for a in range(algebra.dim):
@@ -617,15 +561,13 @@ class _HullBuilder:
                         raise InternalInvariantError(
                             "defect below the current stage")
                 for w in words:
-                    block = hull_alg.word_block(w)
-                    di = self.modules[block[0]].dim
-                    dj = self.modules[block[1]].dim
                     m = delta.get(("m", w))
                     out[w][(a, b)] = m if m is not None else \
-                        Mat.zeros(f, di, dj)
+                        ohat.zero_like(("m", w))
         return out
 
-    def _rho_table(self, hull_alg, C):
+    def _matric(self, hull_alg, C):
+        """The matric algebra over hull_alg with rho read off C."""
         table = []
         for a in range(self.algebra.dim):
             elem = {}
@@ -640,7 +582,7 @@ class _HullBuilder:
                 if not mat.is_zero():
                     elem[("m", w)] = mat
             table.append(elem)
-        return table
+        return MatricOHat(hull_alg, [m.dim for m in self.modules], table)
 
     def _refold(self, hull_alg, C):
         """Re-express C on the new reduced words after a relation update."""
@@ -700,6 +642,7 @@ def hull(algebra, modules, order=None, ext_data=None):
     for block, pair in builder.pairs.items():
         if counts.get(block, 0) != pair.ext1.dimension:
             raise InternalInvariantError("tangent dimension mismatch")
+    ohat.modules = builder.modules
     ohat.ext1 = {block: p.ext1 for block, p in builder.pairs.items()}
     ohat.ext2 = {block: p.ext2 for block, p in builder.pairs.items()}
     return tower, ohat
@@ -740,7 +683,7 @@ class OAlgebra:
                                           length=self.flat_len)
         self.dim = len(self.basis_flat)
         self._span = Span(self.field, self.basis_flat, self.flat_len)
-        self._elems = [self._unflatten(v) for v in self.basis_flat]
+        self._elems = [ohat.unflatten(v) for v in self.basis_flat]
         # the structure table is the closure check: every product of two
         # basis elements has coordinates in the basis
         self.table = []
@@ -756,26 +699,6 @@ class OAlgebra:
         self.unit = self.coords_of(ohat.one())
         if self.unit is None:
             raise InternalInvariantError("O does not contain 1")
-
-    def _unflatten(self, flat):
-        f = self.field
-        out = {}
-        pos = 0
-        dims = self.ohat.dims
-        for i, d in enumerate(dims):
-            block = [flat[pos + r * d:pos + (r + 1) * d] for r in range(d)]
-            pos += d * d
-            m = Mat(f, block, cols=d)
-            if not m.is_zero():
-                out[("e", i)] = m
-        for w in self.ohat.hull.reduced_words:
-            r, c = self.ohat.key_shape(("m", w))
-            block = [flat[pos + rr * c:pos + (rr + 1) * c] for rr in range(r)]
-            pos += r * c
-            m = Mat(f, block, cols=c)
-            if not m.is_zero():
-                out[("m", w)] = m
-        return out
 
     def basis_elements(self):
         return list(self._elems)
@@ -807,19 +730,10 @@ def designated_units(ohat):
     alpha = 0 occurs); a0 + kernel spans the unit locus."""
     f = ohat.field
     n = len(ohat.rho_table)
-    total = sum(d * d for d in ohat.dims)
-    cols = []
-    for a in range(n):
-        flat = []
-        pi_a = ohat.pi(ohat.rho_table[a])
-        for i in range(len(ohat.dims)):
-            flat.extend(sum(pi_a[i].data, []))
-        cols.append(flat)
-    id_flat = []
-    for d in ohat.dims:
-        id_flat.extend(sum(Mat.identity(f, d).data, []))
-    m = Mat(f, [[cols[a][t] for a in range(n)] + [id_flat[t]]
-                for t in range(total)], cols=n + 1)
+    cols = [ohat.flatten(t, 0) for t in ohat.rho_table]
+    id_flat = ohat.flatten(ohat.one(), 0)
+    m = Mat(f, [[col[t] for col in cols] + [x]
+                for t, x in enumerate(id_flat)], cols=n + 1)
     sols = kernel_basis(m)
     a0 = None
     kern = []
@@ -910,15 +824,11 @@ def _two_sided_ideal(o_alg, idx):
     return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
 
 
-def closure_check(algebra, o):
-    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity).
-
-    o is O^A(M), already built; the family M and the truncation order
-    are read off it, and only the hull over O is built here."""
-    modules = o.ohat.modules
-    order = o.ohat.hull.order
+def base_algebra_of(algebra, o, names):
+    """O as a base algebra: its structure constants, with the images of
+    the idempotents of `algebra` as its own when they validate, and the
+    family's modules over it read off the block actions, named `names`."""
     o_alg = o.as_algebra()
-    # idempotents of O: images of the base idempotents
     idems = []
     for e in algebra.ensure_idempotents():
         coords = o.rho_coords(list(e))
@@ -930,10 +840,21 @@ def closure_check(algebra, o):
         o_alg.idempotents = idems
     except ValidationError:
         pass  # fall back to lifting inside O
-    new_modules = []
-    for i, m in enumerate(modules):
-        mats = [o.block_action(i, e) for e in o.basis_elements()]
-        new_modules.append(ModuleRep(o_alg, mats, name=m.name, validate=True))
+    elems = o.basis_elements()
+    modules = [ModuleRep(o_alg, [o.block_action(i, e) for e in elems],
+                         name=name, validate=True)
+               for i, name in enumerate(names)]
+    return o_alg, modules
+
+
+def closure_check(algebra, o):
+    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity).
+
+    o is O^A(M), already built; the family M and the truncation order
+    are read off it, and only the hull over O is built here."""
+    o_alg, new_modules = base_algebra_of(
+        algebra, o, [m.name for m in o.ohat.modules])
+    order = o.ohat.hull.order
     tower2, ohat2 = hull(o_alg, new_modules, order)
     o2 = o_algebra(ohat2)
     if o2.dim != o.dim:

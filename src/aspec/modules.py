@@ -76,22 +76,6 @@ class ModuleRep:
     def apply(self, v, elem):
         return self.act(elem).transpose().apply_col(list(v))
 
-    def spin(self, vectors):
-        """Submodule (row-span basis) generated by the given vectors."""
-        f = self.algebra.field
-        ech = _Echelon(f, self.dim)
-        queue = []
-        for v in vectors:
-            if ech.insert(v) is not None:
-                queue.append(list(v))
-        while queue:
-            v = queue.pop()
-            for bm in self.action:
-                w = bm.transpose().apply_col(v)
-                if ech.insert(w) is not None:
-                    queue.append(w)
-        return list(ech.rows)
-
     def __repr__(self):
         return f"ModuleRep({self.name}, dim={self.dim})"
 

@@ -262,15 +262,3 @@ def factor_univariate(field, coeffs):
         out.append((_from_sympy_poly(field, fac), int(mult)))
     out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
     return out
-
-
-def poly_eval_matrix(field, coeffs, m):
-    """Evaluate a univariate polynomial at a square matrix."""
-    n = m.rows
-    out = Mat.zeros(field, n, n)
-    power = Mat.identity(field, n)
-    for c in coeffs:
-        if not field.is_zero(c):
-            out = out.add(power.scale(c))
-        power = power.mul(m)
-    return out

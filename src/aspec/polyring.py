@@ -4,14 +4,16 @@ k[x] is the one infinite-dimensional algebra supported.  Its spectral
 points are user-supplied scalars a (the modules k[x]/(x - a)); hulls of
 families of distinct points are free on one diagonal generator per
 point, and O^A is the product of truncated localizations, realized as
-jet expansions via exact Taylor shifts.
+jet expansions via exact Taylor shifts.  The jets are elements of the
+hull's matric algebra `MatricOHat` with every block 1x1, so they share
+its arithmetic.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
 from .errors import InputError, InternalInvariantError, ValidationError
-from .hull import HullTower, RPointedAlgebra
+from .hull import HullTower, MatricOHat, RPointedAlgebra
 from .linalg import Mat
 
 
@@ -123,8 +125,10 @@ def ext_point_modules(ring, ma, mb, degree):
     raise InputError("degree must be 1 or 2")
 
 
-class PolyMatricOHat:
-    """Jet-expansion analogue of the matric algebra for k[x] families."""
+class PolyMatricOHat(MatricOHat):
+    """The jets at distinct points: the matric algebra, with 1x1 blocks,
+    of the free hull on one loop t_i per point, and the jet map
+    rho_of_poly."""
 
     def __init__(self, ring, points, order):
         if order < 2:
@@ -134,13 +138,11 @@ class PolyMatricOHat:
             if p.point in seen:
                 raise ValidationError("points of the family must be distinct")
             seen.add(p.point)
-        self.ring = ring
-        self.field = ring.field
-        self.points = list(points)
-        self.order = order
-        self.dims = [1] * len(points)
         gens = [(f"t{i + 1}", i, i) for i in range(len(points))]
-        self.hull = RPointedAlgebra(self.field, len(points), gens, order, [])
+        super().__init__(RPointedAlgebra(ring.field, len(points), gens,
+                                         order, []))
+        self.ring = ring
+        self.points = list(points)
 
     def rho_of_poly(self, coeffs):
         f = self.field
@@ -154,54 +156,6 @@ class PolyMatricOHat:
                 if not f.is_zero(c):
                     out[("m", (i,) * s)] = Mat(f, [[c]])
         return out
-
-    # element algebra (same protocol as MatricOHat)
-    def one(self):
-        return {("e", i): Mat.identity(self.field, 1)
-                for i in range(len(self.points))}
-
-    def iota(self, alphas):
-        f = self.field
-        return {("e", i): Mat(f, [[f.normalize(a)]])
-                for i, a in enumerate(alphas)
-                if not f.is_zero(f.normalize(a))}
-
-    def pi(self, elem):
-        f = self.field
-        return [elem.get(("e", i), Mat.zeros(f, 1, 1))
-                for i in range(len(self.points))]
-
-    def add(self, x, y):
-        out = dict(x)
-        for k, m in y.items():
-            out[k] = out[k].add(m) if k in out else m
-        return {k: m for k, m in out.items() if not m.is_zero()}
-
-    def neg(self, x):
-        f = self.field
-        return {k: m.scale(f.neg(f.one)) for k, m in x.items()}
-
-    def scale(self, c, x):
-        out = {k: m.scale(c) for k, m in x.items()}
-        return {k: m for k, m in out.items() if not m.is_zero()}
-
-    def mul(self, x, y):
-        h = self.hull
-        out = {}
-        for k1, m1 in x.items():
-            for k2, m2 in y.items():
-                k = h._compose_keys(k1, k2)
-                if k is None:
-                    continue
-                prod = m1.mul(m2)
-                out[k] = out[k].add(prod) if k in out else prod
-        return {k: m for k, m in out.items() if not m.is_zero()}
-
-    def is_zero(self, x):
-        return all(m.is_zero() for m in x.values())
-
-    def equal(self, x, y):
-        return self.is_zero(self.add(x, self.neg(y)))
 
 
 class PolyOAlgebra:
@@ -292,7 +246,3 @@ def hull_poly_ring(ring, points, order):
     tower.stabilized = True
     tower.new_relations_by_stage = {n: [] for n in range(2, order + 1)}
     return tower, ohat
-
-
-def o_algebra_poly(ring, points, order):
-    return PolyOAlgebra(ring, points, order)

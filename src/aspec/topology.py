@@ -13,9 +13,8 @@ from .errors import (
     InputError,
     InternalInvariantError,
     UnsupportedAlgebraError,
-    ValidationError,
 )
-from .hull import ExtData, hull, o_algebra
+from .hull import ExtData, base_algebra_of, hull, o_algebra
 from .linalg import Mat, Span, kernel_basis, rank, row_space_basis, unit_vec
 from .modules import (
     ModuleRep,
@@ -68,6 +67,19 @@ class ASpecSpace:
         self._ext_data = None     # shared by every hull of the space
         self._subbasis = None
         self._opens = None
+
+    def at_order(self, order):
+        """The same points at another truncation order; its hulls read
+        this space's Ext store."""
+        other = ASpecSpace(self.algebra, self.points, self.extra_elements,
+                           order)
+        other._ext_data = self._store()
+        return other
+
+    def _store(self):
+        if self._ext_data is None:
+            self._ext_data = ExtData(self.algebra)
+        return self._ext_data
 
     # -- topology ----------------------------------------------------------
 
@@ -176,10 +188,7 @@ class ASpecSpace:
             sec = SectionData("poly", PolyOAlgebra(self.algebra, fam,
                                                    self.order or 4), key)
         else:
-            if self._ext_data is None:
-                self._ext_data = ExtData(self.algebra)
-            tower, ohat = hull(self.algebra, fam, self.order,
-                               self._ext_data)
+            tower, ohat = hull(self.algebra, fam, self.order, self._store())
             sec = SectionData("findim", o_algebra(ohat), key)
         self._sections_cache[key] = sec
         return sec
@@ -792,25 +801,12 @@ def global_sections_roundtrip(space):
     f = algebra.field
     whole = frozenset(range(len(space.points)))
     sec = space.sections(whole)
-    g_alg = sec.o.as_algebra()
-    idems = []
-    for e in algebra.ensure_idempotents():
-        coords = sec.o.rho_coords(list(e))
-        if coords is None:
-            raise InternalInvariantError("rho(idempotent) escapes O_X(X)")
-        idems.append(coords)
-    try:
-        g_alg.validate_idempotents(idems)
-        g_alg.idempotents = idems
-    except ValidationError:
-        pass
+    g_alg, point_mods = base_algebra_of(
+        algebra, sec.o, [f"P{i}" for i in range(len(space.points))])
     new_space = space_of_simples(g_alg, order=space.order)
     # match original points with simples of G via the block actions
-    basis_elems = sec.o.basis_elements()
     matches = {}
-    for i in range(len(space.points)):
-        mats = [sec.o.block_action(i, e) for e in basis_elems]
-        mod = ModuleRep(g_alg, mats, name=f"P{i}", validate=True)
+    for i, mod in enumerate(point_mods):
         found = None
         for j, s in enumerate(new_space.points):
             if is_isomorphic(mod, s.module):

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the production code paths: naive
 Gaussian elimination, determinant-of-minors ranks, path enumeration,
 extension and deformation enumeration over small prime fields.  The
-two exceptions are the morphism count out of a hull, which reads the
-hull and the target through their `RPointedAlgebra` arithmetic, and the
-dense Hochschild coboundaries, which multiply the action matrices as
+two exceptions are the morphism count out of a hull, which computes in
+the target through the matric algebra `MatricOHat` with 1x1 blocks, and
+the dense Hochschild coboundaries, which multiply the action matrices as
 `Mat`s one basis pair or triple at a time.
 """
 
@@ -14,6 +14,7 @@ from itertools import combinations, product
 
 from aspec.errors import InputError
 from aspec.fields import PrimeField
+from aspec.hull import MatricOHat
 from aspec.linalg import Mat
 
 
@@ -434,16 +435,17 @@ def rank_by_minors_mod_p(mat, p):
 
 def radical_nilpotency_bound_ok(target, order):
     """rad(target)^{order+1} = 0, so morphisms from an order-truncated
-    hull are well defined."""
-    words = [("m", w) for w in target.reduced_words]
+    hull are well defined.  target: a MatricOHat with 1x1 blocks."""
+    one = Mat.identity(target.field, 1)
+    words = [("m", w) for w in target.hull.reduced_words]
     if not words:
         return True
-    products = [{k: target.field.one} for k in words]
+    products = [{k: one} for k in words]
     for _ in range(order):
         nxt = []
         for x in products:
             for k in words:
-                y = target.mul(x, {k: target.field.one})
+                y = target.mul(x, {k: one})
                 if not target.is_zero(y):
                     nxt.append(y)
         products = nxt
@@ -453,24 +455,26 @@ def radical_nilpotency_bound_ok(target, order):
 
 
 def enumerate_pointed_morphisms(h, target):
-    """All r-pointed morphisms h -> target over a finite prime field.
+    """All r-pointed morphisms h -> target over a finite prime field;
+    both are RPointedAlgebra presentations.
 
-    Returns the list of assignments: per generator, a {key: scalar}
+    Returns the list of assignments: per generator, a {key: 1x1 Mat}
     element of the target's radical in the matching block."""
     f = h.field
     if not isinstance(f, PrimeField):
         raise InputError("morphism enumeration needs a finite prime field")
     if f != target.field or h.r != target.r:
         raise InputError("mismatched base or pointedness")
-    if not radical_nilpotency_bound_ok(target, h.order):
-        raise InputError(
-            "target radical is not nilpotent within the hull truncation")
-    p = f.p
     slots = []
     for label, i, j in h.generators:
         words = [w for w in target.reduced_words
                  if target.word_block(w) == (i, j)]
         slots.append(words)
+    target = MatricOHat(target)
+    if not radical_nilpotency_bound_ok(target, h.order):
+        raise InputError(
+            "target radical is not nilpotent within the hull truncation")
+    p = f.p
 
     def assignment(coeff_tuple):
         out = []
@@ -481,7 +485,7 @@ def enumerate_pointed_morphisms(h, target):
                 c = coeff_tuple[pos]
                 pos += 1
                 if c % p:
-                    elem[("m", w)] = c % p
+                    elem[("m", w)] = Mat(f, [[c % p]])
             out.append(elem)
         return out
 

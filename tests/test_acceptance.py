@@ -13,6 +13,7 @@ import pytest
 from aspec.ext import ext
 from aspec.fields import GF, QQ
 from aspec.hull import (
+    MatricOHat,
     default_order,
     closure_check,
     hull,
@@ -20,7 +21,7 @@ from aspec.hull import (
     maximal_ideals,
     o_algebra,
 )
-from aspec.linalg import row_space_basis
+from aspec.linalg import Mat, row_space_basis
 from aspec.modules import simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.polyring import PointModule, PolynomialRing, hull_poly_ring
@@ -130,20 +131,20 @@ def test_criterion_04_unit_lemma():
     for name, alg in corpus():
         simples = simple_modules(alg)
         tower, ohat = hull(alg, simples, max(2, default_order(alg)))
-        hulls.append((tower.final, ohat))
+        hulls.append(MatricOHat(tower.final))
     while tried < 100:
-        h, ohat = hulls[tried % len(hulls)]
+        h = hulls[tried % len(hulls)]
         alphas = []
-        for _ in range(h.r):
+        for _ in range(h.hull.r):
             v = 0
             while v == 0:
                 v = rng.randrange(-5, 6)
             alphas.append(QQ.of_int(v))
         elem = h.iota(alphas)
-        for w in h.reduced_words:
+        for w in h.hull.reduced_words:
             c = QQ.of_int(rng.randrange(-3, 4))
             if not QQ.is_zero(c):
-                elem = h.add(elem, {("m", w): c})
+                elem = h.add(elem, {("m", w): Mat(QQ, [[c]])})
         inv = invert_unit(h, elem)
         two_sided = h.equal(h.mul(elem, inv), h.one()) and \
             h.equal(h.mul(inv, elem), h.one())

@@ -343,22 +343,25 @@ def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
     assert len(hull_builds) == builds
 
 
-@pytest.mark.parametrize("text, command, built", [
-    ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", 2),
-    ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", 6),
-    (A3_PATH_DOC, "aspec", 3),
-    (A3_PATH_DOC, "verify", 9),
-    (A3_PATH_DOC, "ext", 3),
-    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", 4),
-], ids=["a2-aspec", "a2-verify", "a3-aspec", "a3-verify", "a3-ext",
-        "dual-verify"])
+@pytest.mark.parametrize("text, command, order, built", [
+    ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", None, 2),
+    ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", None, 6),
+    (A3_PATH_DOC, "aspec", None, 3),
+    (A3_PATH_DOC, "verify", None, 9),
+    (A3_PATH_DOC, "verify", 2, 9),
+    (A3_PATH_DOC, "ext", None, 3),
+    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", None, 4),
+], ids=["a2-aspec", "a2-verify", "a3-aspec", "a3-verify", "a3-verify-order2",
+        "a3-ext", "dual-verify"])
 def test_each_space_resolves_each_module_once(resolutions_built, text,
-                                              command, built):
+                                              command, order, built):
     # aspec: one space of simples, whatever its number of opens.  verify
     # adds the hull over O in the closure check and the roundtrip's space
-    # over O(X), each resolving every simple once; a commutative algebra
-    # adds spec_compare's own space.  ext: one resolution per source.
-    report = run(command, parse(text))
+    # over O(X), each resolving every simple once; at a run order other
+    # than the default its space checks reuse the space of simples' Ext
+    # store; a commutative algebra adds spec_compare's own space.  ext:
+    # one resolution per source.
+    report = run(command, parse(text), order=order)
     assert not report.failed
     assert len(resolutions_built["Resolution"]) == built
     assert len(resolutions_built["BarComparison"]) == \

@@ -16,6 +16,8 @@ from aspec.hull import (
     o_algebra,
 )
 from aspec.errors import NotAUnitError
+from aspec.linalg import Mat
+from aspec.polyring import PointModule, PolyMatricOHat, PolynomialRing
 from aspec.modules import simple_modules
 from conftest import (
     corpus,
@@ -150,10 +152,10 @@ def test_massey_hereditary_all_vanish():
 
 def test_invert_unit_geometric_series():
     # R = k[x]/(x^3) as a 1-pointed truncation: generator t, relation t^3
-    h = RPointedAlgebra(QQ, 1, [("t", 0, 0)], 3,
-                        [{(0, 0, 0): QQ.one}])
+    h = MatricOHat(RPointedAlgebra(QQ, 1, [("t", 0, 0)], 3,
+                                   [{(0, 0, 0): QQ.one}]))
     one = h.one()
-    t = h.generator_element(0)
+    t = {("m", (0,)): Mat.identity(QQ, 1)}
     elem = h.add(one, h.neg(t))          # 1 - t
     inv = invert_unit(h, elem)
     # 1 + t + t^2
@@ -163,15 +165,15 @@ def test_invert_unit_geometric_series():
 
 
 def test_invert_unit_iota_only():
-    h = RPointedAlgebra(QQ, 2, [("t", 0, 1)], 2, [])
+    h = MatricOHat(RPointedAlgebra(QQ, 2, [("t", 0, 1)], 2, []))
     elem = h.iota([QQ.of_int(2), QQ.of_int(-3)])
     inv = invert_unit(h, elem)
     assert h.equal(inv, h.iota([QQ.one / 2, QQ.neg(QQ.one / 3)]))
 
 
 def test_invert_unit_rejects_zero_scalar():
-    h = RPointedAlgebra(QQ, 1, [("t", 0, 0)], 2, [])
-    t = h.generator_element(0)
+    h = MatricOHat(RPointedAlgebra(QQ, 1, [("t", 0, 0)], 2, []))
+    t = {("m", (0,)): Mat.identity(QQ, 1)}
     with pytest.raises(NotAUnitError):
         invert_unit(h, t)
 
@@ -181,19 +183,19 @@ def test_invert_unit_random_in_hull(qq):
     for name, alg in [("a2", make_a2()), ("kx3", make_kx3())]:
         s = simple_modules(alg)
         tower, ohat = hull(alg, s)
-        h = tower.final
+        h = MatricOHat(tower.final)
         for _ in range(25):
             alphas = []
-            for i in range(h.r):
+            for i in range(tower.final.r):
                 val = 0
                 while val == 0:
                     val = rng.randrange(-4, 5)
                 alphas.append(qq.of_int(val))
             elem = h.iota(alphas)
-            for w in h.reduced_words:
+            for w in tower.final.reduced_words:
                 c = qq.of_int(rng.randrange(-3, 4))
                 if not qq.is_zero(c):
-                    elem = h.add(elem, {("m", w): c})
+                    elem = h.add(elem, {("m", w): Mat(qq, [[c]])})
             inv = invert_unit(h, elem)
             assert h.equal(h.mul(elem, inv), h.one())
             assert h.equal(h.mul(inv, elem), h.one())
@@ -206,6 +208,19 @@ def test_invert_unit_in_ohat():
     elem = ohat.add(ohat.one(), ohat.rho_table[a.labels.index("a")])
     inv = invert_unit(ohat, elem)
     assert ohat.equal(ohat.mul(elem, inv), ohat.one())
+
+
+def test_invert_unit_on_jets():
+    # the jets of k[x] at the points 0 and 1, truncated at order 3
+    ring = PolynomialRing(QQ)
+    jets = PolyMatricOHat(ring, [PointModule(ring, QQ.of_int(a))
+                                 for a in (0, 1)], 3)
+    elem = jets.rho_of_poly([QQ.of_int(2), QQ.one])          # 2 + x
+    inv = invert_unit(jets, elem)
+    assert jets.equal(jets.mul(elem, inv), jets.one())
+    assert jets.equal(jets.mul(inv, elem), jets.one())
+    with pytest.raises(NotAUnitError):                    # x vanishes at 0
+        invert_unit(jets, jets.rho_of_poly([QQ.zero, QQ.one]))
 
 
 def test_o_algebra_fin_dim_isomorphism():
