@@ -31,6 +31,7 @@ from .polyring import PointModule, PolynomialRing, hull_poly_ring
 from .topology import (
     ASpecSpace,
     aspec_morphism,
+    compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,
     spec_compare,
@@ -47,6 +48,6 @@ __all__ = [
     "closure_check", "hull", "invert_unit", "massey_step",
     "maximal_ideals", "o_algebra",
     "PointModule", "PolynomialRing", "hull_poly_ring",
-    "ASpecSpace", "aspec_morphism", "global_sections_roundtrip",
-    "space_of_simples", "spec_compare",
+    "ASpecSpace", "aspec_morphism", "compare_with_spec",
+    "global_sections_roundtrip", "space_of_simples", "spec_compare",
 ]

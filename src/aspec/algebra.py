@@ -107,15 +107,6 @@ class Algebra:
         rows = [self.mul(self.basis_vector(i), x) for i in range(self.dim)]
         return Mat(self.field, rows, cols=self.dim)
 
-    def format_element(self, x):
-        f = self.field
-        terms = []
-        for c, lab in zip(x, self.labels):
-            if f.is_zero(c):
-                continue
-            terms.append(f"{f.format(c)}*{lab}")
-        return " + ".join(terms) if terms else "0"
-
     # -- validation --------------------------------------------------------
 
     def validate(self):

@@ -35,6 +35,7 @@ from .polyring import PointModule, PolynomialRing, is_poly_ring
 from .quiver import QuiverPresentation, from_quiver
 from .topology import (
     ASpecSpace,
+    compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,
     spec_compare,
@@ -446,28 +447,20 @@ class Report:
         self.sections.append((title, entries))
 
     def text(self, show_timing=False):
-        out = [f"command: {self.command}", f"input: {self.digest}"]
-        for title, entries in self.sections:
-            out.append(f"[{title}]")
-            for e in entries:
-                if isinstance(e, tuple):
-                    out.append(f"  {e[0]}: {e[1]}")
-                else:
-                    out.append(f"  {e}")
-        out.append(f"status: {'FAIL' if self.failed else 'OK'}")
-        if show_timing and self.elapsed_ms is not None:
-            out.append(f"time_ms: {self.elapsed_ms}")
-        return "\n".join(out) + "\n"
+        return self._render("[{}]", "", show_timing)
 
     def tree(self, show_timing=False):
+        return self._render("{}:", "- ", show_timing)
+
+    def _render(self, header, bullet, show_timing):
         out = [f"command: {self.command}", f"input: {self.digest}"]
         for title, entries in self.sections:
-            out.append(f"{title}:")
+            out.append(header.format(title))
             for e in entries:
                 if isinstance(e, tuple):
                     out.append(f"  {e[0]}: {e[1]}")
                 else:
-                    out.append(f"  - {e}")
+                    out.append(f"  {bullet}{e}")
         out.append(f"status: {'FAIL' if self.failed else 'OK'}")
         if show_timing and self.elapsed_ms is not None:
             out.append(f"time_ms: {self.elapsed_ms}")
@@ -765,8 +758,7 @@ def _verify(doc, order):
     verdict("global-sections-roundtrip", rt["passed"])
 
     if alg.is_commutative():
-        sc = spec_compare(alg, order=order)
-        verdict("spec-comparison", sc["passed"])
+        verdict("spec-comparison", compare_with_spec(space)["passed"])
     return entries, failed
 
 

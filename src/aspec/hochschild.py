@@ -16,8 +16,6 @@ from .linalg import (
     Mat,
     Span,
     _Echelon,
-    kernel_basis,
-    quotient_basis,
     unit_vec,
     vec_add,
     vec_scale,
@@ -224,77 +222,6 @@ def is_two_cocycle(algebra, coch, d2):
         for t, v in col:
             acc[t] = f.add(acc.get(t, f.zero), f.mul(x, v))
     return all(f.is_zero(v) for v in acc.values())
-
-
-def inner_derivations(algebra, source, target):
-    """Basis of coboundaries psi_F(a) = eta_i(a) F - F eta_j(a)."""
-    f = algebra.field
-    out = []
-    for r in range(source.dim):
-        for c in range(target.dim):
-            F = Mat.zeros(f, source.dim, target.dim)
-            F.data[r][c] = f.one
-            psi = [source.action[a].mul(F).sub(F.mul(target.action[a]))
-                   for a in range(algebra.dim)]
-            out.append(psi)
-    return out
-
-
-def derivation_space(algebra, source, target):
-    """Basis of derivations A -> Hom_k(source, target) (HH^1 cocycles)."""
-    f = algebra.field
-    n = algebra.dim
-    di, dj = source.dim, target.dim
-    ncoords = n * di * dj
-    rows = []
-    for a in range(n):
-        for b in range(n):
-            # eta_i(a) psi(b) - psi(ab) + psi(a) eta_j(b) = 0: linear in psi
-            for r in range(di):
-                for c in range(dj):
-                    row = [f.zero] * ncoords
-                    # term eta_i(a) psi(b): (r, c) entry sums over k
-                    for k in range(di):
-                        coeff = source.action[a].data[r][k]
-                        if not f.is_zero(coeff):
-                            row[b * di * dj + k * dj + c] = f.add(
-                                row[b * di * dj + k * dj + c], coeff)
-                    # term psi(a) eta_j(b)
-                    for k in range(dj):
-                        coeff = target.action[b].data[k][c]
-                        if not f.is_zero(coeff):
-                            row[a * di * dj + r * dj + k] = f.add(
-                                row[a * di * dj + r * dj + k], coeff)
-                    # term -psi(ab)
-                    for e, ce in enumerate(algebra.table[a][b]):
-                        if not f.is_zero(ce):
-                            row[e * di * dj + r * dj + c] = f.sub(
-                                row[e * di * dj + r * dj + c], ce)
-                    rows.append(row)
-    mat = Mat(f, rows, cols=ncoords) if rows else Mat.zeros(f, 0, ncoords)
-    basis = []
-    for v in kernel_basis(mat):
-        psi = []
-        for a in range(n):
-            block = v[a * di * dj:(a + 1) * di * dj]
-            psi.append(Mat(f, [block[r * dj:(r + 1) * dj] for r in range(di)],
-                           cols=dj))
-        basis.append(psi)
-    return basis
-
-
-def hh1_dimension(algebra, source, target):
-    f = algebra.field
-
-    def flatten(psi):
-        return [x for m in psi for row in m.data for x in row]
-
-    z = [flatten(p) for p in derivation_space(algebra, source, target)]
-    b = [flatten(p) for p in inner_derivations(algebra, source, target)]
-    n = algebra.dim * source.dim * target.dim
-    if not z:
-        return 0
-    return len(quotient_basis(f, z, b, length=n))
 
 
 def flatten2(algebra, coch):

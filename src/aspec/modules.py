@@ -73,9 +73,6 @@ class ModuleRep:
                 out = out.add(m.scale(c))
         return out
 
-    def apply(self, v, elem):
-        return self.act(elem).transpose().apply_col(list(v))
-
     def __repr__(self):
         return f"ModuleRep({self.name}, dim={self.dim})"
 

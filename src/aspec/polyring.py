@@ -50,20 +50,6 @@ class PolynomialRing:
             acc = f.add(f.mul(acc, a), c)
         return acc
 
-    def format_element(self, p):
-        f = self.field
-        terms = []
-        for i, c in enumerate(p):
-            if f.is_zero(c):
-                continue
-            if i == 0:
-                terms.append(f.format(c))
-            elif i == 1:
-                terms.append(f"{f.format(c)}*{self.var}")
-            else:
-                terms.append(f"{f.format(c)}*{self.var}^{i}")
-        return " + ".join(terms) if terms else "0"
-
     def __eq__(self, other):
         return isinstance(other, PolynomialRing) and \
             other.field == self.field and other.var == self.var

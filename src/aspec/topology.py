@@ -18,12 +18,15 @@ from .hull import ExtData, base_algebra_of, hull, o_algebra
 from .linalg import Mat, Span, kernel_basis, rank, row_space_basis, unit_vec
 from .modules import (
     ModuleRep,
+    QuotientModuleRep,
     SpectralPoint,
     check_algebra_map,
     is_isomorphic,
     is_simple,
+    regular_module,
     simple_modules,
 )
+from .polyquot import factor_univariate, poly_reduce
 from .polyring import PointModule, PolyOAlgebra, is_poly_ring
 
 
@@ -584,209 +587,115 @@ def aspec_morphism(phi_rows, source_algebra, target_algebra, space):
 
 
 def spec_compare(algebra, order=None, points=None):
-    """aSpec A versus Spec A for commutative A (univariate quotients,
-    idempotent-split products, and the k[x] path)."""
+    """aSpec A versus Spec A for commutative A, on the declared points of
+    k[x], on one point A/(g) per irreducible factor g of a univariate
+    quotient (with the CRT separators), and on the simples otherwise."""
     if is_poly_ring(algebra):
-        return _spec_compare_poly(algebra, points, order or 4)
+        if not points:
+            raise InputError("the k[x] comparison needs user-supplied points")
+        pts = [p if isinstance(p, SpectralPoint) else
+               SpectralPoint(p, name=p.name) for p in points]
+        return compare_with_spec(ASpecSpace(algebra, pts, order=order or 4))
     if not algebra.is_commutative():
         raise InputError("spec_compare needs a commutative algebra")
-    if getattr(algebra, "poly_data", None) and \
-            len(algebra.poly_data["vars"]) == 1:
-        return _spec_compare_univariate(algebra, order)
-    return _spec_compare_split(algebra, order)
-
-
-def _spec_compare_univariate(algebra, order):
-    from .polyquot import factor_univariate
-
+    data = getattr(algebra, "poly_data", None)
+    if not data or len(data["vars"]) != 1:
+        return compare_with_spec(space_of_simples(algebra, order=order))
     f = algebra.field
-    gens = algebra.poly_data["groebner"]
-    if len(gens) != 1:
-        raise InputError("defining ideal is not principal")
-    poly = gens[0][0]
+    gens = data["groebner"]
+    (poly, _lead), = gens          # a univariate ideal is principal
     coeffs = [f.zero] * (max(m[0] for m in poly) + 1)
     for mono, c in poly.items():
         coeffs[mono[0]] = c
     factors = factor_univariate(f, coeffs)
-    # Spec side: one prime per irreducible factor; localizations by CRT
-    spec_points = []
-    for g, e in factors:
-        spec_points.append({"factor": g, "multiplicity": e})
-    # point modules k[x]/(g) with x acting by the companion structure
-    pts = []
-    separators = []
-    for i, (g, e) in enumerate(factors):
-        mod = _quotient_point_module(algebra, g, name=f"P{i + 1}")
-        pts.append(SpectralPoint(mod, provenance="contraction",
-                                 witness={"factor": g, "power": e},
-                                 name=mod.name))
-        h = [f.one]
-        ring_mul = _poly_mul_factory(f)
-        for j, (g2, e2) in enumerate(factors):
-            if j == i:
-                continue
-            for _ in range(e2):
-                h = ring_mul(h, g2)
-        separators.append(_poly_in_algebra(algebra, h))
     if any(len(g) > 2 for g, _e in factors) and \
             any(e > 1 for _g, e in factors):
         raise UnsupportedAlgebraError(
             "mixed non-split and nilpotent factors: stalks need either a "
             "split or a semisimple algebra in this scope")
-    space = ASpecSpace(algebra, pts, extra_elements=separators, order=order)
-    opens = space.opens()
-    discrete = len(opens) == 2 ** len(pts)
-    stalk_matches = []
+    x = poly_reduce(f, {(1,): f.one}, gens)
+    x = [x.get(m, f.zero) for m in data["monomials"]]
+    values = []                 # each factor g evaluated at x, by Horner
+    for g, _e in factors:
+        acc = [f.zero] * algebra.dim
+        for c in reversed(g):
+            acc = algebra.add(algebra.mul(acc, x),
+                              algebra.scale(c, algebra.unit))
+        values.append(acc)
+    regular = regular_module(algebra)
+    pts = []
+    separators = []             # prod over j != i of g_j^e_j
     for i, (g, e) in enumerate(factors):
+        ideal = [algebra.mul(values[i], algebra.basis_vector(b))
+                 for b in range(algebra.dim)]
+        mod = QuotientModuleRep(regular, ideal, name=f"P{i + 1}")
+        pts.append(SpectralPoint(mod, provenance="contraction",
+                                 witness={"factor": g, "power": e},
+                                 name=mod.name))
+        sep = list(algebra.unit)
+        for j, (_g, e2) in enumerate(factors):
+            if j != i:
+                sep = algebra.mul(sep, algebra.power(values[j], e2))
+        separators.append(sep)
+    report = compare_with_spec(ASpecSpace(algebra, pts,
+                                          extra_elements=separators,
+                                          order=order))
+    report["factors"] = factors
+    return report
+
+
+def compare_with_spec(space):
+    """aSpec against Spec for a commutative algebra, on the points of the
+    space: the topology is discrete and, at each point p, the stalk is
+    O^A(p) (the comparison map is an isomorphism) and O^A(p) is the
+    localization A_p: its dimension is the codimension of the kernel K
+    of A -> A_p, and rho kills K's generators.  A finite-dimensional A
+    is the product of its localizations, so its points are all of
+    Spec A when those codimensions add up to dim A."""
+    algebra = space.algebra
+    f = algebra.field
+    discrete = len(space.opens()) == 2 ** len(space.points)
+    stalks = []
+    codims = []
+    for i, pt in enumerate(space.points):
         sd = space.stalk({i})
-        loc_dim = (len(g) - 1) * e
-        ge = [f.one]
-        ring_mul = _poly_mul_factory(f)
-        for _ in range(e):
-            ge = ring_mul(ge, g)
-        loc_kernel = _ideal_kernel(algebra, ge)
-        if sd.direct_sections.kind == "zero":
-            stalk_matches.append(False)
-            continue
-        rho_flats = _rho_flats(algebra, sd.direct_sections)
-        mat = Mat(f, [[rho_flats[a][t] for a in range(algebra.dim)]
-                      for t in range(sd.direct_sections.dim)],
-                  cols=algebra.dim)
-        rho_kernel = row_space_basis(f, kernel_basis(mat),
-                                     length=algebra.dim)
-        same_kernel = _same_span(f, rho_kernel, loc_kernel, algebra.dim)
-        stalk_matches.append(
-            sd.direct_sections.dim == loc_dim and same_kernel
-            and sd.comparison_is_iso)
+        o = sd.direct_sections.o
+        codim, kernel = _localization_kernel(algebra, pt.module, o)
+        codims.append(codim)
+        stalks.append(sd.comparison_is_iso and o.dim == codim and all(
+            f.is_zero(c) for k in kernel for c in o.rho_coords(k)))
+    points_match = is_poly_ring(algebra) or sum(codims) == algebra.dim
     return {
-        "points_match": len(pts) == len(spec_points),
+        "points_match": points_match,
         "topology_discrete": discrete,
-        "stalks_match": all(stalk_matches),
-        "stalk_details": stalk_matches,
-        "factors": [(g, e) for g, e in factors],
-        "passed": len(pts) == len(spec_points) and discrete
-        and all(stalk_matches),
+        "stalks_match": all(stalks),
+        "stalk_details": stalks,
+        "passed": points_match and discrete and all(stalks),
     }
 
 
-def _spec_compare_split(algebra, order):
-    idems = algebra.ensure_idempotents()
+def _localization_kernel(algebra, module, o):
+    """(codimension, generators) of the kernel K of A -> A_p at the point
+    of `module`.  On k[x], whose O^A(p) are the N-jets at a, K is
+    ((x - a)^(N+1)).  On a finite-dimensional A, K is the stable power
+    of the point's annihilator ideal, given by a basis."""
     f = algebra.field
-    simples = simple_modules(algebra)
-    space = space_of_simples(algebra, order=order)
-    opens = space.opens()
-    discrete = len(opens) == 2 ** len(simples)
-    stalk_matches = []
-    for i, e in enumerate(idems):
-        sd = space.stalk({i})
-        # localization A_i = e_i A (commutative: a direct factor)
-        rows = [algebra.mul(e, algebra.basis_vector(b))
-                for b in range(algebra.dim)]
-        loc_dim = len(row_space_basis(f, rows, length=algebra.dim))
-        stalk_matches.append(sd.direct_sections.dim == loc_dim
-                             and sd.comparison_is_iso)
-    return {
-        "points_match": len(simples) == len(idems),
-        "topology_discrete": discrete,
-        "stalks_match": all(stalk_matches),
-        "passed": len(simples) == len(idems) and discrete
-        and all(stalk_matches),
-    }
-
-
-def _spec_compare_poly(ring, points, order):
-    if not points:
-        raise InputError("the k[x] comparison needs user-supplied points")
-    f = ring.field
-    pts = [SpectralPoint(p, provenance="user-declared", name=p.name)
-           if not isinstance(p, SpectralPoint) else p for p in points]
-    space = ASpecSpace(ring, pts, order=order)
-    opens = space.opens()
-    discrete = len(opens) == 2 ** len(pts)
-    stalk_matches = []
-    for i, pt in enumerate(pts):
-        sd = space.stalk({i})
-        ok = sd.direct_sections.dim == order + 1 and sd.comparison_is_iso
-        if ok:
-            # the jet map must kill exactly (x - a)^{order+1} at low degree
-            a = pt.module.point
-            power = [f.one]
-            for _ in range(order + 1):
-                power = ring.mul(power, [f.neg(a), f.one])
-            ok = all(f.is_zero(c) for c in
-                     sd.direct_sections.o.rho_coords(power))
-        stalk_matches.append(ok)
-    return {
-        "points_match": True,
-        "topology_discrete": discrete,
-        "stalks_match": all(stalk_matches),
-        "passed": discrete and all(stalk_matches),
-    }
-
-
-def _quotient_point_module(algebra, g, name):
-    """k[x]/(g) as a module over a univariate quotient algebra."""
-    f = algebra.field
-    d = len(g) - 1
-    monos = algebra.poly_data["monomials"]
-    # multiplication-by-x matrix on basis 1, x, ..., x^{d-1} mod g
-    xmat = Mat.zeros(f, d, d)
-    for r in range(d):
-        if r + 1 < d:
-            xmat.data[r][r + 1] = f.one
-        else:
-            for c in range(d):
-                xmat.data[r][c] = f.neg(g[c])
-    mats = []
-    power = Mat.identity(f, d)
-    powers = {0: power}
-    for s in range(1, max(m[0] for m in monos) + 1):
-        powers[s] = powers[s - 1].mul(xmat)
-    for m in monos:
-        mats.append(powers[m[0]])
-    return ModuleRep(algebra, mats, name=name)
-
-
-def _poly_mul_factory(field):
-    def mul(p, q):
-        out = [field.zero] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] = field.add(out[i + j], field.mul(a, b))
-        return out
-    return mul
-
-
-def _poly_in_algebra(algebra, coeffs):
-    """Image of a polynomial in a univariate quotient algebra."""
-    f = algebra.field
-    monos = algebra.poly_data["monomials"]
-    gens = algebra.poly_data["groebner"]
-    from .polyquot import poly_reduce
-    poly = {(i,): c for i, c in enumerate(coeffs) if not f.is_zero(c)}
-    red = poly_reduce(f, poly, gens)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [f.zero] * algebra.dim
-    for m, c in red.items():
-        vec[index[m]] = c
-    return vec
-
-
-def _ideal_kernel(algebra, ge_coeffs):
-    """Basis of the ideal (g^e) inside a univariate quotient algebra."""
-    f = algebra.field
-    gen = _poly_in_algebra(algebra, ge_coeffs)
-    rows = [algebra.mul(gen, algebra.basis_vector(b))
-            for b in range(algebra.dim)]
-    return row_space_basis(f, rows, length=algebra.dim)
-
-
-def _same_span(field, a, b, length):
-    if len(a) != len(b):
-        return False
-    joined = row_space_basis(field, [list(v) for v in a] +
-                             [list(v) for v in b], length=length)
-    return len(joined) == len(a)
+    if is_poly_ring(algebra):
+        power = [f.one]
+        for _ in range(o.order + 1):
+            power = algebra.mul(power, [f.neg(module.point), f.one])
+        return o.order + 1, [power]
+    acts = Mat(f, [[m.data[r][c] for m in module.action]
+                   for r in range(module.dim) for c in range(module.dim)],
+               cols=algebra.dim)
+    ann = kernel_basis(acts)
+    ideal = ann
+    while True:
+        power = row_space_basis(f, [algebra.mul(u, v) for u in ideal
+                                    for v in ann], length=algebra.dim)
+        if len(power) == len(ideal):
+            return algebra.dim - len(ideal), ideal
+        ideal = power
 
 
 # -- global sections roundtrip -------------------------------------------------

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the production code paths: naive
 Gaussian elimination, determinant-of-minors ranks, path enumeration,
 extension and deformation enumeration over small prime fields.  The
-two exceptions are the morphism count out of a hull, which computes in
-the target through the matric algebra `MatricOHat` with 1x1 blocks, and
-the dense Hochschild coboundaries, which multiply the action matrices as
-`Mat`s one basis pair or triple at a time.
+exceptions: the morphism count out of a hull computes in the target
+through the matric algebra `MatricOHat` with 1x1 blocks; the dense
+Hochschild coboundaries multiply the action matrices as `Mat`s one basis
+pair or triple at a time; HH^1, the Ext^1 reference, takes `kernel_basis`
+and `quotient_basis` of the derivation equations; and the smallness of a
+hull tower reads the hull's own normal forms.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from itertools import combinations, product
 from aspec.errors import InputError
 from aspec.fields import PrimeField
 from aspec.hull import MatricOHat
-from aspec.linalg import Mat
+from aspec.linalg import Mat, kernel_basis, quotient_basis
 
 
 def naive_gauss_rank(rows_in, p=None):
@@ -595,6 +597,96 @@ def is_two_cocycle_dense(algebra, source, target, coch):
                                  algebra.table[b][g], source.dim, target.dim)
                 t4 = coch[(a, b)].mul(target.action[g])
                 if not t1.sub(t2).add(t3).sub(t4).is_zero():
+                    return False
+    return True
+
+
+def inner_derivations(algebra, source, target):
+    """Basis of coboundaries psi_F(a) = eta_i(a) F - F eta_j(a)."""
+    f = algebra.field
+    out = []
+    for r in range(source.dim):
+        for c in range(target.dim):
+            F = Mat.zeros(f, source.dim, target.dim)
+            F.data[r][c] = f.one
+            psi = [source.action[a].mul(F).sub(F.mul(target.action[a]))
+                   for a in range(algebra.dim)]
+            out.append(psi)
+    return out
+
+
+def derivation_space(algebra, source, target):
+    """Basis of derivations A -> Hom_k(source, target) (HH^1 cocycles)."""
+    f = algebra.field
+    n = algebra.dim
+    di, dj = source.dim, target.dim
+    ncoords = n * di * dj
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            # eta_i(a) psi(b) - psi(ab) + psi(a) eta_j(b) = 0: linear in psi
+            for r in range(di):
+                for c in range(dj):
+                    row = [f.zero] * ncoords
+                    # term eta_i(a) psi(b): (r, c) entry sums over k
+                    for k in range(di):
+                        coeff = source.action[a].data[r][k]
+                        if not f.is_zero(coeff):
+                            row[b * di * dj + k * dj + c] = f.add(
+                                row[b * di * dj + k * dj + c], coeff)
+                    # term psi(a) eta_j(b)
+                    for k in range(dj):
+                        coeff = target.action[b].data[k][c]
+                        if not f.is_zero(coeff):
+                            row[a * di * dj + r * dj + k] = f.add(
+                                row[a * di * dj + r * dj + k], coeff)
+                    # term -psi(ab)
+                    for e, ce in enumerate(algebra.table[a][b]):
+                        if not f.is_zero(ce):
+                            row[e * di * dj + r * dj + c] = f.sub(
+                                row[e * di * dj + r * dj + c], ce)
+                    rows.append(row)
+    mat = Mat(f, rows, cols=ncoords) if rows else Mat.zeros(f, 0, ncoords)
+    basis = []
+    for v in kernel_basis(mat):
+        psi = []
+        for a in range(n):
+            block = v[a * di * dj:(a + 1) * di * dj]
+            psi.append(Mat(f, [block[r * dj:(r + 1) * dj] for r in range(di)],
+                           cols=dj))
+        basis.append(psi)
+    return basis
+
+
+def hh1_dimension(algebra, source, target):
+    f = algebra.field
+
+    def flatten(psi):
+        return [x for m in psi for row in m.data for x in row]
+
+    z = [flatten(p) for p in derivation_space(algebra, source, target)]
+    b = [flatten(p) for p in inner_derivations(algebra, source, target)]
+    n = algebra.dim * source.dim * target.dim
+    if not z:
+        return 0
+    return len(quotient_basis(f, z, b, length=n))
+
+
+# -- hull towers ------------------------------------------------------------
+
+
+def tower_is_small(tower):
+    """(ker pi_{n-1}) * m_n = 0 inside each stage H_n, evaluated in the
+    final algebra: no product of a word of length n with a word of
+    length <= n reduces onto a word of length <= n."""
+    h = tower.final
+    for n in range(3, h.order + 1):
+        short = [w for w in h.reduced_words if len(w) <= n]
+        for w in h.words_by_len.get(n, ()):
+            for m in short:
+                key = h._compose_keys(("m", w), ("m", m))
+                if key is not None and any(
+                        len(v) <= n for v in h.normal_form(key[1])):
                     return False
     return True
 

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import aspec.cli as cli_module
 from aspec.cli import main, parse, run
 from aspec.errors import InputError
 from aspec.ext import ext
@@ -74,6 +76,14 @@ algebra quiver
   vertex 3
   arrow a 1 2
   arrow b 2 3
+end
+"""
+
+KX4_MINUS_X2_DOC = """\
+field Q
+algebra poly_quotient
+  var x
+  relation x^4 - x^2
 end
 """
 
@@ -236,13 +246,21 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def run_cli(args):
+    """`python -m aspec.cli` in a child process that imports the same
+    aspec as the tests, installed or not."""
+    src = str(Path(cli_module.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, "-m", "aspec.cli"] + args,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_console_entrypoint(tmp_path):
     doc = tmp_path / "doc.txt"
     doc.write_text(DUAL_DOC, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "aspec.cli", "hull", "--input", str(doc),
-         "--order", "3"],
-        capture_output=True, text=True)
+    proc = run_cli(["hull", "--input", str(doc), "--order", "3"])
     assert proc.returncode == 0
     assert "relation 1*t1.t1" in proc.stdout
 
@@ -252,10 +270,7 @@ def test_output_identical_across_invocations(tmp_path):
     doc.write_text(A2_DOC, encoding="utf-8")
     outs = []
     for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "aspec.cli", "verify", "--input",
-             str(doc), "--format", "tree"],
-            capture_output=True, text=True)
+        proc = run_cli(["verify", "--input", str(doc), "--format", "tree"])
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0]
@@ -276,8 +291,7 @@ EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
      "simples_lower_triangular.txt"),
 ])
 def test_golden_outputs(args, golden):
-    proc = subprocess.run([sys.executable, "-m", "aspec.cli"] + args,
-                          capture_output=True, text=True)
+    proc = run_cli(args)
     assert proc.returncode == 0
     expected = (GOLDEN / golden).read_text()
     assert proc.stdout == expected
@@ -334,7 +348,7 @@ def test_shifted_cube_simple_acts_by_its_root(field, relation):
 
 @pytest.mark.parametrize("example,builds", [
     ("a2_quiver.txt", 7),
-    ("dual_numbers.txt", 4),
+    ("dual_numbers.txt", 3),
 ])
 def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
     doc = parse((EXAMPLES / example).read_text())
@@ -350,22 +364,67 @@ def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
     (A3_PATH_DOC, "verify", None, 9),
     (A3_PATH_DOC, "verify", 2, 9),
     (A3_PATH_DOC, "ext", None, 3),
-    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", None, 4),
+    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", None, 3),
+    (KX4_MINUS_X2_DOC, "verify", None, 9),
 ], ids=["a2-aspec", "a2-verify", "a3-aspec", "a3-verify", "a3-verify-order2",
-        "a3-ext", "dual-verify"])
+        "a3-ext", "dual-verify", "kx4-x2-verify"])
 def test_each_space_resolves_each_module_once(resolutions_built, text,
                                               command, order, built):
     # aspec: one space of simples, whatever its number of opens.  verify
     # adds the hull over O in the closure check and the roundtrip's space
     # over O(X), each resolving every simple once; at a run order other
     # than the default its space checks reuse the space of simples' Ext
-    # store; a commutative algebra adds spec_compare's own space.  ext:
-    # one resolution per source.
+    # store, and the Spec comparison of a commutative algebra reads that
+    # same space.  ext: one resolution per source.
     report = run(command, parse(text), order=order)
     assert not report.failed
     assert len(resolutions_built["Resolution"]) == built
     assert len(resolutions_built["BarComparison"]) == \
         (0 if command == "ext" else built)
+
+
+@pytest.mark.parametrize("text, builds", [
+    ((EXAMPLES / "dual_numbers.txt").read_text(), 3),
+    (KX4_MINUS_X2_DOC, 15),
+], ids=["dual", "kx4-x2"])
+def test_spec_comparison_reads_the_space_of_verify(monkeypatch, hull_builds,
+                                                   resolutions_built, text,
+                                                   builds):
+    # the sheaf check has built the sections over every open of the space
+    # of simples, so the comparison on that space builds no hull and
+    # resolves no module
+    compare = cli_module.compare_with_spec
+    during = []
+
+    def counting(space):
+        before = len(hull_builds), len(resolutions_built["Resolution"])
+        report = compare(space)
+        during.append((len(hull_builds) - before[0],
+                       len(resolutions_built["Resolution"]) - before[1]))
+        return report
+
+    monkeypatch.setattr(cli_module, "compare_with_spec", counting)
+    report = run("verify", parse(text))
+    assert ("spec-comparison", "PASS") in report.sections[0][1]
+    assert during == [(0, 0)]
+    assert len(hull_builds) == builds
+
+
+def test_spec_comparison_exit_codes(tmp_path, capsys):
+    # k[x]/(x^4) at order 2: O of its point is k[x]/(x^3), but the
+    # localization is all of k[x]/(x^4), the kernel being the stable
+    # power (x)^4 = 0 of the annihilator, not (x)^3
+    doc = tmp_path / "kx4.txt"
+    doc.write_text(DUAL_DOC.replace("x^2", "x^4"), encoding="utf-8")
+    assert main(["verify", "--input", str(doc), "--order", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "  spec-comparison: FAIL\n" in out
+    assert out.count("FAIL") == 2
+    # x^3 - 1 over Q: the residue field Q(w) at x^2 + x + 1 does not split
+    doc.write_text(DUAL_DOC.replace("x^2", "x^3 - 1"), encoding="utf-8")
+    assert main(["verify", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: semisimple quotient does not split over the base field\n"
 
 
 def test_stalk_at_an_open_point_builds_one_hull(hull_builds):

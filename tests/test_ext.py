@@ -8,7 +8,6 @@ from aspec.fields import GF, QQ
 from aspec.hochschild import (
     BarComparison,
     coboundary_2,
-    hh1_dimension,
     is_two_cocycle,
 )
 from aspec.linalg import Mat
@@ -22,7 +21,7 @@ from conftest import (
     make_k_times_k,
     make_kx3,
 )
-from oracles import coboundary_1
+from oracles import coboundary_1, hh1_dimension
 
 
 def ext_dim_oracle(alg_fp, si, sj, p):

@@ -150,6 +150,18 @@ def test_random_relation_sets_reduce_as_the_frame_echelon(case):
     assert_same_as_oracle(RPointedAlgebra(field, r, gens, order, rels))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relation_sets())
+def test_truncated_rewriting_never_shortens_a_word(case):
+    # the lowest word leads each rule, so every tail word is at least as
+    # long as its lead: a hull tower is small by construction
+    field, r, gens, order, rels = case
+    h = RPointedAlgebra(field, r, gens, order, rels)
+    for w in FrameEchelon(field, gens, order, []).words:
+        assert all(len(v) >= len(w)
+                   for v in h.rewriter.reduce({w: field.one})), w
+
+
 @st.composite
 def acyclic_quivers(draw):
     """3 or 4 vertices and up to 6 arrows i -> j with i < j, two of them

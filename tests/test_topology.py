@@ -13,6 +13,7 @@ from aspec.polyring import PointModule, PolynomialRing, taylor_shift
 from aspec.topology import (
     ASpecSpace,
     aspec_morphism,
+    compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,
     spec_compare,
@@ -389,6 +390,17 @@ def test_spec_compare_mixed_nonsplit_unsupported():
                                [{(4,): f5.one, (2,): f5.of_int(3)}])
     with pytest.raises(UnsupportedAlgebraError):
         spec_compare(mixed)
+
+
+def test_spec_comparison_kernel_is_the_stable_power():
+    # k[x]/(x^4) is local, so its localization is all of it: the stable
+    # power of (x) is 0.  At order 2, O^A of the point is k[x]/(x^3),
+    # whose kernel (x^3) is the power m^(N+1), not the localization's.
+    a = from_poly_quotient(QQ, ["x"], [{(4,): QQ.one}])
+    low = compare_with_spec(space_of_simples(a, order=2))
+    assert low["stalk_details"] == [False]
+    assert low["points_match"] and not low["passed"]
+    assert compare_with_spec(space_of_simples(a))["passed"]
 
 
 def test_second_sheafify_check_reuses_the_restrictions(monkeypatch):
