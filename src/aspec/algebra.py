@@ -17,6 +17,7 @@ from .fields import characteristic
 from .linalg import (
     Mat,
     Span,
+    _combination,
     kernel_basis,
     quotient_basis,
     row_space_basis,
@@ -24,6 +25,7 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -31,7 +33,8 @@ from .linalg import (
 class Algebra:
     """Associative unital k-algebra given by structure constants.
 
-    table[i][j] is the coordinate vector of basis_i * basis_j.
+    table[i][j] is the coordinate vector of basis_i * basis_j, and
+    products[i][j] lists its nonzero entries as (k, coefficient).
     """
 
     def __init__(self, field, labels, table, unit, idempotents=None,
@@ -40,6 +43,8 @@ class Algebra:
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.table = [[list(v) for v in row] for row in table]
+        self.products = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
+                         for row in self.table]
         self.unit = list(unit)
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self.presentation = presentation
@@ -54,19 +59,21 @@ class Algebra:
 
     def mul(self, x, y):
         f = self.field
+        add, mul = f.add, f.mul
         out = zero_vec(f, self.dim)
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
+        y_terms = [(j, yj) for j, yj in enumerate(y) if yj]
+        for xi, row in zip(x, self.products):
+            if not xi:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
+            for j, yj in y_terms:
+                terms = row[j]
+                if not terms:
                     continue
-                c = f.mul(xi, yj)
-                tv = row[j]
-                for k in range(self.dim):
-                    if not f.is_zero(tv[k]):
-                        out[k] = f.add(out[k], f.mul(c, tv[k]))
+                c = mul(xi, yj)
+                for k, t in terms:
+                    t = mul(c, t)
+                    o = out[k]
+                    out[k] = add(o, t) if o else t
         return out
 
     def add(self, x, y):
@@ -76,8 +83,7 @@ class Algebra:
         return vec_scale(self.field, c, x)
 
     def sub(self, x, y):
-        f = self.field
-        return [f.sub(a, b) for a, b in zip(x, y)]
+        return vec_sub(self.field, x, y)
 
     def power(self, x, n):
         out = list(self.unit)
@@ -248,13 +254,8 @@ class Algebra:
                 rows.append(row)
             m = Mat(f, rows, cols=len(current))
             coeff_kernel = kernel_basis(m)
-            new = []
-            for coeffs in coeff_kernel:
-                v = zero_vec(f, n)
-                for c, base in zip(coeffs, current):
-                    if not f.is_zero(c):
-                        v = vec_add(f, v, vec_scale(f, c, base))
-                new.append(v)
+            new = [_combination(f, coeffs, current, n)
+                   for coeffs in coeff_kernel]
             current = row_space_basis(f, new, length=n)
         return current
 
@@ -325,10 +326,7 @@ class Algebra:
         lifted = []
         used = zero_vec(f, self.dim)
         for qi in qidems:
-            x = zero_vec(f, self.dim)
-            for c, rep in zip(qi, reps):
-                if not f.is_zero(c):
-                    x = vec_add(f, x, vec_scale(f, c, rep))
+            x = _combination(f, qi, reps, self.dim)
             # move into the corner (1 - E) A (1 - E)
             one_minus = self.sub(self.unit, used)
             x = self.mul(self.mul(one_minus, x), one_minus)
@@ -402,14 +400,9 @@ def split_commutative_semisimple(alg):
                 for _ in range(len(block)):
                     powm = powm.mul(shifted)
                 ker = kernel_basis(powm.transpose())
-                sub = []
-                for coeffs in ker:
-                    v = zero_vec(f, alg.dim)
-                    for c, bv in zip(coeffs, block):
-                        if not f.is_zero(c):
-                            v = vec_add(f, v, vec_scale(f, c, bv))
-                    sub.append(v)
-                sub = row_space_basis(f, sub, length=alg.dim)
+                sub = row_space_basis(
+                    f, [_combination(f, coeffs, block, alg.dim)
+                        for coeffs in ker], length=alg.dim)
                 if sub:
                     new_blocks.append(sub)
         blocks = new_blocks

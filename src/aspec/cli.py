@@ -28,7 +28,7 @@ from .errors import (
 from .fields import field_from_name
 from .ext import Resolution, ext
 from .hull import closure_check, default_order, hull, maximal_ideals, o_algebra
-from .linalg import Mat, row_space_basis
+from .linalg import Mat, _add_scaled, row_space_basis
 from .modules import ModuleRep, SpectralPoint, simple_modules
 from .polyquot import from_poly_quotient
 from .polyring import PointModule, PolynomialRing, is_poly_ring
@@ -87,7 +87,7 @@ def parse_combination(field, text, label_to_vec, dim, what="element"):
         if neg:
             coeff = field.neg(coeff)
         base = label_to_vec[label]
-        vec = [field.add(a, field.mul(coeff, b)) for a, b in zip(vec, base)]
+        _add_scaled(field, vec, coeff, base)
     return vec
 
 
@@ -467,15 +467,18 @@ class Report:
         return "\n".join(out) + "\n"
 
 
+def _poly_points(doc):
+    """The point modules of a k[x] document, in declaration order."""
+    alg = doc.algebra
+    if not doc.points:
+        raise InputError("poly_ring commands need declared points")
+    return [PointModule(alg, alg.field.parse(p)) for p in doc.points]
+
+
 def _family(doc, module_names):
     alg = doc.algebra
     if is_poly_ring(alg):
-        pts = []
-        for p in doc.points:
-            pts.append(PointModule(alg, alg.field.parse(p)))
-        if not pts:
-            raise InputError("poly_ring commands need declared points")
-        return pts
+        return _poly_points(doc)
     if module_names:
         fam = []
         simples = {m.name: m for m in simple_modules(alg)}
@@ -492,15 +495,11 @@ def _family(doc, module_names):
 
 def _space(doc, order):
     alg = doc.algebra
-    f = doc.field
     extra = []
     for e in doc.options["elems"]:
         extra.append(_parse_element(doc, e))
     if is_poly_ring(alg):
-        pts = [SpectralPoint(PointModule(alg, f.parse(p)))
-               for p in doc.points]
-        if not pts:
-            raise InputError("poly_ring needs declared points")
+        pts = [SpectralPoint(m) for m in _poly_points(doc)]
         return ASpecSpace(alg, pts, extra_elements=extra, order=order)
     pts = [SpectralPoint(m, provenance="simple", name=m.name)
            for m in simple_modules(alg)]

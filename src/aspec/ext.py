@@ -17,6 +17,8 @@ from .linalg import (
     Mat,
     Span,
     _Echelon,
+    _add_scaled,
+    _combination,
     kernel_basis,
     quotient_basis,
     row_space_basis,
@@ -82,8 +84,7 @@ def module_map_from_generators(proj, target, gen_images):
         img = gen_images[s]
         for r, w in enumerate(base):
             # generator * w = basis row (s, r); its image is img * w
-            row = target.act(w).transpose().apply_col(list(img))
-            out.data[proj.offsets[s] + r] = row
+            out.data[proj.offsets[s] + r] = target.act(w).apply_row(img)
     return out
 
 
@@ -139,10 +140,10 @@ class Resolution:
         for d in range(1, len(self.terms)):
             prev = self.terms[d - 1]
             rad_span = _Echelon(f, prev.dim)
+            rad_acts = [prev.act(r) for r in rad]
             for i in range(prev.dim):
-                base_row = unit_vec(f, prev.dim, i)
-                for r in rad:
-                    rad_span.insert(prev.act(r).transpose().apply_col(base_row))
+                for act in rad_acts:
+                    rad_span.insert(act.data[i])
             for row in self.diffs[d].data:
                 if not rad_span.contains(row):
                     raise InternalInvariantError(
@@ -174,14 +175,11 @@ def _cover_data(algebra, target, target_rows):
     slots = []
     gen_images = []
     for i, e in enumerate(idems):
-        act_e = target.act(e).transpose()
-        rows_e = [act_e.apply_col(r) for r in ambient_rows]
+        act_e = target.act(e)
+        rows_e = [act_e.apply_row(r) for r in ambient_rows]
         rows_e = row_space_basis(f, rows_e, length=target.dim)
-        rad_rows = []
-        for r in ambient_rows:
-            for x in rad:
-                xr = target.act(algebra.mul(x, e)).transpose().apply_col(r)
-                rad_rows.append(xr)
+        rad_acts = [target.act(algebra.mul(x, e)) for x in rad]
+        rad_rows = [act.apply_row(r) for r in ambient_rows for act in rad_acts]
         rad_rows = row_space_basis(f, rad_rows, length=target.dim)
         reps = quotient_basis(f, rows_e, rad_rows, length=target.dim)
         for rep in reps:
@@ -223,7 +221,7 @@ class ExtSpace:
 
 
 def _flatten(mat):
-    return sum(([x for x in row] for row in mat.data), [])
+    return [x for row in mat.data for x in row]
 
 
 def min_resolution(module, length=2):
@@ -239,10 +237,7 @@ def _hom_space_basis(proj, target):
     idems = proj.algebra.ensure_idempotents()
     out = []
     for s, v in enumerate(proj.slots):
-        act = target.act(idems[v]).transpose()
-        rows = [act.apply_col(unit_vec(f, target.dim, i))
-                for i in range(target.dim)]
-        rows = row_space_basis(f, rows, length=target.dim)
+        rows = row_space_basis(f, target.act(idems[v]).data, length=target.dim)
         for r in rows:
             images = [zero_vec(f, target.dim) for _ in proj.slots]
             images[s] = r
@@ -273,29 +268,21 @@ def ext(source, target, degree, resolution=None):
 
     # cocycles: maps vanishing on ker d_degree
     ker_rows = res.kernels[degree]
-    z_vectors = []
-    for phi in hom_basis:
-        ok_vec = _flatten(phi)
-        z_vectors.append((phi, ok_vec))
     z_basis = []
     if hom_basis:
         cond_rows = []
         for kr in ker_rows:
-            for j in range(target.dim):
-                cond_rows.append([
-                    sum_entry(f, phi, kr, j) for phi, _ in z_vectors])
+            images = [phi.apply_row(kr) for phi in hom_basis]
+            cond_rows.extend([img[j] for img in images]
+                             for j in range(target.dim))
         if cond_rows:
             m = Mat(f, cond_rows, cols=len(hom_basis))
             coeff_kernel = kernel_basis(m)
         else:
             coeff_kernel = [unit_vec(f, len(hom_basis), i)
                             for i in range(len(hom_basis))]
-        for coeffs in coeff_kernel:
-            mat = Mat.zeros(f, proj.dim, target.dim)
-            for c, (phi, _) in zip(coeffs, z_vectors):
-                if not f.is_zero(c):
-                    mat = mat.add(phi.scale(c))
-            z_basis.append(mat)
+        z_basis = [_combine(f, hom_basis, coeffs, proj.dim, target.dim)
+                   for coeffs in coeff_kernel]
 
     # coboundaries: precompositions of Hom(P_{degree-1}, target) with d
     prev_homs = _hom_space_basis(prev, target)
@@ -318,15 +305,6 @@ def ext(source, target, degree, resolution=None):
                     zech)
 
 
-def sum_entry(field, phi, row, j):
-    """(row . phi)[j] for a row vector and map matrix."""
-    s = field.zero
-    for a, prow in zip(row, phi.data):
-        if not field.is_zero(a):
-            s = field.add(s, field.mul(a, prow[j]))
-    return s
-
-
 def _lift_through(proj, target_res, rhs_rows, depth):
     """Per-slot lift: images y_s in (target term_depth) * e_{v_s} with
     y_s . D = rhs_s, where D is the depth-differential of target_res."""
@@ -336,27 +314,18 @@ def _lift_through(proj, target_res, rhs_rows, depth):
     idems = proj.algebra.ensure_idempotents()
     images = []
     for s, v in enumerate(proj.slots):
-        sub_rows = []
-        act = term.act(idems[v]).transpose()
-        for i in range(term.dim):
-            sub_rows.append(act.apply_col(unit_vec(f, term.dim, i)))
-        sub_rows = row_space_basis(f, sub_rows, length=term.dim)
+        sub_rows = row_space_basis(f, term.act(idems[v]).data, length=term.dim)
         rhs = rhs_rows[s]
         if not sub_rows:
             if not vec_is_zero(f, rhs):
                 raise InternalInvariantError("lift has empty source subspace")
             images.append(zero_vec(f, term.dim))
             continue
-        dT = dmat.transpose()
-        sol = Span(f, [dT.apply_col(r) for r in sub_rows],
+        sol = Span(f, [dmat.apply_row(r) for r in sub_rows],
                    dmat.cols).coords(rhs)
         if sol is None:
             raise InternalInvariantError("projective lift failed")
-        y = zero_vec(f, term.dim)
-        for c, r in zip(sol, sub_rows):
-            if not f.is_zero(c):
-                y = [f.add(a, f.mul(c, b)) for a, b in zip(y, r)]
-        images.append(y)
+        images.append(_combination(f, sol, sub_rows, term.dim))
     return images
 
 
@@ -385,14 +354,14 @@ def cup_product(xi_ext, xi_coords, zeta_ext, zeta_coords):
 
     # phi0: P1(Mi) -> P0(Mj) with phi0 . eps_j = phi
     p1i = res_i.terms[1]
-    rhs0 = [_row_image(f, phi, p1i.generator_row(s)) for s in range(len(p1i.slots))]
+    rhs0 = [phi.apply_row(p1i.generator_row(s)) for s in range(len(p1i.slots))]
     images0 = _lift_through(p1i, res_j, rhs0, 0)
     phi0 = module_map_from_generators(p1i, res_j.terms[0], images0)
 
     # phi1: P2(Mi) -> P1(Mj) with phi1 . d1_j = d2_i . phi0
     p2i = res_i.terms[2]
     comp = res_i.diffs[2].mul(phi0)
-    rhs1 = [_row_image(f, comp, p2i.generator_row(s))
+    rhs1 = [comp.apply_row(p2i.generator_row(s))
             for s in range(len(p2i.slots))]
     images1 = _lift_through(p2i, res_j, rhs1, 1)
     phi1 = module_map_from_generators(p2i, res_j.terms[1], images1)
@@ -405,16 +374,10 @@ def cup_product(xi_ext, xi_coords, zeta_ext, zeta_coords):
 
 
 def _combine(field, mats, coords, rows, cols):
+    """sum_k coords[k] * mats[k], accumulated in one rows x cols buffer."""
     out = Mat.zeros(field, rows, cols)
     for c, m in zip(coords, mats):
-        if not field.is_zero(c):
-            out = out.add(m.scale(c))
-    return out
-
-
-def _row_image(field, mat, row):
-    out = [field.zero] * mat.cols
-    for a, r in zip(row, mat.data):
-        if not field.is_zero(a):
-            out = [field.add(x, field.mul(a, y)) for x, y in zip(out, r)]
+        if c:
+            for orow, mrow in zip(out.data, m.data):
+                _add_scaled(field, orow, c, mrow)
     return out

@@ -1,7 +1,14 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Scalars are plain Python values (Fraction for Q, int in 0..p-1 for F_p);
-a Field object supplies the operations.  No floating point anywhere.
+Scalars are plain Python values; a Field object supplies the operations.
+No floating point anywhere.
+
+Scalars are kept normalized: a Fraction over Q, an int in 0..p-1 over
+F_p.  Every operation returns a normalized scalar, and `normalize` (which
+the public `Mat` constructor applies) brings outside input into that
+form.  A normalized scalar is falsy exactly when it is zero, so the
+kernels of linalg.py skip zero entries by truthiness, without a field
+call; `is_zero` also accepts unnormalized input and decides the results.
 """
 
 from __future__ import annotations

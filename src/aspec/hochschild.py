@@ -11,14 +11,15 @@ consumes and produces these forms.
 from __future__ import annotations
 
 from .errors import InternalInvariantError
-from .ext import _row_image
 from .linalg import (
     Mat,
     Span,
     _Echelon,
+    _add_scaled,
+    _combination,
     unit_vec,
     vec_add,
-    vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -58,12 +59,9 @@ class BarComparison:
         for m in range(module.dim):
             row = []
             for a in range(algebra.dim):
-                ma = module.action[a].transpose().apply_col(
-                    unit_vec(f, module.dim, m))
-                rhs = [f.sub(x, y) for x, y in zip(
-                    self._sigma_of(ma),
-                    p0.act(algebra.basis_vector(a)).transpose().apply_col(
-                        self.sigma[m]))]
+                ma = module.action[a].data[m]
+                rhs = vec_sub(f, self._sigma_of(ma),
+                              p0.action[a].apply_row(self.sigma[m]))
                 sol = d1_span.coords(rhs)
                 if sol is None:
                     raise InternalInvariantError("nu lift failed")
@@ -76,15 +74,13 @@ class BarComparison:
             rows = []
             for a in range(algebra.dim):
                 cell = []
+                ma = module.action[a].data[m]
                 for b in range(algebra.dim):
-                    ma = module.action[a].transpose().apply_col(
-                        unit_vec(f, module.dim, m))
                     t1 = self._nu_of(ma, algebra.basis_vector(b))
                     ab = algebra.table[a][b]
                     t2 = self._nu_of(unit_vec(f, module.dim, m), ab)
-                    t3 = p1.act(algebra.basis_vector(b)).transpose().apply_col(
-                        self.nu[m][a]) if p1.dim else []
-                    w = [f.add(f.sub(x, y), z) for x, y, z in zip(t1, t2, t3)]
+                    t3 = p1.action[b].apply_row(self.nu[m][a]) if p1.dim else []
+                    w = vec_add(f, vec_sub(f, t1, t2), t3)
                     sol = d2_span.coords(w)
                     if sol is None:
                         raise InternalInvariantError("mu lift failed")
@@ -93,24 +89,17 @@ class BarComparison:
             self.mu.append(rows)
 
     def _sigma_of(self, mvec):
-        f = self.algebra.field
-        out = zero_vec(f, self.res.terms[0].dim)
-        for c, row in zip(mvec, self.sigma):
-            if not f.is_zero(c):
-                out = vec_add(f, out, vec_scale(f, c, row))
-        return out
+        return _combination(self.algebra.field, mvec, self.sigma,
+                            self.res.terms[0].dim)
 
     def _nu_of(self, mvec, avec):
         f = self.algebra.field
         out = zero_vec(f, self.res.terms[1].dim)
-        for mi, cm in enumerate(mvec):
-            if f.is_zero(cm):
-                continue
-            for ai, ca in enumerate(avec):
-                if f.is_zero(ca):
-                    continue
-                out = vec_add(f, out,
-                              vec_scale(f, f.mul(cm, ca), self.nu[mi][ai]))
+        a_terms = [(ai, ca) for ai, ca in enumerate(avec) if ca]
+        for cm, nu_m in zip(mvec, self.nu):
+            if cm:
+                for ai, ca in a_terms:
+                    _add_scaled(f, out, f.mul(cm, ca), nu_m[ai])
         return out
 
     def derivation_of(self, cocycle_mat):
@@ -120,7 +109,7 @@ class BarComparison:
         target_dim = cocycle_mat.cols
         out = []
         for a in range(self.algebra.dim):
-            rows = [_row_image(f, cocycle_mat, self.nu[m][a])
+            rows = [cocycle_mat.apply_row(self.nu[m][a])
                     for m in range(self.module.dim)]
             out.append(Mat(f, rows, cols=target_dim))
         return out
@@ -132,7 +121,7 @@ class BarComparison:
         out = {}
         for a in range(self.algebra.dim):
             for b in range(self.algebra.dim):
-                rows = [_row_image(f, cocycle_mat, self.mu[m][a][b])
+                rows = [cocycle_mat.apply_row(self.mu[m][a][b])
                         for m in range(self.module.dim)]
                 out[(a, b)] = Mat(f, rows, cols=target_dim)
         return out
@@ -144,13 +133,11 @@ class BarComparison:
 def _products_onto(algebra):
     """{e: [(x, y, coefficient of basis e in x*y)]}, the nonzero
     structure constants read by target basis element."""
-    f = algebra.field
     out = {}
-    for x, row in enumerate(algebra.table):
-        for y, prod in enumerate(row):
-            for e, c in enumerate(prod):
-                if not f.is_zero(c):
-                    out.setdefault(e, []).append((x, y, c))
+    for x, row in enumerate(algebra.products):
+        for y, terms in enumerate(row):
+            for e, c in terms:
+                out.setdefault(e, []).append((x, y, c))
     return out
 
 
@@ -167,7 +154,7 @@ def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
 
     for x, act in enumerate(source.action):
         for r, row in enumerate(act.data):
-            if not f.is_zero(row[r0]):
+            if row[r0]:
                 put(((x,) + args, r, c0), row[r0])
     for k, e in enumerate(args):
         for x, y, v in onto.get(e, ()):
@@ -175,7 +162,7 @@ def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
                 v if k % 2 else f.neg(v))
     for x, act in enumerate(target.action):
         for c, v in enumerate(act.data[c0]):
-            if not f.is_zero(v):
+            if v:
                 put((args + (x,), r0, c), v if len(args) % 2 else f.neg(v))
     return out
 
@@ -195,7 +182,6 @@ def coboundary_2(algebra, source, target):
     for the flatten2 coordinate k of a 2-cochain, lists (flat index of
     the (a, b, g) triple entry, coefficient) of delta of that unit
     cochain.  Built once per block; is_two_cocycle reads it."""
-    f = algebra.field
     n, di, dj = algebra.dim, source.dim, target.dim
     onto = _products_onto(algebra)
     cols = []
@@ -206,8 +192,7 @@ def coboundary_2(algebra, source, target):
                     delta = _unit_coboundary(algebra, source, target, onto,
                                              (a, b), r, c)
                     cols.append([(_flat_index(n, di, dj, key), v)
-                                 for key, v in delta.items()
-                                 if not f.is_zero(v)])
+                                 for key, v in delta.items() if v])
     return cols
 
 
@@ -217,7 +202,7 @@ def is_two_cocycle(algebra, coch, d2):
     f = algebra.field
     acc = {}
     for x, col in zip(flatten2(algebra, coch), d2):
-        if f.is_zero(x):
+        if not x:
             continue
         for t, v in col:
             acc[t] = f.add(acc.get(t, f.zero), f.mul(x, v))

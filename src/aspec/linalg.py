@@ -1,18 +1,28 @@
-"""Dense exact linear algebra over the scalar fields.
+"""Exact linear algebra over the scalar fields, dense rows, zero-skipping.
 
 Everything downstream (Ext groups, hulls, section algebras) reduces to
 rref, kernels, quotients and coordinates in a fixed basis (`Span`) over
 Q or F_p.  Pivoting is deterministic (first nonzero entry in column
 order) so all chosen bases are reproducible run to run.
+
+Rows are dense lists, but every inner loop touches only nonzero
+scalars: scalars are normalized (see fields.py), so a falsy entry is a
+true zero and is skipped without a field call.  Decisions that shape a
+result (the pivot choice, a zero verdict) confirm with `field.is_zero`.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .errors import DimensionError, ValidationError
 
 
 class Mat:
-    """Immutable-by-convention dense matrix; rows of field scalars."""
+    """Immutable-by-convention dense matrix; rows of normalized field
+    scalars.  `Mat(field, data)` normalizes its input; results of the
+    operations are built by `_of`, which keeps the scalars the field
+    operations produced."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -30,9 +40,20 @@ class Mat:
             self.cols = 0 if cols is None else cols
 
     @classmethod
+    def _of(cls, field, data, cols):
+        """A matrix over `data` itself: rows of normalized scalars, each
+        `cols` long."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zeros(cls, field, rows, cols):
         z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._of(field, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, field, n):
@@ -40,9 +61,6 @@ class Mat:
         for i in range(n):
             m.data[i][i] = field.one
         return m
-
-    def copy(self):
-        return Mat(self.field, self.data, cols=self.cols)
 
     def __eq__(self, other):
         return (
@@ -57,24 +75,26 @@ class Mat:
         return f"Mat({self.field}, {self.rows}x{self.cols})"
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        is_zero = self.field.is_zero
+        return all(not x or is_zero(x) for row in self.data for x in row)
 
     def add(self, other):
         self._check_shape(other, same=True)
         f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return Mat._of(f, [vec_add(f, r1, r2)
+                           for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def sub(self, other):
         self._check_shape(other, same=True)
         f = self.field
-        return Mat(f, [[f.sub(a, b) for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)], cols=self.cols)
+        return Mat._of(f, [vec_sub(f, r1, r2)
+                           for r1, r2 in zip(self.data, other.data)], self.cols)
 
     def scale(self, c):
         f = self.field
-        return Mat(f, [[f.mul(c, x) for x in row] for row in self.data], cols=self.cols)
+        if not c:
+            return Mat.zeros(f, self.rows, self.cols)
+        return Mat._of(f, [vec_scale(f, c, row) for row in self.data], self.cols)
 
     def mul(self, other):
         self.field.same(other.field)
@@ -83,40 +103,49 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
         out = Mat.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = row[k]
-                if f.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    orow[j] = f.add(orow[j], f.mul(a, brow[j]))
+        for row, orow in zip(self.data, out.data):
+            for a, brow in zip(row, other.data):
+                if a:
+                    _add_scaled(f, orow, a, brow)
         return out
 
     def transpose(self):
-        return Mat(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                for j in range(self.cols)], cols=self.rows)
+        if not self.rows:
+            return Mat._of(self.field, [[] for _ in range(self.cols)], 0)
+        return Mat._of(self.field, [list(col) for col in zip(*self.data)],
+                       self.rows)
 
-    def apply_col(self, v):
-        """Matrix times column vector: M.v (len cols) -> (len rows)."""
-        if len(v) != self.cols:
-            raise DimensionError("column-vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.data:
-            s = f.zero
-            for a, x in zip(row, v):
-                if not f.is_zero(a):
-                    s = f.add(s, f.mul(a, x))
-            out.append(s)
-        return out
+    def apply_row(self, v):
+        """Row vector times matrix: v.M (len rows) -> (len cols)."""
+        if len(v) != self.rows:
+            raise DimensionError("row-vector length mismatch")
+        return _combination(self.field, v, self.data, self.cols)
 
     def _check_shape(self, other, same=False):
         self.field.same(other.field)
         if same and (self.rows != other.rows or self.cols != other.cols):
             raise DimensionError("shape mismatch")
+
+
+def _eliminate(field, row, c, prow, support):
+    """row -= c * prow in place, on the columns of prow's `support`."""
+    sub, mul, neg = field.sub, field.mul, field.neg
+    for j in support:
+        x = row[j]
+        t = mul(c, prow[j])
+        row[j] = sub(x, t) if x else neg(t)
+
+
+def _normalize_pivot(field, row, j):
+    """Scale `row` in place so that its entry at the pivot column j is 1;
+    return the support of the result (its nonzero columns from j on)."""
+    support = [k for k in range(j, len(row)) if row[k]]
+    if row[j] != field.one:
+        inv = field.inv(row[j])
+        mul = field.mul
+        for k in support:
+            row[k] = mul(inv, row[k])
+    return support
 
 
 def rref(m):
@@ -126,34 +155,32 @@ def rref(m):
     result is idempotent under rref.
     """
     f = m.field
-    r = m.copy()
+    data = [list(row) for row in m.data]
+    nrows = len(data)
     pivots = []
     piv_row = 0
-    for col in range(r.cols):
+    for col in range(m.cols):
         sel = None
-        for i in range(piv_row, r.rows):
-            if not f.is_zero(r.data[i][col]):
+        for i in range(piv_row, nrows):
+            x = data[i][col]
+            if x and not f.is_zero(x):
                 sel = i
                 break
         if sel is None:
             continue
         if sel != piv_row:
-            r.data[piv_row], r.data[sel] = r.data[sel], r.data[piv_row]
-        inv = f.inv(r.data[piv_row][col])
-        r.data[piv_row] = [f.mul(inv, x) for x in r.data[piv_row]]
-        for i in range(r.rows):
-            if i == piv_row:
-                continue
-            c = r.data[i][col]
-            if f.is_zero(c):
-                continue
-            prow = r.data[piv_row]
-            r.data[i] = [f.sub(x, f.mul(c, px)) for x, px in zip(r.data[i], prow)]
+            data[piv_row], data[sel] = data[sel], data[piv_row]
+        prow = data[piv_row]
+        support = _normalize_pivot(f, prow, col)
+        for i, row in enumerate(data):
+            c = row[col]
+            if c and i != piv_row:
+                _eliminate(f, row, c, prow, support)
         pivots.append(col)
         piv_row += 1
-        if piv_row == r.rows:
+        if piv_row == nrows:
             break
-    return r, pivots, len(pivots)
+    return Mat._of(f, data, m.cols), pivots, len(pivots)
 
 
 def rank(m):
@@ -164,13 +191,17 @@ def kernel_basis(m):
     """Basis of the right null space {v : m.v = 0}; len = cols - rank."""
     f = m.field
     r, pivots, rk = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for j in free:
+    for j in range(m.cols):
+        if j in pivot_set:
+            continue
         v = [f.zero] * m.cols
         v[j] = f.one
         for i, pc in enumerate(pivots):
-            v[pc] = f.neg(r.data[i][j])
+            x = r.data[i][j]
+            if x:
+                v[pc] = f.neg(x)
         basis.append(v)
     return basis
 
@@ -181,52 +212,60 @@ def row_space_basis(field, vectors, length=None):
         return []
     mat = Mat(field, vectors, cols=length)
     r, pivots, rk = rref(mat)
-    return [r.data[i] for i in range(rk)]
+    return r.data[:rk]
 
 
 class _Echelon:
-    """Incremental echelon structure for building quotient bases."""
+    """Incremental echelon structure for building quotient bases.
+
+    Each row keeps its support, the list of its nonzero columns, so a
+    reduction touches only those."""
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
         self.rows = []       # echelonized rows
         self.pivots = []     # pivot column per row
+        self.supports = []   # nonzero columns per row, ascending
 
     def reduce(self, v):
+        """v minus its combination of the rows.  A v shorter than the
+        rows is reduced on its own columns only (the head of each row)."""
         f = self.field
         v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
+        n = len(v)
+        for row, pc, support in zip(self.rows, self.pivots, self.supports):
             c = v[pc]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, rx)) for x, rx in zip(v, row)]
+            if c:
+                if len(row) > n:
+                    support = support[:bisect_left(support, n)]
+                _eliminate(f, v, c, row, support)
         return v
 
     def insert(self, v):
         """Reduce and insert; returns pivot column or None if v was in span."""
         f = self.field
         v = self.reduce(v)
-        for j in range(self.ncols):
-            if not f.is_zero(v[j]):
-                inv = f.inv(v[j])
-                v = [f.mul(inv, x) for x in v]
-                # back-substitute into existing rows
-                for idx, row in enumerate(self.rows):
-                    c = row[j]
-                    if not f.is_zero(c):
-                        self.rows[idx] = [f.sub(x, f.mul(c, vx))
-                                          for x, vx in zip(row, v)]
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < j:
-                    pos += 1
-                self.rows.insert(pos, v)
-                self.pivots.insert(pos, j)
-                return j
-        return None
+        j = next((j for j in range(self.ncols)
+                  if v[j] and not f.is_zero(v[j])), None)
+        if j is None:
+            return None
+        support = _normalize_pivot(f, v, j)
+        # back-substitute into existing rows
+        for idx, row in enumerate(self.rows):
+            c = row[j]
+            if c:
+                _eliminate(f, row, c, v, support)
+                merged = sorted(set(self.supports[idx]).union(support))
+                self.supports[idx] = [k for k in merged if row[k]]
+        pos = bisect_left(self.pivots, j)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, j)
+        self.supports.insert(pos, support)
+        return j
 
     def contains(self, v):
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(v))
+        return vec_is_zero(self.field, self.reduce(v))
 
     def dim(self):
         return len(self.rows)
@@ -258,10 +297,10 @@ class Span:
         r = self._ech.reduce(list(v) + [f.zero] * self.count)
         if not vec_is_zero(f, r[:self.length]):
             return None
-        return [f.neg(x) for x in r[self.length:]]
+        return [f.neg(x) if x else x for x in r[self.length:]]
 
     def contains(self, v):
-        # reduce() zips v with the longer tagged rows: only the head is kept
+        # v is shorter than the tagged rows: reduce() keeps only the head
         self._check(v)
         return vec_is_zero(self.field, self._ech.reduce(v))
 
@@ -300,13 +339,39 @@ def quotient_basis(field, space, sub, length=None):
 
 
 def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
+    add = field.add
+    return [(add(a, b) if a else b) if b else a for a, b in zip(u, v)]
+
+def vec_sub(field, u, v):
+    sub, neg = field.sub, field.neg
+    return [(sub(a, b) if a else neg(b)) if b else a for a, b in zip(u, v)]
 
 def vec_scale(field, c, v):
-    return [field.mul(c, x) for x in v]
+    if not c:
+        return [field.zero] * len(v)
+    mul = field.mul
+    return [mul(c, x) if x else x for x in v]
+
+def _add_scaled(field, out, c, v):
+    """out += c * v in place, on the nonzero entries of v."""
+    add, mul = field.add, field.mul
+    for j, x in enumerate(v):
+        if x:
+            t = mul(c, x)
+            o = out[j]
+            out[j] = add(o, t) if o else t
+
+def _combination(field, coeffs, vectors, n):
+    """sum_k coeffs[k] * vectors[k] for vectors of length n."""
+    out = [field.zero] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            _add_scaled(field, out, c, v)
+    return out
 
 def vec_is_zero(field, v):
-    return all(field.is_zero(x) for x in v)
+    is_zero = field.is_zero
+    return all(not x or is_zero(x) for x in v)
 
 def zero_vec(field, n):
     return [field.zero] * n

@@ -17,14 +17,12 @@ from .linalg import (
     Mat,
     Span,
     _Echelon,
+    _combination,
     kernel_basis,
     quotient_basis,
     rank,
     row_space_basis,
     unit_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 
 
@@ -46,6 +44,10 @@ class ModuleRep:
         if rows != cols:
             raise ValidationError(f"module {name!r}: action matrices not square")
         self.dim = rows
+        # the nonzero entries (i, j, x) of each action matrix, for act
+        self._entries = [[(i, j, x) for i, row in enumerate(m.data)
+                          for j, x in enumerate(row) if x]
+                         for m in self.action]
         if validate:
             self.validate()
 
@@ -67,10 +69,16 @@ class ModuleRep:
     def act(self, elem):
         """Action matrix of a coordinate vector over the algebra basis."""
         f = self.algebra.field
+        add, mul = f.add, f.mul
         out = Mat.zeros(f, self.dim, self.dim)
-        for c, m in zip(elem, self.action):
-            if not f.is_zero(c):
-                out = out.add(m.scale(c))
+        rows = out.data
+        for c, entries in zip(elem, self._entries):
+            if c:
+                for i, j, x in entries:
+                    t = mul(c, x)
+                    row = rows[i]
+                    o = row[j]
+                    row[j] = add(o, t) if o else t
         return out
 
     def __repr__(self):
@@ -103,12 +111,8 @@ class QuotientModuleRep(ModuleRep):
         self._span = Span(f, self.rep_rows + [list(v) for v in sub_rows],
                           ambient.dim)
         mats = []
-        for i in range(A.dim):
-            act = ambient.action[i]
-            rows = []
-            for v in self.rep_rows:
-                w = act.transpose().apply_col(v)
-                rows.append(self.project(w))
+        for act in ambient.action:
+            rows = [self.project(act.apply_row(v)) for v in self.rep_rows]
             mats.append(Mat(f, rows, cols=len(self.rep_rows)))
         super().__init__(A, mats, name=name, validate=False)
 
@@ -176,10 +180,13 @@ def hom_A(m, n):
         for i in range(dm):
             for j in range(dn):
                 row = [f.zero] * (dm * dn)
-                for k in range(dm):
-                    row[k * dn + j] = f.add(row[k * dn + j], Xm.data[i][k])
+                for k, x in enumerate(Xm.data[i]):
+                    if x:
+                        row[k * dn + j] = f.add(row[k * dn + j], x)
                 for k in range(dn):
-                    row[i * dn + k] = f.sub(row[i * dn + k], Xn.data[k][j])
+                    x = Xn.data[k][j]
+                    if x:
+                        row[i * dn + k] = f.sub(row[i * dn + k], x)
                 rows.append(row)
     mat = Mat(f, rows, cols=dm * dn)
     out = []
@@ -297,11 +304,7 @@ def is_field(alg):
         return len(fixed) == 1
     bound = alg.dim * alg.dim * (alg.dim - 1) // 2 + 2
     for t in range(bound):
-        theta = zero_vec(f, alg.dim)
-        power = f.one
-        for i in range(alg.dim):
-            theta = vec_add(f, theta, vec_scale(f, power, alg.basis_vector(i)))
-            power = f.mul(power, f.of_int(t))
+        theta = [f.of_int(t ** i) for i in range(alg.dim)]
         mp = min_poly_of_matrix(alg.left_mult_matrix(theta))
         if len(mp) - 1 == alg.dim:
             factors = factor_univariate(f, mp)
@@ -330,11 +333,7 @@ def check_algebra_map(f_map, source, target):
     if f != target.field:
         raise ValidationError("algebra map across different fields")
     def apply(x):
-        out = zero_vec(f, target.dim)
-        for c, row in zip(x, f_map):
-            if not f.is_zero(c):
-                out = vec_add(f, out, vec_scale(f, c, row))
-        return out
+        return _combination(f, x, f_map, target.dim)
     if apply(source.unit) != target.unit:
         raise ValidationError("map does not preserve 1")
     for i in range(source.dim):

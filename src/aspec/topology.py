@@ -15,7 +15,15 @@ from .errors import (
     UnsupportedAlgebraError,
 )
 from .hull import ExtData, base_algebra_of, hull, o_algebra
-from .linalg import Mat, Span, kernel_basis, rank, row_space_basis, unit_vec
+from .linalg import (
+    Mat,
+    Span,
+    _combination,
+    kernel_basis,
+    rank,
+    row_space_basis,
+    unit_vec,
+)
 from .modules import (
     ModuleRep,
     QuotientModuleRep,
@@ -459,11 +467,7 @@ def _universal_map(field, src, dst, src_dim, dst_dim, name):
     span = Span(f, src, src_dim)
 
     def image(coeffs):
-        out = [f.zero] * dst_dim
-        for c, row in zip(coeffs, dst):
-            if not f.is_zero(c):
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return out
+        return _combination(f, coeffs, dst, dst_dim)
 
     # ker(rho_src) is spanned by e_k - coords(src[k]), one per src[k]
     # that depends on the earlier ones

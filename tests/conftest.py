@@ -128,3 +128,18 @@ def resolutions_built(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     return built
+
+
+@pytest.fixture
+def field_muls(monkeypatch):
+    """One entry per field multiplication (over Q or any F_p) made
+    during the test, after the fixture is set up."""
+    from aspec.fields import PrimeField, RationalField
+    calls = []
+    for cls in (RationalField, PrimeField):
+        def counting_mul(self, a, b, _mul=cls.mul):
+            calls.append(self)
+            return _mul(self, a, b)
+
+        monkeypatch.setattr(cls, "mul", counting_mul)
+    return calls

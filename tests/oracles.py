@@ -769,3 +769,89 @@ class FrameEchelon:
             if p in out:
                 out = self._axpy(out[p], row, out)
         return out
+
+
+# -- dense exact linear algebra: the reference for the zero-skipping kernels --
+
+
+def dense_rref(field, rows, ncols):
+    """(R, pivot columns) of the given rows by dense Gauss-Jordan: every
+    entry of every touched row goes through the field operations."""
+    f = field
+    r = [[f.normalize(x) for x in row] for row in rows]
+    pivots = []
+    piv_row = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(piv_row, len(r)):
+            if not f.is_zero(r[i][col]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        r[piv_row], r[sel] = r[sel], r[piv_row]
+        inv = f.inv(r[piv_row][col])
+        r[piv_row] = [f.mul(inv, x) for x in r[piv_row]]
+        for i in range(len(r)):
+            c = r[i][col]
+            if i == piv_row or f.is_zero(c):
+                continue
+            r[i] = [f.sub(x, f.mul(c, px)) for x, px in zip(r[i], r[piv_row])]
+        pivots.append(col)
+        piv_row += 1
+        if piv_row == len(r):
+            break
+    return r, pivots
+
+
+class DenseEchelon:
+    """Incremental dense echelon: each reduction and back-substitution
+    rewrites whole rows.  A vector shorter than the rows is reduced on
+    its head (zip keeps the shorter length)."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, v):
+        f = self.field
+        v = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = v[pc]
+            if not f.is_zero(c):
+                v = [f.sub(x, f.mul(c, rx)) for x, rx in zip(v, row)]
+        return v
+
+    def insert(self, v):
+        f = self.field
+        v = self.reduce(v)
+        for j in range(self.ncols):
+            if not f.is_zero(v[j]):
+                inv = f.inv(v[j])
+                v = [f.mul(inv, x) for x in v]
+                for idx, row in enumerate(self.rows):
+                    c = row[j]
+                    if not f.is_zero(c):
+                        self.rows[idx] = [f.sub(x, f.mul(c, vx))
+                                          for x, vx in zip(row, v)]
+                pos = sum(1 for p in self.pivots if p < j)
+                self.rows.insert(pos, v)
+                self.pivots.insert(pos, j)
+                return j
+        return None
+
+    def contains(self, v):
+        return all(self.field.is_zero(x) for x in self.reduce(v))
+
+
+def dense_algebra_mul(alg, x, y):
+    """x * y by the triple loop over alg.table, every product formed."""
+    f = alg.field
+    out = [f.zero] * alg.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, t in enumerate(alg.table[i][j]):
+                out[k] = f.add(out[k], f.mul(f.mul(xi, yj), t))
+    return out

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,14 @@ from conftest import (
     make_lower_triangular,
     make_split_quadratic,
 )
-from oracles import FpAlgebra, enumerate_paths, nil_ideal_radical
+from oracles import (
+    FpAlgebra,
+    dense_algebra_mul,
+    enumerate_paths,
+    nil_ideal_radical,
+)
+
+EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
 
 
 def test_one_vertex_is_k():
@@ -338,3 +346,35 @@ def test_infinite_dimensional_error_carries_degree():
     with pytest.raises(InfiniteDimensionalError) as exc:
         from_quiver(q, max_degree=8)
     assert exc.value.degree is not None
+
+
+def _structure_constant_algebras():
+    """Every finite-dimensional docs/examples algebra (the poly_ring
+    example is k[x], which has no structure table), and A4 over F5."""
+    from aspec.cli import parse
+    out = []
+    for path in sorted(EXAMPLES.glob("*.txt")):
+        alg = parse(path.read_text()).algebra
+        if isinstance(alg, Algebra):
+            out.append(pytest.param(alg, id=path.stem))
+    a4 = from_quiver(QuiverPresentation(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")]), field=GF(5))
+    out.append(pytest.param(a4, id="A4-F5"))
+    return out
+
+
+@pytest.mark.parametrize("alg", _structure_constant_algebras())
+def test_sparse_product_matches_the_dense_triple_loop(alg):
+    f = alg.field
+    rng = random.Random(37)
+    scalars = [0, 0, 0, 1, -1, 2, Fraction(1, 2)] if f == QQ else [0, 0] + list(range(5))
+
+    def element():
+        return [f.normalize(rng.choice(scalars)) for _ in range(alg.dim)]
+
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    pairs = [(x, y) for x in basis for y in basis]
+    pairs += [(element(), element()) for _ in range(60)]
+    for x, y in pairs:
+        assert alg.mul(x, y) == dense_algebra_mul(alg, x, y)

@@ -357,6 +357,27 @@ def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
     assert len(hull_builds) == builds
 
 
+def test_verify_a2_field_multiplications(field_muls):
+    """A work regression fails here, not only in a benchmark: the field
+    multiplications of parsing a2_quiver.txt and running `verify` on it.
+    The dense kernels made 2818; the zero-skipping ones make 1146."""
+    report = run("verify", parse((EXAMPLES / "a2_quiver.txt").read_text()))
+    assert not report.failed
+    assert len(field_muls) <= 1700
+
+
+@pytest.mark.parametrize("command", [
+    "ext", "hull", "oalg", "aspec", "dset", "stalk", "verify"])
+def test_poly_ring_without_points_has_one_message(tmp_path, capsys, command):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("field Q\nalgebra poly_ring\n  var x\nend\n",
+                   encoding="utf-8")
+    extra = ["--elem", "x"] if command == "dset" else []
+    assert main([command, "--input", str(doc)] + extra) == 2
+    assert capsys.readouterr().err == \
+        "input error: poly_ring commands need declared points\n"
+
+
 @pytest.mark.parametrize("text, command, order, built", [
     ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", None, 2),
     ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", None, 6),

@@ -16,7 +16,13 @@ from aspec.linalg import (
     row_space_basis,
     rref,
 )
-from oracles import naive_gauss_rank, rank_by_minors, solve_by_augmented_rref
+from oracles import (
+    DenseEchelon,
+    dense_rref,
+    naive_gauss_rank,
+    rank_by_minors,
+    solve_by_augmented_rref,
+)
 
 
 def test_rref_identity():
@@ -90,7 +96,7 @@ def test_kernel_vectors_annihilate():
     for _ in range(20):
         m = Mat(f, [[rng.randrange(5) for _ in range(5)] for _ in range(3)])
         for v in kernel_basis(m):
-            assert all(x == 0 for x in m.apply_col(v))
+            assert all(x == 0 for x in m.transpose().apply_row(v))
         # linear independence
         basis = kernel_basis(m)
         if basis:
@@ -253,3 +259,100 @@ def test_rank_f7_against_minor_expansion():
         rows = [[rng.randrange(7) for _ in range(5)] for _ in range(5)]
         m = Mat(f, rows)
         assert rank(m) == rank_by_minors_mod_p(rows, 7)
+
+
+# -- the zero-skipping kernels against the dense reference ------------------
+
+_Q_NONZERO = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(field, rows, ncols, sub, b): a matrix over Q or F_7 with about a
+    fifth of its entries nonzero, some rows and columns zero and some
+    rows sums of earlier ones; `sub` spans part of its row space and b
+    is a combination of its rows or a random vector."""
+    f = draw(st.sampled_from([QQ, GF(7)]))
+    nonzero = _Q_NONZERO if f == QQ else list(range(1, 7))
+    entries = st.sampled_from([0] * (4 * len(nonzero)) + nonzero)
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 8))
+    zero_rows = draw(st.sets(st.integers(0, nrows), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=2))
+    rows = []
+    for i in range(nrows):
+        if rows and draw(st.integers(0, 4)) == 0:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([f.add(x, y) for x, y in zip(u, v)])
+        elif i in zero_rows:
+            rows.append([f.zero] * ncols)
+        else:
+            rows.append([f.zero if j in zero_cols else f.normalize(draw(entries))
+                         for j in range(ncols)])
+
+    def combination():
+        out = [f.zero] * ncols
+        for row in rows:
+            c = f.normalize(draw(entries))
+            out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
+        return out
+
+    sub = [combination() for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        b = combination()
+    else:
+        b = [f.normalize(draw(entries)) for _ in range(ncols)]
+    return f, rows, ncols, sub, b
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_sparse_systems())
+def test_sparse_kernels_match_the_dense_reference(system):
+    f, rows, ncols, sub, b = system
+    # repr tells Fraction(0) from 0, so equal reprs mean equal scalars of
+    # equal types
+    same = lambda x, y: repr(x) == repr(y)
+    want_r, want_pivots = dense_rref(f, rows, ncols)
+    r, pivots, rk = rref(Mat(f, rows, cols=ncols))
+    assert same(r.data, want_r) and pivots == want_pivots
+
+    want_kernel = []
+    for j in range(ncols):
+        if j not in want_pivots:
+            v = [f.zero] * ncols
+            v[j] = f.one
+            for i, pc in enumerate(want_pivots):
+                v[pc] = f.neg(want_r[i][j])
+            want_kernel.append(v)
+    assert same(kernel_basis(Mat(f, rows, cols=ncols)), want_kernel)
+    assert same(row_space_basis(f, rows, length=ncols),
+                want_r[:len(want_pivots)])
+
+    ech = DenseEchelon(f, ncols)
+    for v in sub:
+        ech.insert(v)
+    want_reps = [list(v) for v in rows if ech.insert(v) is not None]
+    assert same(quotient_basis(f, rows, sub, length=ncols), want_reps)
+
+    # Span: tagged dense rows, solved on the head
+    tagged = DenseEchelon(f, ncols)
+    for k, v in enumerate(rows):
+        tagged.insert(list(v) + [f.one if i == k else f.zero
+                                 for i in range(len(rows))])
+    span = Span(f, rows, ncols)
+    red = tagged.reduce(list(b) + [f.zero] * len(rows))
+    if all(f.is_zero(x) for x in red[:ncols]):
+        want_coords = [f.neg(x) for x in red[ncols:]]
+    else:
+        want_coords = None
+    assert same(span.coords(b), want_coords)
+    # b is shorter than the tagged rows: only its head is reduced
+    assert span.contains(b) == tagged.contains(b)
+    assert span.contains(b) == (want_coords is not None)
+
+
+def test_public_mat_normalizes_its_input():
+    f5 = GF(5)
+    assert Mat(f5, [[7, -1]]).data == [[2, 4]]
+    m = Mat(QQ, [[1, 0], [-2, 3]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
