@@ -424,7 +424,12 @@ def split_commutative_semisimple(alg):
 
 def from_structure_constants(field, labels, table, unit, idempotents=None,
                              validate=True):
-    """Validated Algebra from raw structure constants."""
+    """Validated Algebra from raw structure constants, normalized."""
+    norm = field.normalize
+    table = [[[norm(c) for c in v] for v in row] for row in table]
+    unit = [norm(c) for c in unit]
+    if idempotents:
+        idempotents = [[norm(c) for c in e] for e in idempotents]
     return Algebra(field, labels, table, unit, idempotents=idempotents,
                    validate=validate)
 

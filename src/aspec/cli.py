@@ -427,11 +427,6 @@ def _parse_options(doc, lines, pos, error):
     return pos
 
 
-def serialize(doc):
-    """Canonical text of the parsed document (round-trips through parse)."""
-    return doc.text
-
-
 # -- report assembly -----------------------------------------------------------
 
 

@@ -3,12 +3,18 @@
 Scalars are plain Python values; a Field object supplies the operations.
 No floating point anywhere.
 
-Scalars are kept normalized: a Fraction over Q, an int in 0..p-1 over
-F_p.  Every operation returns a normalized scalar, and `normalize` (which
-the public `Mat` constructor applies) brings outside input into that
-form.  A normalized scalar is falsy exactly when it is zero, so the
-kernels of linalg.py skip zero entries by truthiness, without a field
-call; `is_zero` also accepts unnormalized input and decides the results.
+Scalars are kept normalized.  Over Q a scalar is an `int` when its
+denominator is 1 and a reduced `Fraction` with denominator > 1
+otherwise; over F_p it is an int in 0..p-1.  Every operation returns a
+normalized scalar, and `normalize` (which the public `Mat` constructor,
+the parsers and the sympy converters apply) brings outside input into
+that form; it refuses a float.  Since an integral rational is a plain
+int, a bare `/` on two scalars gives a float: it is a bug, and `div` or
+`inv` is the only division.
+
+A normalized scalar is falsy exactly when it is zero, so the kernels of
+linalg.py skip zero entries by truthiness, without a field call;
+`is_zero` also accepts unnormalized input and decides the results.
 """
 
 from __future__ import annotations
@@ -45,20 +51,35 @@ class Field:
 
 
 class RationalField(Field):
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def normalize(self, a):
-        return a if isinstance(a, Fraction) else Fraction(a)
+        """An int, or a Fraction with denominator > 1."""
+        if type(a) is int:
+            return a
+        if isinstance(a, float):
+            raise TypeError(f"a float is not an exact scalar: {a!r}")
+        a = Fraction(a)
+        return a.numerator if a.denominator == 1 else a
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def neg(self, a):
         return -a
@@ -66,22 +87,22 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return self.normalize(1 / Fraction(a))
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return Fraction(a) / b
+        return self.normalize(Fraction(a) / b)
 
     def of_int(self, n):
-        return Fraction(n)
+        return self.normalize(n)
 
     def is_zero(self, a):
         return a == 0
 
     def parse(self, text):
         try:
-            return Fraction(text.strip())
+            return self.normalize(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational scalar {text!r}") from exc
 

@@ -34,7 +34,14 @@ from .hochschild import (
     two_cocycle_classes_independent,
     two_cocycle_span,
 )
-from .linalg import Mat, Span, kernel_basis, row_space_basis, unit_vec
+from .linalg import (
+    Mat,
+    Span,
+    _Echelon,
+    kernel_basis,
+    row_space_basis,
+    unit_vec,
+)
 from .modules import ModuleRep, is_simple
 from .rewrite import Rewriter, deglex
 
@@ -799,12 +806,22 @@ def maximal_ideals(o):
 
 
 def _two_sided_ideal(o_alg, idx):
-    """Basis of O * o_idx * O, the products u * o_idx * v formed with the
-    structure table of O."""
+    """Basis (in rref) of O * o_idx * O: span(o_idx) closed under left and
+    right multiplication by the basis of O, one layer of new products at
+    a time, until a layer adds nothing or the span is all of O."""
+    ech = _Echelon(o_alg.field, o_alg.dim)
     basis = [o_alg.basis_vector(t) for t in range(o_alg.dim)]
-    vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
-            for u in basis for v in basis]
-    return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
+    layer = [basis[idx]]
+    ech.insert(basis[idx])
+    while layer and ech.dim() < o_alg.dim:
+        new = []
+        for x in layer:
+            for b in basis:
+                for v in (o_alg.mul(b, x), o_alg.mul(x, b)):
+                    if ech.insert(v) is not None:
+                        new.append(v)
+        layer = new
+    return ech.rows
 
 
 def base_algebra_of(algebra, o, names):

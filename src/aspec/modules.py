@@ -362,17 +362,6 @@ def is_local(algebra):
         "locality undecidable: noncommutative semisimple quotient")
 
 
-def verify_spectral_witness(point, source):
-    """Re-check a contraction point's stored witness: the map is a
-    homomorphism to a local algebra and re-running the contraction gives
-    an isomorphic module."""
-    if point.provenance != "contraction" or not point.witness:
-        raise ValidationError("point carries no contraction witness")
-    wit = point.witness
-    redone = contraction(wit["map"], source, wit["target"])
-    return is_isomorphic(redone.module, point.module)
-
-
 def contraction(f_map, source, local_target, name=None):
     """Contraction of the unique simple of a local algebra along a map.
 

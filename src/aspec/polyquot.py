@@ -2,12 +2,11 @@
 
 Small Buchberger completion in degree-lexicographic order; quotients
 must be finite-dimensional (detected via pure powers in the leading
-ideal).  Univariate factorization is delegated to sympy.
+ideal).  Univariate factorization is delegated to sympy, which is
+imported only when a polynomial is factored.
 """
 
 from __future__ import annotations
-
-import sympy
 
 from .algebra import Algebra
 from .errors import InfiniteDimensionalError, InputError, InternalInvariantError
@@ -85,7 +84,7 @@ def groebner(field, polys, nvars):
     """Buchberger with deglex order; returns reduced generator pairs."""
     gens = []
     for p in polys:
-        p = poly_clean(field, p)
+        p = poly_clean(field, {m: field.normalize(c) for m, c in p.items()})
         if p:
             gens.append((p, leading(p)))
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
@@ -235,6 +234,7 @@ def min_poly_of_matrix(m):
 
 
 def _to_sympy_poly(field, coeffs, x):
+    import sympy
     if characteristic(field) == 0:
         expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
         return sympy.Poly(expr, x, domain="QQ")
@@ -243,16 +243,16 @@ def _to_sympy_poly(field, coeffs, x):
 
 
 def _from_sympy_poly(field, poly):
+    """The coefficients of a sympy polynomial as normalized scalars."""
     coeffs = poly.all_coeffs()[::-1]
     if characteristic(field) == 0:
-        from fractions import Fraction
-        return [Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-                for c in coeffs]
-    return [int(c) % field.p for c in coeffs]
+        return [field.div(int(c.p), int(c.q)) for c in coeffs]
+    return [field.normalize(int(c)) for c in coeffs]
 
 
 def factor_univariate(field, coeffs):
     """Monic irreducible factors [(coeffs, multiplicity)] of a univariate poly."""
+    import sympy
     x = sympy.Symbol("x")
     poly = _to_sympy_poly(field, coeffs, x)
     _, factors = poly.factor_list()

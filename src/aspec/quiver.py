@@ -80,7 +80,8 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
         poly = {}
         for coeff, path in terms:
             w = q.word_of(path)
-            c = coeff if not isinstance(coeff, (int, str)) else field.parse(str(coeff))
+            c = field.parse(coeff) if isinstance(coeff, str) else \
+                field.normalize(coeff)
             poly[w] = field.add(poly.get(w, field.zero), c)
         rw.add_relation(poly)
 

@@ -30,12 +30,11 @@ from .modules import (
     SpectralPoint,
     check_algebra_map,
     is_isomorphic,
-    is_simple,
     regular_module,
     simple_modules,
 )
 from .polyquot import factor_univariate, poly_reduce
-from .polyring import PointModule, PolyOAlgebra, is_poly_ring
+from .polyring import PolyOAlgebra, is_poly_ring
 
 
 class SectionData:
@@ -167,17 +166,6 @@ class ASpecSpace:
     def is_open(self, subset):
         return frozenset(subset) in set(self.opens())
 
-    def closed_points_report(self):
-        """Which simple points have open complement."""
-        all_pts = frozenset(range(len(self.points)))
-        report = {}
-        opens = set(self.opens())
-        for idx, pt in enumerate(self.points):
-            if not is_simple_point(pt):
-                continue
-            report[idx] = (all_pts - {idx}) in opens
-        return report
-
     # -- sections ----------------------------------------------------------
 
     def sections(self, subset):
@@ -203,13 +191,6 @@ class ASpecSpace:
             sec = SectionData("findim", o_algebra(ohat), key)
         self._sections_cache[key] = sec
         return sec
-
-    def sections_simples_only(self, subset):
-        """The presheaf limit taken over simple points only (reported
-        alongside the all-points version; the definitions differ on
-        spaces with non-simple spectral points)."""
-        return self.family_o_algebra(
-            i for i in subset if is_simple_point(self.points[i]))
 
     # -- restriction maps ----------------------------------------------------
 
@@ -407,14 +388,6 @@ def _compatibility_rows(field, opens, dims, res_of):
                                                 rb.data[i][col])
                 rows.append(row)
     return rows
-
-
-def is_simple_point(pt):
-    if isinstance(pt.module, PointModule):
-        return True
-    if not hasattr(pt, "_is_simple"):
-        pt._is_simple = is_simple(pt.module)
-    return pt._is_simple
 
 
 def space_of_simples(algebra, extra_elements=(), order=None):

@@ -7,17 +7,22 @@ exceptions: the morphism count out of a hull computes in the target
 through the matric algebra `MatricOHat` with 1x1 blocks; the dense
 Hochschild coboundaries multiply the action matrices as `Mat`s one basis
 pair or triple at a time; HH^1, the Ext^1 reference, takes `kernel_basis`
-and `quotient_basis` of the derivation equations; and the smallness of a
-hull tower reads the hull's own normal forms.
+and `quotient_basis` of the derivation equations; the smallness of a
+hull tower reads the hull's own normal forms; the principal ideals by
+all products use O's own multiplication.  The last section holds
+readings of documents, points and spaces that only the tests ask for.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
-from aspec.errors import InputError
+from aspec.errors import InputError, ValidationError
 from aspec.fields import PrimeField
 from aspec.hull import MatricOHat
-from aspec.linalg import Mat, kernel_basis, quotient_basis
+from aspec.linalg import Mat, kernel_basis, quotient_basis, row_space_basis
+from aspec.modules import contraction, is_isomorphic, is_simple
+from aspec.polyring import PointModule
 
 
 def naive_gauss_rank(rows_in, p=None):
@@ -855,3 +860,89 @@ def dense_algebra_mul(alg, x, y):
             for k, t in enumerate(alg.table[i][j]):
                 out[k] = f.add(out[k], f.mul(f.mul(xi, yj), t))
     return out
+
+
+def two_sided_ideal_all_products(o_alg, idx):
+    """Basis of O * o_idx * O from all dim^2 products u * o_idx * v of
+    basis elements: the reference for `hull._two_sided_ideal`, which
+    closes span(o_idx) under multiplication instead."""
+    basis = [o_alg.basis_vector(t) for t in range(o_alg.dim)]
+    vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
+            for u in basis for v in basis]
+    return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
+
+
+# -- the normal form of scalars ------------------------------------------------
+
+
+def is_normal_rational(x):
+    """The normal form of a Q scalar: an int, or a reduced Fraction with
+    denominator > 1."""
+    if type(x) is int:
+        return True
+    return (type(x) is Fraction and x.denominator > 1
+            and gcd(x.numerator, x.denominator) == 1)
+
+
+def abnormal_scalars(obj):
+    """The floats and the Fractions with denominator 1 reachable from obj
+    through containers and the attributes of aspec objects."""
+    seen = set()
+    out = []
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, float) or (isinstance(x, Fraction)
+                                    and x.denominator == 1):
+            out.append(x)
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x)
+            stack.extend(x.values())
+        elif type(x).__module__.startswith("aspec."):
+            stack.extend(getattr(x, "__dict__", {}).values())
+            stack.extend(getattr(x, s) for s in getattr(x, "__slots__", ())
+                         if hasattr(x, s))
+    return out
+
+
+# -- test-only readings of documents, points and spaces ------------------------
+
+
+def serialize(doc):
+    """Canonical text of a parsed document (round-trips through parse)."""
+    return doc.text
+
+
+def verify_spectral_witness(point, source):
+    """Re-check a contraction point's stored witness: the map is a
+    homomorphism to a local algebra and re-running the contraction gives
+    an isomorphic module."""
+    if point.provenance != "contraction" or not point.witness:
+        raise ValidationError("point carries no contraction witness")
+    wit = point.witness
+    redone = contraction(wit["map"], source, wit["target"])
+    return is_isomorphic(redone.module, point.module)
+
+
+def is_simple_point(pt):
+    return isinstance(pt.module, PointModule) or is_simple(pt.module)
+
+
+def closed_points_report(space):
+    """Which simple points of the space have open complement."""
+    all_pts = frozenset(range(len(space.points)))
+    opens = set(space.opens())
+    return {idx: (all_pts - {idx}) in opens
+            for idx, pt in enumerate(space.points) if is_simple_point(pt)}
+
+
+def sections_simples_only(space, subset):
+    """The presheaf limit taken over the simple points of `subset` only
+    (the definitions differ on spaces with non-simple spectral points)."""
+    return space.family_o_algebra(
+        i for i in subset if is_simple_point(space.points[i]))

@@ -141,7 +141,7 @@ def test_parse_unknown_kind():
 
 
 def test_roundtrip_parse_serialize():
-    from aspec.cli import serialize
+    from oracles import serialize
     doc = parse(A2_DOC)
     doc2 = parse(serialize(doc))
     assert doc2.digest() == doc.digest()
@@ -246,15 +246,20 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def run_cli(args):
-    """`python -m aspec.cli` in a child process that imports the same
-    aspec as the tests, installed or not."""
+def run_python(args):
+    """`python <args>` in a child process that imports the same aspec as
+    the tests, installed or not."""
     src = str(Path(cli_module.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
-    return subprocess.run([sys.executable, "-m", "aspec.cli"] + args,
+    return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_cli(args):
+    """`python -m aspec.cli` in a child process."""
+    return run_python(["-m", "aspec.cli"] + args)
 
 
 def test_console_entrypoint(tmp_path):
@@ -295,6 +300,24 @@ def test_golden_outputs(args, golden):
     assert proc.returncode == 0
     expected = (GOLDEN / golden).read_text()
     assert proc.stdout == expected
+
+
+SYMPY_PROBE = """
+import contextlib, io, sys
+import aspec.cli
+assert "sympy" not in sys.modules, "import aspec.cli"
+for path in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert aspec.cli.main(["verify", "--input", path]) == 0, path
+    assert "sympy" not in sys.modules, path
+"""
+
+
+def test_verify_on_the_examples_never_imports_sympy():
+    # sympy is imported only to factor a univariate polynomial
+    proc = run_python(["-c", SYMPY_PROBE] +
+                      [str(p) for p in sorted(EXAMPLES.glob("*.txt"))])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simples_on_poly_ring_is_an_input_error(tmp_path, capsys):

@@ -28,7 +28,13 @@ from conftest import (
     make_kx3,
     make_lower_triangular,
 )
-from oracles import tower_is_small
+from oracles import tower_is_small, two_sided_ideal_all_products
+from test_hull_stress import (
+    make_a4_zero,
+    make_double_loop,
+    make_fat_point,
+    make_kronecker,
+)
 
 
 def test_hull_dual_numbers_is_kt_mod_t2():
@@ -169,7 +175,7 @@ def test_invert_unit_iota_only():
     h = MatricOHat(RPointedAlgebra(QQ, 2, [("t", 0, 1)], 2, []))
     elem = h.iota([QQ.of_int(2), QQ.of_int(-3)])
     inv = invert_unit(h, elem)
-    assert h.equal(inv, h.iota([QQ.one / 2, QQ.neg(QQ.one / 3)]))
+    assert h.equal(inv, h.iota([QQ.div(1, 2), QQ.neg(QQ.div(1, 3))]))
 
 
 def test_invert_unit_rejects_zero_scalar():
@@ -432,3 +438,26 @@ def test_maximal_ideals_work_in_o_coordinates(monkeypatch):
                   for u in elems for v in elems]
         assert _two_sided_ideal(o_alg, idx) == \
             row_space_basis(o.field, direct, length=o.dim)
+
+
+def _ideal_cases():
+    stress = [("kronecker", make_kronecker), ("double_loop", make_double_loop),
+              ("fat_point", make_fat_point),
+              ("a4_zero_at_0", lambda field: make_a4_zero(0, field)),
+              ("a4_zero_at_1", lambda field: make_a4_zero(1, field))]
+    out = []
+    for field in (QQ, GF(5)):
+        out += [pytest.param(alg, id=f"{name}/{field}")
+                for name, alg in corpus(field)]
+        out += [pytest.param(make(field), id=f"{name}/{field}")
+                for name, make in stress]
+    return out
+
+
+@pytest.mark.parametrize("alg", _ideal_cases())
+def test_principal_ideals_by_closure_match_all_products(alg):
+    from aspec.hull import _two_sided_ideal
+    o_alg = o_algebra(hull(alg, simple_modules(alg))[1]).as_algebra()
+    for idx in range(o_alg.dim):
+        assert _two_sided_ideal(o_alg, idx) == \
+            two_sided_ideal_all_products(o_alg, idx), idx

@@ -18,7 +18,9 @@ from aspec.linalg import (
 )
 from oracles import (
     DenseEchelon,
+    abnormal_scalars,
     dense_rref,
+    is_normal_rational,
     naive_gauss_rank,
     rank_by_minors,
     solve_by_augmented_rref,
@@ -232,13 +234,12 @@ def test_span_of_nothing():
 
 
 def test_no_unreduced_fractions():
-    m = Mat(QQ, [[Fraction(2, 4), Fraction(6, 3)]])
+    m = Mat(QQ, [[Fraction(2, 4), Fraction(6, 3), Fraction(1, 3)]])
     r, _, _ = rref(m)
+    assert r.data == [[1, 4, Fraction(2, 3)]]
     for row in r.data:
         for x in row:
-            assert isinstance(x, Fraction)
-            from math import gcd
-            assert gcd(x.numerator, x.denominator) == 1
+            assert is_normal_rational(x)
 
 
 def test_fp_representatives_in_range():
@@ -324,15 +325,17 @@ def test_sparse_kernels_match_the_dense_reference(system):
             for i, pc in enumerate(want_pivots):
                 v[pc] = f.neg(want_r[i][j])
             want_kernel.append(v)
-    assert same(kernel_basis(Mat(f, rows, cols=ncols)), want_kernel)
-    assert same(row_space_basis(f, rows, length=ncols),
-                want_r[:len(want_pivots)])
+    kernel = kernel_basis(Mat(f, rows, cols=ncols))
+    assert same(kernel, want_kernel)
+    basis = row_space_basis(f, rows, length=ncols)
+    assert same(basis, want_r[:len(want_pivots)])
 
     ech = DenseEchelon(f, ncols)
     for v in sub:
         ech.insert(v)
     want_reps = [list(v) for v in rows if ech.insert(v) is not None]
-    assert same(quotient_basis(f, rows, sub, length=ncols), want_reps)
+    reps = quotient_basis(f, rows, sub, length=ncols)
+    assert same(reps, want_reps)
 
     # Span: tagged dense rows, solved on the head
     tagged = DenseEchelon(f, ncols)
@@ -345,14 +348,18 @@ def test_sparse_kernels_match_the_dense_reference(system):
         want_coords = [f.neg(x) for x in red[ncols:]]
     else:
         want_coords = None
-    assert same(span.coords(b), want_coords)
+    coords = span.coords(b)
+    assert same(coords, want_coords)
     # b is shorter than the tagged rows: only its head is reduced
     assert span.contains(b) == tagged.contains(b)
     assert span.contains(b) == (want_coords is not None)
+    # no float and no Fraction with denominator 1 in any output
+    assert abnormal_scalars([r.data, kernel, basis, reps, coords]) == []
 
 
 def test_public_mat_normalizes_its_input():
     f5 = GF(5)
     assert Mat(f5, [[7, -1]]).data == [[2, 4]]
-    m = Mat(QQ, [[1, 0], [-2, 3]])
-    assert all(type(x) is Fraction for row in m.data for x in row)
+    m = Mat(QQ, [[Fraction(4, 2), Fraction(2, 4)], [-2, True]])
+    assert m.data == [[2, Fraction(1, 2)], [-2, 1]]
+    assert all(is_normal_rational(x) for row in m.data for x in row)

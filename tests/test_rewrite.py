@@ -163,11 +163,12 @@ def test_truncated_rewriting_never_shortens_a_word(case):
 
 
 @st.composite
-def acyclic_quivers(draw):
+def acyclic_quivers(draw, fields=(QQ, F5), monomial=False):
     """3 or 4 vertices and up to 6 arrows i -> j with i < j, two of them
     composable, with monomial and commutativity relations on paths of
-    length >= 2."""
-    field = draw(st.sampled_from([QQ, F5]))
+    length >= 2; with `monomial`, zero relations only (one path each,
+    coefficient 1)."""
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(3, 4))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     i, j, k = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3,
@@ -184,11 +185,13 @@ def acyclic_quivers(draw):
     for p in paths:
         by_ends.setdefault((p[0][1], p[-1][2]), []).append(p)
     rels = []
-    coeff = st.integers(1, 4).map(field.of_int)
+    coeff = st.just(field.one) if monomial else \
+        st.integers(1, 4).map(field.of_int)
     for _ in range(draw(st.integers(1, 3)) if paths else 0):
         parallel = by_ends[draw(st.sampled_from(sorted(by_ends)))]
         terms = draw(st.lists(st.sampled_from(range(len(parallel))),
-                              min_size=1, max_size=3, unique=True))
+                              min_size=1, max_size=1 if monomial else 3,
+                              unique=True))
         rels.append([(draw(coeff), [a[0] for a in parallel[t]])
                      for t in terms])
     return field, QuiverPresentation([str(i) for i in range(n)], arrows,

@@ -26,6 +26,7 @@ from conftest import (
     make_kx3,
     make_split_quadratic,
 )
+from oracles import closed_points_report, sections_simples_only
 
 
 def test_d_sets_split_quadratic():
@@ -54,7 +55,7 @@ def test_topology_single_point():
 def test_closed_points():
     for name, alg in corpus():
         space = space_of_simples(alg)
-        report = space.closed_points_report()
+        report = closed_points_report(space)
         assert all(report.values()), name
 
 
@@ -257,7 +258,7 @@ def test_simples_only_variant_coincides_on_corpus():
         space = space_of_simples(alg)
         whole = frozenset(range(len(space.points)))
         a_all = space.sections(whole)
-        a_simp = space.sections_simples_only(whole)
+        a_simp = sections_simples_only(space, whole)
         assert a_all.dim == a_simp.dim, name
 
 
