@@ -116,28 +116,71 @@ class Algebra:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        f = self.field
-        if len(self.unit) != self.dim:
+        """Check the unit axiom, the length of every structure-constant
+        vector and associativity, in that order; the error names the
+        first failing basis element or triple in basis order.
+
+        The associativity check costs the nonzero structure constants,
+        not n^3 products: both sides of (b_i b_j) b_k = b_i (b_j b_k)
+        are summed from `products`, so a triple where b_i b_j and
+        b_j b_k both vanish is never visited.
+        """
+        n = self.dim
+        if len(self.unit) != n:
             raise ValidationError("unit vector has wrong length")
-        for i in range(self.dim):
+        for i in range(n):
             b = self.basis_vector(i)
             if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
                 raise ValidationError(
                     f"unit axiom fails on basis element {self.labels[i]!r}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.table[i][j]
-                if len(ij) != self.dim:
-                    raise ValidationError("structure constant vector length")
-                for k in range(self.dim):
-                    left = self.mul(ij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), self.table[j][k])
-                    if left != right:
-                        raise ValidationError(
-                            "associativity fails on triple "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
+        if any(len(self.table[i][j]) != n
+               for i in range(n) for j in range(n)):
+            raise ValidationError("structure constant vector length")
+        failing = self._associator_failures()
+        if failing:
+            i, j, k = min(failing)
+            raise ValidationError(
+                "associativity fails on triple "
+                f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
         if self.idempotents is not None:
             self.validate_idempotents(self.idempotents)
+
+    def _associator_failures(self):
+        """The triples (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k).
+
+        Each side is a {(i, j, k, m): scalar} table summed over the
+        nonzero structure constants: the left from every nonzero
+        b_i b_j = sum c_l b_l and the nonzero rows b_l b_k, the right from
+        every nonzero b_j b_k = sum c_l b_l and the nonzero columns
+        b_i b_l.  An entry absent from one side is zero there.
+        """
+        f = self.field
+        add, mul = f.add, f.mul
+        n = self.dim
+        products = self.products
+        rows = [[(k, terms) for k, terms in enumerate(products[l]) if terms]
+                for l in range(n)]
+        cols = [[(i, products[i][l]) for i in range(n) if products[i][l]]
+                for l in range(n)]
+        left, right = {}, {}
+
+        def accumulate(side, i, j, k, c, terms):
+            for m, t in terms:
+                t = mul(c, t)
+                key = (i, j, k, m)
+                o = side.get(key)
+                side[key] = add(o, t) if o else t
+
+        for i in range(n):
+            for j in range(n):
+                for l, c in products[i][j]:
+                    for k, terms in rows[l]:
+                        accumulate(left, i, j, k, c, terms)
+                    for h, terms in cols[l]:
+                        accumulate(right, h, i, j, c, terms)
+        zero = f.zero
+        return {key[:3] for key in left.keys() | right.keys()
+                if left.get(key, zero) != right.get(key, zero)}
 
     def validate_idempotents(self, idems):
         f = self.field

@@ -8,9 +8,11 @@ denominator is 1 and a reduced `Fraction` with denominator > 1
 otherwise; over F_p it is an int in 0..p-1.  Every operation returns a
 normalized scalar, and `normalize` (which the public `Mat` constructor,
 the parsers and the sympy converters apply) brings outside input into
-that form; it refuses a float.  Since an integral rational is a plain
-int, a bare `/` on two scalars gives a float: it is a bug, and `div` or
-`inv` is the only division.
+that form; it refuses a float.  Over F_p it maps a rational n/d (a
+`Fraction`, say) to n * d^-1 mod p, and raises ZeroDivisionError when p
+divides d.  Since an integral rational is a plain int, a bare `/` on two
+scalars gives a float: it is a bug, and `div` or `inv` is the only
+division.
 
 A normalized scalar is falsy exactly when it is zero, so the kernels of
 linalg.py skip zero entries by truthiness, without a field call;
@@ -128,7 +130,13 @@ class PrimeField(Field):
         self.one = 1 % p
 
     def normalize(self, a):
-        return a % self.p
+        """An int in 0..p-1; a rational n/d maps to n * d^-1 mod p."""
+        if type(a) is int:
+            return a % self.p
+        if isinstance(a, float):
+            raise TypeError(f"a float is not an exact scalar: {a!r}")
+        a = Fraction(a)
+        return self.div(a.numerator, a.denominator)
 
     def add(self, a, b):
         return (a + b) % self.p

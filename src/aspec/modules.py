@@ -52,19 +52,34 @@ class ModuleRep:
             self.validate()
 
     def validate(self):
+        """Check that 1 acts as the identity and that
+        eta(b_i)eta(b_j) = eta(b_i b_j); the error names the first
+        failing pair in basis order.
+
+        The check costs the nonzero actions and structure constants, not
+        n^2 matrix products: a pair is compared only where both actions
+        are nonzero or b_i b_j has a term with a nonzero action, since
+        both sides vanish on every other pair.
+        """
         A = self.algebra
         f = A.field
         ident = Mat.identity(f, self.dim)
         if self.act(A.unit) != ident:
             raise ValidationError(f"module {self.name!r}: 1 does not act as identity")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                left = self.action[i].mul(self.action[j])
-                right = self.act(A.table[i][j])
-                if left != right:
-                    raise ValidationError(
-                        f"module {self.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "
-                        f"for ({A.labels[i]}, {A.labels[j]})")
+        entries = self._entries
+        acting = [i for i, e in enumerate(entries) if e]
+        pairs = {(i, j) for i in acting for j in acting}
+        pairs.update((i, j) for i, row in enumerate(A.products)
+                     for j, terms in enumerate(row)
+                     if any(entries[l] for l, _ in terms))
+        zero = Mat.zeros(f, self.dim, self.dim)
+        for i, j in sorted(pairs):
+            left = (self.action[i].mul(self.action[j])
+                    if entries[i] and entries[j] else zero)
+            if left != self.act(A.table[i][j]):
+                raise ValidationError(
+                    f"module {self.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "
+                    f"for ({A.labels[i]}, {A.labels[j]})")
 
     def act(self, elem):
         """Action matrix of a coordinate vector over the algebra basis."""

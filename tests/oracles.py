@@ -9,7 +9,9 @@ Hochschild coboundaries multiply the action matrices as `Mat`s one basis
 pair or triple at a time; HH^1, the Ext^1 reference, takes `kernel_basis`
 and `quotient_basis` of the derivation equations; the smallness of a
 hull tower reads the hull's own normal forms; the principal ideals by
-all products use O's own multiplication.  The last section holds
+all products use O's own multiplication; the dense validity checks of
+algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
+`act`, one basis triple or pair at a time.  The last section holds
 readings of documents, points and spaces that only the tests ask for.
 """
 
@@ -870,6 +872,51 @@ def two_sided_ideal_all_products(o_alg, idx):
     vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
             for u in basis for v in basis]
     return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
+
+
+def algebra_validate_dense(alg):
+    """`Algebra.validate` by the dense loops: the unit axiom, then per
+    basis pair the vector length and every triple through two
+    `Algebra.mul` calls, then the idempotents; raises the same
+    ValidationError."""
+    if len(alg.unit) != alg.dim:
+        raise ValidationError("unit vector has wrong length")
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        if alg.mul(alg.unit, b) != b or alg.mul(b, alg.unit) != b:
+            raise ValidationError(
+                f"unit axiom fails on basis element {alg.labels[i]!r}")
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            ij = alg.table[i][j]
+            if len(ij) != alg.dim:
+                raise ValidationError("structure constant vector length")
+            for k in range(alg.dim):
+                left = alg.mul(ij, alg.basis_vector(k))
+                right = alg.mul(alg.basis_vector(i), alg.table[j][k])
+                if left != right:
+                    raise ValidationError(
+                        "associativity fails on triple "
+                        f"({alg.labels[i]}, {alg.labels[j]}, {alg.labels[k]})")
+    if alg.idempotents is not None:
+        alg.validate_idempotents(alg.idempotents)
+
+
+def module_validate_dense(mod):
+    """`ModuleRep.validate` by the dense loop: 1 acts as the identity,
+    then every basis pair through a `Mat.mul` and an `act`; raises the
+    same ValidationError."""
+    A = mod.algebra
+    if mod.act(A.unit) != Mat.identity(A.field, mod.dim):
+        raise ValidationError(f"module {mod.name!r}: 1 does not act as identity")
+    for i in range(A.dim):
+        for j in range(A.dim):
+            left = mod.action[i].mul(mod.action[j])
+            right = mod.act(A.table[i][j])
+            if left != right:
+                raise ValidationError(
+                    f"module {mod.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "
+                    f"for ({A.labels[i]}, {A.labels[j]})")
 
 
 # -- the normal form of scalars ------------------------------------------------

@@ -1,5 +1,7 @@
 """The normal form of Q scalars: an int when the denominator is 1, a
-reduced Fraction with denominator > 1 otherwise, never a float."""
+reduced Fraction with denominator > 1 otherwise, never a float.  Over F_p:
+an int in 0..p-1, a rational mapped through the inverse of its
+denominator, never a float."""
 
 import ast
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 
 from aspec.algebra import from_structure_constants
 from aspec.cli import _space, parse
-from aspec.fields import QQ
+from aspec.fields import GF, QQ
 from aspec.hull import closure_check, hull, maximal_ideals, o_algebra
 from aspec.linalg import Mat
 from aspec.modules import simple_modules
@@ -28,6 +30,18 @@ def test_normalize_refuses_a_float():
         QQ.normalize(0.5)
     with pytest.raises(TypeError):
         QQ.div(1, 2.0)
+
+
+def test_prime_field_normalize_maps_rationals_and_refuses_floats():
+    f5 = GF(5)
+    assert [f5.normalize(x) for x in (7, -1, Fraction(1, 2), Fraction(-3, 4),
+                                      Fraction(10, 2))] == [2, 4, 3, 3, 0]
+    assert type(f5.normalize(Fraction(1, 2))) is int
+    assert Mat(f5, [[Fraction(1, 2), 6]]).data == [[3, 1]]
+    with pytest.raises(ZeroDivisionError):
+        f5.normalize(Fraction(1, 5))
+    with pytest.raises(TypeError):
+        f5.normalize(2.5)
 
 
 @pytest.mark.parametrize("value, want", [
