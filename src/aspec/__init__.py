@@ -13,7 +13,7 @@ from .modules import (
     is_simple,
     simple_modules,
 )
-from .ext import ExtSpace, Resolution, cup_product, ext, min_resolution
+from .ext import ExtSpace, Resolution, cup_product, ext
 from .hull import (
     ExtData,
     HullTower,
@@ -43,7 +43,7 @@ __all__ = [
     "QuiverPresentation", "from_quiver", "from_poly_quotient",
     "ModuleRep", "SpectralPoint", "action_of", "contraction", "hom_A",
     "is_simple", "simple_modules",
-    "ExtSpace", "Resolution", "cup_product", "ext", "min_resolution",
+    "ExtSpace", "Resolution", "cup_product", "ext",
     "ExtData", "HullTower", "MatricOHat", "OAlgebra", "RPointedAlgebra",
     "closure_check", "hull", "invert_unit", "massey_step",
     "maximal_ideals", "o_algebra",

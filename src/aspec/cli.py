@@ -34,6 +34,7 @@ from .polyquot import from_poly_quotient
 from .polyring import PointModule, PolynomialRing, is_poly_ring
 from .quiver import QuiverPresentation, from_quiver
 from .topology import (
+    SHEAF_CHECK_MAX_POINTS,
     ASpecSpace,
     compare_with_spec,
     global_sections_roundtrip,
@@ -745,7 +746,7 @@ def _verify(doc, order):
 
     if order != n0:
         space = space.at_order(order)
-    if len(space.points) <= 3:
+    if len(space.points) <= SHEAF_CHECK_MAX_POINTS:
         sheaf = space.sheafify_check()
         verdict("sheaf-axioms", sheaf["passed"])
     rt = global_sections_roundtrip(space)

@@ -224,13 +224,6 @@ def _flatten(mat):
     return [x for row in mat.data for x in row]
 
 
-def min_resolution(module, length=2):
-    """Minimal resolution through degree 2 (length kept for the contract)."""
-    if length != 2:
-        raise ValidationError("resolutions are computed to length 2")
-    return Resolution(module)
-
-
 def _hom_space_basis(proj, target):
     """Basis of Hom_A(proj, target): per slot, rows of target*e_{v}."""
     f = proj.algebra.field

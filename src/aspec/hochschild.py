@@ -14,7 +14,6 @@ from .errors import InternalInvariantError
 from .linalg import (
     Mat,
     Span,
-    _Echelon,
     _add_scaled,
     _combination,
     unit_vec,
@@ -145,24 +144,25 @@ def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
     """delta of the unit p-cochain (p = len(args)) whose one nonzero
     entry is c(args)[r0][c0] = 1, as {(basis tuple, r, c): coeff}:
     eta_i(x) c(...) + sum_k (-1)^(k+1) c(.., x_k x_(k+1), ..)
-    + (-1)^(p+1) c(...) eta_j(x)."""
+    + (-1)^(p+1) c(...) eta_j(x).  The actions are read from their
+    nonzero entries."""
     f = algebra.field
     out = {}
 
     def put(key, x):
         out[key] = f.add(out.get(key, f.zero), x)
 
-    for x, act in enumerate(source.action):
-        for r, row in enumerate(act.data):
-            if row[r0]:
-                put(((x,) + args, r, c0), row[r0])
+    for x, entries in enumerate(source._entries):
+        for r, c, v in entries:
+            if c == r0:
+                put(((x,) + args, r, c0), v)
     for k, e in enumerate(args):
         for x, y, v in onto.get(e, ()):
             put((args[:k] + (x, y) + args[k + 1:], r0, c0),
                 v if k % 2 else f.neg(v))
-    for x, act in enumerate(target.action):
-        for c, v in enumerate(act.data[c0]):
-            if v:
+    for x, entries in enumerate(target._entries):
+        for r, c, v in entries:
+            if r == c0:
                 put((args + (x,), r0, c), v if len(args) % 2 else f.neg(v))
     return out
 
@@ -177,44 +177,35 @@ def _flat_index(n, di, dj, key):
     return (idx * di + r) * dj + c
 
 
-def coboundary_2(algebra, source, target):
-    """d^2 of the block (source, target) as sparse columns: column k,
-    for the flatten2 coordinate k of a 2-cochain, lists (flat index of
-    the (a, b, g) triple entry, coefficient) of delta of that unit
-    cochain.  Built once per block; is_two_cocycle reads it."""
-    n, di, dj = algebra.dim, source.dim, target.dim
-    onto = _products_onto(algebra)
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            for r in range(di):
-                for c in range(dj):
-                    delta = _unit_coboundary(algebra, source, target, onto,
-                                             (a, b), r, c)
-                    cols.append([(_flat_index(n, di, dj, key), v)
-                                 for key, v in delta.items() if v])
-    return cols
-
-
-def is_two_cocycle(algebra, coch, d2):
+def is_two_cocycle(algebra, source, target, coch):
     """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0 on basis
-    triples, as one sparse product with the block's coboundary_2 map."""
+    triples: delta of c summed over its nonzero entries, each the unit
+    2-cochain it scales.  A pair missing from `coch` is zero."""
     f = algebra.field
+    onto = _products_onto(algebra)
     acc = {}
-    for x, col in zip(flatten2(algebra, coch), d2):
-        if not x:
-            continue
-        for t, v in col:
-            acc[t] = f.add(acc.get(t, f.zero), f.mul(x, v))
+    for (a, b), m in coch.items():
+        for r, row in enumerate(m.data):
+            for c, x in enumerate(row):
+                if not x:
+                    continue
+                for key, v in _unit_coboundary(algebra, source, target, onto,
+                                               (a, b), r, c).items():
+                    acc[key] = f.add(acc.get(key, f.zero), f.mul(x, v))
     return all(f.is_zero(v) for v in acc.values())
 
 
-def flatten2(algebra, coch):
+def flatten2(algebra, source, target, coch):
     """Flat coordinates of a basis-indexed 2-cochain, pairs (a, b) in
-    order, each block row by row."""
+    order, each block row by row; a pair missing from `coch` is zero."""
     n = algebra.dim
-    return [x for a in range(n) for b in range(n)
-            for row in coch[(a, b)].data for x in row]
+    zero = [algebra.field.zero] * (source.dim * target.dim)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            m = coch.get((a, b))
+            out += zero if m is None else [x for row in m.data for x in row]
+    return out
 
 
 def coboundary_columns(algebra, source, target):
@@ -235,22 +226,14 @@ def coboundary_columns(algebra, source, target):
     return out
 
 
-def two_cocycle_classes_independent(algebra, source, target, cochains):
-    """Are the given 2-cocycles linearly independent modulo coboundaries?"""
-    ech = _Echelon(algebra.field,
-                   algebra.dim ** 2 * source.dim * target.dim)
-    for v in coboundary_columns(algebra, source, target):
-        ech.insert(v)
-    return all(ech.insert(flatten2(algebra, c)) is not None
-               for c in cochains)
-
-
 def two_cocycle_span(algebra, source, target, hh2_basis):
-    """The Span over [Ext^2 basis | coboundary_columns] that
-    split_two_cocycle reads coordinates from; one per block (i, j)."""
+    """The Span over [coboundary_columns | Ext^2 basis] that
+    split_two_cocycle reads coordinates from; one per block (i, j).
+    The Ext^2 basis is independent modulo coboundaries exactly when the
+    span keeps every one of its vectors (`Span.kept`)."""
     return Span(algebra.field,
-                [flatten2(algebra, c) for c in hh2_basis]
-                + coboundary_columns(algebra, source, target),
+                coboundary_columns(algebra, source, target)
+                + [flatten2(algebra, source, target, c) for c in hh2_basis],
                 algebra.dim ** 2 * source.dim * target.dim)
 
 
@@ -263,12 +246,12 @@ def split_two_cocycle(algebra, source, target, coch, span):
     """
     f = algebra.field
     di, dj = source.dim, target.dim
-    sol = span.coords(flatten2(algebra, coch))
+    sol = span.coords(flatten2(algebra, source, target, coch))
     if sol is None:
         raise InternalInvariantError(
             "2-cocycle not in span(Ext^2 basis) + coboundaries")
-    nl = span.count - algebra.dim * di * dj
-    psi = [Mat(f, [sol[nl + (a * di + r) * dj:nl + (a * di + r + 1) * dj]
+    nd = algebra.dim * di * dj
+    psi = [Mat(f, [sol[(a * di + r) * dj:(a * di + r + 1) * dj]
                    for r in range(di)], cols=dj)
            for a in range(algebra.dim)]
-    return sol[:nl], psi
+    return sol[nd:], psi

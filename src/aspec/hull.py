@@ -28,10 +28,8 @@ from .errors import (
 from .ext import Resolution, ext
 from .hochschild import (
     BarComparison,
-    coboundary_2,
     is_two_cocycle,
     split_two_cocycle,
-    two_cocycle_classes_independent,
     two_cocycle_span,
 )
 from .linalg import (
@@ -200,10 +198,6 @@ class MatricOHat:
         i, j = self.hull.word_block(key[1])
         return (self.dims[i], self.dims[j])
 
-    def zero_like(self, key):
-        r, c = self.key_shape(key)
-        return Mat.zeros(self.field, r, c)
-
     def one(self):
         return {("e", i): Mat.identity(self.field, d)
                 for i, d in enumerate(self.dims)}
@@ -370,9 +364,10 @@ def invert_unit(ambient, elem):
 
 class _PairExt:
     """Ext^1 and Ext^2 of one ordered pair (M_i, M_j) with their Hochschild
-    forms: the Ext^2 basis as 2-cocycles (checked independent in HH^2),
-    the Ext^1 derivation seeds, and, on first use, the block's
-    (coboundary_2, two_cocycle_span)."""
+    forms: the Ext^2 basis as 2-cocycles, the Ext^1 derivation seeds and
+    the block's two_cocycle_span.  When Ext^2 != 0 the span is built at
+    once and must keep every Ext^2 vector (independence in HH^2);
+    otherwise on first use."""
 
     def __init__(self, algebra, source, target, comparison):
         self.algebra = algebra
@@ -382,21 +377,21 @@ class _PairExt:
         self.ext1 = ext(source, target, 1, resolution=res)
         self.ext2 = ext(source, target, 2, resolution=res)
         self.hh2 = [comparison.two_cochain_of(c) for c in self.ext2.cocycles]
-        if self.hh2 and not two_cocycle_classes_independent(
-                algebra, source, target, self.hh2):
-            raise InternalInvariantError(
-                "converted Ext^2 basis lost independence in HH^2")
         self.seeds = [comparison.derivation_of(c)
                       for c in self.ext1.cocycles]
-        self._maps = None
+        self._span = None
+        if self.hh2:
+            span = self.span()
+            tail = list(range(span.count - len(self.hh2), span.count))
+            if span.kept[-len(tail):] != tail:
+                raise InternalInvariantError(
+                    "converted Ext^2 basis lost independence in HH^2")
 
-    def block_maps(self):
-        if self._maps is None:
-            self._maps = (
-                coboundary_2(self.algebra, self.source, self.target),
-                two_cocycle_span(self.algebra, self.source, self.target,
-                                 self.hh2))
-        return self._maps
+    def span(self):
+        if self._span is None:
+            self._span = two_cocycle_span(self.algebra, self.source,
+                                          self.target, self.hh2)
+        return self._span
 
 
 class ExtData:
@@ -519,19 +514,20 @@ class _HullBuilder:
         coordinates and a coboundary part: {word: (lambdas, psi)}."""
         out = {}
         for w, coch in self._stage_defects(stage, hull_alg, C).items():
-            if all(m.is_zero() for m in coch.values()):
+            if not coch:
                 continue
             pair = self.pairs[hull_alg.word_block(w)]
-            d2, span = pair.block_maps()
-            if not is_two_cocycle(self.algebra, coch, d2):
+            if not is_two_cocycle(self.algebra, pair.source, pair.target,
+                                  coch):
                 raise InternalInvariantError(
                     "stage defect is not a Hochschild 2-cocycle")
             out[w] = split_two_cocycle(self.algebra, pair.source,
-                                       pair.target, coch, span)
+                                       pair.target, coch, pair.span())
         return out
 
     def _stage_defects(self, stage, hull_alg, C):
-        """Defect 2-cochains on the reduced words of the given length."""
+        """Defect 2-cochains on the reduced words of the given length,
+        each {(a, b): Mat} over its nonzero pairs only."""
         algebra = self.algebra
         ohat = self._matric(hull_alg, C)
         words = hull_alg.words_by_len.get(stage, [])
@@ -552,8 +548,8 @@ class _HullBuilder:
                             "defect below the current stage")
                 for w in words:
                     m = delta.get(("m", w))
-                    out[w][(a, b)] = m if m is not None else \
-                        ohat.zero_like(("m", w))
+                    if m is not None and not m.is_zero():
+                        out[w][(a, b)] = m
         return out
 
     def _matric(self, hull_alg, C):

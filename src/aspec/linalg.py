@@ -279,7 +279,8 @@ class Span:
     in the first `length` columns only: a vector that depends on earlier
     ones is never inserted and gets coordinate 0.  `coords` is therefore
     the solution supported on the greedy-independent prefix, the pivot
-    columns of the matrix whose columns are the vectors.
+    columns of the matrix whose columns are the vectors.  `kept` lists
+    the indices of that prefix in ascending order.
     """
 
     def __init__(self, field, vectors, length):
@@ -287,8 +288,9 @@ class Span:
         self.length = length
         self.count = len(vectors)
         self._ech = _Echelon(field, length)
-        for k, v in enumerate(vectors):
-            self._ech.insert(list(v) + unit_vec(field, self.count, k))
+        self.kept = [k for k, v in enumerate(vectors)
+                     if self._ech.insert(
+                         list(v) + unit_vec(field, self.count, k)) is not None]
 
     def coords(self, v):
         """x with sum_k x_k * vectors[k] = v, or None when v is outside."""

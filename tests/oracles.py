@@ -608,6 +608,53 @@ def is_two_cocycle_dense(algebra, source, target, coch):
     return True
 
 
+def _flat2(algebra, coch):
+    """A full basis-indexed 2-cochain as one list, pairs (a, b) in order,
+    each block row by row."""
+    n = algebra.dim
+    return [x for a in range(n) for b in range(n)
+            for row in coch[(a, b)].data for x in row]
+
+
+def coboundary_columns_dense(algebra, source, target):
+    """Flat delta(psi) of the unit 1-cochains psi(a)[r][c] = 1, in
+    (a, r, c) order, each from coboundary_1."""
+    f = algebra.field
+    n, di, dj = algebra.dim, source.dim, target.dim
+    out = []
+    for a in range(n):
+        for r in range(di):
+            for c in range(dj):
+                psi = [Mat.zeros(f, di, dj) for _ in range(n)]
+                psi[a].data[r][c] = f.one
+                out.append(_flat2(algebra,
+                                  coboundary_1(algebra, source, target, psi)))
+    return out
+
+
+def two_cocycle_classes_independent(algebra, source, target, cochains):
+    """Are the 2-cocycles linearly independent modulo coboundaries?  By
+    ranks: appending them to the unit coboundaries adds one each."""
+    p = getattr(algebra.field, "p", None)
+    cob = coboundary_columns_dense(algebra, source, target)
+    flats = [_flat2(algebra, c) for c in cochains]
+    return (naive_gauss_rank(cob + flats, p)
+            == naive_gauss_rank(cob, p) + len(flats))
+
+
+def split_two_cocycle_ext2_first(algebra, source, target, hh2_basis, coch):
+    """(lambdas, flat psi) with coch = sum lambda_l basis_l + delta(psi),
+    solved over the columns [Ext^2 basis | unit coboundaries] with the
+    free variables set to 0; None when coch is outside their span."""
+    p = getattr(algebra.field, "p", None)
+    cols = ([_flat2(algebra, c) for c in hh2_basis]
+            + coboundary_columns_dense(algebra, source, target))
+    x = solve_by_augmented_rref(cols, _flat2(algebra, coch), p)
+    if x is None:
+        return None
+    return x[:len(hh2_basis)], x[len(hh2_basis):]
+
+
 def inner_derivations(algebra, source, target):
     """Basis of coboundaries psi_F(a) = eta_i(a) F - F eta_j(a)."""
     f = algebra.field

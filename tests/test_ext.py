@@ -3,13 +3,9 @@ from itertools import product
 
 import pytest
 
-from aspec.ext import Resolution, cup_product, ext, min_resolution
+from aspec.ext import Resolution, cup_product, ext
 from aspec.fields import GF, QQ
-from aspec.hochschild import (
-    BarComparison,
-    coboundary_2,
-    is_two_cocycle,
-)
+from aspec.hochschild import BarComparison, is_two_cocycle
 from aspec.linalg import Mat
 from aspec.modules import simple_modules
 from aspec.quiver import QuiverPresentation, from_quiver
@@ -62,7 +58,7 @@ def ext_dim_oracle(alg_fp, si, sj, p):
 def test_resolution_s1_over_a2():
     a = make_a2()
     s1, s2 = simple_modules(a)
-    res = min_resolution(s1)
+    res = Resolution(s1)
     assert res.p0.slots == [0]
     assert res.p1.slots == [1]
     assert res.p2.slots == []
@@ -191,7 +187,7 @@ def test_bar_comparison_two_cochain_is_cocycle():
     e2 = ext(s, s, 2)
     bc = BarComparison(e2.resolution)
     coch = bc.two_cochain_of(e2.cocycles[0])
-    assert is_two_cocycle(a, coch, coboundary_2(a, s, s))
+    assert is_two_cocycle(a, s, s, coch)
 
 
 def test_cup_dual_numbers_square_nonzero():

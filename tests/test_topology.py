@@ -199,13 +199,16 @@ def test_an_ext_store_serves_one_algebra():
 
 def test_presheaf_defect_surfaced_on_a2():
     # the raw presheaf on the discrete two-point space of A2 is not a
-    # sheaf (the arrow dies on both singletons); the check must surface
-    # this as a finding while the sheafified sections pass
+    # sheaf (the arrow dies on both singletons); the presheaf check must
+    # surface this on the cover by the singletons while the sheafified
+    # sections pass
     a = make_a2()
     space = space_of_simples(a)
     report = space.sheafify_check()
     assert report["passed"]
-    assert report["presheaf_findings"]
+    ok, why = space.presheaf_is_sheaf_on(
+        frozenset({0, 1}), [frozenset({0}), frozenset({1})])
+    assert not ok and why
 
 
 def test_sheaf_sections_disjoint_decomposition():
