@@ -45,27 +45,16 @@ from .rewrite import Rewriter, deglex
 
 
 # Most words (lengths 1..N, all blocks) a truncated r-pointed algebra
-# may enumerate: the first stage has no relations and enumerates them all.
-# The double loop at order 11 has 4094 words and its hull takes about
-# 0.03 s and 57 MB (CPython 3.11, one Xeon core).
+# may list: its irreducible words so far plus the candidates of the next
+# layer are counted before that layer is listed.  The hull of the
+# Kronecker quiver on S1 + S2, free on two loops, has 4094 words at
+# order 11 and is refused at order 12.
 WORD_BUDGET = 4096
 
 
-def _word_count(r, generators, order):
-    """Words of length 1..order: the entry sum of A + A^2 + ... + A^order,
-    A the r x r matrix of generator counts per block.  Past WORD_BUDGET + 1
-    lengths it stops: every nonzero A^L adds at least one word, so the
-    count is then over the budget whatever the order."""
-    adj = [[0] * r for _ in range(r)]
-    for _, i, j in generators:
-        adj[i][j] += 1
-    count = 0
-    power = adj
-    for _ in range(min(order, WORD_BUDGET + 1)):
-        count += sum(map(sum, power))
-        power = [[sum(row[k] * adj[k][j] for k in range(r))
-                  for j in range(r)] for row in power]
-    return count
+def _over_budget(order):
+    return InputError(f"truncation order {order} needs more words than "
+                      f"the budget of {WORD_BUDGET}")
 
 
 class RPointedAlgebra:
@@ -81,18 +70,14 @@ class RPointedAlgebra:
         self.generators = list(generators)       # (label, i, j)
         self.order = order                       # truncation N
         self.relations = [dict(rel) for rel in relations]
-        count = _word_count(r, self.generators, order)
-        if count > WORD_BUDGET:
-            if order > WORD_BUDGET + 1:
-                count = f"more than {WORD_BUDGET}"
-            raise InputError(
-                f"truncation order {order} gives {count} words, over "
-                f"the budget of {WORD_BUDGET}")
         self.rewriter = Rewriter(field, order)
         for rel in self.relations:
             self.rewriter.add_relation(rel)
         self.rewriter.complete()
-        layers = self.rewriter.irreducible_words(self.generators, order)
+        layers = self.rewriter.irreducible_words(self.generators, order,
+                                                 WORD_BUDGET)
+        if layers is None:
+            raise _over_budget(order)
         self.all_words = [w for candidates, _ in layers for w in candidates]
         self.words_by_len = {length: good
                              for length, (_, good) in enumerate(layers, 1)}
@@ -475,21 +460,27 @@ class _HullBuilder:
         return tower, ohat
 
     def _run_stages(self, last):
-        """One pass over stages 2..last: correct each defect, extend the
-        relations and refold C.  Returns (hull_alg, C, new relation keys
-        per stage)."""
+        """One pass over stages 2..last, stage n in its own algebra H_n of
+        order n on the relations so far: correct each defect, extend the
+        relations and, after a stage that added some, refold C onto the
+        next algebra.  Lowest-lead rewriting never shortens a word, so
+        H_n is H_N cut at n, and stage n reads no longer product.
+        Returns (H_N, C, new relation keys per stage)."""
         f = self.field
         relations = {}        # (i, j, l) -> {word: coeff}
-        hull_alg = RPointedAlgebra(f, self.r, self.generators, self.order, [])
         # C: word -> 1-cochain (list of Mats per algebra basis element)
         C = {(g,): psi for g, psi in enumerate(self.deriv_seed)}
         new_by_stage = {}
+        stage_new = []
         for stage in range(2, last + 1):
+            hull_alg = self._algebra(stage, relations)
+            if stage_new:
+                C = self._refold(hull_alg, C)
+            stage_new = []
             # reduced words are closed under factors: an empty layer
             # stays empty at every later length, so no defect is left
             if not hull_alg.words_by_len.get(stage):
                 break
-            stage_new = []
             for w, (lambdas, psi) in self._stage_classes(
                     stage, hull_alg, C).items():
                 block = hull_alg.word_block(w)
@@ -502,12 +493,19 @@ class _HullBuilder:
                     rel[w] = f.add(rel.get(w, f.zero), lam)
                     stage_new.append((key, w))
             new_by_stage[stage] = stage_new
-            if stage_new:
-                hull_alg = RPointedAlgebra(
-                    f, self.r, self.generators, self.order,
-                    list(relations.values()))
-                C = self._refold(hull_alg, C)
+        hull_alg = self._algebra(self.order, relations)
+        if stage_new:
+            C = self._refold(hull_alg, C)
         return hull_alg, C, new_by_stage
+
+    def _algebra(self, order, relations):
+        """The r-pointed algebra of the given order on the relations; a
+        stage over the word budget is refused at the requested order."""
+        try:
+            return RPointedAlgebra(self.field, self.r, self.generators,
+                                   order, list(relations.values()))
+        except InputError:
+            raise _over_budget(self.order) from None
 
     def _stage_classes(self, stage, hull_alg, C):
         """Split each nonzero defect of the given stage into its Ext^2
@@ -527,29 +525,19 @@ class _HullBuilder:
 
     def _stage_defects(self, stage, hull_alg, C):
         """Defect 2-cochains on the reduced words of the given length,
-        each {(a, b): Mat} over its nonzero pairs only."""
-        algebra = self.algebra
-        ohat = self._matric(hull_alg, C)
-        words = hull_alg.words_by_len.get(stage, [])
-        out = {w: {} for w in words}
-        for a in range(algebra.dim):
-            rho_a = ohat.rho_table[a]
-            for b in range(algebra.dim):
-                rho_b = ohat.rho_table[b]
-                prod = ohat.mul(rho_a, rho_b)
-                target = ohat.rho(algebra.table[a][b])
-                delta = ohat.add(target, ohat.neg(prod))
-                for key, m in delta.items():
-                    if key[0] == "e":
-                        raise InternalInvariantError(
-                            "defect has a degree-0 component")
-                    if len(key[1]) < stage:
-                        raise InternalInvariantError(
-                            "defect below the current stage")
-                for w in words:
-                    m = delta.get(("m", w))
-                    if m is not None and not m.is_zero():
-                        out[w][(a, b)] = m
+        each {(a, b): Mat} over its nonzero pairs only.  hull_alg has
+        order `stage`, so no longer word occurs."""
+        out = {w: {} for w in hull_alg.words_by_len.get(stage, [])}
+        for ab, delta in _defects(self.algebra,
+                                  self._matric(hull_alg, C)).items():
+            for key, m in delta.items():
+                if key[0] == "e":
+                    raise InternalInvariantError(
+                        "defect has a degree-0 component")
+                if len(key[1]) < stage:
+                    raise InternalInvariantError(
+                        "defect below the current stage")
+                out[key[1]][ab] = m
         return out
 
     def _matric(self, hull_alg, C):
@@ -593,12 +581,23 @@ class _HullBuilder:
             for i, m in enumerate(self.modules):
                 if pi_a[i] != m.action[a]:
                     raise InternalInvariantError("pi . rho != eta")
-            for b in range(algebra.dim):
-                prod = ohat.mul(ohat.rho_table[a], ohat.rho_table[b])
-                target = ohat.rho(algebra.table[a][b])
-                if not ohat.equal(prod, target):
-                    raise InternalInvariantError(
-                        "rho is not multiplicative in the truncation")
+        if _defects(algebra, ohat):
+            raise InternalInvariantError(
+                "rho is not multiplicative in the truncation")
+
+
+def _defects(algebra, ohat):
+    """{(a, b): rho(ab) - rho(a) rho(b)} on the pairs where it is
+    nonzero."""
+    out = {}
+    table = ohat.rho_table
+    for a, rho_a in enumerate(table):
+        for b, rho_b in enumerate(table):
+            delta = ohat.add(ohat.rho(algebra.table[a][b]),
+                             ohat.neg(ohat.mul(rho_a, rho_b)))
+            if delta:
+                out[(a, b)] = delta
+    return out
 
 
 def _image_dim(ohat, order=None):

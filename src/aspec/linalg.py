@@ -207,11 +207,11 @@ def kernel_basis(m):
 
 
 def row_space_basis(field, vectors, length=None):
-    """Echelonized basis of the span of the given row vectors."""
+    """Echelonized basis of the span of the given row vectors, each a
+    list of normalized scalars."""
     if not vectors:
         return []
-    mat = Mat(field, vectors, cols=length)
-    r, pivots, rk = rref(mat)
+    r, pivots, rk = rref(Mat._of(field, vectors, len(vectors[0])))
     return r.data[:rk]
 
 

@@ -144,21 +144,26 @@ class Rewriter:
         u, v = word[:pos], word[pos + len(lead):]
         return {u + t + v: c for t, c in self.rules[lead].items()}
 
-    def irreducible_words(self, letters, upto):
+    def irreducible_words(self, letters, upto, budget=None):
         """Irreducible composable words in the letters (name, source,
         target), grown layer by layer.  Returns [(candidates, irreducible)]
         for the lengths 1, 2, ..., up to upto and the first empty layer,
         each list sorted.  The candidates are the irreducible words one
         letter shorter, extended: a factor of an irreducible word is
-        irreducible."""
+        irreducible.  With a budget, returns None instead of listing a
+        layer whose candidates would take the words past it."""
         follows = [[g for g, a in enumerate(letters) if a[1] == target]
                    for _, _, target in letters]
         layers = []
+        words = 0
         candidates = [(g,) for g in range(len(letters))]
-        while len(layers) < upto:
+        while True:
             good = [w for w in candidates if self.find(w) is None]
             layers.append((candidates, good))
-            if not good:
-                break
+            words += len(good)
+            if not good or len(layers) >= upto:
+                return layers
+            if budget is not None and words + sum(
+                    len(follows[w[-1]]) for w in good) > budget:
+                return None
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
-        return layers

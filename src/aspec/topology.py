@@ -213,13 +213,6 @@ class ASpecSpace:
 
     # -- the sheaf (compatible families over minimal neighborhoods) ---------
 
-    def minimal_neighborhood(self, idx):
-        out = frozenset(range(len(self.points)))
-        for u in self.opens():
-            if idx in u:
-                out = out & u
-        return out
-
     def sheaf_sections(self, subset):
         """The sheafified sections over an open: families (s_x), x in U,
         with s_x in O(U_x), compatible on intersections of the minimal
@@ -232,7 +225,7 @@ class ASpecSpace:
             raise InputError("sheaf sections on a non-open subset")
         f = self.base_field()
         idxs = sorted(u)
-        neigh = {x: self.minimal_neighborhood(x) for x in idxs}
+        neigh = {x: self.minimal_open_containing({x}) for x in idxs}
         dims = [self.sections(neigh[x]).dim for x in idxs]
         offsets = [0]
         for d in dims:

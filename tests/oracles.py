@@ -8,8 +8,10 @@ through the matric algebra `MatricOHat` with 1x1 blocks; the dense
 Hochschild coboundaries multiply the action matrices as `Mat`s one basis
 pair or triple at a time; HH^1, the Ext^1 reference, takes `kernel_basis`
 and `quotient_basis` of the derivation equations; the smallness of a
-hull tower reads the hull's own normal forms; the principal ideals by
-all products use O's own multiplication; the dense validity checks of
+hull tower reads the hull's own normal forms; the order-N stage loop
+splits its defects and builds its algebras, rho and C with the hull's
+own parts; the principal ideals by all products use O's own
+multiplication; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
 `act`, one basis triple or pair at a time.  The last section holds
 readings of documents, points and spaces that only the tests ask for.
@@ -21,7 +23,8 @@ from math import gcd
 
 from aspec.errors import InputError, ValidationError
 from aspec.fields import PrimeField
-from aspec.hull import MatricOHat
+from aspec.hochschild import split_two_cocycle
+from aspec.hull import MatricOHat, RPointedAlgebra
 from aspec.linalg import Mat, kernel_basis, quotient_basis, row_space_basis
 from aspec.modules import contraction, is_isomorphic, is_simple
 from aspec.polyring import PointModule
@@ -743,6 +746,56 @@ def tower_is_small(tower):
                         len(v) <= n for v in h.normal_form(key[1])):
                     return False
     return True
+
+
+def order_n_stages(builder, last):
+    """The reference for `_HullBuilder._run_stages`: every stage runs in
+    the algebra of the requested order N, which starts with no relations
+    and is rebuilt, with C refolded onto it, after each stage that adds
+    relations.  Each defect is the order-N product rho(a) rho(b) minus
+    rho(ab), read on the reduced words of the stage's length."""
+    f = builder.field
+    algebra = builder.algebra
+    relations = {}
+    hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
+                               builder.order, [])
+    C = {(g,): psi for g, psi in enumerate(builder.deriv_seed)}
+    new_by_stage = {}
+    for stage in range(2, last + 1):
+        words = hull_alg.words_by_len.get(stage)
+        if not words:
+            break
+        ohat = builder._matric(hull_alg, C)
+        defects = {w: {} for w in words}
+        for a in range(algebra.dim):
+            for b in range(algebra.dim):
+                prod = ohat.mul(ohat.rho_table[a], ohat.rho_table[b])
+                delta = ohat.add(ohat.rho(algebra.table[a][b]),
+                                 ohat.neg(prod))
+                for w in words:
+                    if ("m", w) in delta:
+                        defects[w][(a, b)] = delta[("m", w)]
+        stage_new = []
+        for w, coch in defects.items():
+            if not coch:
+                continue
+            block = hull_alg.word_block(w)
+            pair = builder.pairs[block]
+            lambdas, C[w] = split_two_cocycle(
+                algebra, pair.source, pair.target, coch, pair.span())
+            for l, lam in enumerate(lambdas):
+                if lam:
+                    key = (block[0], block[1], l)
+                    rel = relations.setdefault(key, {})
+                    rel[w] = f.add(rel.get(w, f.zero), lam)
+                    stage_new.append((key, w))
+        new_by_stage[stage] = stage_new
+        if stage_new:
+            hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
+                                       builder.order,
+                                       list(relations.values()))
+            C = builder._refold(hull_alg, C)
+    return hull_alg, C, new_by_stage
 
 
 # -- the frame echelon: words modulo a two-sided ideal ------------------------

@@ -521,24 +521,71 @@ end
 """
 
 
-@pytest.mark.parametrize("order, count", [
-    ("25", "67108862"), ("12", "8190"), ("10000", "more than 4096")])
-def test_oversized_word_count_is_an_input_error(tmp_path, capsys, order,
-                                                count):
-    # the words are counted before any is built: 2^26 - 2 of them at
-    # order 25 would not fit in memory
+# one module M = S1 + S2 over the Kronecker quiver: Ext^1(M, M) has two
+# loops and Ext^2 vanishes, so the hull is free with 2^(N+1) - 2 words
+KRONECKER_SUM_DOC = """\
+field F5
+algebra quiver
+  vertex 1
+  vertex 2
+  arrow a 1 2
+  arrow b 1 2
+end
+module M
+  dim 2
+  action e_1 [[1, 0], [0, 0]]
+  action e_2 [[0, 0], [0, 1]]
+  action a [[0, 0], [0, 0]]
+  action b [[0, 0], [0, 0]]
+end
+"""
+
+
+@pytest.mark.parametrize("order", ["12", "1000000000"])
+def test_oversized_word_count_is_an_input_error(tmp_path, capsys, order):
+    # the stage of order 12 would list 4094 + 4096 words: it is refused
+    # before its last layer is listed, whatever the requested order
+    doc = tmp_path / "doc.txt"
+    doc.write_text(KRONECKER_SUM_DOC, encoding="utf-8")
+    assert main(["hull", "--input", str(doc), "--modules", "M",
+                 "--order", order]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: truncation order {order} needs more words than "
+        "the budget of 4096\n")
+
+
+def test_a_free_hull_runs_up_to_the_budget(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(KRONECKER_SUM_DOC, encoding="utf-8")
+    assert main(["hull", "--input", str(doc), "--modules", "M",
+                 "--order", "11"]) == 0
+    assert "  order: 11\n  dim_H: 4095\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("order", ["12", "25", "10000"])
+def test_the_budget_counts_irreducible_words(tmp_path, capsys, order):
+    # the double loop loses every word of length 2 at stage 2: dim H is
+    # 3 at any order, although 2^(N+1) - 2 words are composable
     doc = tmp_path / "doc.txt"
     doc.write_text(DOUBLE_LOOP_DOC, encoding="utf-8")
-    assert main(["hull", "--input", str(doc), "--order", order]) == 2
+    assert main(["hull", "--input", str(doc), "--order", order]) == 0
+    assert f"  order: {order}\n  dim_H: 3\n" in capsys.readouterr().out
+
+
+def test_two_points_of_the_polynomial_ring_at_a_huge_order_are_refused(
+        tmp_path, capsys):
+    # k[x] at two points: two words per length, 2N in all
+    doc = tmp_path / "doc.txt"
+    doc.write_text(POLY_DOC, encoding="utf-8")
+    assert main(["hull", "--input", str(doc), "--order", "1000000000"]) == 2
     assert capsys.readouterr().err == (
-        f"input error: truncation order {order} gives {count} words, "
-        "over the budget of 4096\n")
+        "input error: truncation order 1000000000 needs more words than "
+        "the budget of 4096\n")
 
 
 def test_word_count_of_a_nilpotent_quiver_stays_under_the_budget(
         tmp_path, capsys):
-    # A2 has one generator and no composable pair: one word at any order,
-    # also past the 4097 lengths the count looks at
+    # A2 has one generator and no composable pair: one word at any order
     doc = tmp_path / "doc.txt"
     doc.write_text(A2_DOC, encoding="utf-8")
     assert main(["hull", "--input", str(doc), "--order", "4200"]) == 0

@@ -1,17 +1,24 @@
 """The hull is built in one pass: every lower stage H_n and the image of
 rho in it are read off the order-N build by discarding words longer
-than n.  These tests compare that against a fresh build at order n."""
+than n.  These tests compare that against a fresh build at order n, and
+the pass over the stage algebras against the reference loop that runs
+every stage in the order-N algebra."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aspec.errors import InputError
 from aspec.fields import GF, QQ
-from aspec.hull import HullTower, RPointedAlgebra, hull
-from aspec.modules import simple_modules
+from aspec.hull import HullTower, RPointedAlgebra, _HullBuilder, hull
+from aspec.linalg import Mat
+from aspec.modules import ModuleRep, simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import corpus, make_a2
-from oracles import tower_is_small
+from oracles import order_n_stages, tower_is_small
 from test_hull_stress import make_double_loop, make_fat_point, make_kronecker
+from test_rewrite import acyclic_quivers
 
 F5 = GF(5)
 
@@ -83,3 +90,68 @@ def test_tower_stages_are_built_on_demand(monkeypatch):
     assert built == []
     assert fresh.stage(3).order == 3
     assert len(built) == 1
+
+
+def test_the_double_loop_lists_few_words(monkeypatch):
+    # the stage algebras list 6 + 6 words and H_11 another 6; an
+    # algebra of order 11 without relations would list 4094
+    alg = make_double_loop(F5)
+    listed = []
+    init = RPointedAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        listed.append(len(self.all_words))
+
+    monkeypatch.setattr(RPointedAlgebra, "__init__", counting_init)
+    tower, _ = hull(alg, simple_modules(alg), 11)
+    assert tower.final.dim == 3
+    assert sum(listed) <= 32
+
+
+def direct_sum(alg, modules):
+    """One module with the block-diagonal actions of the given ones."""
+    f = alg.field
+    dim = sum(m.dim for m in modules)
+    actions = []
+    for b in range(alg.dim):
+        mat = Mat.zeros(f, dim, dim)
+        at = 0
+        for m in modules:
+            for i, row in enumerate(m.action[b].data):
+                mat.data[at + i][at:at + m.dim] = row
+            at += m.dim
+        actions.append(mat)
+    return ModuleRep(alg, actions, name="+".join(m.name for m in modules))
+
+
+FAMILIES = {
+    "simples": lambda s: s,
+    "sum": lambda s: [direct_sum(s[0].algebra, s)],
+    "mixed": lambda s: [direct_sum(s[0].algebra, s[:2])] + s[2:],
+}
+
+
+def _outputs(tower, ohat):
+    h = tower.final
+    return (h.presentation_lines(), h.reduced_words,
+            tower.new_relations_by_stage,
+            [ohat.flatten(t) for t in ohat.rho_table], tower.stabilized)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(acyclic_quivers(), acyclic_quivers(monomial=True)),
+       st.sampled_from(sorted(FAMILIES)), st.integers(2, 4))
+def test_stage_algebras_match_the_order_n_loop(case, family, order):
+    # presentation, reduced words, relations per stage, rho and the
+    # stabilized flag agree wherever the reference builds
+    field, q = case
+    alg = from_quiver(q, field=field)
+    modules = FAMILIES[family](simple_modules(alg))
+    reference = _HullBuilder(alg, modules, order)
+    reference._run_stages = lambda last: order_n_stages(reference, last)
+    try:
+        want = reference.build()
+    except InputError:
+        return
+    assert _outputs(*hull(alg, modules, order)) == _outputs(*want)
