@@ -49,6 +49,8 @@ class Algebra:
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self.presentation = presentation
         self._radical = None
+        # ext's e_v A blocks, keyed by the idempotent's coordinates
+        self._projectives = {}
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != self.dim:
             raise ValidationError("duplicate basis labels")
@@ -241,7 +243,7 @@ class Algebra:
             for v in current:
                 for w in basis:
                     nxt.append(self.mul(v, w))
-            current = row_space_basis(f, nxt, length=self.dim)
+            current = row_space_basis(f, nxt)
             if index > self.dim + 1:
                 raise InternalInvariantError("radical candidate is not nilpotent")
         return index
@@ -262,7 +264,7 @@ class Algebra:
                 row.append(tr)
             rows.append(row)
         m = Mat(f, rows, cols=self.dim)
-        return row_space_basis(f, kernel_basis(m), length=self.dim)
+        return row_space_basis(f, kernel_basis(m))
 
     def _radical_char_p(self):
         # Descending chain R_0 = A, R_i = {x in R_{i-1} :
@@ -299,7 +301,7 @@ class Algebra:
             coeff_kernel = kernel_basis(m)
             new = [_combination(f, coeffs, current, n)
                    for coeffs in coeff_kernel]
-            current = row_space_basis(f, new, length=n)
+            current = row_space_basis(f, new)
         return current
 
     def _int_left_mult(self, x):
@@ -407,7 +409,7 @@ def split_commutative_semisimple(alg):
     f = alg.field
     # eigensplit: refine the decomposition by each basis multiplication op
     blocks = [[alg.basis_vector(i) for i in range(alg.dim)]]
-    blocks[0] = row_space_basis(f, blocks[0], length=alg.dim)
+    blocks[0] = row_space_basis(f, blocks[0])
     for g in range(alg.dim):
         x = alg.basis_vector(g)
         new_blocks = []
@@ -445,7 +447,7 @@ def split_commutative_semisimple(alg):
                 ker = kernel_basis(powm.transpose())
                 sub = row_space_basis(
                     f, [_combination(f, coeffs, block, alg.dim)
-                        for coeffs in ker], length=alg.dim)
+                        for coeffs in ker])
                 if sub:
                     new_blocks.append(sub)
         blocks = new_blocks
@@ -485,7 +487,7 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     """
     n = mats[0].rows if mats else 0
     flat = [sum(m.data, []) for m in mats]
-    basis_flat = row_space_basis(field, flat, length=n * n)
+    basis_flat = row_space_basis(field, flat)
     basis_mats = [Mat(field, [row[i * n:(i + 1) * n] for i in range(n)], cols=n)
                   for row in basis_flat]
     dim = len(basis_mats)

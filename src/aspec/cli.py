@@ -733,7 +733,7 @@ def _verify(doc, order):
     o = space.sections(range(len(space.points))).o
     flats = [o.rho_coords(list(alg.basis_vector(i))) for i in range(alg.dim)]
     bij = o.dim == alg.dim and \
-        len(row_space_basis(alg.field, flats, length=o.dim)) == alg.dim
+        len(row_space_basis(alg.field, flats)) == alg.dim
     verdict("fin-dim-isomorphism", bij)
 
     infos = maximal_ideals(o)

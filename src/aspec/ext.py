@@ -7,7 +7,10 @@ convention (image of row x is x.D).  Ext^d(M, N) is computed from
     Z^d = {f in Hom_A(P_d, N) : f vanishes on ker d_d},
     B^d = image of precomposition with d_d,
 
-which only needs the resolution up to homological degree d.
+which only needs the resolution up to homological degree d.  Each
+indecomposable projective e_v A (its basis and the action of the
+algebra on it) is built once per algebra and idempotent, and every slot
+of every term of every resolution over that algebra reads it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,44 @@ from .linalg import (
 from .modules import ModuleRep
 
 
+class _VertexProjective:
+    """The indecomposable projective e A of an idempotent e: its basis
+    rows, the coordinates of e in them and, per algebra basis element b,
+    the nonzero coordinates (c, x) of w * b for each basis row w."""
+
+    def __init__(self, algebra, e):
+        f = algebra.field
+        n = algebra.dim
+        self.basis = row_space_basis(
+            f, [algebra.mul(e, algebra.basis_vector(b)) for b in range(n)])
+        span = Span(f, self.basis, n)
+        self.generator = span.coords(e)
+        self.action = []
+        for b in range(n):
+            rows = []
+            for w in self.basis:
+                img = algebra.mul(w, algebra.basis_vector(b))
+                if vec_is_zero(f, img):
+                    rows.append([])
+                    continue
+                coeffs = span.coords(img)
+                if coeffs is None:
+                    raise InternalInvariantError("e_v A not action-closed")
+                rows.append([(c, x) for c, x in enumerate(coeffs) if x])
+            self.action.append(rows)
+
+
+def _vertex_projective(algebra, e):
+    """e A, built once per algebra and idempotent.  The key is e's
+    coordinates, not its index: an algebra's idempotents may be
+    replaced after some e A was built."""
+    key = tuple(e)
+    block = algebra._projectives.get(key)
+    if block is None:
+        block = algebra._projectives[key] = _VertexProjective(algebra, e)
+    return block
+
+
 class ProjectiveModule(ModuleRep):
     """Direct sum of the indecomposable projectives e_{v_s} A."""
 
@@ -36,14 +77,9 @@ class ProjectiveModule(ModuleRep):
         self.slots = list(slots)
         idems = algebra.ensure_idempotents()
         f = algebra.field
-        self.slot_bases = []
-        for v in self.slots:
-            e = idems[v]
-            rows = [algebra.mul(e, algebra.basis_vector(b))
-                    for b in range(algebra.dim)]
-            self.slot_bases.append(row_space_basis(f, rows, length=algebra.dim))
-        self._slot_spans = [Span(f, base, algebra.dim)
-                            for base in self.slot_bases]
+        self._blocks = [_vertex_projective(algebra, idems[v])
+                        for v in self.slots]
+        self.slot_bases = [blk.basis for blk in self._blocks]
         offsets = [0]
         for base in self.slot_bases:
             offsets.append(offsets[-1] + len(base))
@@ -52,27 +88,18 @@ class ProjectiveModule(ModuleRep):
         mats = []
         for b in range(algebra.dim):
             big = Mat.zeros(f, total, total)
-            for s, base in enumerate(self.slot_bases):
-                off = self.offsets[s]
-                for r, w in enumerate(base):
-                    img = algebra.mul(w, algebra.basis_vector(b))
-                    coeffs = self._slot_spans[s].coords(img)
-                    if coeffs is None:
-                        raise InternalInvariantError("e_v A not action-closed")
-                    for c, val in enumerate(coeffs):
-                        big.data[off + r][off + c] = val
+            for blk, off in zip(self._blocks, offsets):
+                for r, entries in enumerate(blk.action[b]):
+                    row = big.data[off + r]
+                    for c, x in entries:
+                        row[off + c] = x
             mats.append(big)
         super().__init__(algebra, mats, name=f"P({slots})", validate=False)
 
     def generator_row(self, s):
         """Coordinates of the slot-s generator e_{v_s}."""
-        f = self.algebra.field
-        idems = self.algebra.ensure_idempotents()
-        e = idems[self.slots[s]]
-        coeffs = self._slot_spans[s].coords(e)
-        row = zero_vec(f, self.dim)
-        for c, val in enumerate(coeffs):
-            row[self.offsets[s] + c] = val
+        row = zero_vec(self.algebra.field, self.dim)
+        row[self.offsets[s]:self.offsets[s + 1]] = self._blocks[s].generator
         return row
 
 def module_map_from_generators(proj, target, gen_images):
@@ -108,7 +135,7 @@ class Resolution:
             self.terms.append(proj)
             self.diffs.append(dmat)
             ker = kernel_basis(dmat.transpose())
-            ker = row_space_basis(f, ker, length=proj.dim)
+            ker = row_space_basis(f, ker)
             self.kernels.append(ker)
             target = proj
             target_rows = ker
@@ -129,8 +156,7 @@ class Resolution:
             comp = self.diffs[d].mul(self.diffs[d - 1])
             if not comp.is_zero():
                 raise InternalInvariantError("differentials do not compose to 0")
-            im = row_space_basis(f, [list(r) for r in self.diffs[d].data],
-                                 length=self.diffs[d].cols)
+            im = row_space_basis(f, [list(r) for r in self.diffs[d].data])
             ker = self.kernels[d - 1]
             if len(im) != len(ker):
                 raise InternalInvariantError("resolution not exact")
@@ -177,10 +203,10 @@ def _cover_data(algebra, target, target_rows):
     for i, e in enumerate(idems):
         act_e = target.act(e)
         rows_e = [act_e.apply_row(r) for r in ambient_rows]
-        rows_e = row_space_basis(f, rows_e, length=target.dim)
+        rows_e = row_space_basis(f, rows_e)
         rad_acts = [target.act(algebra.mul(x, e)) for x in rad]
         rad_rows = [act.apply_row(r) for r in ambient_rows for act in rad_acts]
-        rad_rows = row_space_basis(f, rad_rows, length=target.dim)
+        rad_rows = row_space_basis(f, rad_rows)
         reps = quotient_basis(f, rows_e, rad_rows, length=target.dim)
         for rep in reps:
             slots.append(i)
@@ -230,7 +256,7 @@ def _hom_space_basis(proj, target):
     idems = proj.algebra.ensure_idempotents()
     out = []
     for s, v in enumerate(proj.slots):
-        rows = row_space_basis(f, target.act(idems[v]).data, length=target.dim)
+        rows = row_space_basis(f, target.act(idems[v]).data)
         for r in rows:
             images = [zero_vec(f, target.dim) for _ in proj.slots]
             images[s] = r
@@ -307,7 +333,7 @@ def _lift_through(proj, target_res, rhs_rows, depth):
     idems = proj.algebra.ensure_idempotents()
     images = []
     for s, v in enumerate(proj.slots):
-        sub_rows = row_space_basis(f, term.act(idems[v]).data, length=term.dim)
+        sub_rows = row_space_basis(f, term.act(idems[v]).data)
         rhs = rhs_rows[s]
         if not sub_rows:
             if not vec_is_zero(f, rhs):

@@ -4,7 +4,10 @@ An Ext^1 class becomes a derivation psi: A -> Hom_k(Mi, Mj) with
 psi(ab) = eta_i(a) psi(b) + psi(a) eta_j(b); an Ext^2 class becomes a
 2-cochain c: A x A -> Hom_k(Mi, Mj).  Both come from an explicit chain
 map out of the bar resolution, built from deterministic linear solves,
-so classes are preserved on the nose.  The hull's obstruction calculus
+so classes are preserved on the nose.  The degree-2 comparison mu,
+which only the Ext^2 conversion reads, is lifted when an Ext^2 cochain
+is first requested, and only on the cells where it is nonzero: a
+hereditary algebra never lifts it.  The hull's obstruction calculus
 consumes and produces these forms.
 """
 
@@ -17,7 +20,7 @@ from .linalg import (
     _add_scaled,
     _combination,
     unit_vec,
-    vec_add,
+    vec_is_zero,
     vec_sub,
     zero_vec,
 )
@@ -25,7 +28,11 @@ from .linalg import (
 
 class BarComparison:
     """Chain data sigma, nu, mu comparing the bar resolution of a module
-    with its stored minimal resolution (degrees 0..2)."""
+    with its stored minimal resolution (degrees 0..2).
+
+    sigma and nu are built at once.  mu is read only to turn Ext^2
+    classes into 2-cochains, so it is lifted on the first
+    `two_cochain_of` call, and only on the cells where it is nonzero."""
 
     def __init__(self, resolution):
         self.res = resolution
@@ -36,14 +43,12 @@ class BarComparison:
         self.algebra = algebra
         eps = resolution.diffs[0]
         d1 = resolution.diffs[1]
-        d2 = resolution.diffs[2]
-        p0, p1, p2 = resolution.terms[0], resolution.terms[1], resolution.terms[2]
+        p0 = resolution.terms[0]
 
-        # coordinates in the rows of eps, d1 and d2 (row convention: a
+        # coordinates in the rows of eps and d1 (row convention: a
         # preimage of y under D is x with x.D = y)
         eps_span = Span(f, eps.data, eps.cols)
         d1_span = Span(f, d1.data, d1.cols)
-        d2_span = Span(f, d2.data, d2.cols)
 
         # sigma: k-linear section of eps (rows indexed by module basis)
         self.sigma = []
@@ -66,40 +71,52 @@ class BarComparison:
                     raise InternalInvariantError("nu lift failed")
                 row.append(sol)
             self.nu.append(row)
+        self._mu = None
 
-        # mu[m][a][b]: d2-preimage of nu(m.a, b) - nu(m, ab) + nu(m, a).b
-        self.mu = []
-        for m in range(module.dim):
-            rows = []
-            for a in range(algebra.dim):
-                cell = []
-                ma = module.action[a].data[m]
-                for b in range(algebra.dim):
-                    t1 = self._nu_of(ma, algebra.basis_vector(b))
-                    ab = algebra.table[a][b]
-                    t2 = self._nu_of(unit_vec(f, module.dim, m), ab)
-                    t3 = p1.action[b].apply_row(self.nu[m][a]) if p1.dim else []
-                    w = vec_add(f, vec_sub(f, t1, t2), t3)
+    @property
+    def mu(self):
+        """{(m, a, b): d2-preimage of nu(m.a, b) - nu(m, ab) + nu(m, a).b}
+        on the cells where that vector is nonzero; mu is zero on every
+        other cell.  Lifted on first use."""
+        if self._mu is None:
+            self._mu = self._lift_mu()
+        return self._mu
+
+    def _lift_mu(self):
+        """The cells of mu.  The vector w to lift vanishes unless
+        m.a != 0, nu(m, a) != 0 or ab != 0; a zero w has coordinates 0,
+        so only the nonzero ones are lifted."""
+        algebra, module, nu = self.algebra, self.module, self.nu
+        f = algebra.field
+        p1 = self.res.terms[1]
+        d2 = self.res.diffs[2]
+        d2_span = Span(f, d2.data, d2.cols)
+        out = {}
+        for m, nu_m in enumerate(nu):
+            for a, nu_ma in enumerate(nu_m):
+                ma = [(k, c) for k, c in
+                      enumerate(module.action[a].data[m]) if c]
+                moves = not vec_is_zero(f, nu_ma)
+                for b, ab in enumerate(algebra.products[a]):
+                    if not (ma or moves or ab):
+                        continue
+                    w = p1.action[b].apply_row(nu_ma) if moves else \
+                        zero_vec(f, p1.dim)
+                    for k, c in ma:
+                        _add_scaled(f, w, c, nu[k][b])
+                    for k, c in ab:
+                        _add_scaled(f, w, f.neg(c), nu_m[k])
+                    if vec_is_zero(f, w):
+                        continue
                     sol = d2_span.coords(w)
                     if sol is None:
                         raise InternalInvariantError("mu lift failed")
-                    cell.append(sol)
-                rows.append(cell)
-            self.mu.append(rows)
+                    out[(m, a, b)] = sol
+        return out
 
     def _sigma_of(self, mvec):
         return _combination(self.algebra.field, mvec, self.sigma,
                             self.res.terms[0].dim)
-
-    def _nu_of(self, mvec, avec):
-        f = self.algebra.field
-        out = zero_vec(f, self.res.terms[1].dim)
-        a_terms = [(ai, ca) for ai, ca in enumerate(avec) if ca]
-        for cm, nu_m in zip(mvec, self.nu):
-            if cm:
-                for ai, ca in a_terms:
-                    _add_scaled(f, out, f.mul(cm, ca), nu_m[ai])
-        return out
 
     def derivation_of(self, cocycle_mat):
         """Ext^1 cochain (P1 -> N) to a derivation: list of Mats over the
@@ -114,15 +131,14 @@ class BarComparison:
         return out
 
     def two_cochain_of(self, cocycle_mat):
-        """Ext^2 cochain (P2 -> N) to a Hochschild 2-cochain on basis pairs."""
+        """Ext^2 cochain (P2 -> N) to a Hochschild 2-cochain on basis
+        pairs, every pair present."""
         f = self.algebra.field
-        target_dim = cocycle_mat.cols
-        out = {}
-        for a in range(self.algebra.dim):
-            for b in range(self.algebra.dim):
-                rows = [cocycle_mat.apply_row(self.mu[m][a][b])
-                        for m in range(self.module.dim)]
-                out[(a, b)] = Mat(f, rows, cols=target_dim)
+        n = self.algebra.dim
+        out = {(a, b): Mat.zeros(f, self.module.dim, cocycle_mat.cols)
+               for a in range(n) for b in range(n)}
+        for (m, a, b), sol in self.mu.items():
+            out[(a, b)].data[m] = cocycle_mat.apply_row(sol)
         return out
 
 

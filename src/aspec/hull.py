@@ -588,13 +588,16 @@ class _HullBuilder:
 
 def _defects(algebra, ohat):
     """{(a, b): rho(ab) - rho(a) rho(b)} on the pairs where it is
-    nonzero."""
+    nonzero; rho(ab) is summed over the nonzero structure constants of
+    ab."""
     out = {}
     table = ohat.rho_table
     for a, rho_a in enumerate(table):
         for b, rho_b in enumerate(table):
-            delta = ohat.add(ohat.rho(algebra.table[a][b]),
-                             ohat.neg(ohat.mul(rho_a, rho_b)))
+            rho_ab = {}
+            for k, c in algebra.products[a][b]:
+                rho_ab = ohat.add(rho_ab, ohat.scale(c, table[k]))
+            delta = ohat.add(rho_ab, ohat.neg(ohat.mul(rho_a, rho_b)))
             if delta:
                 out[(a, b)] = delta
     return out
@@ -603,8 +606,7 @@ def _defects(algebra, ohat):
 def _image_dim(ohat, order=None):
     """dim im(rho), or of its image in the stage of the given order."""
     flats = [ohat.flatten(t, order) for t in ohat.rho_table]
-    return len(row_space_basis(ohat.field, flats,
-                               length=ohat.flat_dim(order)))
+    return len(row_space_basis(ohat.field, flats))
 
 
 def default_order(algebra):
@@ -664,8 +666,7 @@ class OAlgebra:
         self.field = ohat.field
         flats = [ohat.flatten(t) for t in ohat.rho_table]
         self.flat_len = ohat.flat_dim()
-        self.basis_flat = row_space_basis(self.field, flats,
-                                          length=self.flat_len)
+        self.basis_flat = row_space_basis(self.field, flats)
         self.dim = len(self.basis_flat)
         self._span = Span(self.field, self.basis_flat, self.flat_len)
         self._elems = [ohat.unflatten(v) for v in self.basis_flat]
@@ -733,7 +734,7 @@ def designated_units(ohat):
                 a0 = scaled
             else:
                 kern.append([f.sub(x, y) for x, y in zip(scaled, a0)])
-    return a0, row_space_basis(f, kern, length=n)
+    return a0, row_space_basis(f, kern)
 
 
 def o_algebra(ohat):
@@ -773,7 +774,7 @@ def maximal_ideals(o):
             rows.append(sum(ohat.pi(e)[i].data, []))
         m = Mat(f, rows, cols=ohat.dims[i] ** 2)
         ker = kernel_basis(m.transpose())
-        ker = row_space_basis(f, ker, length=o.dim)
+        ker = row_space_basis(f, ker)
         image_dim = o.dim - len(ker)
         # module check: O/m_i acts irreducibly and matches M_i
         mats = [ohat.pi(elems[idx])[i] for idx in range(o.dim)]
@@ -863,5 +864,5 @@ def closure_check(algebra, o):
         if img is None:
             raise InternalInvariantError("canonical map escapes O2")
         images.append(img)
-    bij = len(row_space_basis(o.field, images, length=o2.dim)) == o.dim
+    bij = len(row_space_basis(o.field, images)) == o.dim
     return bij, {"dim_first": o.dim, "dim_second": o2.dim}

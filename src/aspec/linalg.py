@@ -206,7 +206,7 @@ def kernel_basis(m):
     return basis
 
 
-def row_space_basis(field, vectors, length=None):
+def row_space_basis(field, vectors):
     """Echelonized basis of the span of the given row vectors, each a
     list of normalized scalars."""
     if not vectors:

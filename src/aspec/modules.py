@@ -269,7 +269,7 @@ def _is_simple_core(module, lam, lam_mats):
                 if not f.is_zero(c):
                     mat = mat.add(bm.scale(c))
             vecs.extend(mat.transpose().data)
-        span = row_space_basis(f, vecs, length=module.dim)
+        span = row_space_basis(f, vecs)
         if not span:
             raise InternalInvariantError("radical of faithful image acts by zero")
         if len(span) == module.dim:

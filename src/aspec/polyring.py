@@ -180,7 +180,7 @@ class PolyOAlgebra:
         for _ in range(self.dim):
             rows.append(self.flatten(self.ohat.rho_of_poly(coeffs)))
             coeffs = [f.zero] + coeffs
-        if len(row_space_basis(f, rows, length=self.dim)) != self.dim:
+        if len(row_space_basis(f, rows)) != self.dim:
             raise InternalInvariantError(
                 "jet map is not surjective onto the product of localizations")
 

@@ -188,5 +188,5 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
         for v in power:
             for w in arrow_basis:
                 nxt.append(alg.mul(v, w))
-        power = row_space_basis(field, nxt, length=dim)
+        power = row_space_basis(field, nxt)
     return alg

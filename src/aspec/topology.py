@@ -237,7 +237,7 @@ class ASpecSpace:
             basis = []
         elif pair_rows:
             basis = kernel_basis(Mat(f, pair_rows, cols=total))
-            basis = row_space_basis(f, basis, length=total)
+            basis = row_space_basis(f, basis)
         else:
             basis = [unit_vec(f, total, i) for i in range(total)]
         out = {"basis": basis, "offsets": offsets, "indices": idxs,
@@ -658,7 +658,7 @@ def _localization_kernel(algebra, module, o):
     ideal = ann
     while True:
         power = row_space_basis(f, [algebra.mul(u, v) for u in ideal
-                                    for v in ann], length=algebra.dim)
+                                    for v in ann])
         if len(power) == len(ideal):
             return algebra.dim - len(ideal), ideal
         ideal = power

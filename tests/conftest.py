@@ -131,6 +131,31 @@ def resolutions_built(monkeypatch):
 
 
 @pytest.fixture
+def setup_work(monkeypatch):
+    """The Ext setup work done during the test: under "e_v_A" the
+    idempotent of every indecomposable projective e_v A built, and under
+    "mu_cells" the number of cells each bar comparison lifts for mu."""
+    from aspec.ext import _VertexProjective
+    from aspec.hochschild import BarComparison
+    work = {"e_v_A": [], "mu_cells": []}
+    init = _VertexProjective.__init__
+    lift = BarComparison._lift_mu
+
+    def counting_init(self, algebra, e):
+        work["e_v_A"].append(e)
+        init(self, algebra, e)
+
+    def counting_lift(self):
+        out = lift(self)
+        work["mu_cells"].append(len(out))
+        return out
+
+    monkeypatch.setattr(_VertexProjective, "__init__", counting_init)
+    monkeypatch.setattr(BarComparison, "_lift_mu", counting_lift)
+    return work
+
+
+@pytest.fixture
 def field_muls(monkeypatch):
     """One entry per field multiplication (over Q or any F_p) made
     during the test, after the fixture is set up."""

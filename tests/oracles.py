@@ -6,7 +6,8 @@ extension and deformation enumeration over small prime fields.  The
 exceptions: the morphism count out of a hull computes in the target
 through the matric algebra `MatricOHat` with 1x1 blocks; the dense
 Hochschild coboundaries multiply the action matrices as `Mat`s one basis
-pair or triple at a time; HH^1, the Ext^1 reference, takes `kernel_basis`
+pair or triple at a time; the eager bar comparison mu lifts every cell
+through a `Span` of the resolution's d2; HH^1, the Ext^1 reference, takes `kernel_basis`
 and `quotient_basis` of the derivation equations; the smallness of a
 hull tower reads the hull's own normal forms; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
@@ -21,11 +22,22 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from aspec.errors import InputError, ValidationError
+from aspec.errors import InputError, InternalInvariantError, ValidationError
 from aspec.fields import PrimeField
 from aspec.hochschild import split_two_cocycle
 from aspec.hull import MatricOHat, RPointedAlgebra
-from aspec.linalg import Mat, kernel_basis, quotient_basis, row_space_basis
+from aspec.linalg import (
+    Mat,
+    Span,
+    _add_scaled,
+    kernel_basis,
+    quotient_basis,
+    row_space_basis,
+    unit_vec,
+    vec_add,
+    vec_sub,
+    zero_vec,
+)
 from aspec.modules import contraction, is_isomorphic, is_simple
 from aspec.polyring import PointModule
 
@@ -658,6 +670,62 @@ def split_two_cocycle_ext2_first(algebra, source, target, hh2_basis, coch):
     return x[:len(hh2_basis)], x[len(hh2_basis):]
 
 
+def bar_mu_dense(bc):
+    """mu[m][a][b] of a BarComparison, lifted eagerly on every cell: the
+    d2-preimage of nu(m.a, b) - nu(m, ab) + nu(m, a).b."""
+    module, algebra = bc.module, bc.algebra
+    f = algebra.field
+    p1 = bc.res.terms[1]
+    d2 = bc.res.diffs[2]
+    d2_span = Span(f, d2.data, d2.cols)
+    mu = []
+    for m in range(module.dim):
+        rows = []
+        for a in range(algebra.dim):
+            cell = []
+            ma = module.action[a].data[m]
+            for b in range(algebra.dim):
+                t1 = _nu_of(bc, ma, algebra.basis_vector(b))
+                ab = algebra.table[a][b]
+                t2 = _nu_of(bc, unit_vec(f, module.dim, m), ab)
+                t3 = p1.action[b].apply_row(bc.nu[m][a]) if p1.dim else []
+                w = vec_add(f, vec_sub(f, t1, t2), t3)
+                sol = d2_span.coords(w)
+                if sol is None:
+                    raise InternalInvariantError("mu lift failed")
+                cell.append(sol)
+            rows.append(cell)
+        mu.append(rows)
+    return mu
+
+
+def _nu_of(bc, mvec, avec):
+    """nu extended bilinearly to a module vector and an algebra vector."""
+    f = bc.algebra.field
+    out = zero_vec(f, bc.res.terms[1].dim)
+    a_terms = [(ai, ca) for ai, ca in enumerate(avec) if ca]
+    for cm, nu_m in zip(mvec, bc.nu):
+        if cm:
+            for ai, ca in a_terms:
+                _add_scaled(f, out, f.mul(cm, ca), nu_m[ai])
+    return out
+
+
+def two_cochain_dense(bc, cocycle_mat):
+    """Ext^2 cochain (P2 -> N) to a Hochschild 2-cochain on basis pairs,
+    read off bar_mu_dense."""
+    mu = bar_mu_dense(bc)
+    f = bc.algebra.field
+    target_dim = cocycle_mat.cols
+    out = {}
+    for a in range(bc.algebra.dim):
+        for b in range(bc.algebra.dim):
+            rows = [cocycle_mat.apply_row(mu[m][a][b])
+                    for m in range(bc.module.dim)]
+            out[(a, b)] = Mat(f, rows, cols=target_dim)
+    return out
+
+
 def inner_derivations(algebra, source, target):
     """Basis of coboundaries psi_F(a) = eta_i(a) F - F eta_j(a)."""
     f = algebra.field
@@ -971,7 +1039,7 @@ def two_sided_ideal_all_products(o_alg, idx):
     basis = [o_alg.basis_vector(t) for t in range(o_alg.dim)]
     vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
             for u in basis for v in basis]
-    return row_space_basis(o_alg.field, vecs, length=o_alg.dim)
+    return row_space_basis(o_alg.field, vecs)
 
 
 def algebra_validate_dense(alg):

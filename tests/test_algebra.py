@@ -178,8 +178,7 @@ def test_radical_dual_numbers():
     assert len(rad) == 1
     assert index == 2
     x = a.element_from_label("x")
-    assert row_space_basis(QQ, rad + [x], length=2) == row_space_basis(
-        QQ, [x], length=2)
+    assert row_space_basis(QQ, rad + [x]) == row_space_basis(QQ, [x])
 
 
 def test_radical_semisimple():
@@ -209,8 +208,8 @@ def test_radical_char_p_against_enumeration(p):
     rad = a.radical_basis()
     oracle = nil_ideal_radical(FpAlgebra.from_algebra(a))
     assert len(rad) == len(oracle)
-    got = row_space_basis(f, [list(v) for v in rad], length=a.dim)
-    want = row_space_basis(f, [list(v) for v in oracle], length=a.dim)
+    got = row_space_basis(f, [list(v) for v in rad])
+    want = row_space_basis(f, [list(v) for v in oracle])
     assert got == want
 
 
@@ -273,7 +272,7 @@ def test_radical_is_nilpotent_ideal_and_quotient_semisimple():
             for v in cur:
                 for w in rad:
                     nxt.append(alg.mul(v, w))
-            cur = row_space_basis(alg.field, nxt, length=alg.dim)
+            cur = row_space_basis(alg.field, nxt)
         assert cur == []
         quot, _, _ = alg.semisimple_quotient()
         assert quot.radical_basis() == [], name

@@ -240,8 +240,7 @@ def test_o_algebra_fin_dim_isomorphism():
         flats = [o.rho_coords(list(alg.basis_vector(i)))
                  for i in range(alg.dim)]
         from aspec.linalg import row_space_basis
-        assert len(row_space_basis(alg.field, flats, length=o.dim)) == \
-            alg.dim, name
+        assert len(row_space_basis(alg.field, flats)) == alg.dim, name
 
 
 def test_o_algebra_product_of_localizations():
@@ -437,7 +436,7 @@ def test_maximal_ideals_work_in_o_coordinates(monkeypatch):
         direct = [coords_of(o, o.ohat.mul(o.ohat.mul(u, x), v))
                   for u in elems for v in elems]
         assert _two_sided_ideal(o_alg, idx) == \
-            row_space_basis(o.field, direct, length=o.dim)
+            row_space_basis(o.field, direct)
 
 
 def _ideal_cases():

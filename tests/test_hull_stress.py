@@ -80,7 +80,7 @@ def test_fat_point_image_recovers_algebra():
     o = o_algebra(ohat)
     assert o.dim == a.dim == 3
     flats = [o.rho_coords(list(a.basis_vector(i))) for i in range(a.dim)]
-    assert len(row_space_basis(a.field, flats, length=o.dim)) == a.dim
+    assert len(row_space_basis(a.field, flats)) == a.dim
 
 
 def make_a4_zero(zero_at, field=QQ):
