@@ -204,7 +204,9 @@ def _cover_data(algebra, target, target_rows):
         act_e = target.act(e)
         rows_e = [act_e.apply_row(r) for r in ambient_rows]
         rows_e = row_space_basis(f, rows_e)
-        rad_acts = [target.act(algebra.mul(x, e)) for x in rad]
+        # a zero x * e adds only zero rows, which leave the span as it is
+        rad_acts = [target.act(xe) for xe in (algebra.mul(x, e) for x in rad)
+                    if not vec_is_zero(f, xe)]
         rad_rows = [act.apply_row(r) for r in ambient_rows for act in rad_acts]
         rad_rows = row_space_basis(f, rad_rows)
         reps = quotient_basis(f, rows_e, rad_rows, length=target.dim)

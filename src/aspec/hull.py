@@ -36,6 +36,7 @@ from .linalg import (
     Mat,
     Span,
     _Echelon,
+    _combination,
     kernel_basis,
     row_space_basis,
     unit_vec,
@@ -617,7 +618,9 @@ def hull(algebra, modules, order=None, ext_data=None):
     """Truncated pro-representing hull and matric algebra with rho.
 
     ext_data is an ExtData of the algebra to read the Ext blocks from;
-    without one the hull builds its own."""
+    without one the hull builds its own.  The matric algebra returned
+    carries the algebra, the family and its Ext blocks as `algebra`,
+    `modules`, `ext1` and `ext2`."""
     if order is None:
         order = max(2, default_order(algebra))
     builder = _HullBuilder(algebra, modules, order, ext_data)
@@ -629,6 +632,7 @@ def hull(algebra, modules, order=None, ext_data=None):
     for block, pair in builder.pairs.items():
         if counts.get(block, 0) != pair.ext1.dimension:
             raise InternalInvariantError("tangent dimension mismatch")
+    ohat.algebra = builder.algebra
     ohat.modules = builder.modules
     ohat.ext1 = {block: p.ext1 for block, p in builder.pairs.items()}
     ohat.ext2 = {block: p.ext2 for block, p in builder.pairs.items()}
@@ -656,35 +660,39 @@ class OAlgebra:
     """O^A(M): the image of rho with inverses of the designated units.
 
     In the truncated setting every rho(a) with eta(a) a nonzero scalar
-    has its geometric-series inverse already inside im(rho), so O is
-    the span of the rho table; the inverses are still computed and
-    their membership asserted.
+    has its inverse already inside im(rho), so O is the span of the rho
+    table (`o_algebra` still solves for each inverse in O).
+
+    The basis is the echelon basis of the flattened rho table.  The
+    structure table is read off A: with R_k the O-coordinates of
+    rho(b_k) and P_i a preimage of the basis element o_i (A-coordinates
+    with sum_k (P_i)_k R_k = o_i), o_i o_j = rho(P_i) rho(P_j) =
+    rho(P_i P_j) = sum_k (P_i P_j)_k R_k.  This is exact because the hull
+    build ends with `_verify`, which proves rho unital and multiplicative
+    on every pair of basis elements of A; a hull that fails it never
+    reaches O.  The same argument puts 1 = rho(1_A) in O.  `ohat` is a
+    matric algebra returned by `hull`, which carries A as `ohat.algebra`.
     """
 
     def __init__(self, ohat):
         self.ohat = ohat
-        self.field = ohat.field
+        f = self.field = ohat.field
+        algebra = ohat.algebra
         flats = [ohat.flatten(t) for t in ohat.rho_table]
         self.flat_len = ohat.flat_dim()
-        self.basis_flat = row_space_basis(self.field, flats)
+        self.basis_flat = row_space_basis(f, flats)
         self.dim = len(self.basis_flat)
-        self._span = Span(self.field, self.basis_flat, self.flat_len)
+        self._span = Span(f, self.basis_flat, self.flat_len)
         self._elems = [ohat.unflatten(v) for v in self.basis_flat]
-        # the structure table is the closure check: every product of two
-        # basis elements has coordinates in the basis
-        self.table = []
-        for x in self._elems:
-            row = []
-            for y in self._elems:
-                coords = self.coords_of(ohat.mul(x, y))
-                if coords is None:
-                    raise InternalInvariantError(
-                        "im(rho) span is not multiplicatively closed")
-                row.append(coords)
-            self.table.append(row)
-        self.unit = self.coords_of(ohat.one())
-        if self.unit is None:
-            raise InternalInvariantError("O does not contain 1")
+        self._images = [self._span.coords(v) for v in flats]    # R_k
+        preimage = Span(f, self._images, self.dim)
+        pre = [preimage.coords(unit_vec(f, self.dim, i))        # P_i
+               for i in range(self.dim)]
+        if None in pre:
+            raise InternalInvariantError("O is not the span of rho")
+        self.table = [[self.rho_coords(algebra.mul(p, q)) for q in pre]
+                      for p in pre]
+        self.unit = self.rho_coords(algebra.unit)
 
     def basis_elements(self):
         return list(self._elems)
@@ -692,11 +700,10 @@ class OAlgebra:
     def coords_of(self, elem):
         return self._span.coords(self.ohat.flatten(elem))
 
-    def contains(self, elem):
-        return self._span.contains(self.ohat.flatten(elem))
-
     def rho_coords(self, algebra_elem_coords):
-        return self.coords_of(self.ohat.rho(algebra_elem_coords))
+        """O-coordinates of rho(x): sum_k x_k R_k."""
+        return _combination(self.field, algebra_elem_coords, self._images,
+                            self.dim)
 
     def as_algebra(self, labels=None):
         """Structure constants of O on its echelon basis."""
@@ -738,21 +745,36 @@ def designated_units(ohat):
 
 
 def o_algebra(ohat):
-    """O^A(M) from the matric algebra, with the unit property enforced."""
+    """O^A(M) from the matric algebra, with the unit property enforced.
+
+    Each designated unit u = rho(a), eta(a) = alpha * id with alpha != 0,
+    is written in O-coordinates as sum_k a_k R_k.  Its right inverse is
+    solved for among the columns of its left multiplication in O, and
+    t u = 1 is checked with the table.  In a finite-dimensional algebra a
+    one-sided inverse is two-sided, and an element of O invertible in
+    the matric algebra has its inverse in O, so this is the property the
+    geometric series of `invert_unit` would show in the matric algebra:
+    a two-sided inverse of u exists inside O."""
     o = OAlgebra(ohat)
     f = ohat.field
-    # designated units: rho(a) for eta(a) = id * alpha, alpha != 0
     a0, kern = designated_units(ohat)
     if a0 is not None:
+        o_alg = o.as_algebra()
         candidates = [a0] + [[f.add(x, y) for x, y in zip(a0, v)]
                              for v in kern]
         for coords in candidates:
-            elem = ohat.rho(coords)
-            inv = invert_unit(ohat, elem)
-            if not o.contains(inv):
+            if not _has_inverse(o_alg, o.rho_coords(coords)):
                 raise InternalInvariantError(
                     "unit inverse escapes im(rho) in the truncation")
     return o
+
+
+def _has_inverse(o_alg, u):
+    """Whether u (coordinates) has a two-sided inverse in o_alg: a right
+    inverse t solved from u's left multiplication, with t u = 1."""
+    cols = [o_alg.mul(u, o_alg.basis_vector(j)) for j in range(o_alg.dim)]
+    t = Span(o_alg.field, cols, o_alg.dim).coords(o_alg.unit)
+    return t is not None and o_alg.mul(t, u) == o_alg.unit
 
 
 def maximal_ideals(o):
@@ -760,42 +782,48 @@ def maximal_ideals(o):
 
     Returns a list of dicts: ideal basis (flat coords), quotient
     dimension, whether O/m_i is isomorphic to M_i as a module, and that
-    every proper principal ideal lies in some m_i."""
+    every proper principal ideal lies in some m_i.
+
+    pi_i is multiplicative, so m_i is a two-sided ideal and O x O lies in
+    m_i exactly when x does: a basis element with some pi_i(x) = 0 passes
+    at once, and one outside every m_i passes only if `_two_sided_ideal`
+    closes O x O up to all of O.  When every block is irreducible that
+    closure always reaches O.  O/m_i has a faithful simple module, so it
+    is simple and m_i is maximal.  The intersection K of the m_i holds
+    only elements without a degree-0 part, so it is nilpotent: words
+    longer than N vanish.  An ideal I in no m_i has I + K = O, since a
+    maximal ideal over I + K would hold the product of the m_i, hence
+    one m_i, and so equal it.  So I holds 1 - k for some k in K, which
+    is a unit, and I = O.  The m_i are then exactly the maximal ideals
+    of O.  A reducible block gives no such guarantee, and the closure
+    decides."""
     f = o.field
     ohat = o.ohat
-    r = len(ohat.dims)
-    elems = o.basis_elements()
     o_alg = o.as_algebra()
+    pis = [ohat.pi(e) for e in o.basis_elements()]
     out = []
-    ideal_spans = []
-    for i in range(r):
-        rows = []
-        for e in elems:
-            rows.append(sum(ohat.pi(e)[i].data, []))
-        m = Mat(f, rows, cols=ohat.dims[i] ** 2)
+    for i, d in enumerate(ohat.dims):
+        mats = [pi[i] for pi in pis]
+        m = Mat(f, [sum(a.data, []) for a in mats], cols=d * d)
         ker = kernel_basis(m.transpose())
         ker = row_space_basis(f, ker)
         image_dim = o.dim - len(ker)
         # module check: O/m_i acts irreducibly and matches M_i
-        mats = [ohat.pi(elems[idx])[i] for idx in range(o.dim)]
         mod = ModuleRep(o_alg, mats, name=f"M{i + 1}", validate=True)
         simple = is_simple(mod)
-        iso = (image_dim == ohat.dims[i]) and simple
+        iso = (image_dim == d) and simple
         out.append({
             "ideal_basis": ker,
             "quotient_dim": image_dim,
-            "module_dim": ohat.dims[i],
+            "module_dim": d,
             "irreducible": simple,
             "quotient_isomorphic_to_module": iso,
         })
-        ideal_spans.append(Span(f, ker, o.dim))
     # every proper principal two-sided ideal sits inside some m_i
-    for idx in range(o.dim):
-        span = _two_sided_ideal(o_alg, idx)
-        if len(span) == o.dim:
+    for idx, pi in enumerate(pis):
+        if any(a.is_zero() for a in pi):
             continue
-        if not any(all(ideal.contains(v) for v in span)
-                   for ideal in ideal_spans):
+        if len(_two_sided_ideal(o_alg, idx)) != o.dim:
             raise InternalInvariantError(
                 "a proper principal ideal escapes every maximal ideal")
     return out

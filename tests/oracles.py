@@ -12,7 +12,9 @@ and `quotient_basis` of the derivation equations; the smallness of a
 hull tower reads the hull's own normal forms; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
 own parts; the principal ideals by all products use O's own
-multiplication; the dense validity checks of
+multiplication; the references for O^A(M) multiply in `MatricOHat`,
+invert by `invert_unit`, read coordinates through a `Span` and test
+simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
 `act`, one basis triple or pair at a time.  The last section holds
 readings of documents, points and spaces that only the tests ask for.
@@ -25,7 +27,12 @@ from math import gcd
 from aspec.errors import InputError, InternalInvariantError, ValidationError
 from aspec.fields import PrimeField
 from aspec.hochschild import split_two_cocycle
-from aspec.hull import MatricOHat, RPointedAlgebra
+from aspec.hull import (
+    MatricOHat,
+    RPointedAlgebra,
+    designated_units,
+    invert_unit,
+)
 from aspec.linalg import (
     Mat,
     Span,
@@ -38,7 +45,7 @@ from aspec.linalg import (
     vec_sub,
     zero_vec,
 )
-from aspec.modules import contraction, is_isomorphic, is_simple
+from aspec.modules import ModuleRep, contraction, is_isomorphic, is_simple
 from aspec.polyring import PointModule
 
 
@@ -1040,6 +1047,89 @@ def two_sided_ideal_all_products(o_alg, idx):
     vecs = [o_alg.mul(o_alg.mul(u, basis[idx]), v)
             for u in basis for v in basis]
     return row_space_basis(o_alg.field, vecs)
+
+
+# -- O^A(M) by products in the matric algebra --------------------------------
+
+
+def o_algebra_by_matric_products(ohat):
+    """(basis_flat, table, unit) of O with every product of two basis
+    elements formed by `MatricOHat.mul` and read back through a `Span`
+    of the echelon basis of the flattened rho table: the reference for
+    `OAlgebra`, which reads the table off A's structure constants."""
+    f = ohat.field
+    basis_flat = row_space_basis(f, [ohat.flatten(t) for t in ohat.rho_table])
+    span = Span(f, basis_flat, ohat.flat_dim())
+    elems = [ohat.unflatten(v) for v in basis_flat]
+
+    def coords_of(elem):
+        coords = span.coords(ohat.flatten(elem))
+        if coords is None:
+            raise InternalInvariantError(
+                "im(rho) span is not multiplicatively closed")
+        return coords
+
+    table = [[coords_of(ohat.mul(x, y)) for y in elems] for x in elems]
+    return basis_flat, table, coords_of(ohat.one())
+
+
+def unit_inverses_by_geometric_series(o):
+    """Invert each designated unit by `invert_unit`'s geometric series in
+    the matric algebra and assert that the inverse lies in O: the
+    reference for `o_algebra`, which solves for the inverses in
+    O-coordinates.  Returns the inverses' O-coordinates."""
+    ohat = o.ohat
+    f = ohat.field
+    a0, kern = designated_units(ohat)
+    if a0 is None:
+        return []
+    out = []
+    for coords in [a0] + [[f.add(x, y) for x, y in zip(a0, v)]
+                          for v in kern]:
+        inv = o.coords_of(invert_unit(ohat, ohat.rho(coords)))
+        if inv is None:
+            raise InternalInvariantError(
+                "unit inverse escapes im(rho) in the truncation")
+        out.append(inv)
+    return out
+
+
+def maximal_ideals_full_sweep(o):
+    """`maximal_ideals` with pi taken per block and element and the
+    principal ideal O x O closed for every basis element x, each proper
+    one looked up in the m_i: the reference for the sweep that settles
+    x in m_i without closing."""
+    f = o.field
+    ohat = o.ohat
+    elems = o.basis_elements()
+    o_alg = o.as_algebra()
+    out = []
+    ideal_spans = []
+    for i in range(len(ohat.dims)):
+        rows = [sum(ohat.pi(e)[i].data, []) for e in elems]
+        m = Mat(f, rows, cols=ohat.dims[i] ** 2)
+        ker = row_space_basis(f, kernel_basis(m.transpose()))
+        image_dim = o.dim - len(ker)
+        mats = [ohat.pi(e)[i] for e in elems]
+        simple = is_simple(ModuleRep(o_alg, mats, name=f"M{i + 1}"))
+        out.append({
+            "ideal_basis": ker,
+            "quotient_dim": image_dim,
+            "module_dim": ohat.dims[i],
+            "irreducible": simple,
+            "quotient_isomorphic_to_module":
+                image_dim == ohat.dims[i] and simple,
+        })
+        ideal_spans.append(Span(f, ker, o.dim))
+    for idx in range(o.dim):
+        span = two_sided_ideal_all_products(o_alg, idx)
+        if len(span) == o.dim:
+            continue
+        if not any(all(ideal.contains(v) for v in span)
+                   for ideal in ideal_spans):
+            raise InternalInvariantError(
+                "a proper principal ideal escapes every maximal ideal")
+    return out
 
 
 def algebra_validate_dense(alg):

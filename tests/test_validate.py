@@ -120,11 +120,11 @@ def test_checks_agree_with_the_dense_loops_on_perturbed_quivers(case, rng):
                   for _ in range(3)])
 
 
-def path_algebra(n):
+def path_algebra(n, field=QQ):
     return from_quiver(QuiverPresentation(
         [str(v) for v in range(n)],
         [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]),
-        validate=False)
+        field=field, validate=False)
 
 
 def test_validate_work_is_bounded_by_the_nonzero_structure_constants(
