@@ -17,6 +17,7 @@ from .fields import characteristic
 from .linalg import (
     Mat,
     Span,
+    _Echelon,
     _combination,
     kernel_basis,
     quotient_basis,
@@ -49,8 +50,12 @@ class Algebra:
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self.presentation = presentation
         self._radical = None
-        # ext's e_v A blocks, keyed by the idempotent's coordinates
+        self._radical_square = None
+        self._radical_generators = None
+        # ext's e_v A blocks and products G e, keyed by the idempotent's
+        # coordinates
         self._projectives = {}
+        self._radical_times = {}
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._label_index) != self.dim:
             raise ValidationError("duplicate basis labels")
@@ -211,17 +216,28 @@ class Algebra:
         """Basis of the Jacobson radical plus its nilpotency index.
 
         Quiver algebras use the arrow ideal; otherwise the trace-form
-        kernel (char 0) or the integral trace chain (char p).
+        kernel (char 0) or the integral trace chain of Cohen, Ivanyos and
+        Wales (char p).  The chain A = R_0 > R_1 > ... ends at rad, and
+        every R_i holds rad.  It stops at the first R_i that is a
+        nilpotent two-sided ideal: a nilpotent ideal lies in rad, so that
+        R_i is rad, and its echelon basis is the one the whole chain
+        returns.  The powers that prove it nilpotent give the index.
         """
         if self._radical is None:
+            powers = None
             if self.presentation is not None and getattr(
                     self.presentation, "arrow_ideal_basis", None) is not None:
                 basis = [list(v) for v in self.presentation.arrow_ideal_basis]
             elif characteristic(self.field) == 0:
                 basis = self._radical_trace_form()
             else:
-                basis = self._radical_char_p()
-            index = self._nilpotency_index(basis)
+                basis, powers = self._radical_char_p()
+            if powers is None:
+                powers = self._nilpotent_powers(basis)
+                if powers is None:
+                    raise InternalInvariantError(
+                        "radical candidate is not nilpotent")
+            index, self._radical_square = powers
             self._radical = (basis, index)
         return self._radical
 
@@ -231,22 +247,51 @@ class Algebra:
     def radical_index(self):
         return self.radical()[1]
 
-    def _nilpotency_index(self, basis):
+    def radical_generators(self):
+        """Rows of the radical basis that span rad modulo rad^2.  For
+        such a G, rad = A G: rad = G + rad^2 = G + rad G + rad^3 = ...,
+        and rad is nilpotent.  So M rad = M G for any right module M."""
+        if self._radical_generators is None:
+            basis = self.radical_basis()
+            self._radical_generators = quotient_basis(
+                self.field, basis, self._radical_square, length=self.dim)
+        return self._radical_generators
+
+    def _nilpotent_powers(self, basis):
+        """(k, basis of I^2) for the two-sided ideal I spanned by `basis`
+        when I^k = 0 is its first vanishing power, else None.  The powers
+        of an ideal descend, so they stop shrinking at a nonzero I^j
+        exactly when I is not nilpotent."""
         if not basis:
-            return 1
+            return 1, []
         f = self.field
-        current = [list(v) for v in basis]
+        current = basis
         index = 1
+        square = None
         while current:
             index += 1
-            nxt = []
-            for v in current:
-                for w in basis:
-                    nxt.append(self.mul(v, w))
-            current = row_space_basis(f, nxt)
-            if index > self.dim + 1:
-                raise InternalInvariantError("radical candidate is not nilpotent")
-        return index
+            nxt = row_space_basis(
+                f, [self.mul(v, w) for v in current for w in basis])
+            if len(nxt) == len(current):
+                return None
+            if square is None:
+                square = nxt
+            current = nxt
+        return index, square
+
+    def _is_two_sided_ideal(self, basis):
+        """Whether span(basis) is closed under multiplication by every
+        basis element on either side."""
+        ech = _Echelon(self.field, self.dim)
+        for v in basis:
+            ech.insert(v)
+        for v in basis:
+            for b in range(self.dim):
+                e = self.basis_vector(b)
+                if not (ech.contains(self.mul(v, e))
+                        and ech.contains(self.mul(e, v))):
+                    return False
+        return True
 
     def _radical_trace_form(self):
         # Dickson: rad = {x : tr(L_x L_y) = 0 for all y}; valid in char 0.
@@ -267,58 +312,60 @@ class Algebra:
         return row_space_basis(f, kernel_basis(m))
 
     def _radical_char_p(self):
-        # Descending chain R_0 = A, R_i = {x in R_{i-1} :
-        # tr((XY)^{p^{i-1}}) = 0 mod p^i for all y in R_{i-1}} computed on
-        # integral lifts of the regular representation; R_{l+1} = rad(A)
-        # for p^l <= dim < p^{l+1}.
+        """(rad, its `_nilpotent_powers`) from the descending chain
+        R_0 = A, R_i = {x in R_{i-1} : tr((XY)^{p^{i-1}}) = 0 mod p^i for
+        all y in R_{i-1}} on integral lifts of the regular representation,
+        where R_{l+1} = rad for p^l <= dim < p^{l+1}.  The trace of
+        (XY)^q is symmetric in x and y, so only x <= y is computed; at
+        q = 1 it is sum_ij X_ij Y_ji, read off the structure constants.
+        The chain stops early at a nilpotent two-sided ideal (see
+        `radical`); the powers are None when it runs to the end."""
         f = self.field
         p = f.p
         n = self.dim
-        lifts = [self._int_left_mult(self.basis_vector(i)) for i in range(n)]
         current = [unit_vec(f, n, i) for i in range(n)]
         level = 0
         while p ** level <= n:
             level += 1
+        lifts = None
         for i in range(1, level + 1):
-            if not current:
-                break
             exponent = p ** (i - 1)
-            modulus = p ** i
-            cur_lifts = [self._int_combo(lifts, v) for v in current]
-            rows = []
-            for ylift in cur_lifts:
-                row = []
-                for xlift in cur_lifts:
-                    prod = _int_mat_mul(xlift, ylift)
-                    powered = _int_mat_pow(prod, exponent)
-                    tr = sum(powered[d][d] for d in range(n))
-                    if tr % (modulus // p) != 0:
+            divisor = exponent     # p^i // p: the trace is 0 mod this
+            if exponent == 1:
+                # current is the standard basis, and X = L_{b_a} has
+                # X_kj = c for each term (k, c) of b_a b_j
+                table = self.table
+                trace = [[sum(c * table[b][k][j]
+                              for j, terms in enumerate(self.products[a])
+                              for k, c in terms)
+                          for b in range(a, n)] for a in range(n)]
+            else:
+                if lifts is None:
+                    # L_{b_a}: entry (k, j) is the b_k-coordinate of b_a b_j
+                    lifts = [[[int(x) for x in row] for row in
+                              zip(*self.table[a])] for a in range(n)]
+                cur_lifts = [_int_combo(p, lifts, v) for v in current]
+                trace = [[_int_trace(_int_mat_pow(
+                    _int_mat_mul(x, y), exponent))
+                          for y in cur_lifts[a:]]
+                         for a, x in enumerate(cur_lifts)]
+            size = len(current)
+            rows = [[None] * size for _ in range(size)]
+            for a in range(size):
+                for off, tr in enumerate(trace[a]):
+                    if tr % divisor != 0:
                         raise InternalInvariantError(
                             "trace chain divisibility failed")
-                    row.append((tr // (modulus // p)) % p)
-                rows.append(row)
-            m = Mat(f, rows, cols=len(current))
-            coeff_kernel = kernel_basis(m)
+                    rows[a][a + off] = rows[a + off][a] = (tr // divisor) % p
+            m = Mat(f, rows, cols=size)
             new = [_combination(f, coeffs, current, n)
-                   for coeffs in coeff_kernel]
+                   for coeffs in kernel_basis(m)]
             current = row_space_basis(f, new)
-        return current
-
-    def _int_left_mult(self, x):
-        m = self.left_mult_matrix(x)
-        return [[int(v) % self.field.p for v in row] for row in m.data]
-
-    def _int_combo(self, lifts, v):
-        n = self.dim
-        out = [[0] * n for _ in range(n)]
-        for c, lift in zip(v, lifts):
-            c = int(c) % self.field.p
-            if c == 0:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * lift[i][j]
-        return out
+            if len(current) < n and self._is_two_sided_ideal(current):
+                powers = self._nilpotent_powers(current)
+                if powers is not None:
+                    return current, powers
+        return current, None
 
     # -- semisimple quotient and idempotents --------------------------------
 
@@ -509,6 +556,25 @@ def regular_algebra_of_matrices(field, mats, labels=None):
         raise ValidationError("matrix span does not contain the identity")
     alg = Algebra(field, labels, table, unit, validate=False)
     return alg, basis_mats
+
+
+def _int_combo(p, lifts, v):
+    """sum_k v_k lifts[k] over the integers, v_k read as 0..p-1."""
+    n = len(lifts[0])
+    out = [[0] * n for _ in range(n)]
+    for c, lift in zip(v, lifts):
+        c = int(c) % p
+        if c == 0:
+            continue
+        for orow, lrow in zip(out, lift):
+            for j, x in enumerate(lrow):
+                if x:
+                    orow[j] += c * x
+    return out
+
+
+def _int_trace(m):
+    return sum(row[d] for d, row in enumerate(m))
 
 
 def _int_mat_mul(a, b):

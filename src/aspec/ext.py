@@ -7,10 +7,18 @@ convention (image of row x is x.D).  Ext^d(M, N) is computed from
     Z^d = {f in Hom_A(P_d, N) : f vanishes on ker d_d},
     B^d = image of precomposition with d_d,
 
-which only needs the resolution up to homological degree d.  Each
-indecomposable projective e_v A (its basis and the action of the
-algebra on it) is built once per algebra and idempotent, and every slot
-of every term of every resolution over that algebra reads it.
+which only needs the resolution up to homological degree d.
+
+G spans rad modulo rad^2, so rad = A G and T rad = T G for a submodule
+T.  A cover of T reads T e modulo T (G e), and minimality is checked
+against the radical rows e_v rad = (e_v A) G.  Each indecomposable
+projective e_v A (its basis, the action of the algebra on it and its
+radical rows) and the products g e are built once per algebra and
+idempotent, and every resolution over that algebra reads them.  A
+projective keeps the sparse actions of its slots, and rows are acted
+on through `ModuleRep.apply`, so no dense action matrix of a projective
+is built.  Hom_A(P_d, N) is built once per resolution and target, so
+Ext^1 and Ext^2 share Hom(P_1, N).
 """
 
 from __future__ import annotations
@@ -34,29 +42,64 @@ from .modules import ModuleRep
 
 class _VertexProjective:
     """The indecomposable projective e A of an idempotent e: its basis
-    rows, the coordinates of e in them and, per algebra basis element b,
-    the nonzero coordinates (c, x) of w * b for each basis row w."""
+    rows, the coordinates of e in them, per algebra basis element b the
+    nonzero coordinates (c, x) of w * b for each basis row w, and the
+    echelon of e rad = (e A) G in those coordinates (G from
+    `Algebra.radical_generators`, so rad = A G)."""
 
     def __init__(self, algebra, e):
         f = algebra.field
         n = algebra.dim
         self.basis = row_space_basis(
             f, [algebra.mul(e, algebra.basis_vector(b)) for b in range(n)])
-        span = Span(f, self.basis, n)
-        self.generator = span.coords(e)
+        self.dim = len(self.basis)
+        # the basis is in rref: a vector of e A has its coordinates at
+        # the pivot columns
+        pivots = [next(j for j, x in enumerate(w) if x) for w in self.basis]
+
+        def coords(v):
+            out = [v[j] for j in pivots]
+            if _combination(f, out, self.basis, n) != v:
+                raise InternalInvariantError("e_v A not action-closed")
+            return out
+
+        self.generator = coords(e)
         self.action = []
         for b in range(n):
             rows = []
             for w in self.basis:
                 img = algebra.mul(w, algebra.basis_vector(b))
-                if vec_is_zero(f, img):
-                    rows.append([])
-                    continue
-                coeffs = span.coords(img)
-                if coeffs is None:
-                    raise InternalInvariantError("e_v A not action-closed")
-                rows.append([(c, x) for c, x in enumerate(coeffs) if x])
+                rows.append([] if vec_is_zero(f, img) else
+                            [(c, x) for c, x in enumerate(coords(img)) if x])
             self.action.append(rows)
+        add, mul = f.add, f.mul
+        gens = algebra.radical_generators()
+        self.radical = _Echelon(f, self.dim)
+        for r in range(self.dim):
+            for g in gens:
+                # w_r * g = sum_b g_b (w_r * b), in the coordinates of e A
+                row = zero_vec(f, self.dim)
+                for gb, rows in zip(g, self.action):
+                    if gb:
+                        for c, x in rows[r]:
+                            t = mul(gb, x)
+                            o = row[c]
+                            row[c] = add(o, t) if o else t
+                self.radical.insert(row)
+
+
+def _radical_times(algebra, e):
+    """The nonzero products g e, g in G, formed once per algebra and
+    idempotent (keyed like `_vertex_projective`)."""
+    key = tuple(e)
+    out = algebra._radical_times.get(key)
+    if out is None:
+        f = algebra.field
+        out = algebra._radical_times[key] = [
+            ge for ge in (algebra.mul(g, e)
+                          for g in algebra.radical_generators())
+            if not vec_is_zero(f, ge)]
+    return out
 
 
 def _vertex_projective(algebra, e):
@@ -71,30 +114,31 @@ def _vertex_projective(algebra, e):
 
 
 class ProjectiveModule(ModuleRep):
-    """Direct sum of the indecomposable projectives e_{v_s} A."""
+    """Direct sum of the indecomposable projectives e_{v_s} A, kept as
+    the sparse actions of its slots: no dense action matrix is built
+    unless `act` is asked for one."""
 
     def __init__(self, algebra, slots):
+        self.algebra = algebra
         self.slots = list(slots)
+        self.name = f"P({slots})"
         idems = algebra.ensure_idempotents()
-        f = algebra.field
         self._blocks = [_vertex_projective(algebra, idems[v])
                         for v in self.slots]
         self.slot_bases = [blk.basis for blk in self._blocks]
         offsets = [0]
-        for base in self.slot_bases:
-            offsets.append(offsets[-1] + len(base))
+        for blk in self._blocks:
+            offsets.append(offsets[-1] + blk.dim)
         self.offsets = offsets
-        total = offsets[-1]
-        mats = []
+        self.dim = offsets[-1]
+        self._entries = []
         for b in range(algebra.dim):
-            big = Mat.zeros(f, total, total)
+            entries = {}
             for blk, off in zip(self._blocks, offsets):
-                for r, entries in enumerate(blk.action[b]):
-                    row = big.data[off + r]
-                    for c, x in entries:
-                        row[off + c] = x
-            mats.append(big)
-        super().__init__(algebra, mats, name=f"P({slots})", validate=False)
+                for r, row in enumerate(blk.action[b]):
+                    if row:
+                        entries[off + r] = [(off + c, x) for c, x in row]
+            self._entries.append(entries)
 
     def generator_row(self, s):
         """Coordinates of the slot-s generator e_{v_s}."""
@@ -102,17 +146,19 @@ class ProjectiveModule(ModuleRep):
         row[self.offsets[s]:self.offsets[s + 1]] = self._blocks[s].generator
         return row
 
+    def is_radical_valued(self, row):
+        """Whether a row lies in P rad, the sum of the e_{v_s} rad."""
+        return all(blk.radical.contains(row[lo:hi]) for blk, lo, hi in
+                   zip(self._blocks, self.offsets, self.offsets[1:]))
+
+
 def module_map_from_generators(proj, target, gen_images):
     """k-matrix (proj.dim x target.dim, row convention) of the A-map
     sending the slot generators to the given target rows."""
-    f = proj.algebra.field
-    out = Mat.zeros(f, proj.dim, target.dim)
-    for s, base in enumerate(proj.slot_bases):
-        img = gen_images[s]
-        for r, w in enumerate(base):
-            # generator * w = basis row (s, r); its image is img * w
-            out.data[proj.offsets[s] + r] = target.act(w).apply_row(img)
-    return out
+    # generator * w = basis row (s, r); its image is img * w
+    rows = [target.apply(img, w)
+            for base, img in zip(proj.slot_bases, gen_images) for w in base]
+    return Mat._of(proj.algebra.field, rows, target.dim)
 
 
 class Resolution:
@@ -125,6 +171,7 @@ class Resolution:
         self.terms = []          # ProjectiveModule per degree
         self.diffs = []          # k-matrices: diffs[0] = eps, diffs[d] = d_d
         self.kernels = []        # kernels[d] = ker(diffs[d]) rows in P_d
+        self._homs = {}          # (degree, id(N)) -> (N, Hom_A(P_degree, N))
 
         target = module
         target_rows = None       # rows of the submodule being covered
@@ -161,19 +208,22 @@ class Resolution:
             if len(im) != len(ker):
                 raise InternalInvariantError("resolution not exact")
         # minimality: rows of every differential land in P_{d-1} * rad
-        algebra = self.module.algebra
-        rad = algebra.radical_basis()
         for d in range(1, len(self.terms)):
             prev = self.terms[d - 1]
-            rad_span = _Echelon(f, prev.dim)
-            rad_acts = [prev.act(r) for r in rad]
-            for i in range(prev.dim):
-                for act in rad_acts:
-                    rad_span.insert(act.data[i])
             for row in self.diffs[d].data:
-                if not rad_span.contains(row):
+                if not prev.is_radical_valued(row):
                     raise InternalInvariantError(
                         "resolution differential not radical-valued (not minimal)")
+
+    def homs(self, degree, target):
+        """Basis of Hom_A(P_degree, target), built once per target: Ext^1
+        and Ext^2 into the same module both read Hom(P_1, target)."""
+        key = (degree, id(target))
+        entry = self._homs.get(key)
+        if entry is None:
+            entry = self._homs[key] = (
+                target, _hom_space_basis(self.terms[degree], target))
+        return entry[1]
 
     @property
     def p0(self):
@@ -190,25 +240,24 @@ class Resolution:
 
 def _cover_data(algebra, target, target_rows):
     """Projective cover slots and generator images for a module or a
-    submodule (given by rows of the ambient target)."""
+    submodule T (given by rows of the ambient target): per idempotent e,
+    a basis of T e modulo T rad e = T (G e), where rad = A G."""
     f = algebra.field
     idems = algebra.ensure_idempotents()
-    rad = algebra.radical_basis()
     if target_rows is None:
         ambient_rows = [unit_vec(f, target.dim, i) for i in range(target.dim)]
     else:
-        ambient_rows = [list(r) for r in target_rows]
+        ambient_rows = target_rows
     slots = []
     gen_images = []
     for i, e in enumerate(idems):
-        act_e = target.act(e)
-        rows_e = [act_e.apply_row(r) for r in ambient_rows]
-        rows_e = row_space_basis(f, rows_e)
-        # a zero x * e adds only zero rows, which leave the span as it is
-        rad_acts = [target.act(xe) for xe in (algebra.mul(x, e) for x in rad)
-                    if not vec_is_zero(f, xe)]
-        rad_rows = [act.apply_row(r) for r in ambient_rows for act in rad_acts]
-        rad_rows = row_space_basis(f, rad_rows)
+        rows_e = row_space_basis(
+            f, [target.apply(r, e) for r in ambient_rows])
+        if not rows_e:
+            continue
+        rad_rows = row_space_basis(
+            f, [target.apply(r, ge) for r in ambient_rows
+                for ge in _radical_times(algebra, e)])
         reps = quotient_basis(f, rows_e, rad_rows, length=target.dim)
         for rep in reps:
             slots.append(i)
@@ -279,12 +328,11 @@ def ext(source, target, degree, resolution=None):
                         empty_ech)
     res = resolution or Resolution(source)
     proj = res.terms[degree]
-    prev = res.terms[degree - 1]
     if proj.dim == 0 or target.dim == 0:
         empty_ech = _Echelon(f, 1)
         return ExtSpace(degree, source, target, res, [], [], empty_ech,
                         empty_ech)
-    hom_basis = _hom_space_basis(proj, target)
+    hom_basis = res.homs(degree, target)
     ncoords = proj.dim * target.dim
 
     # cocycles: maps vanishing on ker d_degree
@@ -306,7 +354,7 @@ def ext(source, target, degree, resolution=None):
                    for coeffs in coeff_kernel]
 
     # coboundaries: precompositions of Hom(P_{degree-1}, target) with d
-    prev_homs = _hom_space_basis(prev, target)
+    prev_homs = res.homs(degree - 1, target)
     b_basis = [res.diffs[degree].mul(phi) for phi in prev_homs]
 
     z_flat = [_flatten(m) for m in z_basis]
@@ -335,7 +383,9 @@ def _lift_through(proj, target_res, rhs_rows, depth):
     idems = proj.algebra.ensure_idempotents()
     images = []
     for s, v in enumerate(proj.slots):
-        sub_rows = row_space_basis(f, term.act(idems[v]).data)
+        sub_rows = row_space_basis(
+            f, [term.apply(unit_vec(f, term.dim, i), idems[v])
+                for i in range(term.dim)])
         rhs = rhs_rows[s]
         if not sub_rows:
             if not vec_is_zero(f, rhs):

@@ -59,13 +59,14 @@ class BarComparison:
             self.sigma.append(sol)
 
         # nu[m][a]: d1-preimage of sigma(m . a) - sigma(m) . a
+        basis = [algebra.basis_vector(a) for a in range(algebra.dim)]
         self.nu = []
         for m in range(module.dim):
             row = []
             for a in range(algebra.dim):
                 ma = module.action[a].data[m]
                 rhs = vec_sub(f, self._sigma_of(ma),
-                              p0.action[a].apply_row(self.sigma[m]))
+                              p0.apply(self.sigma[m], basis[a]))
                 sol = d1_span.coords(rhs)
                 if sol is None:
                     raise InternalInvariantError("nu lift failed")
@@ -91,6 +92,7 @@ class BarComparison:
         p1 = self.res.terms[1]
         d2 = self.res.diffs[2]
         d2_span = Span(f, d2.data, d2.cols)
+        basis = [algebra.basis_vector(b) for b in range(algebra.dim)]
         out = {}
         for m, nu_m in enumerate(nu):
             for a, nu_ma in enumerate(nu_m):
@@ -100,7 +102,7 @@ class BarComparison:
                 for b, ab in enumerate(algebra.products[a]):
                     if not (ma or moves or ab):
                         continue
-                    w = p1.action[b].apply_row(nu_ma) if moves else \
+                    w = p1.apply(nu_ma, basis[b]) if moves else \
                         zero_vec(f, p1.dim)
                     for k, c in ma:
                         _add_scaled(f, w, c, nu[k][b])
@@ -169,17 +171,17 @@ def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
         out[key] = f.add(out.get(key, f.zero), x)
 
     for x, entries in enumerate(source._entries):
-        for r, c, v in entries:
-            if c == r0:
-                put(((x,) + args, r, c0), v)
+        for r, row in entries.items():
+            for c, v in row:
+                if c == r0:
+                    put(((x,) + args, r, c0), v)
     for k, e in enumerate(args):
         for x, y, v in onto.get(e, ()):
             put((args[:k] + (x, y) + args[k + 1:], r0, c0),
                 v if k % 2 else f.neg(v))
     for x, entries in enumerate(target._entries):
-        for r, c, v in entries:
-            if r == c0:
-                put((args + (x,), r0, c), v if len(args) % 2 else f.neg(v))
+        for c, v in entries.get(c0, ()):
+            put((args + (x,), r0, c), v if len(args) % 2 else f.neg(v))
     return out
 
 

@@ -693,6 +693,7 @@ class OAlgebra:
         self.table = [[self.rho_coords(algebra.mul(p, q)) for q in pre]
                       for p in pre]
         self.unit = self.rho_coords(algebra.unit)
+        self._o_alg = None
 
     def basis_elements(self):
         return list(self._elems)
@@ -706,10 +707,19 @@ class OAlgebra:
                             self.dim)
 
     def as_algebra(self, labels=None):
-        """Structure constants of O on its echelon basis."""
+        """Structure constants of O on its echelon basis, a new Algebra
+        on every call."""
         labels = labels or [f"o{i}" for i in range(self.dim)]
         return Algebra(self.field, labels, self.table, self.unit,
                        validate=False)
+
+    @property
+    def o_alg(self):
+        """`as_algebra()`, built once and shared by `o_algebra` and
+        `maximal_ideals`, which only read it."""
+        if self._o_alg is None:
+            self._o_alg = self.as_algebra()
+        return self._o_alg
 
     def block_action(self, i, elem):
         """pi_i of an O element: its action on M_i."""
@@ -759,7 +769,7 @@ def o_algebra(ohat):
     f = ohat.field
     a0, kern = designated_units(ohat)
     if a0 is not None:
-        o_alg = o.as_algebra()
+        o_alg = o.o_alg
         candidates = [a0] + [[f.add(x, y) for x, y in zip(a0, v)]
                              for v in kern]
         for coords in candidates:
@@ -799,7 +809,7 @@ def maximal_ideals(o):
     decides."""
     f = o.field
     ohat = o.ohat
-    o_alg = o.as_algebra()
+    o_alg = o.o_alg
     pis = [ohat.pi(e) for e in o.basis_elements()]
     out = []
     for i, d in enumerate(ohat.dims):
@@ -851,7 +861,8 @@ def _two_sided_ideal(o_alg, idx):
 def base_algebra_of(algebra, o, names):
     """O as a base algebra: its structure constants, with the images of
     the idempotents of `algebra` as its own when they validate, and the
-    family's modules over it read off the block actions, named `names`."""
+    family's modules over it read off the block actions, named `names`.
+    It builds its own `as_algebra()`, because it sets the idempotents."""
     o_alg = o.as_algebra()
     idems = []
     for e in algebra.ensure_idempotents():

@@ -44,9 +44,10 @@ class ModuleRep:
         if rows != cols:
             raise ValidationError(f"module {name!r}: action matrices not square")
         self.dim = rows
-        # the nonzero entries (i, j, x) of each action matrix, for act
-        self._entries = [[(i, j, x) for i, row in enumerate(m.data)
-                          for j, x in enumerate(row) if x]
+        # per basis element, the nonzero entries of its action matrix as
+        # {row: [(column, x), ...]}, for act and apply
+        self._entries = [{i: [(j, x) for j, x in enumerate(row) if x]
+                          for i, row in enumerate(m.data) if any(row)}
                          for m in self.action]
         if validate:
             self.validate()
@@ -89,11 +90,33 @@ class ModuleRep:
         rows = out.data
         for c, entries in zip(elem, self._entries):
             if c:
-                for i, j, x in entries:
-                    t = mul(c, x)
+                for i, entry_row in entries.items():
                     row = rows[i]
-                    o = row[j]
-                    row[j] = add(o, t) if o else t
+                    for j, x in entry_row:
+                        t = mul(c, x)
+                        o = row[j]
+                        row[j] = add(o, t) if o else t
+        return out
+
+    def apply(self, v, elem):
+        """The row v.elem, for a row v of the module and a coordinate
+        vector over the algebra basis, read off the nonzero entries of
+        the actions without building act(elem)."""
+        f = self.algebra.field
+        add, mul = f.add, f.mul
+        out = [f.zero] * self.dim
+        support = [(i, x) for i, x in enumerate(v) if x]
+        for c, entries in zip(elem, self._entries):
+            if not c:
+                continue
+            for i, x in support:
+                entry_row = entries.get(i)
+                if entry_row:
+                    cx = mul(c, x)
+                    for j, y in entry_row:
+                        t = mul(cx, y)
+                        o = out[j]
+                        out[j] = add(o, t) if o else t
         return out
 
     def __repr__(self):
@@ -146,11 +169,10 @@ def simple_modules(algebra):
     """
     f = algebra.field
     idems = algebra.ensure_idempotents()
-    quot, project, reps = algebra.semisimple_quotient()
-    if len(idems) != quot.dim:
+    rad = algebra.radical_basis()
+    if len(idems) != algebra.dim - len(rad):
         raise UnsupportedAlgebraError(
             "semisimple quotient is not k^r; algebra is not basic split")
-    rad = algebra.radical_basis()
     out = []
     for i, e in enumerate(idems):
         # e_i A e_i = k e_i + (rad part): the scalar through which basis

@@ -133,13 +133,20 @@ def resolutions_built(monkeypatch):
 @pytest.fixture
 def setup_work(monkeypatch):
     """The Ext setup work done during the test: under "e_v_A" the
-    idempotent of every indecomposable projective e_v A built, and under
-    "mu_cells" the number of cells each bar comparison lifts for mu."""
-    from aspec.ext import _VertexProjective
+    idempotent of every indecomposable projective e_v A built, under
+    "mu_cells" the number of cells each bar comparison lifts for mu,
+    under "int_mat_products" one entry per integral matrix product the
+    char-p radical forms, and under "dense_projective_actions" the
+    dimension of every dense action matrix a `ProjectiveModule` builds."""
+    import aspec.algebra
+    from aspec.ext import ProjectiveModule, _VertexProjective
     from aspec.hochschild import BarComparison
-    work = {"e_v_A": [], "mu_cells": []}
+    work = {"e_v_A": [], "mu_cells": [], "int_mat_products": [],
+            "dense_projective_actions": []}
     init = _VertexProjective.__init__
     lift = BarComparison._lift_mu
+    int_mul = aspec.algebra._int_mat_mul
+    act = ProjectiveModule.act
 
     def counting_init(self, algebra, e):
         work["e_v_A"].append(e)
@@ -150,8 +157,18 @@ def setup_work(monkeypatch):
         work["mu_cells"].append(len(out))
         return out
 
+    def counting_int_mul(a, b):
+        work["int_mat_products"].append(len(a))
+        return int_mul(a, b)
+
+    def counting_act(self, elem):
+        work["dense_projective_actions"].append(self.dim)
+        return act(self, elem)
+
     monkeypatch.setattr(_VertexProjective, "__init__", counting_init)
     monkeypatch.setattr(BarComparison, "_lift_mu", counting_lift)
+    monkeypatch.setattr(aspec.algebra, "_int_mat_mul", counting_int_mul)
+    monkeypatch.setattr(ProjectiveModule, "act", counting_act)
     return work
 
 

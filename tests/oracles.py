@@ -16,8 +16,12 @@ multiplication; the references for O^A(M) multiply in `MatricOHat`,
 invert by `invert_unit`, read coordinates through a `Span` and test
 simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
-`act`, one basis triple or pair at a time.  The last section holds
-readings of documents, points and spaces that only the tests ask for.
+`act`, one basis triple or pair at a time; the dense resolutions build
+each e A through `Algebra.mul`, act through dense `Mat`s and solve with
+`rref`, `kernel_basis` and `quotient_basis`, and the whole trace chain
+reads the regular representation through `left_mult_matrix`.  The last
+section holds readings of documents, points and spaces that only the
+tests ask for.
 """
 
 from fractions import Fraction
@@ -682,7 +686,7 @@ def bar_mu_dense(bc):
     d2-preimage of nu(m.a, b) - nu(m, ab) + nu(m, a).b."""
     module, algebra = bc.module, bc.algebra
     f = algebra.field
-    p1 = bc.res.terms[1]
+    p1 = dense_projective(algebra, bc.res.terms[1].slots)
     d2 = bc.res.diffs[2]
     d2_span = Span(f, d2.data, d2.cols)
     mu = []
@@ -1175,6 +1179,238 @@ def module_validate_dense(mod):
                 raise ValidationError(
                     f"module {mod.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "
                     f"for ({A.labels[i]}, {A.labels[j]})")
+
+
+# -- dense resolutions and the full trace chain --------------------------------
+
+
+def dense_projective(algebra, slots):
+    """The direct sum of the e_{v_s} A as a ModuleRep with one dense
+    total x total action matrix per basis element, each e A spanned and
+    acted on through `Algebra.mul`; `slot_bases` and `offsets` as on
+    `ProjectiveModule`."""
+    f = algebra.field
+    n = algebra.dim
+    idems = algebra.ensure_idempotents()
+    bases, spans = [], []
+    for v in slots:
+        e = idems[v]
+        base = row_space_basis(
+            f, [algebra.mul(e, algebra.basis_vector(b)) for b in range(n)])
+        bases.append(base)
+        spans.append(Span(f, base, n))
+    offsets = [0]
+    for base in bases:
+        offsets.append(offsets[-1] + len(base))
+    total = offsets[-1]
+    mats = []
+    for b in range(n):
+        big = Mat.zeros(f, total, total)
+        for base, span, off in zip(bases, spans, offsets):
+            for r, w in enumerate(base):
+                img = algebra.mul(w, algebra.basis_vector(b))
+                coeffs = span.coords(img)
+                if coeffs is None:
+                    raise InternalInvariantError("e_v A not action-closed")
+                big.data[off + r][off:off + len(base)] = coeffs
+        mats.append(big)
+    module = ModuleRep(algebra, mats, name=f"P({slots})", validate=False)
+    module.slots = list(slots)
+    module.slot_bases = bases
+    module.offsets = offsets
+    return module
+
+
+def cover_data_dense(algebra, target, target_rows):
+    """Projective cover slots and generator images of a module or of a
+    submodule (rows of the target): per idempotent e, T e modulo the
+    span of T (x e) over every radical basis element x, through the
+    dense action matrices `act`."""
+    f = algebra.field
+    idems = algebra.ensure_idempotents()
+    rad = algebra.radical_basis()
+    if target_rows is None:
+        ambient_rows = [unit_vec(f, target.dim, i) for i in range(target.dim)]
+    else:
+        ambient_rows = [list(r) for r in target_rows]
+    slots, gen_images = [], []
+    for i, e in enumerate(idems):
+        act_e = target.act(e)
+        rows_e = row_space_basis(f, [act_e.apply_row(r) for r in ambient_rows])
+        rad_acts = [target.act(algebra.mul(x, e)) for x in rad]
+        rad_rows = row_space_basis(
+            f, [act.apply_row(r) for r in ambient_rows for act in rad_acts])
+        for rep in quotient_basis(f, rows_e, rad_rows, length=target.dim):
+            slots.append(i)
+            gen_images.append(rep)
+    return slots, gen_images
+
+
+def module_map_dense(proj, target, gen_images):
+    """The A-map out of a projective sending the slot generators to the
+    given rows, each basis row's image through `target.act`."""
+    f = proj.algebra.field
+    out = Mat.zeros(f, proj.dim, target.dim)
+    for s, base in enumerate(proj.slot_bases):
+        for r, w in enumerate(base):
+            out.data[proj.offsets[s] + r] = \
+                target.act(w).apply_row(gen_images[s])
+    return out
+
+
+class DenseResolution:
+    """M <- P0 <- P1 <- P2 over `dense_projective` terms: `covers[d]` is
+    the (slots, generator images) of degree d, and `terms`, `diffs` and
+    `kernels` are as on `Resolution`.  Checked as before: the
+    differentials compose to 0, ranks match the kernels, and every row of
+    d_d lies in the span of the rows of P_{d-1}.act(x), x in rad."""
+
+    def __init__(self, module):
+        algebra = module.algebra
+        f = algebra.field
+        self.module = module
+        self.covers, self.terms, self.diffs, self.kernels = [], [], [], []
+        target, target_rows = module, None
+        for degree in range(3):
+            slots, images = cover_data_dense(algebra, target, target_rows)
+            proj = dense_projective(algebra, slots)
+            dmat = module_map_dense(proj, target, images)
+            ker = row_space_basis(f, kernel_basis(dmat.transpose()))
+            self.covers.append((slots, images))
+            self.terms.append(proj)
+            self.diffs.append(dmat)
+            self.kernels.append(ker)
+            target, target_rows = proj, ker
+            if not ker:
+                for _ in range(degree + 1, 3):
+                    self.covers.append(([], []))
+                    self.terms.append(dense_projective(algebra, []))
+                    self.diffs.append(Mat.zeros(f, 0, self.terms[-2].dim))
+                    self.kernels.append([])
+                break
+        rad = algebra.radical_basis()
+        for d in range(1, 3):
+            if not self.diffs[d].mul(self.diffs[d - 1]).is_zero():
+                raise InternalInvariantError("differentials do not compose to 0")
+            if len(row_space_basis(f, self.diffs[d].data)) != \
+                    len(self.kernels[d - 1]):
+                raise InternalInvariantError("resolution not exact")
+            prev = self.terms[d - 1]
+            rad_rows = [prev.act(x).data[i] for x in rad
+                        for i in range(prev.dim)]
+            for row in self.diffs[d].data:
+                if rank_of(f, rad_rows + [row]) != rank_of(f, rad_rows):
+                    raise InternalInvariantError(
+                        "resolution differential not radical-valued")
+
+
+def rank_of(field, rows):
+    return len(row_space_basis(field, [list(r) for r in rows])) if rows else 0
+
+
+def ext_cocycles_dense(res, target, degree):
+    """The Ext^degree cocycle representatives over a DenseResolution:
+    Hom_A(P_d, N) from the rows of N e per slot, the cocycles vanishing
+    on ker d_d, and a basis of them modulo Hom_A(P_{d-1}, N) after d_d,
+    each Hom built anew."""
+    algebra = res.module.algebra
+    f = algebra.field
+    idems = algebra.ensure_idempotents()
+    proj, prev = res.terms[degree], res.terms[degree - 1]
+    if proj.dim == 0 or target.dim == 0:
+        return []
+
+    def homs(p):
+        out = []
+        for s, v in enumerate(p.slots):
+            for r in row_space_basis(f, target.act(idems[v]).data):
+                images = [zero_vec(f, target.dim) for _ in p.slots]
+                images[s] = r
+                out.append(module_map_dense(p, target, images))
+        return out
+
+    def flat(m):
+        return [x for row in m.data for x in row]
+
+    hom_basis = homs(proj)
+    z_basis = []
+    if hom_basis:
+        cond = [[phi.apply_row(kr)[j] for phi in hom_basis]
+                for kr in res.kernels[degree] for j in range(target.dim)]
+        coeffs = kernel_basis(Mat(f, cond, cols=len(hom_basis))) if cond \
+            else [unit_vec(f, len(hom_basis), i)
+                  for i in range(len(hom_basis))]
+        for c in coeffs:
+            total = Mat.zeros(f, proj.dim, target.dim)
+            for ck, phi in zip(c, hom_basis):
+                if ck:
+                    total = total.add(phi.scale(ck))
+            z_basis.append(total)
+    b_basis = [res.diffs[degree].mul(phi) for phi in homs(prev)]
+    reps = quotient_basis(f, [flat(m) for m in z_basis],
+                          [flat(m) for m in b_basis],
+                          length=proj.dim * target.dim)
+    return [Mat(f, [v[i * target.dim:(i + 1) * target.dim]
+                    for i in range(proj.dim)], cols=target.dim)
+            for v in reps]
+
+
+def radical_trace_chain(alg):
+    """(basis, nilpotency index) of the radical of an algebra over F_p by
+    the whole Cohen-Ivanyos-Wales chain: at every level i up to
+    l + 1 (p^l <= dim < p^{l+1}) and every pair x, y of R_{i-1}, the
+    integral matrix product XY, its p^{i-1}-th power and its trace are
+    formed; the index from the powers of the result."""
+    f = alg.field
+    p, n = f.p, alg.dim
+
+    def int_mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    lifts = [[[int(x) % p for x in row] for row in
+              alg.left_mult_matrix(alg.basis_vector(i)).data]
+             for i in range(n)]
+    current = [unit_vec(f, n, i) for i in range(n)]
+    level = 0
+    while p ** level <= n:
+        level += 1
+    for i in range(1, level + 1):
+        if not current:
+            break
+        exponent, divisor = p ** (i - 1), p ** (i - 1)
+        cur = []
+        for v in current:
+            m = [[0] * n for _ in range(n)]
+            for c, lift in zip(v, lifts):
+                for r in range(n):
+                    for s in range(n):
+                        m[r][s] += (int(c) % p) * lift[r][s]
+            cur.append(m)
+        rows = []
+        for y in cur:
+            row = []
+            for x in cur:
+                power = int_mul(x, y)
+                for _ in range(exponent - 1):
+                    power = int_mul(power, int_mul(x, y))
+                tr = sum(power[d][d] for d in range(n))
+                if tr % divisor:
+                    raise InternalInvariantError("trace chain divisibility")
+                row.append((tr // divisor) % p)
+            rows.append(row)
+        coeffs = kernel_basis(Mat(f, rows, cols=len(current)))
+        current = row_space_basis(
+            f, [[sum(c * v[k] for c, v in zip(cs, current)) % p
+                 for k in range(n)] for cs in coeffs])
+    index, power = 1, current
+    while power:
+        index += 1
+        power = row_space_basis(
+            f, [alg.mul(v, w) for v in power for w in current])
+        if index > n + 1:
+            raise InternalInvariantError("radical is not nilpotent")
+    return current, index
 
 
 # -- the normal form of scalars ------------------------------------------------

@@ -63,6 +63,19 @@ def test_simple_modules_counts_match_idempotents():
                 assert len(hom_A(s, t)) == expected, name
 
 
+def test_simple_modules_refuse_idempotents_that_are_not_primitive(
+        monkeypatch):
+    # k x k with 1 declared as its only idempotent: A/rad is k^2, not k^1;
+    # the count is read off dim A - dim rad, with no quotient built
+    one = QQ.one
+    a = from_structure_constants(
+        QQ, ["e1", "e2"], [[[one, 0], [0, 0]], [[0, 0], [0, one]]],
+        [one, one], idempotents=[[one, one]])
+    monkeypatch.setattr(type(a), "semisimple_quotient", None)
+    with pytest.raises(UnsupportedAlgebraError, match="not basic split"):
+        simple_modules(a)
+
+
 def test_simple_modules_nonsplit_errors():
     rel = {(3,): QQ.one, (0,): QQ.neg(QQ.one)}
     a = from_poly_quotient(QQ, ["x"], [rel])

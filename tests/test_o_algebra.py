@@ -241,3 +241,18 @@ def test_sweep_closes_only_elements_outside_every_ideal(monkeypatch):
     closed = _counting_closures(monkeypatch)
     assert len(maximal_ideals(o)) == 4
     assert closed == _outside_every_ideal(o) == []
+
+
+def test_o_algebra_and_maximal_ideals_share_one_structure_algebra(
+        monkeypatch):
+    # A2 has the designated unit 1, so both build O as an Algebra; one
+    # as_algebra serves them both
+    alg = make_a2()
+    _, ohat = hull(alg, simple_modules(alg))
+    built = []
+    as_algebra = OAlgebra.as_algebra
+    monkeypatch.setattr(OAlgebra, "as_algebra",
+                        lambda self: built.append(self) or as_algebra(self))
+    o = o_algebra(ohat)
+    assert len(maximal_ideals(o)) == 2
+    assert built == [o]
