@@ -293,22 +293,28 @@ class Algebra:
                     return False
         return True
 
+    def _trace_form(self):
+        """[[tr(L_a L_b) for b >= a] for a]: the trace form on the basis,
+        read off the structure constants.  X = L_{b_a} has X_kj = c for
+        each term (k, c) of b_a b_j, so tr(L_a L_b) = sum_jk X_kj Y_jk; the
+        sums are plain (integral for lifts of F_p scalars)."""
+        table = self.table
+        products = self.products
+        n = self.dim
+        return [[sum(c * table[b][k][j]
+                     for j, terms in enumerate(products[a])
+                     for k, c in terms)
+                 for b in range(a, n)] for a in range(n)]
+
     def _radical_trace_form(self):
         # Dickson: rad = {x : tr(L_x L_y) = 0 for all y}; valid in char 0.
         f = self.field
-        lmats = [self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
-        rows = []
-        for j in range(self.dim):
-            lj = lmats[j]
-            row = []
-            for i in range(self.dim):
-                prod = lmats[i].mul(lj)
-                tr = f.zero
-                for d in range(self.dim):
-                    tr = f.add(tr, prod.data[d][d])
-                row.append(tr)
-            rows.append(row)
-        m = Mat(f, rows, cols=self.dim)
+        n = self.dim
+        rows = [[None] * n for _ in range(n)]
+        for a, row in enumerate(self._trace_form()):
+            for off, tr in enumerate(row):
+                rows[a][a + off] = rows[a + off][a] = tr
+        m = Mat(f, rows, cols=n)
         return row_space_basis(f, kernel_basis(m))
 
     def _radical_char_p(self):
@@ -317,7 +323,7 @@ class Algebra:
         all y in R_{i-1}} on integral lifts of the regular representation,
         where R_{l+1} = rad for p^l <= dim < p^{l+1}.  The trace of
         (XY)^q is symmetric in x and y, so only x <= y is computed; at
-        q = 1 it is sum_ij X_ij Y_ji, read off the structure constants.
+        q = 1 it is `_trace_form`, read off the structure constants.
         The chain stops early at a nilpotent two-sided ideal (see
         `radical`); the powers are None when it runs to the end."""
         f = self.field
@@ -332,13 +338,8 @@ class Algebra:
             exponent = p ** (i - 1)
             divisor = exponent     # p^i // p: the trace is 0 mod this
             if exponent == 1:
-                # current is the standard basis, and X = L_{b_a} has
-                # X_kj = c for each term (k, c) of b_a b_j
-                table = self.table
-                trace = [[sum(c * table[b][k][j]
-                              for j, terms in enumerate(self.products[a])
-                              for k, c in terms)
-                          for b in range(a, n)] for a in range(n)]
+                # current is the standard basis
+                trace = self._trace_form()
             else:
                 if lifts is None:
                     # L_{b_a}: entry (k, j) is the b_k-coordinate of b_a b_j

@@ -35,6 +35,7 @@ from .hochschild import (
 from .linalg import (
     Mat,
     Span,
+    _add_scaled,
     _Echelon,
     _combination,
     kernel_basis,
@@ -103,25 +104,6 @@ class RPointedAlgebra:
             self._normal_forms[word] = nf
         return nf
 
-    def _key_block(self, key):
-        if key[0] == "e":
-            return (key[1], key[1])
-        return self.word_block(key[1])
-
-    def _compose_keys(self, k1, k2):
-        b1 = self._key_block(k1)
-        b2 = self._key_block(k2)
-        if b1[1] != b2[0]:
-            return None
-        if k1[0] == "e":
-            return k2
-        if k2[0] == "e":
-            return k1
-        w = k1[1] + k2[1]
-        if len(w) > self.order:
-            return None
-        return ("m", w)
-
     def truncate(self, order):
         """Stage algebra at a lower order (surjection by discarding)."""
         rels = []
@@ -169,6 +151,15 @@ class MatricOHat:
 
     Elements: {key: Mat} with key ('e', i) carrying a d_i x d_i block
     and ('m', word) a d_i x d_j block for the word's ends.
+
+    Products go through one scalar kernel.  An element's blocks become
+    term records (key, start block, end block, length, word, row-major
+    scalars); the right factor is indexed once by start block and word
+    length, so a term of the left factor meets only the terms whose
+    blocks compose with it and whose lengths keep the product within the
+    order.  Products and linear terms accumulate into one {key: scalars}
+    buffer; `_collect` applies the hull's normal forms once and builds a
+    Mat only for each nonzero block.
     """
 
     def __init__(self, hull_alg, dims=None, rho_table=()):
@@ -218,32 +209,113 @@ class MatricOHat:
         return {k: m.scale(c) for k, m in x.items()}
 
     def mul(self, x, y):
-        h = self.hull
-        raw = {}
-        for k1, m1 in x.items():
-            for k2, m2 in y.items():
-                k = h._compose_keys(k1, k2)
-                if k is None:
-                    continue
-                prod = m1.mul(m2)
-                raw[k] = raw[k].add(prod) if k in raw else prod
-        return self._reduce(raw)
+        buf = {}
+        self._product_into(buf, self._terms(x), self._index(self._terms(y)))
+        return self._collect(buf)
 
-    def _reduce(self, elem):
-        """Rewrite word keys to the hull's normal forms."""
-        h = self.hull
-        out = {}
+    # -- the scalar kernel ----------------------------------------------------
+
+    def _terms(self, elem):
+        """The blocks of elem as term records (key, start block, end
+        block, word length, word, row-major scalars); an idempotent key
+        has the empty word."""
+        word_block = self.hull.word_block
+        out = []
         for key, m in elem.items():
-            if m.is_zero():
+            if key[0] == "e":
+                i = j = key[1]
+                w = ()
+            else:
+                w = key[1]
+                i, j = word_block(w)
+            out.append((key, i, j, len(w), w,
+                        m.data[0] if m.rows == 1 else sum(m.data, [])))
+        return out
+
+    @staticmethod
+    def _index(terms):
+        """{start block: [(length, terms of that length)]}, lengths
+        ascending."""
+        groups = {}
+        for t in terms:
+            groups.setdefault(t[1], {}).setdefault(t[3], []).append(t)
+        return {i: sorted(g.items()) for i, g in groups.items()}
+
+    def _add_into(self, buf, c, terms):
+        """buf += c * (the element of the terms)."""
+        f = self.field
+        mul = f.mul
+        for key, _, _, _, _, x in terms:
+            out = buf.get(key)
+            if out is None:
+                buf[key] = [mul(c, v) if v else v for v in x]
+            else:
+                _add_scaled(f, out, c, x)
+
+    def _product_into(self, buf, x_terms, y_index, subtract=False):
+        """buf += x y (buf -= x y when subtracting), for x given by its
+        terms and y by its `_index`: each term of x visits only the
+        terms of y that start where it ends, of length at most the order
+        minus its own."""
+        f = self.field
+        acc = f.sub if subtract else f.add
+        mul = f.mul
+        zero = f.zero
+        dims = self.dims
+        order = self.order
+        for _, i, j, l1, w1, x in x_terms:
+            groups = y_index.get(j)
+            if groups is None:
                 continue
-            if key[0] == "e" or h.is_reduced(key[1]):
-                out[key] = out[key].add(m) if key in out else m
+            budget = order - l1
+            rows, inner = dims[i], dims[j]
+            for l2, terms in groups:
+                if l2 > budget:
+                    break
+                for _, _, k, _, w2, y in terms:
+                    w = w1 + w2
+                    key = ("m", w) if w else ("e", i)
+                    out = buf.get(key)
+                    cols = dims[k]
+                    if out is None:
+                        out = buf[key] = [zero] * (rows * cols)
+                    for a in range(rows):
+                        xa, oa = a * inner, a * cols
+                        for t in range(inner):
+                            xv = x[xa + t]
+                            if xv:
+                                yt = t * cols
+                                for b in range(cols):
+                                    yv = y[yt + b]
+                                    if yv:
+                                        o = oa + b
+                                        out[o] = acc(out[o], mul(xv, yv))
+
+    def _collect(self, buf):
+        """The element of a buffer: word keys rewritten to the hull's
+        normal forms, a Mat for each nonzero block and none for zero."""
+        h = self.hull
+        f = self.field
+        mul = f.mul
+        reduced = h._reduced
+        for key in [k for k in buf if k[0] == "m" and k[1] not in reduced]:
+            x = buf.pop(key)
+            if not any(x):
                 continue
             for w, c in h.normal_form(key[1]).items():
-                scaled = m.scale(c)
                 nk = ("m", w)
-                out[nk] = out[nk].add(scaled) if nk in out else scaled
-        return {k: m for k, m in out.items() if not m.is_zero()}
+                out = buf.get(nk)
+                if out is None:
+                    buf[nk] = [mul(c, v) if v else v for v in x]
+                else:
+                    _add_scaled(f, out, c, x)
+        out = {}
+        for key, x in buf.items():
+            if any(x):
+                rows, cols = self.key_shape(key)
+                out[key] = Mat._of(f, [x[r * cols:(r + 1) * cols]
+                                       for r in range(rows)], cols)
+        return out
 
     def is_zero(self, x):
         return all(m.is_zero() for m in x.values())
@@ -253,13 +325,15 @@ class MatricOHat:
 
     def rho(self, elem_coords):
         """rho of an algebra element given by basis coordinates."""
-        f = self.field
-        out = {}
+        return self._collect(self._rho_buffer(elem_coords))
+
+    def _rho_buffer(self, elem_coords):
+        """rho of an algebra element as a kernel buffer."""
+        buf = {}
         for c, table_elem in zip(elem_coords, self.rho_table):
-            if f.is_zero(c):
-                continue
-            out = self.add(out, self.scale(c, table_elem))
-        return out
+            if c:
+                self._add_into(buf, c, self._terms(table_elem))
+        return buf
 
     def _flat_words(self, order):
         words = self.hull.reduced_words
@@ -574,13 +648,20 @@ class _HullBuilder:
     def _verify(self, ohat):
         """rho is unital and multiplicative, and pi . rho = eta exactly."""
         algebra = self.algebra
-        one = ohat.rho(list(algebra.unit))
-        if not ohat.equal(one, ohat.one()):
+        f = self.field
+        # rho(1) - 1 in one buffer: a valid hull builds no Mat here
+        one = ohat._rho_buffer(algebra.unit)
+        for i, d in enumerate(ohat.dims):
+            x = one.setdefault(("e", i), [f.zero] * (d * d))
+            for t in range(0, d * d, d + 1):
+                x[t] = f.sub(x[t], f.one)
+        if ohat._collect(one):
             raise InternalInvariantError("rho(1) != 1")
-        for a in range(algebra.dim):
-            pi_a = ohat.pi(ohat.rho_table[a])
+        for a, elem in enumerate(ohat.rho_table):
             for i, m in enumerate(self.modules):
-                if pi_a[i] != m.action[a]:
+                block = elem.get(("e", i))
+                if (block != m.action[a] if block is not None
+                        else not m.action[a].is_zero()):
                     raise InternalInvariantError("pi . rho != eta")
         if _defects(algebra, ohat):
             raise InternalInvariantError(
@@ -589,16 +670,20 @@ class _HullBuilder:
 
 def _defects(algebra, ohat):
     """{(a, b): rho(ab) - rho(a) rho(b)} on the pairs where it is
-    nonzero; rho(ab) is summed over the nonzero structure constants of
-    ab."""
+    nonzero, in one buffer per pair: rho(ab) summed over the nonzero
+    structure constants of ab, the product through the kernel of
+    `MatricOHat`, each table element's terms indexed once."""
+    terms = [ohat._terms(t) for t in ohat.rho_table]
+    index = [ohat._index(t) for t in terms]
+    products = algebra.products
     out = {}
-    table = ohat.rho_table
-    for a, rho_a in enumerate(table):
-        for b, rho_b in enumerate(table):
-            rho_ab = {}
-            for k, c in algebra.products[a][b]:
-                rho_ab = ohat.add(rho_ab, ohat.scale(c, table[k]))
-            delta = ohat.add(rho_ab, ohat.neg(ohat.mul(rho_a, rho_b)))
+    for a, x in enumerate(terms):
+        for b, y in enumerate(index):
+            buf = {}
+            for k, c in products[a][b]:
+                ohat._add_into(buf, c, terms[k])
+            ohat._product_into(buf, x, y, subtract=True)
+            delta = ohat._collect(buf) if buf else None
             if delta:
                 out[(a, b)] = delta
     return out

@@ -173,23 +173,17 @@ def simple_modules(algebra):
     if len(idems) != algebra.dim - len(rad):
         raise UnsupportedAlgebraError(
             "semisimple quotient is not k^r; algebra is not basic split")
-    out = []
-    for i, e in enumerate(idems):
-        # e_i A e_i = k e_i + (rad part): the scalar through which basis
-        # element b acts on the i-th simple is the e_i-coordinate of
-        # e_i * b * e_i
-        span = Span(f, [e] + rad, algebra.dim)
-        mats = []
-        for b in range(algebra.dim):
-            x = algebra.mul(algebra.mul(e, algebra.basis_vector(b)), e)
-            coeffs = span.coords(x)
-            if coeffs is None:
-                raise InternalInvariantError(
-                    f"e_{i + 1} * {algebra.labels[b]} * e_{i + 1} is not in "
-                    "k e + rad")
-            mats.append(Mat(f, [[coeffs[0]]], cols=1))
-        out.append(ModuleRep(algebra, mats, name=f"S{i + 1}", validate=True))
-    return out
+    # A = (+) k e_i (+) rad, and e_i b e_i = c_i e_i + e_i r e_i for
+    # b = sum_j c_j e_j + r: so b acts on S_i by its e_i-coordinate c_i
+    span = Span(f, idems + rad, algebra.dim)
+    coords = [span.coords(algebra.basis_vector(b))
+              for b in range(algebra.dim)]
+    if None in coords:
+        raise InternalInvariantError(
+            "the idempotents and the radical do not span the algebra")
+    return [ModuleRep(algebra, [Mat(f, [[c[i]]], cols=1) for c in coords],
+                      name=f"S{i + 1}", validate=True)
+            for i in range(len(idems))]
 
 
 def image_algebra(module):

@@ -185,3 +185,42 @@ def field_muls(monkeypatch):
 
         monkeypatch.setattr(cls, "mul", counting_mul)
     return calls
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """The matric product work done during the test: under "mats" one
+    entry per `Mat` built (by the constructor or `Mat._of`, which
+    `zeros` and `identity` call), and under "visits" the key of each
+    right-factor term the scalar kernel of `MatricOHat` visits, one entry
+    per visited pair of terms."""
+    from aspec.hull import MatricOHat
+    from aspec.linalg import Mat
+    work = {"mats": [], "visits": []}
+    init = Mat.__init__
+    of = Mat._of.__func__
+    index = MatricOHat._index
+
+    class Visited(list):
+        def __iter__(self):
+            for term in list.__iter__(self):
+                work["visits"].append(term[0])
+                yield term
+
+    def counting_init(self, *args, **kwargs):
+        work["mats"].append(self)
+        init(self, *args, **kwargs)
+
+    def counting_of(cls, *args):
+        m = of(cls, *args)
+        work["mats"].append(m)
+        return m
+
+    def visited_index(terms):
+        return {i: [(length, Visited(group)) for length, group in groups]
+                for i, groups in index(terms).items()}
+
+    monkeypatch.setattr(Mat, "__init__", counting_init)
+    monkeypatch.setattr(Mat, "_of", classmethod(counting_of))
+    monkeypatch.setattr(MatricOHat, "_index", staticmethod(visited_index))
+    return work

@@ -19,7 +19,11 @@ algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
 `act`, one basis triple or pair at a time; the dense resolutions build
 each e A through `Algebra.mul`, act through dense `Mat`s and solve with
 `rref`, `kernel_basis` and `quotient_basis`, and the whole trace chain
-reads the regular representation through `left_mult_matrix`.  The last
+and the dense trace form read the regular representation through
+`left_mult_matrix`; the corner simples multiply through `Algebra.mul`
+and solve in a `Span`; the `Mat` references for the scalar kernel of
+`MatricOHat` add and scale with its `Mat`-valued element operations and
+read the hull's own normal forms.  The last
 section holds readings of documents, points and spaces that only the
 tests ask for.
 """
@@ -811,6 +815,23 @@ def hh1_dimension(algebra, source, target):
 # -- hull towers ------------------------------------------------------------
 
 
+def compose_keys(h, k1, k2):
+    """The key of the product of two basis keys of the r-pointed algebra
+    h, before normal forms: None when their blocks do not compose or the
+    word is longer than the order."""
+    def block(key):
+        return (key[1], key[1]) if key[0] == "e" else h.word_block(key[1])
+
+    if block(k1)[1] != block(k2)[0]:
+        return None
+    if k1[0] == "e":
+        return k2
+    if k2[0] == "e":
+        return k1
+    w = k1[1] + k2[1]
+    return None if len(w) > h.order else ("m", w)
+
+
 def tower_is_small(tower):
     """(ker pi_{n-1}) * m_n = 0 inside each stage H_n, evaluated in the
     final algebra: no product of a word of length n with a word of
@@ -820,7 +841,7 @@ def tower_is_small(tower):
         short = [w for w in h.reduced_words if len(w) <= n]
         for w in h.words_by_len.get(n, ()):
             for m in short:
-                key = h._compose_keys(("m", w), ("m", m))
+                key = compose_keys(h, ("m", w), ("m", m))
                 if key is not None and any(
                         len(v) <= n for v in h.normal_form(key[1])):
                     return False
@@ -1411,6 +1432,95 @@ def radical_trace_chain(alg):
         if index > n + 1:
             raise InternalInvariantError("radical is not nilpotent")
     return current, index
+
+
+def radical_trace_form_dense(alg):
+    """The radical of an algebra over Q by the dense trace form: all n^2
+    products L_i L_j of left multiplication matrices formed as `Mat`s,
+    the trace of each summed off its diagonal."""
+    f = alg.field
+    lmats = [alg.left_mult_matrix(alg.basis_vector(i))
+             for i in range(alg.dim)]
+    rows = []
+    for lj in lmats:
+        row = []
+        for li in lmats:
+            prod = li.mul(lj)
+            tr = f.zero
+            for d in range(alg.dim):
+                tr = f.add(tr, prod.data[d][d])
+            row.append(tr)
+        rows.append(row)
+    return row_space_basis(f, kernel_basis(Mat(f, rows, cols=alg.dim)))
+
+
+def simple_modules_by_corners(alg):
+    """The action matrices of the vertex simples: b acts on S_i by the
+    e_i-coordinate of e_i b e_i in a `Span` of e_i and the radical, one
+    span per simple and two products per basis element."""
+    f = alg.field
+    rad = alg.radical_basis()
+    out = []
+    for e in alg.ensure_idempotents():
+        span = Span(f, [e] + rad, alg.dim)
+        mats = []
+        for b in range(alg.dim):
+            x = alg.mul(alg.mul(e, alg.basis_vector(b)), e)
+            coeffs = span.coords(x)
+            if coeffs is None:
+                raise InternalInvariantError("e b e is not in k e + rad")
+            mats.append(Mat(f, [[coeffs[0]]], cols=1))
+        out.append(mats)
+    return out
+
+
+# -- matric products through Mat arithmetic ----------------------------------
+
+
+def matric_mul_by_mats(ohat, x, y):
+    """x y in a `MatricOHat` by `Mat` arithmetic: every pair of keys is
+    tried, each composable pair multiplied as `Mat`s, and every word key
+    rewritten to its normal form one block at a time.  The reference for
+    the scalar kernel behind `MatricOHat.mul`."""
+    h = ohat.hull
+    raw = {}
+    for k1, m1 in x.items():
+        for k2, m2 in y.items():
+            k = compose_keys(h, k1, k2)
+            if k is None:
+                continue
+            prod = m1.mul(m2)
+            raw[k] = raw[k].add(prod) if k in raw else prod
+    out = {}
+    for key, m in raw.items():
+        if m.is_zero():
+            continue
+        if key[0] == "e" or h.is_reduced(key[1]):
+            out[key] = out[key].add(m) if key in out else m
+            continue
+        for w, c in h.normal_form(key[1]).items():
+            scaled = m.scale(c)
+            nk = ("m", w)
+            out[nk] = out[nk].add(scaled) if nk in out else scaled
+    return {k: m for k, m in out.items() if not m.is_zero()}
+
+
+def defects_by_mats(algebra, ohat):
+    """{(a, b): rho(ab) - rho(a) rho(b)} on the nonzero pairs, with rho(ab)
+    summed by `MatricOHat.add` and `scale` and the product formed by
+    `matric_mul_by_mats`: the reference for `hull._defects`."""
+    out = {}
+    table = ohat.rho_table
+    for a, rho_a in enumerate(table):
+        for b, rho_b in enumerate(table):
+            rho_ab = {}
+            for k, c in algebra.products[a][b]:
+                rho_ab = ohat.add(rho_ab, ohat.scale(c, table[k]))
+            delta = ohat.add(
+                rho_ab, ohat.neg(matric_mul_by_mats(ohat, rho_a, rho_b)))
+            if delta:
+                out[(a, b)] = delta
+    return out
 
 
 # -- the normal form of scalars ------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspec.algebra import Algebra, from_structure_constants
 from aspec.errors import InfiniteDimensionalError, ValidationError
@@ -26,7 +28,11 @@ from oracles import (
     dense_algebra_mul,
     enumerate_paths,
     nil_ideal_radical,
+    radical_trace_form_dense,
 )
+from test_hull_stress import make_double_loop, make_fat_point
+from test_resolution_sparse import matrix_algebra, structure_only
+from test_rewrite import acyclic_quivers
 
 EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
 
@@ -377,3 +383,55 @@ def test_sparse_product_matches_the_dense_triple_loop(alg):
     pairs += [(element(), element()) for _ in range(60)]
     for x, y in pairs:
         assert alg.mul(x, y) == dense_algebra_mul(alg, x, y)
+
+
+# -- the char-0 trace form against the dense products --------------------------
+
+
+def assert_trace_form_matches_dense(alg):
+    assert alg._radical_trace_form() == radical_trace_form_dense(alg)
+
+
+def test_trace_form_matches_the_dense_products_over_q():
+    for name, alg in corpus(QQ):
+        assert_trace_form_matches_dense(alg)
+    assert_trace_form_matches_dense(matrix_algebra(QQ, 2))
+    assert_trace_form_matches_dense(structure_only(make_double_loop(QQ)))
+    assert_trace_form_matches_dense(make_fat_point(QQ))
+    for rels in ([{(3, 0): 1}, {(0, 3): 1}, {(2, 0): 1, (0, 2): 1,
+                                                (1, 2): 1}],
+                 [{(2, 0): 1, (1, 0): Fraction(-1, 2)}, {(0, 2): 1}]):
+        assert_trace_form_matches_dense(
+            from_poly_quotient(QQ, ["x", "y"], rels))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.data())
+def test_trace_form_matches_the_dense_products_on_univariate_quotients(
+        deg, data):
+    coeffs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                                min_size=deg, max_size=deg))
+    rel = {(k,): QQ.normalize(c) for k, c in enumerate(coeffs) if c}
+    rel[(deg,)] = QQ.one
+    assert_trace_form_matches_dense(from_poly_quotient(QQ, ["x"], [rel]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers(fields=(QQ,)))
+def test_trace_form_matches_the_dense_products_on_random_quivers(case):
+    _, q = case
+    assert_trace_form_matches_dense(
+        structure_only(from_quiver(q, field=QQ)))
+
+
+def test_trace_form_forms_no_matrix_product(monkeypatch):
+    # k[x]/x^8 over Q: the dense form made 64 products L_i L_j
+    alg = from_poly_quotient(QQ, ["x"], [{(8,): QQ.one}])
+    products = []
+    mul = Mat.mul
+    monkeypatch.setattr(Mat, "mul",
+                        lambda self, other: products.append(self) or
+                        mul(self, other))
+    basis, index = alg.radical()
+    assert (len(basis), index) == (7, 8)
+    assert products == []

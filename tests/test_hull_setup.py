@@ -95,17 +95,18 @@ def test_projectives_follow_replaced_idempotents(setup_work):
 
 
 def test_defects_scale_once_per_structure_constant(monkeypatch):
-    # rho(ab) is summed over products[a][b]: one MatricOHat.scale per
-    # nonzero structure constant, however many basis elements there are
+    # rho(ab) is summed over products[a][b]: one scaled table element
+    # added to the pair's buffer per nonzero structure constant, however
+    # many basis elements there are
     alg = from_poly_quotient(F5, ["x"], [{(8,): F5.one}])
     nonzero = sum(len(terms) for row in alg.products for terms in row)
     scales = []
     per_call = []
-    scale = MatricOHat.scale
+    add_into = MatricOHat._add_into
     defects = hull_module._defects
-    monkeypatch.setattr(MatricOHat, "scale",
-                        lambda self, c, x: scales.append(c) or
-                        scale(self, c, x))
+    monkeypatch.setattr(MatricOHat, "_add_into",
+                        lambda self, buf, c, terms: scales.append(c) or
+                        add_into(self, buf, c, terms))
 
     def counted(algebra, ohat):
         before = len(scales)
@@ -115,4 +116,4 @@ def test_defects_scale_once_per_structure_constant(monkeypatch):
 
     monkeypatch.setattr(hull_module, "_defects", counted)
     hull(alg, simple_modules(alg))
-    assert per_call and all(n <= nonzero for n in per_call)
+    assert per_call and all(n == nonzero for n in per_call)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspec.algebra import from_structure_constants
 from aspec.errors import UnsupportedAlgebraError, ValidationError
@@ -17,6 +19,7 @@ from aspec.modules import (
     simple_modules,
 )
 from aspec.polyquot import from_poly_quotient
+from aspec.quiver import from_quiver
 from conftest import (
     corpus,
     make_a2,
@@ -25,6 +28,9 @@ from conftest import (
     make_lower_triangular,
     make_split_quadratic,
 )
+from oracles import simple_modules_by_corners
+from test_resolution_sparse import local_kxy_quotients
+from test_rewrite import acyclic_quivers
 
 
 def test_simple_modules_a2():
@@ -290,3 +296,56 @@ def test_contraction_rejects_noncomposable_relation_terms():
             ["1", "2", "3"],
             [("a", "1", "2"), ("b", "2", "3")],
             relations=[[(QQ.one, ["b", "a"])]])
+
+
+# -- the simples from one span against the per-simple corners ----------------
+
+
+def simples_or_error(make):
+    try:
+        return make()
+    except UnsupportedAlgebraError as exc:
+        return str(exc)
+
+
+def assert_simples_match_corners(alg):
+    got = simples_or_error(
+        lambda: [m.action for m in simple_modules(alg)])
+    assert got == simples_or_error(lambda: simple_modules_by_corners(alg))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_simple_modules_match_the_corners_on_the_corpus(field):
+    for name, alg in corpus(field):
+        assert_simples_match_corners(alg)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers())
+def test_simple_modules_match_the_corners_on_random_quivers(case):
+    field, q = case
+    assert_simples_match_corners(from_quiver(q, field=field))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([QQ, GF(5)]),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)),
+                min_size=1, max_size=3))
+def test_simple_modules_match_the_corners_on_split_quotients(field, roots):
+    # k[x]/prod (x - r)^m: the simples are the points r, over Q and F5
+    rel = {(0,): field.one}
+    for r, m in roots:
+        for _ in range(m):
+            shifted = {}
+            for (k,), c in rel.items():
+                for e, d in (((k + 1,), field.one), ((k,), field.of_int(-r))):
+                    shifted[e] = field.add(shifted.get(e, field.zero),
+                                           field.mul(c, d))
+            rel = {e: c for e, c in shifted.items() if c}
+    assert_simples_match_corners(from_poly_quotient(field, ["x"], [rel]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(local_kxy_quotients())
+def test_simple_modules_match_the_corners_on_local_kxy(alg):
+    assert_simples_match_corners(alg)
