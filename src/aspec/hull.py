@@ -18,6 +18,8 @@ dim M_i.  H itself is the same algebra with every block 1x1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .algebra import Algebra
 from .errors import (
     InputError,
@@ -41,6 +43,9 @@ from .linalg import (
     kernel_basis,
     row_space_basis,
     unit_vec,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
 )
 from .modules import ModuleRep, is_simple
 from .rewrite import Rewriter, deglex
@@ -168,6 +173,14 @@ class MatricOHat:
         self.field = hull_alg.field
         self.dims = [1] * hull_alg.r if dims is None else list(dims)
         self.rho_table = list(rho_table)   # per algebra basis element
+        self._image = None
+
+    @property
+    def image(self):
+        """The `RhoImage` of the rho table, eliminated on first use."""
+        if self._image is None:
+            self._image = RhoImage(self)
+        return self._image
 
     def key_shape(self, key):
         if key[0] == "e":
@@ -386,6 +399,39 @@ class MatricOHat:
         return total
 
 
+class RhoImage:
+    """im(rho) as one tagged echelon of the flattened rho table.
+
+    flats[k] = flatten(rho(b_k)) is inserted with the unit tag e_k
+    appended, and pivots are sought in the flat columns only, as `Span`
+    does.  So `rows` is the rref of the flats, which is unique: the
+    echelon basis of im(rho).  Each row's tag is an A-coordinate vector
+    P_i with rho(P_i) = rows[i], and a vector of im(rho) has its
+    coordinates in the rows at the `pivots`.  The flat layout puts the degree-0 blocks
+    first and then the reduced words by ascending length, so the stage
+    of order n owns a prefix of the columns.
+    """
+
+    def __init__(self, ohat):
+        f = ohat.field
+        self.flats = [ohat.flatten(t) for t in ohat.rho_table]
+        n = len(self.flats)
+        length = ohat.flat_dim()
+        ech = _Echelon(f, length)
+        for k, v in enumerate(self.flats):
+            ech.insert(v + unit_vec(f, n, k))
+        self.pivots = ech.pivots
+        self.rows = [row[:length] for row in ech.rows]
+        self.tags = [row[length:] for row in ech.rows]
+
+    def dim(self, ncols=None):
+        """dim im(rho), or of its image in the stage that owns the first
+        ncols columns (`flat_dim` of its order): the pivots among them."""
+        if ncols is None:
+            return len(self.pivots)
+        return bisect_left(self.pivots, ncols)
+
+
 def invert_unit(ambient, elem):
     """Two-sided inverse of iota(alpha) - x with nilpotent x (unit lemma).
 
@@ -522,13 +568,13 @@ class _HullBuilder:
         tower = HullTower(hull_alg)
         tower.new_relations_by_stage = new_by_stage
         # stabilization: last stage added nothing and the image dimension
-        # matches the one at order N-1, read off the same pass (pivots are
-        # the lowest words, so the stage N-1 reduction is this one cut at
-        # N-1); at N = 2 the only finite certificate is vanishing Ext^2
-        # (no relation can ever appear)
+        # matches the one at order N-1, both read off the one echelon of
+        # the rho table; at N = 2 the only finite certificate is vanishing
+        # Ext^2 (no relation can ever appear)
         stab = not new_by_stage.get(self.order)
         if stab and self.order >= 3:
-            stab = _image_dim(ohat) == _image_dim(ohat, self.order - 1)
+            stab = ohat.image.dim() == \
+                ohat.image.dim(ohat.flat_dim(self.order - 1))
         elif stab:
             stab = all(p.ext2.dimension == 0 for p in self.pairs.values())
         tower.stabilized = bool(stab)
@@ -689,12 +735,6 @@ def _defects(algebra, ohat):
     return out
 
 
-def _image_dim(ohat, order=None):
-    """dim im(rho), or of its image in the stage of the given order."""
-    flats = [ohat.flatten(t, order) for t in ohat.rho_table]
-    return len(row_space_basis(ohat.field, flats))
-
-
 def default_order(algebra):
     return algebra.radical_index() + 1
 
@@ -746,44 +786,44 @@ class OAlgebra:
 
     In the truncated setting every rho(a) with eta(a) a nonzero scalar
     has its inverse already inside im(rho), so O is the span of the rho
-    table (`o_algebra` still solves for each inverse in O).
+    table (`o_algebra` checks each inverse with its series).
 
-    The basis is the echelon basis of the flattened rho table.  The
-    structure table is read off A: with R_k the O-coordinates of
-    rho(b_k) and P_i a preimage of the basis element o_i (A-coordinates
-    with sum_k (P_i)_k R_k = o_i), o_i o_j = rho(P_i) rho(P_j) =
-    rho(P_i P_j) = sum_k (P_i P_j)_k R_k.  This is exact because the hull
-    build ends with `_verify`, which proves rho unital and multiplicative
-    on every pair of basis elements of A; a hull that fails it never
-    reaches O.  The same argument puts 1 = rho(1_A) in O.  `ohat` is a
-    matric algebra returned by `hull`, which carries A as `ohat.algebra`.
+    Everything is read off `ohat.image`, the one tagged echelon of the
+    flattened rho table.  The basis is its rows; R_k, the O-coordinates
+    of rho(b_k), is flats[k] read at the pivots; and P_i, a preimage of
+    the basis element o_i, is the row's tag.  The structure table is read
+    off A: o_i o_j = rho(P_i) rho(P_j) = rho(P_i P_j) = sum_k (P_i P_j)_k
+    R_k.  This is exact because the hull build ends with `_verify`,
+    which proves rho unital and multiplicative on every pair of basis
+    elements of A; a hull that fails it never reaches O.  The same
+    argument puts 1 = rho(1_A) in O.  `ohat` is a matric algebra
+    returned by `hull`, which carries A as `ohat.algebra`.  No matric
+    element is formed unless `basis_elements` or `coords_of` is asked.
     """
 
     def __init__(self, ohat):
         self.ohat = ohat
-        f = self.field = ohat.field
+        self.field = ohat.field
         algebra = ohat.algebra
-        flats = [ohat.flatten(t) for t in ohat.rho_table]
+        image = ohat.image
         self.flat_len = ohat.flat_dim()
-        self.basis_flat = row_space_basis(f, flats)
+        self.basis_flat = image.rows
         self.dim = len(self.basis_flat)
-        self._span = Span(f, self.basis_flat, self.flat_len)
-        self._elems = [ohat.unflatten(v) for v in self.basis_flat]
-        self._images = [self._span.coords(v) for v in flats]    # R_k
-        preimage = Span(f, self._images, self.dim)
-        pre = [preimage.coords(unit_vec(f, self.dim, i))        # P_i
-               for i in range(self.dim)]
-        if None in pre:
-            raise InternalInvariantError("O is not the span of rho")
+        self._images = [[v[p] for p in image.pivots]          # R_k
+                        for v in image.flats]
+        pre = image.tags                                      # P_i
         self.table = [[self.rho_coords(algebra.mul(p, q)) for q in pre]
                       for p in pre]
         self.unit = self.rho_coords(algebra.unit)
+        self._span = None
         self._o_alg = None
 
     def basis_elements(self):
-        return list(self._elems)
+        return [self.ohat.unflatten(v) for v in self.basis_flat]
 
     def coords_of(self, elem):
+        if self._span is None:
+            self._span = Span(self.field, self.basis_flat, self.flat_len)
         return self._span.coords(self.ohat.flatten(elem))
 
     def rho_coords(self, algebra_elem_coords):
@@ -806,19 +846,31 @@ class OAlgebra:
             self._o_alg = self.as_algebra()
         return self._o_alg
 
-    def block_action(self, i, elem):
-        """pi_i of an O element: its action on M_i."""
-        return self.ohat.pi(elem)[i]
+    def degree0_blocks(self):
+        """pi of the basis, per block i: the d_i x d_i matrices by which
+        the basis elements act on M_i.  They are the first sum d_i^2
+        columns of each basis row, block by block, row-major."""
+        f = self.field
+        out = []
+        start = 0
+        for d in self.ohat.dims:
+            out.append([Mat._of(f, [row[start + r * d:start + (r + 1) * d]
+                                    for r in range(d)], d)
+                        for row in self.basis_flat])
+            start += d * d
+        return out
 
 
 def designated_units(ohat):
     """Basis data for {a : eta(a) = alpha * id on every block}.
 
     Returns (a0, kernel_vectors) with eta(a0) = id (None when only
-    alpha = 0 occurs); a0 + kernel spans the unit locus."""
+    alpha = 0 occurs); a0 + kernel spans the unit locus.  eta(b_k) is
+    read off the degree-0 columns of the rho table's flats."""
     f = ohat.field
     n = len(ohat.rho_table)
-    cols = [ohat.flatten(t, 0) for t in ohat.rho_table]
+    d0 = ohat.flat_dim(0)
+    cols = [v[:d0] for v in ohat.image.flats]
     id_flat = ohat.flatten(ohat.one(), 0)
     m = Mat(f, [[col[t] for col in cols] + [x]
                 for t, x in enumerate(id_flat)], cols=n + 1)
@@ -842,14 +894,12 @@ def designated_units(ohat):
 def o_algebra(ohat):
     """O^A(M) from the matric algebra, with the unit property enforced.
 
-    Each designated unit u = rho(a), eta(a) = alpha * id with alpha != 0,
-    is written in O-coordinates as sum_k a_k R_k.  Its right inverse is
-    solved for among the columns of its left multiplication in O, and
-    t u = 1 is checked with the table.  In a finite-dimensional algebra a
-    one-sided inverse is two-sided, and an element of O invertible in
-    the matric algebra has its inverse in O, so this is the property the
-    geometric series of `invert_unit` would show in the matric algebra:
-    a two-sided inverse of u exists inside O."""
+    Each designated unit u = rho(a), eta(a) = id, is written in
+    O-coordinates as sum_k a_k R_k.  `_verify` proved pi . rho = eta, so
+    y = 1 - u has no degree-0 part and y^(N+1) = 0 in the truncation of
+    order N: t = sum_{s <= N} y^s, formed with O's table, must satisfy
+    t u = u t = 1.  This is the geometric series of `invert_unit`, read
+    in O: a two-sided inverse of u exists inside O."""
     o = OAlgebra(ohat)
     f = ohat.field
     a0, kern = designated_units(ohat)
@@ -858,18 +908,27 @@ def o_algebra(ohat):
         candidates = [a0] + [[f.add(x, y) for x, y in zip(a0, v)]
                              for v in kern]
         for coords in candidates:
-            if not _has_inverse(o_alg, o.rho_coords(coords)):
+            if not _series_inverts(o_alg, o.rho_coords(coords), ohat.order):
                 raise InternalInvariantError(
                     "unit inverse escapes im(rho) in the truncation")
     return o
 
 
-def _has_inverse(o_alg, u):
-    """Whether u (coordinates) has a two-sided inverse in o_alg: a right
-    inverse t solved from u's left multiplication, with t u = 1."""
-    cols = [o_alg.mul(u, o_alg.basis_vector(j)) for j in range(o_alg.dim)]
-    t = Span(o_alg.field, cols, o_alg.dim).coords(o_alg.unit)
-    return t is not None and o_alg.mul(t, u) == o_alg.unit
+def _series_inverts(o_alg, u, order):
+    """Whether t = sum_{s <= order} y^s with y = 1 - u is a two-sided
+    inverse of u (coordinates) in o_alg.  The powers stop at the first
+    zero one, after which every term is zero."""
+    f = o_alg.field
+    one = o_alg.unit
+    y = vec_sub(f, one, u)
+    t = vec_add(f, one, y)
+    power = y
+    for _ in range(order - 1):
+        power = o_alg.mul(power, y)
+        if vec_is_zero(f, power):
+            break
+        t = vec_add(f, t, power)
+    return o_alg.mul(t, u) == one and o_alg.mul(u, t) == one
 
 
 def maximal_ideals(o):
@@ -879,6 +938,8 @@ def maximal_ideals(o):
     dimension, whether O/m_i is isomorphic to M_i as a module, and that
     every proper principal ideal lies in some m_i.
 
+    pi_i of each basis element is read off the degree-0 columns of its
+    row (`OAlgebra.degree0_blocks`); no matric element is formed.
     pi_i is multiplicative, so m_i is a two-sided ideal and O x O lies in
     m_i exactly when x does: a basis element with some pi_i(x) = 0 passes
     at once, and one outside every m_i passes only if `_two_sided_ideal`
@@ -895,10 +956,10 @@ def maximal_ideals(o):
     f = o.field
     ohat = o.ohat
     o_alg = o.o_alg
-    pis = [ohat.pi(e) for e in o.basis_elements()]
+    blocks = o.degree0_blocks()
     out = []
     for i, d in enumerate(ohat.dims):
-        mats = [pi[i] for pi in pis]
+        mats = blocks[i]
         m = Mat(f, [sum(a.data, []) for a in mats], cols=d * d)
         ker = kernel_basis(m.transpose())
         ker = row_space_basis(f, ker)
@@ -915,8 +976,8 @@ def maximal_ideals(o):
             "quotient_isomorphic_to_module": iso,
         })
     # every proper principal two-sided ideal sits inside some m_i
-    for idx, pi in enumerate(pis):
-        if any(a.is_zero() for a in pi):
+    for idx in range(o.dim):
+        if any(mats[idx].is_zero() for mats in blocks):
             continue
         if len(_two_sided_ideal(o_alg, idx)) != o.dim:
             raise InternalInvariantError(
@@ -946,24 +1007,18 @@ def _two_sided_ideal(o_alg, idx):
 def base_algebra_of(algebra, o, names):
     """O as a base algebra: its structure constants, with the images of
     the idempotents of `algebra` as its own when they validate, and the
-    family's modules over it read off the block actions, named `names`.
+    family's modules over it read off the degree-0 blocks of O's basis
+    rows, named `names`.
     It builds its own `as_algebra()`, because it sets the idempotents."""
     o_alg = o.as_algebra()
-    idems = []
-    for e in algebra.ensure_idempotents():
-        coords = o.rho_coords(list(e))
-        if coords is None:
-            raise InternalInvariantError("rho(idempotent) escapes O")
-        idems.append(coords)
+    idems = [o.rho_coords(list(e)) for e in algebra.ensure_idempotents()]
     try:
         o_alg.validate_idempotents(idems)
         o_alg.idempotents = idems
     except ValidationError:
         pass  # fall back to lifting inside O
-    elems = o.basis_elements()
-    modules = [ModuleRep(o_alg, [o.block_action(i, e) for e in elems],
-                         name=name, validate=True)
-               for i, name in enumerate(names)]
+    modules = [ModuleRep(o_alg, mats, name=name, validate=True)
+               for mats, name in zip(o.degree0_blocks(), names)]
     return o_alg, modules
 
 
@@ -981,12 +1036,7 @@ def closure_check(algebra, o):
         return False, {"reason": "dimension mismatch",
                        "dim_first": o.dim, "dim_second": o2.dim}
     # canonical map: O -> O2 by rho2 on O's basis
-    images = []
-    for idx in range(o.dim):
-        coords = unit_vec(o.field, o.dim, idx)
-        img = o2.rho_coords(list(coords))
-        if img is None:
-            raise InternalInvariantError("canonical map escapes O2")
-        images.append(img)
+    images = [o2.rho_coords(unit_vec(o.field, o.dim, idx))
+              for idx in range(o.dim)]
     bij = len(row_space_basis(o.field, images)) == o.dim
     return bij, {"dim_first": o.dim, "dim_second": o2.dim}

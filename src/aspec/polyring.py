@@ -197,9 +197,6 @@ class PolyOAlgebra:
     def coords_of(self, elem):
         return self.flatten(elem)
 
-    def block_action(self, i, elem):
-        return self.ohat.pi(elem)[i]
-
     def as_algebra(self, labels=None):
         f = self.field
         if labels is None:

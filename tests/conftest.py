@@ -189,17 +189,30 @@ def field_muls(monkeypatch):
 
 @pytest.fixture
 def kernel_work(monkeypatch):
-    """The matric product work done during the test: under "mats" one
-    entry per `Mat` built (by the constructor or `Mat._of`, which
-    `zeros` and `identity` call), and under "visits" the key of each
-    right-factor term the scalar kernel of `MatricOHat` visits, one entry
-    per visited pair of terms."""
+    """The matric product and elimination work done during the test:
+    under "mats" one entry per `Mat` built (by the constructor or
+    `Mat._of`, which `zeros` and `identity` call); under "visits" the
+    key of each right-factor term the scalar kernel of `MatricOHat`
+    visits, one entry per visited pair of terms; under "spans" the
+    vectors of each `Span` built; under "unflattens" the flat vector of
+    each `MatricOHat.unflatten` call; under "row_space_bases" the vectors
+    of each `row_space_basis` call, wherever it was imported; and under
+    "eliminations" the rows of each `rref` and the rows inserted into
+    each `_Echelon` (so a `Span` counts too), one list per elimination."""
+    import aspec.linalg
     from aspec.hull import MatricOHat
-    from aspec.linalg import Mat
-    work = {"mats": [], "visits": []}
+    from aspec.linalg import Mat, Span, _Echelon
+    work = {"mats": [], "visits": [], "spans": [], "unflattens": [],
+            "row_space_bases": [], "eliminations": []}
     init = Mat.__init__
     of = Mat._of.__func__
     index = MatricOHat._index
+    span_init = Span.__init__
+    unflatten = MatricOHat.unflatten
+    row_space_basis = aspec.linalg.row_space_basis
+    rref = aspec.linalg.rref
+    echelon_init = _Echelon.__init__
+    insert = _Echelon.insert
 
     class Visited(list):
         def __iter__(self):
@@ -220,7 +233,42 @@ def kernel_work(monkeypatch):
         return {i: [(length, Visited(group)) for length, group in groups]
                 for i, groups in index(terms).items()}
 
+    def counting_span(self, field, vectors, length):
+        work["spans"].append(vectors)
+        span_init(self, field, vectors, length)
+
+    def counting_unflatten(self, flat):
+        work["unflattens"].append(flat)
+        return unflatten(self, flat)
+
+    def counting_row_space_basis(field, vectors):
+        work["row_space_bases"].append(vectors)
+        return row_space_basis(field, vectors)
+
+    def counting_rref(m):
+        work["eliminations"].append(m.data)
+        return rref(m)
+
+    def counting_echelon(self, field, ncols):
+        echelon_init(self, field, ncols)
+        self.inserted = []
+        work["eliminations"].append(self.inserted)
+
+    def recording_insert(self, v):
+        self.inserted.append(v)
+        return insert(self, v)
+
     monkeypatch.setattr(Mat, "__init__", counting_init)
     monkeypatch.setattr(Mat, "_of", classmethod(counting_of))
     monkeypatch.setattr(MatricOHat, "_index", staticmethod(visited_index))
+    monkeypatch.setattr(Span, "__init__", counting_span)
+    monkeypatch.setattr(MatricOHat, "unflatten", counting_unflatten)
+    monkeypatch.setattr(aspec.linalg, "rref", counting_rref)
+    monkeypatch.setattr(_Echelon, "__init__", counting_echelon)
+    monkeypatch.setattr(_Echelon, "insert", recording_insert)
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "aspec"]:
+        if getattr(module, "row_space_basis", None) is row_space_basis:
+            monkeypatch.setattr(module, "row_space_basis",
+                                counting_row_space_basis)
     return work

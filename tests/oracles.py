@@ -13,8 +13,9 @@ hull tower reads the hull's own normal forms; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
 own parts; the principal ideals by all products use O's own
 multiplication; the references for O^A(M) multiply in `MatricOHat`,
-invert by `invert_unit`, read coordinates through a `Span` and test
-simplicity with `is_simple`; the dense validity checks of
+invert by `invert_unit`, read coordinates through a `Span`, solve for
+unit inverses in a `Span` of O's table, rref the flattened rho table
+and test simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
 `act`, one basis triple or pair at a time; the dense resolutions build
 each e A through `Algebra.mul`, act through dense `Mat`s and solve with
@@ -1101,8 +1102,8 @@ def o_algebra_by_matric_products(ohat):
 def unit_inverses_by_geometric_series(o):
     """Invert each designated unit by `invert_unit`'s geometric series in
     the matric algebra and assert that the inverse lies in O: the
-    reference for `o_algebra`, which solves for the inverses in
-    O-coordinates.  Returns the inverses' O-coordinates."""
+    reference for `o_algebra`, which sums the series in O-coordinates.
+    Returns the inverses' O-coordinates."""
     ohat = o.ohat
     f = ohat.field
     a0, kern = designated_units(ohat)
@@ -1117,6 +1118,36 @@ def unit_inverses_by_geometric_series(o):
                 "unit inverse escapes im(rho) in the truncation")
         out.append(inv)
     return out
+
+
+def has_inverse_by_solve(o_alg, u):
+    """Whether u (coordinates) has a two-sided inverse in o_alg: a right
+    inverse t solved in a `Span` of u's left multiplication, with
+    t u = 1.  The reference for the series check of `o_algebra`."""
+    cols = [o_alg.mul(u, o_alg.basis_vector(j)) for j in range(o_alg.dim)]
+    t = Span(o_alg.field, cols, o_alg.dim).coords(o_alg.unit)
+    return t is not None and o_alg.mul(t, u) == o_alg.unit
+
+
+def image_dim(ohat, order=None):
+    """dim im(rho), or of its image in the stage of the given order, by
+    one rref of the flattened rho table cut to that stage."""
+    flats = [ohat.flatten(t, order) for t in ohat.rho_table]
+    return len(row_space_basis(ohat.field, flats))
+
+
+def stabilized_by_rrefs(tower, ohat):
+    """The stabilization certificate of a hull with both image
+    dimensions by their own rref: the last stage added no relation and
+    dim im(rho) equals its dimension at order N-1; at N = 2, Ext^2
+    vanishes on every block.  The reference for the flag `hull` reads
+    off the one echelon of the rho table."""
+    order = ohat.order
+    if tower.new_relations_by_stage.get(order):
+        return False
+    if order >= 3:
+        return image_dim(ohat) == image_dim(ohat, order - 1)
+    return all(e.dimension == 0 for e in ohat.ext2.values())
 
 
 def maximal_ideals_full_sweep(o):

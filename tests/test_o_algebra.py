@@ -1,8 +1,12 @@
-"""O^A(M) read off A's structure constants, against the references in
-`tests/oracles.py` that multiply matric elements: the structure table,
-the unit inverses and the maximal-ideal sweep, on the corpus, the
-stress algebras and random quivers; mutations that each check must
-stop; and the work the sparse path does."""
+"""O^A(M) read off A's structure constants and the one tagged echelon of
+the rho table, against the references in `tests/oracles.py` that
+multiply matric elements, rref the rho table and solve in `Span`s: the
+image dimensions and the stabilized flag, the preimages P_i, the
+coordinates R_k, the degree-0 blocks, the structure table, the unit
+inverses and the maximal-ideal sweep, on the corpus, the stress
+algebras, random quivers and truncations that do not stabilize;
+mutations that each check must stop; and the work the sparse path
+does."""
 
 import sys
 
@@ -17,16 +21,22 @@ from aspec.hull import (
     OAlgebra,
     _HullBuilder,
     _defects,
+    designated_units,
     hull,
     maximal_ideals,
     o_algebra,
 )
+from aspec.linalg import Mat, Span, rank, unit_vec, vec_add, vec_sub
 from aspec.modules import simple_modules
+from aspec.polyquot import from_poly_quotient
 from aspec.quiver import from_quiver
 from conftest import corpus, make_a2, make_dual_numbers, make_kx3
 from oracles import (
+    has_inverse_by_solve,
+    image_dim,
     maximal_ideals_full_sweep,
     o_algebra_by_matric_products,
+    stabilized_by_rrefs,
     unit_inverses_by_geometric_series,
 )
 from test_hull_one_pass import FAMILIES, direct_sum
@@ -52,10 +62,62 @@ def assert_matches_matric_products(o):
     unit_inverses_by_geometric_series(o)
 
 
-def assert_simples_match_references(alg):
-    o = o_algebra(hull(alg, simple_modules(alg))[1])
+def _units_and_non_units(ohat):
+    """A-coordinates of the designated units a0 + v, and of a0 - b for
+    each basis element b whose eta(a0 - b) is the identity or singular
+    on some block: where pi is the identity or singular, u has an
+    inverse in O exactly when pi(u) is the identity."""
+    f = ohat.field
+    a0, kern = designated_units(ohat)
+    if a0 is None:
+        return []
+    out = [a0] + [vec_add(f, a0, v) for v in kern]
+    for b in range(len(a0)):
+        acts = [m.action[b] for m in ohat.modules]
+        etas = [Mat.identity(f, a.rows).sub(a) for a in acts]
+        if all(a.is_zero() for a in acts) or \
+                any(rank(e) < e.rows for e in etas):
+            out.append(vec_sub(f, a0, unit_vec(f, len(a0), b)))
+    return out
+
+
+def assert_image_matches_references(tower, ohat):
+    """The one echelon of the rho table and what O reads off it agree
+    with rrefs, `Span` coordinates, unflattened elements and unit
+    solves."""
+    image = ohat.image
+    order = ohat.order
+    assert (image.dim(), image.dim(ohat.flat_dim(order - 1)),
+            tower.stabilized) == \
+        (image_dim(ohat), image_dim(ohat, order - 1),
+         stabilized_by_rrefs(tower, ohat))
+    o = o_algebra(ohat)
+    f = o.field
+    assert [o.rho_coords(p) for p in image.tags] == \
+        [unit_vec(f, o.dim, i) for i in range(o.dim)]
+    span = Span(f, o.basis_flat, o.flat_len)
+    assert o._images == [span.coords(v) for v in image.flats]
+    blocks = o.degree0_blocks()
+    assert [[mats[idx] for mats in blocks] for idx in range(o.dim)] == \
+        [ohat.pi(ohat.unflatten(row)) for row in o.basis_flat]
+    o_alg = o.o_alg
+    for coords in _units_and_non_units(ohat):
+        u = o.rho_coords(coords)
+        assert HULL._series_inverts(o_alg, u, order) == \
+            has_inverse_by_solve(o_alg, u)
+    return o
+
+
+def assert_simples_match_references(alg, order=None):
+    o = assert_image_matches_references(*hull(alg, simple_modules(alg),
+                                              order))
     assert_matches_matric_products(o)
     assert maximal_ideals(o) == maximal_ideals_full_sweep(o)
+    return o
+
+
+def make_kx8(field):
+    return from_poly_quotient(field, ["x"], [{(8,): field.one}])
 
 
 def _cases():
@@ -76,6 +138,44 @@ def _cases():
 @pytest.mark.parametrize("alg", _cases())
 def test_o_algebra_matches_matric_products(alg):
     assert_simples_match_references(alg)
+
+
+def _truncations():
+    makers = [("double_loop", make_double_loop, (QQ, GF(5))),
+              ("fat_point", make_fat_point, (QQ, GF(5))),
+              ("kx8", make_kx8, (GF(5),))]
+    return [pytest.param(make(field), order, id=f"{name}/{field}/{order}")
+            for name, make, fields in makers for field in fields
+            for order in range(2, 7)]
+
+
+@pytest.mark.parametrize("alg, order", _truncations())
+def test_o_algebra_matches_references_at_low_orders(alg, order):
+    assert_simples_match_references(alg, order)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("family", ["sum", "mixed"])
+@pytest.mark.parametrize("make", [make_kronecker,
+                                  lambda field: path_algebra(3, field)],
+                         ids=["kronecker", "a3"])
+def test_o_algebra_matches_references_on_reducible_blocks(make, family,
+                                                          field):
+    # a reducible block makes im(rho) a proper subspace of every stage,
+    # so the order N-1 image dimension depends on which columns the
+    # stage owns
+    alg = make(field)
+    assert_image_matches_references(
+        *hull(alg, FAMILIES[family](simple_modules(alg)), 3))
+
+
+def test_low_orders_include_builds_that_do_not_stabilize():
+    # k[x]/x^8 below order 7 keeps gaining image; so the truncations
+    # above test the certificate on both verdicts
+    kx8, loop = make_kx8(GF(5)), make_double_loop()
+    assert not any(hull(kx8, simple_modules(kx8), order)[0].stabilized
+                   for order in range(2, 7))
+    assert hull(loop, simple_modules(loop), 4)[0].stabilized
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -101,7 +201,8 @@ def test_o_algebra_matches_matric_products_on_reducible_families(case,
     # refuse, and it refuses or answers as the full sweep does
     field, q = case
     alg = from_quiver(q, field=field)
-    o = o_algebra(hull(alg, FAMILIES[family](simple_modules(alg)), 3)[1])
+    o = assert_image_matches_references(
+        *hull(alg, FAMILIES[family](simple_modules(alg)), 3))
     assert_matches_matric_products(o)
     assert _verdict(maximal_ideals, o) == \
         _verdict(maximal_ideals_full_sweep, o)
@@ -218,6 +319,37 @@ def test_a_reducible_block_with_a_proper_ideal_is_refused():
 
 
 # -- work ------------------------------------------------------------------
+
+
+def _is_rho_table(rows, flats):
+    """Whether the rows of an elimination are the flattened rho table,
+    each row cut to a stage or extended by a tag."""
+    return len(rows) == len(flats) and all(
+        r[:len(v)] == v[:len(r)] for r, v in zip(rows, flats))
+
+
+@pytest.mark.parametrize("make", [lambda: path_algebra(6),
+                                  lambda: make_kx8(GF(5))],
+                         ids=["A6/Q", "kx8/F5"])
+def test_hull_eliminates_the_rho_table_once_and_o_reads_it(kernel_work,
+                                                          make):
+    # the stabilization certificate and O read one tagged echelon: no
+    # row_space_basis of the flats, no Span and no unflattened element
+    alg = make()
+    simples = simple_modules(alg)
+    for record in kernel_work.values():
+        record.clear()
+    _, ohat = hull(alg, simples)
+    flats = [ohat.flatten(t) for t in ohat.rho_table]
+    assert [_is_rho_table(rows, flats)
+            for rows in kernel_work["eliminations"]].count(True) == 1
+    assert not any(_is_rho_table(v, flats)
+                   for v in kernel_work["row_space_bases"])
+    kernel_work["spans"].clear()
+    kernel_work["unflattens"].clear()
+    o = o_algebra(ohat)
+    assert len(maximal_ideals(o)) == len(simples)
+    assert kernel_work["spans"] == kernel_work["unflattens"] == []
 
 
 def test_o_algebra_makes_no_matric_product(monkeypatch):

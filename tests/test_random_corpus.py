@@ -4,7 +4,10 @@ algebra is known to be.  The Ext dimensions of the simples of a
 monomial algebra do not depend on the field; the hull of the simples of
 a finite-dimensional basic algebra recovers it, dim H = dim O = dim A;
 O has one maximal ideal per simple with that simple as its quotient;
-and O over O gives O back."""
+O over O gives O back; and the space checks of `verify` pass on the
+space of simples: the sheaf axioms (up to SHEAF_CHECK_MAX_POINTS
+points) and the global-sections roundtrip, which read O and its
+degree-0 blocks on every open."""
 
 from hypothesis import given, settings
 
@@ -12,6 +15,11 @@ from aspec.fields import GF, QQ
 from aspec.hull import ExtData, closure_check, hull, maximal_ideals, o_algebra
 from aspec.modules import simple_modules
 from aspec.quiver import QuiverPresentation, from_quiver
+from aspec.topology import (
+    SHEAF_CHECK_MAX_POINTS,
+    global_sections_roundtrip,
+    space_of_simples,
+)
 from test_rewrite import acyclic_quivers
 
 FP = GF(2147483647)
@@ -49,4 +57,9 @@ def test_random_monomial_quivers_over_q_and_fp(case):
                    i["quotient_isomorphic_to_module"] for i in infos), field
         ok, info = closure_check(alg, o)
         assert ok, (field, info)
+        space = space_of_simples(alg)
+        if len(space.points) <= SHEAF_CHECK_MAX_POINTS:
+            assert space.sheafify_check()["passed"], field
+        roundtrip = global_sections_roundtrip(space)
+        assert roundtrip["passed"], (field, roundtrip)
     assert dims[0] == dims[1]
