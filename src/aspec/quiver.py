@@ -85,30 +85,12 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
             poly[w] = field.add(poly.get(w, field.zero), c)
         rw.add_relation(poly)
 
-    # grow the certified degree until the irreducible words die out and
-    # all ambiguities relevant to their products are resolved
-    degree_cap = max([4] + [2 * len(w) for w in rw.rules])
-    while True:
-        rw.complete(degree_cap)
-        words_by_len = {length: good for length, (_, good) in enumerate(
-            rw.irreducible_words(q.arrows, degree_cap), 1)}
-        empty_at = None
-        for length in range(1, degree_cap + 1):
-            if not words_by_len.get(length):
-                empty_at = length
-                break
-        if empty_at is None:
-            if degree_cap >= max_degree:
-                raise InfiniteDimensionalError(
-                    "path algebra quotient is not finite-dimensional by "
-                    f"degree {degree_cap}: irreducible paths of that length "
-                    "remain", degree=degree_cap)
-            degree_cap = min(max_degree, degree_cap * 2)
-            continue
-        needed = 2 * max(empty_at - 1, 1)
-        if needed <= degree_cap:
-            break
-        degree_cap = needed
+    words = rw.basis_words(q.arrows, max_degree)
+    if words is None:
+        raise InfiniteDimensionalError(
+            "path algebra quotient is not finite-dimensional by degree "
+            f"{max_degree}: irreducible paths of that length remain",
+            degree=max_degree)
 
     # assemble the basis: trivial paths first (vertex order), then words
     basis_words = []          # ('e', vertex_index) or ('w', word)
@@ -116,8 +98,8 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
     for vi, v in enumerate(q.vertices):
         basis_words.append(("e", vi))
         labels.append(f"e_{v}")
-    for length in range(1, empty_at):
-        for w in words_by_len[length]:
+    for layer in words:
+        for w in layer:
             basis_words.append(("w", w))
             labels.append(".".join(q.arrows[i][0] for i in w))
     index = {bw: i for i, bw in enumerate(basis_words)}

@@ -1,16 +1,18 @@
 """Noncommutative rewriting: normal forms of words modulo a two-sided ideal.
 
-One engine serves quiver bases and hull words.  Words are tuples of
-letter indices under the degree-lexicographic order.  A rule replaces
-its lead word by a tail of words further from the lead end; once every
-overlap and inclusion ambiguity is resolved (Bergman's diamond lemma,
-Adv. Math. 1978), the normal form is unique and the irreducible words
-are a basis of the quotient.
+One engine serves quiver paths, commutative monomials (`polyquot`: the
+commutator rule x.y -> y.x beside the relations) and hull words.  Words
+are tuples of letter indices under the degree-lexicographic order.  A
+rule replaces its lead word by a tail of words further from the lead
+end; once every overlap and inclusion ambiguity is resolved (Bergman's
+diamond lemma, Adv. Math. 1978), the normal form is unique and the
+irreducible words are a basis of the quotient.
 
 The one parameter is the truncation order:
 
-- `order=None` (quivers): the highest word leads each rule and words
-  are never cut;
+- `order=None` (quivers and polynomial quotients): the highest word
+  leads each rule and words are never cut, and `basis_words` certifies
+  a finite basis;
 - `order=N` (hulls, the adic convention): the lowest word leads each
   rule and words longer than N are zero.  Lowest leads terminate only
   under a truncation, and the truncation is compatible with them: if
@@ -120,17 +122,20 @@ class Rewriter:
         overlap or inclusion of the leads a and b up to degree."""
         found = []
         for x, y in ((a, b), (b, a)):
-            for k in range(1, min(len(x), len(y))):
+            # an overlap of k letters is len(x) + len(y) - k long: only
+            # the ones within degree are built
+            for k in range(max(1, len(x) + len(y) - degree),
+                           min(len(x), len(y))):
                 if x[-k:] == y[:k]:
                     found.append((x + y[k:], x, 0, y, len(x) - k))
-            if len(y) < len(x):
+            if len(y) < len(x) <= degree:
                 for pos in range(len(x) - len(y) + 1):
                     if x[pos:pos + len(y)] == y:
                         found.append((x, x, 0, y, pos))
         f = self.field
         out = []
         for amb in found:
-            if len(amb[0]) > degree or amb in self._done:
+            if amb in self._done:
                 continue
             self._done.add(amb)
             word, x, px, y, py = amb
@@ -167,3 +172,26 @@ class Rewriter:
                     len(follows[w[-1]]) for w in good) > budget:
                 return None
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
+
+    def basis_words(self, letters, max_degree):
+        """Complete until the irreducible words in the letters die out at
+        some length L, with every ambiguity up to 2(L - 1) resolved, so
+        that the normal forms of products of two of them are certified.
+        Returns the irreducible words by length [length 1, ..., L - 1],
+        or None when words of length max_degree remain.  The first
+        completion degree is clipped to max_degree, and it doubles up to
+        max_degree while words persist."""
+        degree = min(max_degree, max([4] + [2 * len(w) for w in self.rules]))
+        while True:
+            self.complete(degree)
+            words = [good for _, good in
+                     self.irreducible_words(letters, degree)]
+            if words[-1]:
+                if degree >= max_degree:
+                    return None
+                degree = min(max_degree, degree * 2)
+                continue
+            needed = 2 * max(len(words) - 1, 1)
+            if needed <= degree:
+                return words[:-1]
+            degree = needed

@@ -33,7 +33,7 @@ from .modules import (
     regular_module,
     simple_modules,
 )
-from .polyquot import factor_univariate, poly_reduce
+from .polyquot import factor_univariate, min_poly_of_matrix
 from .polyring import PolyOAlgebra, is_poly_ring
 
 
@@ -568,19 +568,15 @@ def spec_compare(algebra, order=None, points=None):
     if not data or len(data["vars"]) != 1:
         return compare_with_spec(space_of_simples(algebra, order=order))
     f = algebra.field
-    gens = data["groebner"]
-    (poly, _lead), = gens          # a univariate ideal is principal
-    coeffs = [f.zero] * (max(m[0] for m in poly) + 1)
-    for mono, c in poly.items():
-        coeffs[mono[0]] = c
-    factors = factor_univariate(f, coeffs)
+    # A = k[x]/(g): g is the minimal polynomial of x acting on A
+    x = data["variables"][0]
+    factors = factor_univariate(
+        f, min_poly_of_matrix(algebra.left_mult_matrix(x)))
     if any(len(g) > 2 for g, _e in factors) and \
             any(e > 1 for _g, e in factors):
         raise UnsupportedAlgebraError(
             "mixed non-split and nilpotent factors: stalks need either a "
             "split or a semisimple algebra in this scope")
-    x = poly_reduce(f, {(1,): f.one}, gens)
-    x = [x.get(m, f.zero) for m in data["monomials"]]
     values = []                 # each factor g evaluated at x, by Horner
     for g, _e in factors:
         acc = [f.zero] * algebra.dim

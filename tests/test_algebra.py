@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspec.algebra import Algebra, from_structure_constants
-from aspec.errors import InfiniteDimensionalError, ValidationError
+from aspec.errors import InfiniteDimensionalError, InputError, ValidationError
 from aspec.fields import GF, QQ
 from aspec.linalg import Mat, rank, row_space_basis
 from aspec.polyquot import from_poly_quotient
@@ -146,12 +146,23 @@ def test_poly_quotient_infinite():
         from_poly_quotient(QQ, ["x", "y"], [{(2, 0): QQ.one}])
 
 
+def test_poly_quotient_refuses_the_unit_ideal():
+    with pytest.raises(InputError, match="unit ideal"):
+        from_poly_quotient(QQ, ["x"], [{(1,): QQ.one, (0,): QQ.of_int(-1)},
+                                       {(1,): QQ.one}])
+
+
+def test_poly_quotient_refuses_duplicate_variables():
+    with pytest.raises(InputError, match="duplicate variable 'x'"):
+        from_poly_quotient(QQ, ["x", "x"], [{(2, 0): QQ.one}])
+
+
 def test_poly_quotient_bivariate():
     rels = [{(2, 0): QQ.one}, {(0, 2): QQ.one}, {(1, 1): QQ.one}]
     a = from_poly_quotient(QQ, ["x", "y"], rels)
     assert a.dim == 3
     assert sorted(a.labels) == ["1", "x", "y"]
-    # and the S-polynomial machinery: xy = y together with x^2 = 0 kills y
+    # an overlap to resolve: xy = y together with x^2 = 0 kills y
     rels2 = [{(2, 0): QQ.one}, {(0, 2): QQ.one},
              {(1, 1): QQ.one, (0, 1): QQ.neg(QQ.one)}]
     b = from_poly_quotient(QQ, ["x", "y"], rels2)
@@ -160,9 +171,8 @@ def test_poly_quotient_bivariate():
 
 def test_poly_quotient_recombined_relations_keep_dim():
     """An invertible recombination of x^2, xy, y^2 presents the same
-    ideal.  Each sample has two relations with leading monomial x^2,
-    which the Groebner interreduction must not cancel against each
-    other."""
+    ideal.  Each sample has two relations with leading monomial x^2: the
+    second reduces by the first rule and keeps its own lead."""
     f = GF(5)
     monos = [(2, 0), (1, 1), (0, 2)]
     rng = random.Random(5)

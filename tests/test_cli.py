@@ -246,20 +246,20 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def run_python(args):
+def run_python(args, timeout=None):
     """`python <args>` in a child process that imports the same aspec as
     the tests, installed or not."""
     src = str(Path(cli_module.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
     return subprocess.run([sys.executable] + args,
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path))
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     """`python -m aspec.cli` in a child process."""
-    return run_python(["-m", "aspec.cli"] + args)
+    return run_python(["-m", "aspec.cli"] + args, timeout=timeout)
 
 
 def test_console_entrypoint(tmp_path):
@@ -591,3 +591,54 @@ def test_word_count_of_a_nilpotent_quiver_stays_under_the_budget(
     assert main(["hull", "--input", str(doc), "--order", "4200"]) == 0
     assert "generator t1 : 1 -> 2 (degree 1)\n  order: 4200\n" in \
         capsys.readouterr().out
+
+
+def poly_quotient_doc(variables, relations):
+    return ("field Q\nalgebra poly_quotient\n" + f"  var {variables}\n" +
+            "".join(f"  relation {r}\n" for r in relations) + "end\n")
+
+
+@pytest.mark.parametrize("variables, relations", [
+    ("x y", ["x^2", "y^2", "x*y - 1"]),
+    ("x", ["x - 1", "x"]),
+])
+def test_relations_generating_the_unit_ideal_are_an_input_error(
+        tmp_path, capsys, variables, relations):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc(variables, relations), encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: the relations generate the unit ideal, so the "
+        "quotient is zero\n")
+
+
+def test_an_unbounded_variable_is_named(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x y", ["x^2", "x*y"]),
+                   encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: quotient is infinite-dimensional: y has unbounded powers\n")
+
+
+def test_duplicate_variables_are_an_input_error(tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x x", ["x^2"]), encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == "input error: duplicate variable 'x'\n"
+
+
+@pytest.mark.parametrize("variables, relations", [
+    ("x", ["x^100000"]),
+    ("x y", ["x^100000", "y^2"]),
+])
+def test_oversized_exponents_are_refused_before_allocation(
+        tmp_path, variables, relations):
+    # only the overlaps of x^100000 with itself within the degree bound
+    # are built, so the refusal takes well under a second
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc(variables, relations), encoding="utf-8")
+    proc = run_cli(["hull", "--input", str(doc)], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        "error: quotient not finite-dimensional by degree 64\n"

@@ -1,16 +1,20 @@
 """The rewriting engine against the frame echelon of `tests/oracles.py`:
 the reduced words and normal forms of every hull algebra, random relation
 sets with tails over several lengths, and the bases and structure
-constants of random acyclic quivers.  Also: the hull's stage loop stops
+constants of random acyclic quivers.  Polynomial quotients against
+sympy's reduced grlex Groebner basis.  Also: the hull's stage loop stops
 at the first length with no reduced word."""
 
 import random
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspec.errors import InfiniteDimensionalError, InputError
 from aspec.fields import GF, QQ
 from aspec.hull import RPointedAlgebra, hull
 from aspec.modules import simple_modules
@@ -26,6 +30,7 @@ from test_hull_stress import (
 )
 
 F5 = GF(5)
+F7 = GF(7)
 hull_module = sys.modules["aspec.hull"]
 
 # invertible over Q and over F5 (determinants -1 and 4)
@@ -252,6 +257,118 @@ def test_random_acyclic_quivers_match_the_frame_echelon(case):
     labels, table = oracle_quiver_algebra(field, q)
     assert alg.labels == labels
     assert alg.table == table
+
+
+@st.composite
+def poly_quotients(draw, fields=(QQ, F5, F7)):
+    """k[x] or k[x, y] modulo a pure power of each variable (left out one
+    time in eight, so some quotients are infinite) and 0-2 relations of
+    1-3 terms of degree <= 3, often inhomogeneous: a constant term makes
+    some of them the unit ideal."""
+    field = draw(st.sampled_from(fields))
+    nvars = draw(st.integers(1, 2))
+    monos = [m for m in product(range(4), repeat=nvars) if sum(m) <= 3]
+    coeff = st.sampled_from([1, 2, 3, -1, -2]).map(field.of_int)
+    rels = []
+    for v in range(nvars):
+        if draw(st.integers(0, 7)):
+            power = draw(st.integers(1, 5))
+            rels.append({tuple(power * (k == v) for k in range(nvars)):
+                         field.one})
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1,
+                              max_size=3, unique=True))
+        rels.append({m: draw(coeff) for m in terms})
+    return field, ["x", "y"][:nvars], draw(st.permutations(rels))
+
+
+def assert_quotient_matches_sympy(field, names, rels):
+    """Labels, table and unit of k[names]/(rels) against sympy's reduced
+    grlex basis (x > y): the labels are its standard monomials and each
+    product is `sympy.reduced` to them.  A variable without a pure-power
+    lead makes the quotient infinite, and the basis [1] makes it zero."""
+    import sympy
+    gens = sympy.symbols(names)
+    opts = {"domain": "QQ"} if field is QQ else {"modulus": field.p}
+
+    def monomial(m):
+        return sympy.Mul(*[g**e for g, e in zip(gens, m)])
+
+    polys = [sum(sympy.Rational(c.numerator, c.denominator) * monomial(m)
+                 for m, c in rel.items()) for rel in rels]
+    basis = sympy.groebner(polys, *gens, order="grlex", **opts).exprs
+    if basis == [1]:
+        with pytest.raises(InputError, match="unit ideal"):
+            from_poly_quotient(field, names, rels)
+        return
+    leads = [sympy.Poly(g, *gens, **opts).monoms(order="grlex")[0]
+             for g in basis]
+    powers = [min((lead[v] for lead in leads if sum(lead) == lead[v]),
+                  default=None) for v in range(len(names))]
+    if None in powers:
+        with pytest.raises(InfiniteDimensionalError):
+            from_poly_quotient(field, names, rels)
+        return
+    standard = sorted(
+        (m for m in product(*(range(p) for p in powers))
+         if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)),
+        key=lambda m: (sum(m), m))
+    index = {m: i for i, m in enumerate(standard)}
+
+    def vector(expr):
+        vec = [field.zero] * len(standard)
+        for m, c in sympy.Poly(expr, *gens, **opts).terms():
+            vec[index[m]] = field.normalize(Fraction(int(c.p), int(c.q)))
+        return vec
+
+    alg = from_poly_quotient(field, names, rels)
+    assert alg.poly_data["monomials"] == standard
+    assert alg.labels == [str(monomial(m)).replace("**", "^")
+                          for m in standard]
+    assert alg.unit == vector(sympy.Integer(1))
+    for i, mi in enumerate(standard):
+        for j, mj in enumerate(standard):
+            _, rem = sympy.reduced(
+                monomial(tuple(a + b for a, b in zip(mi, mj))), basis,
+                *gens, order="grlex", **opts)
+            assert alg.table[i][j] == vector(rem), (mi, mj)
+
+
+def named_quotient(field, names, *rels):
+    return pytest.param(field, names, [
+        {m: field.of_int(c) for m, c in rel.items()} for rel in rels],
+        id=f"{'+'.join(str(sorted(r)) for r in rels)}/{field}")
+
+
+@pytest.mark.parametrize("field, names, rels", [
+    # valid inputs on which `hull` exits 3, and similar ones it builds
+    *[named_quotient(field, ["x", "y"], *rels) for field in (QQ, F5, F7)
+      for rels in [
+          ({(3, 0): 1}, {(0, 4): 1}, {(2, 1): 1, (0, 2): 1}),
+          ({(4, 0): 1}, {(0, 4): 1}, {(3, 1): 1, (0, 3): 4}),
+          ({(4, 0): 1}, {(0, 3): 1}, {(1, 1): 1, (3, 0): 1}),
+          ({(5, 0): 1}, {(0, 3): 1}, {(0, 2): 1, (3, 0): 1}),
+          ({(4, 0): 1}, {(0, 4): 1}, {(3, 1): 1, (1, 3): 4}),
+          ({(4, 0): 1}, {(0, 4): 1}, {(2, 1): 1, (0, 3): 1}),
+          ({(3, 0): 1}, {(0, 3): 1}, {(2, 0): 1, (0, 2): 1, (1, 2): 1}),
+          # the fat point, its generators recombined
+          tuple({m: c for m, c in zip([(2, 0), (1, 1), (0, 2)], row) if c}
+                for row in RECOMBINE_3),
+          # the unit ideal, and y unbounded
+          ({(2, 0): 1}, {(0, 2): 1}, {(1, 1): 1, (0, 0): -1}),
+          ({(2, 0): 1}, {(1, 1): 1}),
+      ]],
+    named_quotient(QQ, ["x"], {(1,): 1, (0,): -1}, {(1,): 1}),
+    named_quotient(F5, ["x"], {(3,): 1, (1,): 2, (0,): 2}),
+])
+def test_named_poly_quotients_match_sympy(field, names, rels):
+    assert_quotient_matches_sympy(field, names, rels)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(poly_quotients())
+def test_random_poly_quotients_match_sympy(case):
+    assert_quotient_matches_sympy(*case)
 
 
 def count_stage_defects(monkeypatch):
