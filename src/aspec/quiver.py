@@ -93,15 +93,11 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
             degree=max_degree)
 
     # assemble the basis: trivial paths first (vertex order), then words
-    basis_words = []          # ('e', vertex_index) or ('w', word)
-    labels = []
-    for vi, v in enumerate(q.vertices):
-        basis_words.append(("e", vi))
-        labels.append(f"e_{v}")
-    for layer in words:
-        for w in layer:
-            basis_words.append(("w", w))
-            labels.append(".".join(q.arrows[i][0] for i in w))
+    nv = len(q.vertices)
+    paths = [w for layer in words for w in layer]
+    basis_words = [("e", vi) for vi in range(nv)] + [("w", w) for w in paths]
+    labels = [f"e_{v}" for v in q.vertices] + [
+        ".".join(q.arrows[i][0] for i in w) for w in paths]
     index = {bw: i for i, bw in enumerate(basis_words)}
     dim = len(basis_words)
 
@@ -112,63 +108,38 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
             return v, v
         return q.arrows[val[0]][1], q.arrows[val[-1]][2]
 
-    def poly_to_vec(poly):
+    def product(bi, bj):
+        if ends(bi)[1] != ends(bj)[0]:
+            return [field.zero] * dim
+        if bi[0] == "e":
+            return unit_vec(field, dim, index[bj])
+        if bj[0] == "e":
+            return unit_vec(field, dim, index[bi])
         vec = [field.zero] * dim
-        for w, c in poly.items():
-            key = ("w", w) if w else None
-            if key is None:
-                raise ValidationError("empty word in reduction")
-            vec[index[key]] = field.add(vec[index[key]], c)
+        for w, c in rw.reduce({bi[1] + bj[1]: field.one}).items():
+            vec[index[("w", w)]] = c
         return vec
 
-    table = []
-    for bi in basis_words:
-        row = []
-        si, ti = ends(bi)
-        for bj in basis_words:
-            sj, tj = ends(bj)
-            if ti != sj:
-                row.append([field.zero] * dim)
-                continue
-            if bi[0] == "e" and bj[0] == "e":
-                row.append(list(unit_vec(field, dim, index[bj])))
-            elif bi[0] == "e":
-                row.append(list(unit_vec(field, dim, index[bj])))
-            elif bj[0] == "e":
-                row.append(list(unit_vec(field, dim, index[bi])))
-            else:
-                concat = bi[1] + bj[1]
-                reduced = rw.reduce({concat: field.one})
-                row.append(poly_to_vec(reduced))
-        table.append(row)
-    unit = [field.zero] * dim
-    for vi in range(len(q.vertices)):
-        unit[index[("e", vi)]] = field.one
-    idempotents = [unit_vec(field, dim, index[("e", vi)])
-                   for vi in range(len(q.vertices))]
+    table = [[product(bi, bj) for bj in basis_words] for bi in basis_words]
+    unit = [field.one] * nv + [field.zero] * (dim - nv)
+    idempotents = [unit_vec(field, dim, vi) for vi in range(nv)]
 
     q.vertex_idempotents = idempotents
-    q.arrow_ideal_basis = [unit_vec(field, dim, i)
-                           for i, bw in enumerate(basis_words) if bw[0] == "w"]
+    q.arrow_ideal_basis = [unit_vec(field, dim, i) for i in range(nv, dim)]
     q.basis_words = basis_words
-    q.vertex_of_basis = [ends(bw) for bw in basis_words]
 
     alg = Algebra(field, labels, table, unit, idempotents=idempotents,
                   presentation=q, validate=validate)
 
     # admissibility: the arrow ideal must be nilpotent in the quotient
-    arrow_basis = q.arrow_ideal_basis
-    power = [list(v) for v in arrow_basis]
-    steps = 0
-    while power:
-        steps += 1
-        if steps > dim + 1:
-            raise ValidationError(
-                "relations are not admissible: the arrow ideal is not "
-                "nilpotent in the quotient")
-        nxt = []
-        for v in power:
-            for w in arrow_basis:
-                nxt.append(alg.mul(v, w))
-        power = row_space_basis(field, nxt)
+    power = arrow_basis = q.arrow_ideal_basis
+    for _ in range(dim + 1):
+        if not power:
+            break
+        power = row_space_basis(
+            field, [alg.mul(v, w) for v in power for w in arrow_basis])
+    if power:
+        raise ValidationError(
+            "relations are not admissible: the arrow ideal is not "
+            "nilpotent in the quotient")
     return alg

@@ -25,6 +25,10 @@ from collections import deque
 from heapq import heappop, heappush
 
 
+# words longer than this are reduced through their halves
+SPLIT = 128
+
+
 def deglex(word):
     return (len(word), word)
 
@@ -56,8 +60,21 @@ class Rewriter:
     def reduce(self, poly):
         """Normal form of {word: coeff}.  One pass from the lead end: a
         rewrite only moves words away from it, so each word is visited
-        once."""
+        once.  A word longer than SPLIT is rewritten as the product of
+        its halves' normal forms when either half reduces: x^100000 by
+        x^2 -> x then takes 17 halvings, not 99999 rewrites of a long
+        word."""
+        return self._reduce(poly, {})
+
+    def _reduce(self, poly, halves):
+        """reduce, with the normal forms of the halves met so far."""
         f = self.field
+
+        def half(word):
+            if word not in halves:
+                halves[word] = self._reduce({word: f.one}, halves)
+            return halves[word]
+
         pending = {}
         heap = []
 
@@ -82,6 +99,15 @@ class Rewriter:
             if hit is None:
                 out[w] = c
                 continue
+            if len(w) > SPLIT:
+                h = len(w) // 2
+                left, right = half(w[:h]), half(w[h:])
+                if left != {w[:h]: f.one} or right != {w[h:]: f.one}:
+                    # every product is below w, as a reduced half is
+                    for a, ca in left.items():
+                        for b, cb in right.items():
+                            push(a + b, f.mul(c, f.mul(ca, cb)))
+                    continue
             lead, pos = hit
             u, v = w[:pos], w[pos + len(lead):]
             for t, tc in self.rules[lead].items():
@@ -149,6 +175,22 @@ class Rewriter:
         u, v = word[:pos], word[pos + len(lead):]
         return {u + t + v: c for t, c in self.rules[lead].items()}
 
+    def _settle_long_leads(self, degree):
+        """Reduce each rule whose lead is longer than degree by the other
+        rules and put it back.  complete(degree) never meets such a lead,
+        yet shorter rules may reduce it: x^2 -> 0 turns x^70 -> -x into
+        x -> 0.  Returns whether a rule with a lead within degree came of
+        it, whose ambiguities are then still to resolve."""
+        f = self.field
+        fresh = False
+        for lead in [w for w in self.rules if len(w) > degree]:
+            poly = {w: f.neg(c) for w, c in self.rules.pop(lead).items()}
+            poly[lead] = f.one
+            new = self.add_relation(poly)
+            fresh = fresh or (new is not None and len(new) <= degree)
+        self._lengths = {len(w) for w in self.rules}
+        return fresh
+
     def irreducible_words(self, letters, upto, budget=None):
         """Irreducible composable words in the letters (name, source,
         target), grown layer by layer.  Returns [(candidates, irreducible)]
@@ -180,10 +222,14 @@ class Rewriter:
         Returns the irreducible words by length [length 1, ..., L - 1],
         or None when words of length max_degree remain.  The first
         completion degree is clipped to max_degree, and it doubles up to
-        max_degree while words persist."""
+        max_degree while words persist.  A rule whose lead is longer than
+        the degree is reduced by the others after each completion: once
+        the words die out, the shorter rules reduce every such lead."""
         degree = min(max_degree, max([4] + [2 * len(w) for w in self.rules]))
         while True:
             self.complete(degree)
+            while self._settle_long_leads(degree):
+                self.complete(degree)
             words = [good for _, good in
                      self.irreducible_words(letters, degree)]
             if words[-1]:

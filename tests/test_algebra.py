@@ -68,6 +68,32 @@ def test_quiver_infinite_dimensional_detected():
         from_quiver(q, max_degree=10)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_quiver_relation_past_the_max_degree_meets_shorter_ones(reverse):
+    # a^2 = a^26 = 0 once a^3 = 0, whichever relation comes first
+    rels = [[(QQ.one, ["a"] * 26), (QQ.of_int(-1), ["a", "a"])],
+            [(QQ.one, ["a"] * 3)]]
+    q = QuiverPresentation(["v"], [("a", "v", "v")],
+                           rels[::-1] if reverse else rels)
+    assert from_quiver(q).labels == ["e_v", "a"]
+
+
+def a_n_path_modulo_its_longest_path(n):
+    arrows = [(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(n)]
+    return QuiverPresentation([f"v{i}" for i in range(n + 1)], arrows,
+                              [[(QQ.one, [a[0] for a in arrows])]])
+
+
+def test_quiver_paths_past_the_max_degree_are_refused():
+    # the longest path is zero, yet paths of the max degree remain
+    with pytest.raises(InfiniteDimensionalError, match="by degree 24"):
+        from_quiver(a_n_path_modulo_its_longest_path(26))
+    q = a_n_path_modulo_its_longest_path(6)
+    with pytest.raises(InfiniteDimensionalError, match="by degree 5"):
+        from_quiver(q, max_degree=5)
+    assert from_quiver(q, max_degree=6).dim == 7 + 6 + 5 + 4 + 3 + 2
+
+
 def test_non_admissible_relation_rejected():
     # x^2 = x^3 splits off a copy of k; the arrow ideal is not nilpotent
     q = QuiverPresentation(
@@ -150,6 +176,15 @@ def test_poly_quotient_refuses_the_unit_ideal():
     with pytest.raises(InputError, match="unit ideal"):
         from_poly_quotient(QQ, ["x"], [{(1,): QQ.one, (0,): QQ.of_int(-1)},
                                        {(1,): QQ.one}])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_poly_quotient_relation_past_the_max_degree_meets_shorter_ones(
+        reverse):
+    # x = -x^70 = 0 once x^2 = 0, whichever relation comes first
+    rels = [{(70,): QQ.one, (1,): QQ.one}, {(2,): QQ.one}]
+    a = from_poly_quotient(QQ, ["x"], rels[::-1] if reverse else rels)
+    assert a.labels == ["1"]
 
 
 def test_poly_quotient_refuses_duplicate_variables():

@@ -642,3 +642,20 @@ def test_oversized_exponents_are_refused_before_allocation(
     assert proc.returncode == 2
     assert proc.stderr == \
         "error: quotient not finite-dimensional by degree 64\n"
+
+
+@pytest.mark.parametrize("relations", [
+    ["x^100000", "x^2 - x"],
+    ["x^2 - x", "x^100000"],
+    ["x^100000 - x", "x^3"],
+])
+def test_oversized_exponents_reduced_by_shorter_relations(tmp_path,
+                                                          relations):
+    # the quotient is k; x^100000 is reduced through its halves, not one
+    # letter at a time
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x", relations), encoding="utf-8")
+    proc = run_cli(["hull", "--input", str(doc), "--order", "2"], timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(
+        "[rho]\n  1: block(1,1) = [[1]]\nstatus: OK\n")

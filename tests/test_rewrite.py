@@ -264,10 +264,14 @@ def poly_quotients(draw, fields=(QQ, F5, F7)):
     """k[x] or k[x, y] modulo a pure power of each variable (left out one
     time in eight, so some quotients are infinite) and 0-2 relations of
     1-3 terms of degree <= 3, often inhomogeneous: a constant term makes
-    some of them the unit ideal."""
+    some of them the unit ideal.  When every variable has its pure power,
+    one relation in four gains a term of degree 65-70, past the degree
+    at which `from_poly_quotient` gives up, which the powers reduce."""
     field = draw(st.sampled_from(fields))
     nvars = draw(st.integers(1, 2))
     monos = [m for m in product(range(4), repeat=nvars) if sum(m) <= 3]
+    long_monos = [m for m in product(range(71), repeat=nvars)
+                  if 65 <= sum(m) <= 70]
     coeff = st.sampled_from([1, 2, 3, -1, -2]).map(field.of_int)
     rels = []
     for v in range(nvars):
@@ -275,10 +279,14 @@ def poly_quotients(draw, fields=(QQ, F5, F7)):
             power = draw(st.integers(1, 5))
             rels.append({tuple(power * (k == v) for k in range(nvars)):
                          field.one})
+    bounded = len(rels) == nvars
     for _ in range(draw(st.integers(0, 2))):
         terms = draw(st.lists(st.sampled_from(monos), min_size=1,
                               max_size=3, unique=True))
-        rels.append({m: draw(coeff) for m in terms})
+        rel = {m: draw(coeff) for m in terms}
+        if bounded and not draw(st.integers(0, 3)):
+            rel[draw(st.sampled_from(long_monos))] = draw(coeff)
+        rels.append(rel)
     return field, ["x", "y"][:nvars], draw(st.permutations(rels))
 
 
@@ -359,6 +367,15 @@ def named_quotient(field, names, *rels):
           ({(2, 0): 1}, {(1, 1): 1}),
       ]],
     named_quotient(QQ, ["x"], {(1,): 1, (0,): -1}, {(1,): 1}),
+    # a lead past the max degree, reduced by the shorter rules
+    *[named_quotient(field, names, *rels) for field in (QQ, F5)
+      for names, rels in [
+          (["x"], ({(70,): 1, (1,): 1}, {(2,): 1})),
+          (["x"], ({(2,): 1}, {(70,): 1, (1,): 1})),
+          (["x", "y"], ({(66, 0): 1, (0, 1): 1}, {(2, 0): 1}, {(0, 3): 1})),
+          (["x", "y"], ({(3, 0): 1}, {(0, 2): 1}, {(1, 65): 1, (1, 0): -1})),
+          (["x", "y"], ({(2, 0): 1}, {(0, 2): 1}, {(65, 1): 1, (1, 1): 2})),
+      ]],
     named_quotient(F5, ["x"], {(3,): 1, (1,): 2, (0,): 2}),
 ])
 def test_named_poly_quotients_match_sympy(field, names, rels):
