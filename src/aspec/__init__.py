@@ -20,7 +20,6 @@ from .hull import (
     MatricOHat,
     OAlgebra,
     RPointedAlgebra,
-    closure_check,
     hull,
     invert_unit,
     massey_step,
@@ -31,6 +30,7 @@ from .polyring import PointModule, PolynomialRing, hull_poly_ring
 from .topology import (
     ASpecSpace,
     aspec_morphism,
+    closure_check,
     compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,
@@ -45,9 +45,8 @@ __all__ = [
     "is_simple", "simple_modules",
     "ExtSpace", "Resolution", "cup_product", "ext",
     "ExtData", "HullTower", "MatricOHat", "OAlgebra", "RPointedAlgebra",
-    "closure_check", "hull", "invert_unit", "massey_step",
-    "maximal_ideals", "o_algebra",
+    "hull", "invert_unit", "massey_step", "maximal_ideals", "o_algebra",
     "PointModule", "PolynomialRing", "hull_poly_ring",
-    "ASpecSpace", "aspec_morphism", "compare_with_spec",
+    "ASpecSpace", "aspec_morphism", "closure_check", "compare_with_spec",
     "global_sections_roundtrip", "space_of_simples", "spec_compare",
 ]

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import field_from_name
 from .ext import Resolution, ext
-from .hull import closure_check, default_order, hull, maximal_ideals, o_algebra
+from .hull import default_order, hull, maximal_ideals, o_algebra
 from .linalg import Mat, _add_scaled, row_space_basis
 from .modules import ModuleRep, SpectralPoint, simple_modules
 from .polyquot import from_poly_quotient
@@ -36,6 +36,7 @@ from .quiver import QuiverPresentation, from_quiver
 from .topology import (
     SHEAF_CHECK_MAX_POINTS,
     ASpecSpace,
+    closure_check,
     compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,

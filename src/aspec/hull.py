@@ -790,10 +790,10 @@ class OAlgebra:
 
     Everything is read off `ohat.image`, the one tagged echelon of the
     flattened rho table.  The basis is its rows; R_k, the O-coordinates
-    of rho(b_k), is flats[k] read at the pivots; and P_i, a preimage of
-    the basis element o_i, is the row's tag.  The structure table is read
-    off A: o_i o_j = rho(P_i) rho(P_j) = rho(P_i P_j) = sum_k (P_i P_j)_k
-    R_k.  This is exact because the hull build ends with `_verify`,
+    of rho(b_k), is flats[k] read at the pivots (`images`); and P_i, a
+    preimage of the basis element o_i, is the row's tag (`preimages`).
+    The structure table is read off A: o_i o_j = rho(P_i) rho(P_j) =
+    rho(P_i P_j) = sum_k (P_i P_j)_k R_k.  This is exact because the hull build ends with `_verify`,
     which proves rho unital and multiplicative on every pair of basis
     elements of A; a hull that fails it never reaches O.  The same
     argument puts 1 = rho(1_A) in O.  `ohat` is a matric algebra
@@ -809,14 +809,15 @@ class OAlgebra:
         self.flat_len = ohat.flat_dim()
         self.basis_flat = image.rows
         self.dim = len(self.basis_flat)
-        self._images = [[v[p] for p in image.pivots]          # R_k
-                        for v in image.flats]
-        pre = image.tags                                      # P_i
+        self.images = [[v[p] for p in image.pivots]           # R_k
+                       for v in image.flats]
+        self.preimages = pre = image.tags                     # P_i
         self.table = [[self.rho_coords(algebra.mul(p, q)) for q in pre]
                       for p in pre]
         self.unit = self.rho_coords(algebra.unit)
         self._span = None
         self._o_alg = None
+        self.spaces_over = {}     # aSpec over O itself, by order (topology)
 
     def basis_elements(self):
         return [self.ohat.unflatten(v) for v in self.basis_flat]
@@ -828,7 +829,7 @@ class OAlgebra:
 
     def rho_coords(self, algebra_elem_coords):
         """O-coordinates of rho(x): sum_k x_k R_k."""
-        return _combination(self.field, algebra_elem_coords, self._images,
+        return _combination(self.field, algebra_elem_coords, self.images,
                             self.dim)
 
     def as_algebra(self, labels=None):
@@ -1021,22 +1022,3 @@ def base_algebra_of(algebra, o, names):
                for mats, name in zip(o.degree0_blocks(), names)]
     return o_alg, modules
 
-
-def closure_check(algebra, o):
-    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity).
-
-    o is O^A(M), already built; the family M and the truncation order
-    are read off it, and only the hull over O is built here."""
-    o_alg, new_modules = base_algebra_of(
-        algebra, o, [m.name for m in o.ohat.modules])
-    order = o.ohat.hull.order
-    tower2, ohat2 = hull(o_alg, new_modules, order)
-    o2 = o_algebra(ohat2)
-    if o2.dim != o.dim:
-        return False, {"reason": "dimension mismatch",
-                       "dim_first": o.dim, "dim_second": o2.dim}
-    # canonical map: O -> O2 by rho2 on O's basis
-    images = [o2.rho_coords(unit_vec(o.field, o.dim, idx))
-              for idx in range(o.dim)]
-    bij = len(row_space_basis(o.field, images)) == o.dim
-    return bij, {"dim_first": o.dim, "dim_second": o2.dim}

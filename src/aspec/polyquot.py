@@ -6,8 +6,9 @@ variable is a loop letter on one vertex, the last one letter 0, and the
 highest word leads each rule.  The irreducible words are then the
 sorted words y^b x^a outside the leading ideal, and the order on them is
 the degree-lexicographic order on monomials with x > y.  Quotients must
-be finite-dimensional.  Univariate factorization is delegated to sympy,
-which is imported only when a polynomial is factored.
+be finite-dimensional.  Univariate factorization of degree 2 and more
+is delegated to sympy, which is imported only when such a polynomial is
+factored.
 """
 
 from __future__ import annotations
@@ -115,32 +116,34 @@ def min_poly_of_matrix(m):
     raise InternalInvariantError("minimal polynomial not found")
 
 
-def _to_sympy_poly(field, coeffs, x):
-    import sympy
-    if characteristic(field) == 0:
-        expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
-        return sympy.Poly(expr, x, domain="QQ")
-    expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
-    return sympy.Poly(expr, x, modulus=field.p)
-
-
-def _from_sympy_poly(field, poly):
-    """The coefficients of a sympy polynomial as normalized scalars."""
-    coeffs = poly.all_coeffs()[::-1]
-    if characteristic(field) == 0:
-        return [field.div(int(c.p), int(c.q)) for c in coeffs]
-    return [field.normalize(int(c)) for c in coeffs]
-
-
 def factor_univariate(field, coeffs):
-    """Monic irreducible factors [(coeffs, multiplicity)] of a univariate poly."""
-    import sympy
-    x = sympy.Symbol("x")
-    poly = _to_sympy_poly(field, coeffs, x)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        fac = fac.monic()
-        out.append((_from_sympy_poly(field, fac), int(mult)))
+    """Monic irreducible factors [(coeffs, multiplicity)] of a univariate
+    poly (coeffs low degree first), sorted by length and then by the
+    printed coefficients.  Degree at most 1 is answered here; higher
+    degrees go to sympy's dense factoring over QQ or GF(p), read from
+    and back into the coefficient lists."""
+    coeffs = list(coeffs)
+    while coeffs and field.is_zero(coeffs[-1]):
+        coeffs.pop()
+    if len(coeffs) <= 1:
+        return []
+    if len(coeffs) == 2:
+        return [([field.div(coeffs[0], coeffs[1]), field.one], 1)]
+    from sympy.polys.densetools import dup_monic
+    from sympy.polys.domains import GF, QQ
+    from sympy.polys.factortools import dup_factor_list
+    rational = characteristic(field) == 0
+    dom = QQ if rational else GF(field.p)
+
+    def scalar(c):
+        if rational:
+            return field.div(int(c.numerator), int(c.denominator))
+        return field.normalize(int(c))
+
+    rep = [dom(int(c.numerator), int(c.denominator)) if rational
+           else dom(int(c)) for c in reversed(coeffs)]
+    _, factors = dup_factor_list(rep, dom)
+    out = [([scalar(c) for c in reversed(dup_monic(fac, dom))], int(mult))
+           for fac, mult in factors]
     out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
     return out

@@ -3,8 +3,12 @@
 Points are spectral modules (all simples in the split scope plus any
 user-declared ones); the topology is generated by the injectivity loci
 D(f); sections over an open are the O-algebra of its point family, and
-restriction maps come from the universal property (rho_U(a) -> rho_V(a),
-with the kernel inclusion verified rather than assumed).
+restriction maps come from the universal property, rho_U(a) -> rho_V(a).
+They are read off the echelon of the rho table: the basis element o_i
+of O(U) has the preimage P_i, so o_i maps to rho_V(P_i).  The kernel
+inclusion ker(rho_U) <= ker(rho_V) is checked, not assumed: the map
+must send rho_U(b_k) to rho_V(b_k) for every basis element b_k of A,
+and those differences span ker(rho_U) (`_universal_map`).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from .errors import (
     InternalInvariantError,
     UnsupportedAlgebraError,
 )
-from .hull import ExtData, base_algebra_of, hull, o_algebra
+from .hull import ExtData, base_algebra_of, default_order, hull, o_algebra
 from .linalg import (
     Mat,
     Span,
@@ -79,6 +83,7 @@ class ASpecSpace:
         self.extra_elements = [list(e) for e in extra_elements]
         self._sections_cache = {}
         self._restriction_cache = {}
+        self._pair_blocks = {}    # of the raw restrictions (sheaf_sections)
         self._ext_data = None     # shared by every hull of the space
         self._subbasis = None
         self._opens = None
@@ -232,7 +237,8 @@ class ASpecSpace:
             offsets.append(offsets[-1] + d)
         total = offsets[-1]
         pair_rows = _compatibility_rows(
-            f, [neigh[x] for x in idxs], dims, self.restriction)
+            f, [neigh[x] for x in idxs], dims, self.restriction,
+            self._pair_blocks)
         if total == 0:
             basis = []
         elif pair_rows:
@@ -250,24 +256,24 @@ class ASpecSpace:
         key = ("sheaf", frozenset(bigger), frozenset(smaller))
         if key in self._restriction_cache:
             return self._restriction_cache[key]
-        f = self.base_field()
         su = self.sheaf_sections(bigger)
         sv = self.sheaf_sections(smaller)
-        span = Span(f, sv["basis"], sv["total"])
+        span_key = ("sheaf span", frozenset(smaller))
+        span = self._sections_cache.get(span_key)
+        if span is None:
+            span = self._sections_cache[span_key] = Span(
+                self.base_field(), sv["basis"], sv["total"])
+        upos = {x: pos for pos, x in enumerate(su["indices"])}
+        cuts = [(su["offsets"][upos[x]], su["offsets"][upos[x] + 1])
+                for x in sv["indices"]]
         rows = []
         for vec in su["basis"]:
-            proj = []
-            for pos, x in enumerate(sv["indices"]):
-                upos = su["indices"].index(x)
-                width = su["offsets"][upos + 1] - su["offsets"][upos]
-                proj.extend(vec[su["offsets"][upos]:
-                                su["offsets"][upos] + width])
-            coeffs = span.coords(proj)
+            coeffs = span.coords([c for lo, hi in cuts for c in vec[lo:hi]])
             if coeffs is None:
                 raise InternalInvariantError(
                     "projected family is not compatible")
             rows.append(coeffs)
-        mat = Mat(f, rows, cols=len(sv["basis"]))
+        mat = Mat._of(self.base_field(), rows, len(sv["basis"]))
         self._restriction_cache[key] = mat
         return mat
 
@@ -283,15 +289,24 @@ class ASpecSpace:
         return ok, why
 
     def sheafify_check(self):
-        """Locality and gluing for the sheaf on every cover of every
-        open (exhaustive; capped at SHEAF_CHECK_MAX_POINTS points)."""
+        """Locality and gluing for the sheaf on every cover of every open
+        (exhaustive; capped at SHEAF_CHECK_MAX_POINTS points).  A cover
+        is a family of nonempty proper opens with union U, or U itself:
+        the empty open adds no columns and no pair rows, so a family
+        with it gets the verdict of the family without it.  The covers
+        of one check share one memo of pair blocks and compatibilities."""
         if len(self.points) > SHEAF_CHECK_MAX_POINTS:
             raise InputError("exhaustive cover enumeration capped at "
                              f"{SHEAF_CHECK_MAX_POINTS} points")
         failures = []
         opens = self.opens()
+        memo = {}
+
+        def dim_of(s):
+            return len(self.sheaf_sections(s)["basis"])
+
         for u in opens:
-            proper = [v for v in opens if v < u]
+            proper = [v for v in opens if v and v < u]
             covers = []
             for mask in range(1, 2 ** len(proper)):
                 family = [proper[t] for t in range(len(proper))
@@ -301,36 +316,50 @@ class ASpecSpace:
             covers.append([u])
             for family in covers:
                 ok, why = self._check_cover_generic(
-                    u, family,
-                    lambda s: len(self.sheaf_sections(s)["basis"]),
-                    lambda a, b: self.sheaf_restriction(a, b))
+                    u, family, dim_of, self.sheaf_restriction, memo)
                 if not ok:
                     failures.append({"open": sorted(u),
                                      "cover": [sorted(v) for v in family],
                                      "why": why})
         return {"passed": not failures, "failures": failures}
 
-    def _check_cover_generic(self, u, family, dim_of, res_of):
+    def _check_cover_generic(self, u, family, dim_of, res_of, memo=None):
+        """(ok, why) for the cover `family` of u, for the presheaf whose
+        sections over V have dimension dim_of(V) and whose restrictions
+        are res_of(V, W): locality, then gluing, then compatibility.
+        `memo` holds the pair blocks and compatibility verdicts already
+        decided for this presheaf (keyed by the opens), so the covers of
+        one check share them; it must not serve another presheaf."""
         f = self.base_field()
+        memo = {} if memo is None else memo
         dim_u = dim_of(u)
         res_mats = [res_of(u, v) for v in family]
         dims = [dim_of(v) for v in family]
         total = sum(dims)
         # row i: the restrictions of the i-th section over u to the cover
-        images = Mat(f, [[x for m in res_mats for x in m.data[i]]
-                         for i in range(dim_u)], cols=total)
+        images = Mat._of(f, [[x for m in res_mats for x in m.data[i]]
+                             for i in range(dim_u)], total)
         # locality: the joint restriction map is injective
         if rank(images) != dim_u:
             return False, "locality fails"
         # gluing: the image is the space of compatible families, the
         # kernel of the pair rows; of equal dimension, it is that kernel
         # iff every pair row kills it
-        pairs = Mat(f, _compatibility_rows(f, family, dims, res_of),
-                    cols=total)
+        pairs = Mat._of(f, _compatibility_rows(f, family, dims, res_of,
+                                               memo), total)
         if dim_u != total - rank(pairs):
             return False, "gluing fails"
-        if not pairs.mul(images.transpose()).is_zero():
-            return False, "restrictions are not compatible"
+        # the pair rows kill the image block by block: for V_a, V_b with
+        # I = V_a & V_b, res(U, V_a) res(V_a, I) = res(U, V_b) res(V_b, I)
+        for a in range(len(family)):
+            for b in range(a + 1, len(family)):
+                key = (u, family[a], family[b])
+                if key not in memo:
+                    inter = family[a] & family[b]
+                    memo[key] = res_mats[a].mul(res_of(family[a], inter)) \
+                        == res_mats[b].mul(res_of(family[b], inter))
+                if not memo[key]:
+                    return False, "restrictions are not compatible"
         return True, ""
 
     # -- stalks ----------------------------------------------------------------
@@ -354,29 +383,38 @@ class ASpecSpace:
         return StalkData(subset, u0, stalk_sections, direct, iso)
 
 
-def _compatibility_rows(field, opens, dims, res_of):
+def _compatibility_rows(field, opens, dims, res_of, memo):
     """Rows cutting out the compatible families in the direct sum of the
     sections over `opens` (dims[a] = dim of the sections over opens[a]):
-    one row per coordinate of s_a - s_b restricted to opens[a] & opens[b]."""
-    f = field
+    one row per coordinate of s_a - s_b restricted to opens[a] & opens[b].
+    Each pair's block is taken from `memo`, keyed by the pair of opens,
+    or built into it, and placed at the offsets of the pair."""
     offsets = [0]
     for d in dims:
         offsets.append(offsets[-1] + d)
     rows = []
     for a in range(len(opens)):
         for b in range(a + 1, len(opens)):
-            inter = opens[a] & opens[b]
-            ra = res_of(opens[a], inter)
-            rb = res_of(opens[b], inter)
-            for col in range(ra.cols):
-                row = [f.zero] * offsets[-1]
-                for i in range(dims[a]):
-                    row[offsets[a] + i] = ra.data[i][col]
-                for i in range(dims[b]):
-                    row[offsets[b] + i] = f.sub(row[offsets[b] + i],
-                                                rb.data[i][col])
+            key = (opens[a], opens[b])
+            if key not in memo:
+                memo[key] = _pair_block(field, res_of, *key)
+            for left, right in memo[key]:
+                row = [field.zero] * offsets[-1]
+                row[offsets[a]:offsets[a + 1]] = left
+                row[offsets[b]:offsets[b + 1]] = right
                 rows.append(row)
     return rows
+
+
+def _pair_block(field, res_of, va, vb):
+    """The compatibility rows of the pair (va, vb) on its own columns:
+    per coordinate of the sections over I = va & vb, the column of
+    res(va, I) and minus the column of res(vb, I)."""
+    inter = va & vb
+    ra, rb = res_of(va, inter), res_of(vb, inter)
+    neg = field.neg
+    return [([row[c] for row in ra.data], [neg(row[c]) for row in rb.data])
+            for c in range(ra.cols)]
 
 
 def space_of_simples(algebra, extra_elements=(), order=None):
@@ -384,14 +422,6 @@ def space_of_simples(algebra, extra_elements=(), order=None):
            for m in simple_modules(algebra)]
     return ASpecSpace(algebra, pts, extra_elements=extra_elements,
                       order=order)
-
-
-def _rho_flats(algebra, sec):
-    """Images of the algebra basis in the section algebra, as coords."""
-    out = []
-    for i in range(algebra.dim):
-        out.append(sec.o.rho_coords(list(algebra.basis_vector(i))))
-    return out
 
 
 def restriction_matrix(algebra, sec_u, sec_v):
@@ -412,40 +442,30 @@ def restriction_matrix(algebra, sec_u, sec_v):
             for s in range(order + 1):
                 m.data[upos * (order + 1) + s][vpos * (order + 1) + s] = f.one
         return m
-    return _universal_map(f, _rho_flats(algebra, sec_u),
-                          _rho_flats(algebra, sec_v), sec_u.dim, sec_v.dim,
-                          "restriction")
+    return _universal_map(f, sec_u.o.preimages, sec_u.o.images,
+                          sec_v.o.images, sec_v.dim, "restriction")
 
 
-def _universal_map(field, src, dst, src_dim, dst_dim, name):
+def _universal_map(field, pre, src, dst, dst_dim, name):
     """O_src -> O_dst from the universal property, rho_src(a) -> rho_dst(a).
 
-    src[k] and dst[k] are the coordinates of the images of the same
-    algebra element a_k.  Raises when the map is not well defined
-    (ker(rho_src) escapes ker(rho_dst)) or rho_src does not span.
-    Returns the matrix in the row convention.
+    pre[i] holds the coordinates of a preimage P_i of the i-th basis
+    element of O_src (`OAlgebra.preimages`); src[k] and dst[k] are the
+    coordinates of rho_src(a_k) and rho_dst(a_k) for the same basis
+    element a_k.  Row i is rho_dst(P_i) = sum_k P_i[k] dst[k].  With
+    Q_k = sum_i src[k][i] P_i, the differences Q_k - a_k lie in
+    ker(rho_src) and span it, so the map is well defined (ker(rho_src)
+    lies in ker(rho_dst)) exactly when it sends every src[k] to dst[k];
+    it raises otherwise.  Returns the matrix in the row convention.
     """
     f = field
-    span = Span(f, src, src_dim)
-
-    def image(coeffs):
-        return _combination(f, coeffs, dst, dst_dim)
-
-    # ker(rho_src) is spanned by e_k - coords(src[k]), one per src[k]
-    # that depends on the earlier ones
+    rows = [_combination(f, p, dst, dst_dim) for p in pre]
     for v, w in zip(src, dst):
-        if image(span.coords(v)) != list(w):
+        if _combination(f, v, rows, dst_dim) != list(w):
             raise InternalInvariantError(
                 f"{name} is not well defined: ker(rho) of the source "
                 "escapes ker(rho) of the target")
-    rows = []
-    for i in range(src_dim):
-        coeffs = span.coords(unit_vec(f, src_dim, i))
-        if coeffs is None:
-            raise InternalInvariantError(
-                f"{name}: rho does not span the source sections")
-        rows.append(image(coeffs))
-    return Mat(f, rows, cols=dst_dim)
+    return Mat._of(f, rows, dst_dim)
 
 
 def compare_section_algebras(algebra, sec_a, sec_b):
@@ -526,12 +546,11 @@ def aspec_morphism(phi_rows, source_algebra, target_algebra, space):
         if sec_u.kind == "zero":
             raise InternalInvariantError(
                 "nonempty target open with empty preimage sections")
-        flats_b = [sec_v.o.rho_coords(list(B.basis_vector(i)))
-                   for i in range(B.dim)]
         flats_a = [sec_u.o.rho_coords(list(apply(B.basis_vector(i))))
                    for i in range(B.dim)]
-        section_maps[v] = _universal_map(f, flats_b, flats_a, sec_v.dim,
-                                         sec_u.dim, "section map")
+        section_maps[v] = _universal_map(f, sec_v.o.preimages,
+                                         sec_v.o.images, flats_a, sec_u.dim,
+                                         "section map")
     # compatibility with restrictions on nested opens
     for v in target_space.opens():
         for w in target_space.opens():
@@ -660,56 +679,94 @@ def _localization_kernel(algebra, module, o):
         ideal = power
 
 
-# -- global sections roundtrip -------------------------------------------------
+# -- O_X(X) as a base algebra: closure and the global-sections roundtrip -----
+
+
+def _space_over_sections(algebra, o, order):
+    """aSpec over G = O as a base algebra, on the points P_i: the
+    family's modules over G, read off the degree-0 blocks of O and named
+    like the family.  `order` None means G's default order.
+
+    G and the P_i are built once per O, and the space once per O and
+    order; all are kept on O (`spaces_over`), so `closure_check` and
+    `global_sections_roundtrip` on the same O and order read the same
+    hulls over G.  The spaces over one O share one Ext store."""
+    spaces = o.spaces_over
+    if not spaces:
+        g_alg, mods = base_algebra_of(algebra, o,
+                                      [m.name for m in o.ohat.modules])
+        spaces[None] = ASpecSpace(g_alg, [SpectralPoint(m) for m in mods])
+    if order is None:
+        order = max(2, default_order(spaces[None].algebra))
+    if order not in spaces:
+        spaces[order] = spaces[None].at_order(order)
+    return spaces[order]
+
+
+def closure_check(algebra, o):
+    """O^{O^A(M)}(M) == O^A(M) via the canonical map (dims + bijectivity).
+
+    o is O^A(M), already built; the family M and the truncation order
+    are read off it.  O^O(M) is the whole-family section of the space
+    over O at that order (`_space_over_sections`), the only hull built
+    here; a roundtrip on a space whose global sections are o, at the
+    same order, reads the same section."""
+    space = _space_over_sections(algebra, o, o.ohat.hull.order)
+    o2 = space.family_o_algebra(range(len(space.points))).o
+    if o2.dim != o.dim:
+        return False, {"reason": "dimension mismatch",
+                       "dim_first": o.dim, "dim_second": o2.dim}
+    # canonical map: O -> O2 by rho2 on O's basis
+    images = [o2.rho_coords(unit_vec(o.field, o.dim, idx))
+              for idx in range(o.dim)]
+    bij = len(row_space_basis(o.field, images)) == o.dim
+    return bij, {"dim_first": o.dim, "dim_second": o2.dim}
 
 
 def global_sections_roundtrip(space):
-    """X ~ aSpec(O_X(X)): rebuild the space over the global sections and
-    match points, opens, and section algebras."""
+    """X ~ aSpec(O_X(X)): match points, opens and section algebras.
+
+    With G = O_X(X) as a base algebra, each point of X, as a G-module
+    P_i, must be isomorphic to exactly one simple of G, with no simple
+    left over.  Isomorphic families have isomorphic O^G and the same
+    D-sets, so aSpec G is then the space over G on the P_i themselves,
+    with the identity point map: the space of `_space_over_sections` at
+    space.order (None: G's default order), which `closure_check` of the
+    same O and order shares.  Its opens must be those of X, and on each
+    open U the map O_G(U) -> O_X(U), rho_G(g) -> res^X_U(g), must be a
+    well-defined bijection."""
     algebra = space.algebra
     if is_poly_ring(algebra):
         raise InputError("roundtrip is for finite-dimensional spaces")
     f = algebra.field
     whole = frozenset(range(len(space.points)))
     sec = space.sections(whole)
-    g_alg, point_mods = base_algebra_of(
-        algebra, sec.o, [f"P{i}" for i in range(len(space.points))])
-    new_space = space_of_simples(g_alg, order=space.order)
-    # match original points with simples of G via the block actions
-    matches = {}
-    for i, mod in enumerate(point_mods):
-        found = None
-        for j, s in enumerate(new_space.points):
-            if is_isomorphic(mod, s.module):
-                found = j
-                break
-        if found is None or found in matches.values():
+    over = _space_over_sections(algebra, sec.o, space.order)
+    simples = simple_modules(over.algebra)
+    matched = set()
+    for pt in over.points:
+        found = next((j for j, s in enumerate(simples)
+                      if is_isomorphic(pt.module, s)), None)
+        if found is None or found in matched:
             return {"passed": False, "reason": "points do not biject"}
-        matches[i] = found
-    if len(matches) != len(new_space.points):
+        matched.add(found)
+    if len(matched) != len(simples):
         return {"passed": False, "reason": "point counts differ"}
-    # topologies correspond under the bijection
-    mapped = {frozenset(matches[i] for i in u) for u in space.opens()}
-    if mapped != set(new_space.opens()):
+    if set(space.opens()) != set(over.opens()):
         return {"passed": False, "reason": "open lattices differ"}
-    # sections isomorphic on matching opens (global case via res . rho_G)
     for u in space.opens():
-        v = frozenset(matches[i] for i in u)
         sec_u = space.sections(u)
-        sec_v = new_space.sections(v)
-        if sec_u.dim != sec_v.dim:
+        sec_g = over.sections(u)
+        if sec_u.dim != sec_g.dim:
             return {"passed": False, "reason": "section dims differ",
                     "open": sorted(u)}
         if sec_u.kind == "zero":
             continue
-        # map O_G(V) -> O_A(U): rho_G(g) -> res^X_U(g)
+        # G's basis is O_X(X)'s, so res^X_U sends g_t to row t
         res = space.restriction(whole, u)
-        flats_g = [sec_v.o.rho_coords(list(g_alg.basis_vector(t)))
-                   for t in range(g_alg.dim)]
-        flats_a = [list(res.data[t]) for t in range(g_alg.dim)]
         try:
-            mat = _universal_map(f, flats_g, flats_a, sec_v.dim, sec_u.dim,
-                                 "comparison map")
+            mat = _universal_map(f, sec_g.o.preimages, sec_g.o.images,
+                                 res.data, sec_u.dim, "comparison map")
         except InternalInvariantError as exc:
             return {"passed": False, "reason": str(exc), "open": sorted(u)}
         if rank(mat) != sec_u.dim:

@@ -24,9 +24,11 @@ and the dense trace form read the regular representation through
 `left_mult_matrix`; the corner simples multiply through `Algebra.mul`
 and solve in a `Span`; the `Mat` references for the scalar kernel of
 `MatricOHat` add and scale with its `Mat`-valued element operations and
-read the hull's own normal forms.  The last
-section holds readings of documents, points and spaces that only the
-tests ask for.
+read the hull's own normal forms; the first paths of the space checks
+build their sections, hulls, spaces of simples and sheaf restrictions
+with the production code and solve in a `Span`.  The last two sections
+hold readings of documents, points and spaces that only the tests ask
+for, and those first paths.
 """
 
 from fractions import Fraction
@@ -1628,3 +1630,191 @@ def sections_simples_only(space, subset):
     (the definitions differ on spaces with non-simple spectral points)."""
     return space.family_o_algebra(
         i for i in subset if is_simple_point(space.points[i]))
+
+
+# -- section maps, covers, closure and roundtrip by their first paths ----------
+
+
+def factor_univariate_by_expressions(field, coeffs):
+    """Monic irreducible factors [(coeffs, multiplicity)] of a univariate
+    poly through a sympy expression sum c x^i parsed into a `Poly`."""
+    import sympy
+    x = sympy.Symbol("x")
+    rational = not isinstance(field, PrimeField)
+    if rational:
+        expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
+        poly = sympy.Poly(expr, x, domain="QQ")
+    else:
+        expr = sum(int(c) * x**i for i, c in enumerate(coeffs))
+        poly = sympy.Poly(expr, x, modulus=field.p)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        fac = fac.monic().all_coeffs()[::-1]
+        if rational:
+            fac = [field.div(int(c.p), int(c.q)) for c in fac]
+        else:
+            fac = [field.normalize(int(c)) for c in fac]
+        out.append((fac, int(mult)))
+    out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
+    return out
+
+
+def universal_map_by_span(field, src, dst, src_dim, dst_dim, name):
+    """O_src -> O_dst, rho_src(a_k) -> rho_dst(a_k), solved in a `Span`
+    of the source images src[k]; raises as `_universal_map` does."""
+    span = Span(field, src, src_dim)
+
+    def image(coeffs):
+        out = zero_vec(field, dst_dim)
+        for c, w in zip(coeffs, dst):
+            if c:
+                _add_scaled(field, out, c, w)
+        return out
+
+    for v, w in zip(src, dst):
+        if image(span.coords(v)) != list(w):
+            raise InternalInvariantError(
+                f"{name} is not well defined: ker(rho) of the source "
+                "escapes ker(rho) of the target")
+    rows = []
+    for i in range(src_dim):
+        coeffs = span.coords(unit_vec(field, src_dim, i))
+        if coeffs is None:
+            raise InternalInvariantError(
+                f"{name}: rho does not span the source sections")
+        rows.append(image(coeffs))
+    return Mat(field, rows, cols=dst_dim)
+
+
+def restriction_matrix_by_span(algebra, sec_u, sec_v):
+    """`topology.restriction_matrix` for finite-dimensional sections,
+    with the images of A's basis solved in a `Span`."""
+    if sec_v.kind == "zero":
+        return Mat.zeros(algebra.field, sec_u.dim, 0)
+
+    def flats(sec):
+        return [sec.o.rho_coords(list(algebra.basis_vector(k)))
+                for k in range(algebra.dim)]
+
+    return universal_map_by_span(algebra.field, flats(sec_u), flats(sec_v),
+                                 sec_u.dim, sec_v.dim, "restriction")
+
+
+def cover_verdict_dense(field, u, family, dim_of, res_of):
+    """(ok, why) of one cover: locality and gluing by ranks, and
+    compatibility as pairs . images^T = 0, every pair row built anew."""
+    dim_u = dim_of(u)
+    res_mats = [res_of(u, v) for v in family]
+    dims = [dim_of(v) for v in family]
+    offsets = [0]
+    for d in dims:
+        offsets.append(offsets[-1] + d)
+    total = offsets[-1]
+    images = Mat(field, [[x for m in res_mats for x in m.data[i]]
+                         for i in range(dim_u)], cols=total)
+    if rank_of(field, images.data) != dim_u:
+        return False, "locality fails"
+    rows = []
+    for a in range(len(family)):
+        for b in range(a + 1, len(family)):
+            inter = family[a] & family[b]
+            ra, rb = res_of(family[a], inter), res_of(family[b], inter)
+            for col in range(ra.cols):
+                row = zero_vec(field, total)
+                for i in range(dims[a]):
+                    row[offsets[a] + i] = ra.data[i][col]
+                for i in range(dims[b]):
+                    row[offsets[b] + i] = field.sub(row[offsets[b] + i],
+                                                    rb.data[i][col])
+                rows.append(row)
+    pairs = Mat(field, rows, cols=total)
+    if dim_u != total - rank_of(field, rows):
+        return False, "gluing fails"
+    if not pairs.mul(images.transpose()).is_zero():
+        return False, "restrictions are not compatible"
+    return True, ""
+
+
+def sheafify_check_all_covers(space):
+    """`ASpecSpace.sheafify_check` over every family of proper opens,
+    the empty open included, each cover checked on its own."""
+    failures = []
+    opens = space.opens()
+    for u in opens:
+        proper = [v for v in opens if v < u]
+        covers = [[proper[t] for t in range(len(proper)) if mask & (1 << t)]
+                  for mask in range(1, 2 ** len(proper))]
+        covers = [c for c in covers if frozenset().union(*c) == u] + [[u]]
+        for family in covers:
+            ok, why = cover_verdict_dense(
+                space.base_field(), u, family,
+                lambda s: len(space.sheaf_sections(s)["basis"]),
+                space.sheaf_restriction)
+            if not ok:
+                failures.append({"open": sorted(u),
+                                 "cover": [sorted(v) for v in family],
+                                 "why": why})
+    return {"passed": not failures, "failures": failures}
+
+
+def closure_check_own_hull(algebra, o):
+    """O^{O^A(M)}(M) == O^A(M) with the hull over O built on its own
+    Ext store."""
+    from aspec.hull import base_algebra_of, hull, o_algebra
+    o_alg, mods = base_algebra_of(algebra, o,
+                                  [m.name for m in o.ohat.modules])
+    o2 = o_algebra(hull(o_alg, mods, o.ohat.hull.order)[1])
+    if o2.dim != o.dim:
+        return False, {"reason": "dimension mismatch",
+                       "dim_first": o.dim, "dim_second": o2.dim}
+    images = [o2.rho_coords(unit_vec(o.field, o.dim, idx))
+              for idx in range(o.dim)]
+    bij = len(row_space_basis(o.field, images)) == o.dim
+    return bij, {"dim_first": o.dim, "dim_second": o2.dim}
+
+
+def roundtrip_on_simples(space):
+    """X ~ aSpec(O_X(X)) against the space of simples of G = O_X(X),
+    with its own Ext store, its points matched to X's by isomorphism and
+    the comparison maps solved in a `Span`."""
+    from aspec.hull import base_algebra_of
+    from aspec.topology import space_of_simples
+    f = space.algebra.field
+    whole = frozenset(range(len(space.points)))
+    sec = space.sections(whole)
+    g_alg, point_mods = base_algebra_of(
+        space.algebra, sec.o, [f"P{i}" for i in range(len(space.points))])
+    new_space = space_of_simples(g_alg, order=space.order)
+    matches = {}
+    for i, mod in enumerate(point_mods):
+        found = next((j for j, s in enumerate(new_space.points)
+                      if is_isomorphic(mod, s.module)), None)
+        if found is None or found in matches.values():
+            return {"passed": False, "reason": "points do not biject"}
+        matches[i] = found
+    if len(matches) != len(new_space.points):
+        return {"passed": False, "reason": "point counts differ"}
+    mapped = {frozenset(matches[i] for i in u) for u in space.opens()}
+    if mapped != set(new_space.opens()):
+        return {"passed": False, "reason": "open lattices differ"}
+    for u in space.opens():
+        v = frozenset(matches[i] for i in u)
+        sec_u, sec_v = space.sections(u), new_space.sections(v)
+        if sec_u.dim != sec_v.dim:
+            return {"passed": False, "reason": "section dims differ",
+                    "open": sorted(u)}
+        if sec_u.kind == "zero":
+            continue
+        res = space.restriction(whole, u)
+        flats_g = [sec_v.o.rho_coords(list(g_alg.basis_vector(t)))
+                   for t in range(g_alg.dim)]
+        try:
+            mat = universal_map_by_span(f, flats_g, res.data, sec_v.dim,
+                                        sec_u.dim, "comparison map")
+        except InternalInvariantError as exc:
+            return {"passed": False, "reason": str(exc), "open": sorted(u)}
+        if rank_of(f, mat.data) != sec_u.dim:
+            return {"passed": False, "reason": "sections not isomorphic",
+                    "open": sorted(u)}
+    return {"passed": True, "points": len(space.points),
+            "global_dim": sec.dim}

@@ -15,7 +15,6 @@ from aspec.fields import GF, QQ
 from aspec.hull import (
     MatricOHat,
     default_order,
-    closure_check,
     hull,
     invert_unit,
     maximal_ideals,
@@ -27,6 +26,7 @@ from aspec.polyquot import from_poly_quotient
 from aspec.polyring import PointModule, PolynomialRing, hull_poly_ring
 from aspec.polyring import PolyOAlgebra
 from aspec.topology import (
+    closure_check,
     global_sections_roundtrip,
     space_of_simples,
     spec_compare,

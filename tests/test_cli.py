@@ -9,7 +9,7 @@ import aspec.cli as cli_module
 from aspec.cli import main, parse, run
 from aspec.errors import InputError
 from aspec.ext import ext
-from aspec.hull import hull, o_algebra
+from aspec.hull import default_order, hull, o_algebra
 from aspec.modules import simple_modules
 
 A2_DOC = """\
@@ -370,10 +370,13 @@ def test_shifted_cube_simple_acts_by_its_root(field, relation):
 
 
 @pytest.mark.parametrize("example,builds", [
-    ("a2_quiver.txt", 7),
-    ("dual_numbers.txt", 3),
-])
+    ("a2_quiver.txt", 6),
+    ("dual_numbers.txt", 2),
+], ids=["a2_quiver", "dual_numbers"])
 def test_verify_builds_o_of_the_simples_once(hull_builds, example, builds):
+    # the sections of the space of simples, plus the hulls over O(X) of
+    # the roundtrip's space, whose whole-family section is the closure
+    # check's hull
     doc = parse((EXAMPLES / example).read_text())
     report = run("verify", doc)
     assert not report.failed
@@ -403,23 +406,25 @@ def test_poly_ring_without_points_has_one_message(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("text, command, order, built", [
     ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", None, 2),
-    ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", None, 6),
+    ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", None, 4),
     (A3_PATH_DOC, "aspec", None, 3),
-    (A3_PATH_DOC, "verify", None, 9),
+    (A3_PATH_DOC, "verify", None, 6),
     (A3_PATH_DOC, "verify", 2, 9),
     (A3_PATH_DOC, "ext", None, 3),
-    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", None, 3),
-    (KX4_MINUS_X2_DOC, "verify", None, 9),
+    ((EXAMPLES / "dual_numbers.txt").read_text(), "verify", None, 2),
+    (KX4_MINUS_X2_DOC, "verify", None, 6),
 ], ids=["a2-aspec", "a2-verify", "a3-aspec", "a3-verify", "a3-verify-order2",
         "a3-ext", "dual-verify", "kx4-x2-verify"])
 def test_each_space_resolves_each_module_once(resolutions_built, text,
                                               command, order, built):
     # aspec: one space of simples, whatever its number of opens.  verify
-    # adds the hull over O in the closure check and the roundtrip's space
-    # over O(X), each resolving every simple once; at a run order other
-    # than the default its space checks reuse the space of simples' Ext
-    # store, and the Spec comparison of a commutative algebra reads that
-    # same space.  ext: one resolution per source.
+    # adds the space over O(X), which resolves every point once and
+    # serves both the closure check and the roundtrip.  At a run order
+    # other than the default, the space checks reuse the space of
+    # simples' Ext store, but the roundtrip reads O(X) at the run order,
+    # so it gets a space over O(X) of its own.  The Spec comparison of a
+    # commutative algebra reads the space of simples.  ext: one
+    # resolution per source.
     report = run(command, parse(text), order=order)
     assert not report.failed
     assert len(resolutions_built["Resolution"]) == built
@@ -428,8 +433,8 @@ def test_each_space_resolves_each_module_once(resolutions_built, text,
 
 
 @pytest.mark.parametrize("text, builds", [
-    ((EXAMPLES / "dual_numbers.txt").read_text(), 3),
-    (KX4_MINUS_X2_DOC, 15),
+    ((EXAMPLES / "dual_numbers.txt").read_text(), 2),
+    (KX4_MINUS_X2_DOC, 14),
 ], ids=["dual", "kx4-x2"])
 def test_spec_comparison_reads_the_space_of_verify(monkeypatch, hull_builds,
                                                    resolutions_built, text,
@@ -452,6 +457,62 @@ def test_spec_comparison_reads_the_space_of_verify(monkeypatch, hull_builds,
     assert ("spec-comparison", "PASS") in report.sections[0][1]
     assert during == [(0, 0)]
     assert len(hull_builds) == builds
+
+
+def test_a3_verify_checks_56_covers(monkeypatch):
+    # the covers of every open of the three-point space by nonempty
+    # proper opens, plus each open itself (104 with the empty open)
+    from aspec.topology import ASpecSpace
+    checked = []
+    check = ASpecSpace._check_cover_generic
+
+    def counting(self, u, family, *args):
+        checked.append((u, tuple(family)))
+        return check(self, u, family, *args)
+
+    monkeypatch.setattr(ASpecSpace, "_check_cover_generic", counting)
+    report = run("verify", parse(A3_PATH_DOC))
+    assert not report.failed
+    assert len(checked) == 56 == len(set(checked))
+
+
+VERIFY_ALL_PASS = """\
+command: verify
+input: {digest}
+[verify]
+  fin-dim-isomorphism: PASS
+  r-locality: PASS
+  closure: PASS
+  sheaf-axioms: PASS
+  global-sections-roundtrip: PASS
+{extra}status: OK
+"""
+
+
+@pytest.mark.parametrize("order", [None, 2, 3, 4], ids=str)
+@pytest.mark.parametrize("text, digest, extra", [
+    (A3_PATH_DOC, "3cdf0e2738f2f655", ""),
+    (KX4_MINUS_X2_DOC, "17dd35614a43a4f5", "  spec-comparison: PASS\n"),
+], ids=["a3", "kx4-x2"])
+def test_verify_at_each_order(tmp_path, capsys, monkeypatch, text, digest,
+                              extra, order):
+    # closure runs at the default order and the roundtrip at the run
+    # order: they share the space over O(X) only when the two agree
+    import aspec.topology
+    built = []
+    base = aspec.topology.base_algebra_of
+    monkeypatch.setattr(aspec.topology, "base_algebra_of",
+                        lambda *args: built.append(args) or base(*args))
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text, encoding="utf-8")
+    argv = ["verify", "--input", str(doc)]
+    assert main(argv + ([] if order is None else ["--order", str(order)])) \
+        == 0
+    captured = capsys.readouterr()
+    assert captured.out == VERIFY_ALL_PASS.format(digest=digest, extra=extra)
+    assert captured.err == ""
+    default = max(2, default_order(parse(text).algebra))
+    assert len(built) == (1 if order in (None, default) else 2)
 
 
 def test_spec_comparison_exit_codes(tmp_path, capsys):

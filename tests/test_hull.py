@@ -7,7 +7,6 @@ from aspec.fields import GF, QQ
 from aspec.hull import (
     MatricOHat,
     RPointedAlgebra,
-    closure_check,
     default_order,
     hull,
     invert_unit,
@@ -19,6 +18,7 @@ from aspec.errors import NotAUnitError
 from aspec.linalg import Mat
 from aspec.polyring import PointModule, PolyMatricOHat, PolynomialRing
 from aspec.modules import simple_modules
+from aspec.topology import closure_check
 from conftest import (
     corpus,
     make_a2,

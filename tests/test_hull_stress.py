@@ -140,8 +140,12 @@ def test_kronecker_single_vertex_families_oracle():
 
 
 def test_stress_algebras_verify_pipeline():
-    from aspec.hull import closure_check, maximal_ideals
-    from aspec.topology import global_sections_roundtrip, space_of_simples
+    from aspec.hull import maximal_ideals
+    from aspec.topology import (
+        closure_check,
+        global_sections_roundtrip,
+        space_of_simples,
+    )
     for make in (make_kronecker, make_double_loop, make_fat_point):
         alg = make()
         s = simple_modules(alg)

@@ -96,7 +96,7 @@ def assert_image_matches_references(tower, ohat):
     assert [o.rho_coords(p) for p in image.tags] == \
         [unit_vec(f, o.dim, i) for i in range(o.dim)]
     span = Span(f, o.basis_flat, o.flat_len)
-    assert o._images == [span.coords(v) for v in image.flats]
+    assert o.images == [span.coords(v) for v in image.flats]
     blocks = o.degree0_blocks()
     assert [[mats[idx] for mats in blocks] for idx in range(o.dim)] == \
         [ohat.pi(ohat.unflatten(row)) for row in o.basis_flat]

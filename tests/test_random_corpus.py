@@ -12,11 +12,12 @@ degree-0 blocks on every open."""
 from hypothesis import given, settings
 
 from aspec.fields import GF, QQ
-from aspec.hull import ExtData, closure_check, hull, maximal_ideals, o_algebra
+from aspec.hull import ExtData, hull, maximal_ideals, o_algebra
 from aspec.modules import simple_modules
 from aspec.quiver import QuiverPresentation, from_quiver
 from aspec.topology import (
     SHEAF_CHECK_MAX_POINTS,
+    closure_check,
     global_sections_roundtrip,
     space_of_simples,
 )

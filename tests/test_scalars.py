@@ -12,13 +12,13 @@ import pytest
 from aspec.algebra import from_structure_constants
 from aspec.cli import _space, parse
 from aspec.fields import GF, QQ
-from aspec.hull import closure_check, hull, maximal_ideals, o_algebra
+from aspec.hull import hull, maximal_ideals, o_algebra
 from aspec.linalg import Mat
 from aspec.modules import simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.polyring import is_poly_ring
 from aspec.quiver import QuiverPresentation, from_quiver
-from aspec.topology import global_sections_roundtrip
+from aspec.topology import closure_check, global_sections_roundtrip
 from oracles import abnormal_scalars, is_normal_rational
 
 SRC = Path(__file__).parent.parent / "src" / "aspec"

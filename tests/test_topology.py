@@ -10,9 +10,11 @@ from aspec.linalg import Mat
 from aspec.modules import SpectralPoint, simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.polyring import PointModule, PolynomialRing, taylor_shift
+from aspec.quiver import QuiverPresentation, from_quiver
 from aspec.topology import (
     ASpecSpace,
     aspec_morphism,
+    closure_check,
     compare_with_spec,
     global_sections_roundtrip,
     space_of_simples,
@@ -27,6 +29,12 @@ from conftest import (
     make_split_quadratic,
 )
 from oracles import closed_points_report, sections_simples_only
+
+
+def make_a3_path():
+    """The path algebra of 1 -a-> 2 -b-> 3, without relations."""
+    return from_quiver(QuiverPresentation(
+        ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")]))
 
 
 def test_d_sets_split_quadratic():
@@ -408,7 +416,7 @@ def test_spec_comparison_kernel_is_the_stable_power():
 
 
 def test_second_sheafify_check_reuses_the_restrictions(monkeypatch):
-    # k[x]/(x^4 - x^2): three points, 208 covers; every sheaf restriction
+    # k[x]/(x^4 - x^2): three points, 56 covers; every sheaf restriction
     # is memoized, so a second check builds no coordinate Span
     one = QQ.one
     a = from_poly_quotient(QQ, ["x"], [{(4,): one, (2,): QQ.neg(one)}])
@@ -421,3 +429,54 @@ def test_second_sheafify_check_reuses_the_restrictions(monkeypatch):
     assert space.sheafify_check() == first
     assert built == []
     assert first["passed"]
+
+
+def test_one_sheafify_check_builds_each_pair_block_once(monkeypatch):
+    # the covers of a check share their pair blocks, and the sheaf
+    # sections of all opens share those of the raw restrictions
+    one = QQ.one
+    a = from_poly_quotient(QQ, ["x"], [{(4,): one, (2,): QQ.neg(one)}])
+    space = space_of_simples(a)
+    built = []
+    pair_block = topology_module._pair_block
+
+    def counting(field, res_of, va, vb):
+        built.append((res_of.__name__, va, vb))
+        return pair_block(field, res_of, va, vb)
+
+    monkeypatch.setattr(topology_module, "_pair_block", counting)
+    assert space.sheafify_check()["passed"]
+    assert {kind for kind, _, _ in built} == {"restriction",
+                                               "sheaf_restriction"}
+    assert len(built) == len(set(built))
+
+
+def test_section_maps_build_no_span(kernel_work):
+    # restrictions and stalk comparisons read the preimages of the rho
+    # echelon; only the hulls of the sections build Spans
+    a = make_a3_path()
+    space = space_of_simples(a)
+    subsets = [frozenset(c) for k in range(1, 4)
+               for c in combinations(range(3), k)]
+    for subset in subsets:
+        space.family_o_algebra(subset)
+    kernel_work["spans"].clear()
+    opens = space.opens()
+    for u in opens:
+        for v in opens:
+            if u and v <= u:
+                space.restriction(u, v)
+    for subset in subsets:
+        assert space.stalk(subset).comparison_is_iso
+    assert kernel_work["spans"] == []
+
+
+def test_closure_and_roundtrip_build_the_hull_over_o_once(hull_builds):
+    a = make_a2()
+    space = space_of_simples(a)
+    o = space.sections(range(2)).o
+    assert closure_check(a, o)[0]
+    assert global_sections_roundtrip(space)["passed"]
+    whole_over_o = [b for b in hull_builds
+                    if b.algebra is not a and len(b.modules) == 2]
+    assert len(whole_over_o) == 1
