@@ -11,6 +11,10 @@ failure of multiplicativity on the new monomials is a Hochschild
 part is absorbed into rho's next coefficients.  Free variables in every
 solve are pinned to zero, so the output presentation is deterministic.
 
+The state of the build is a defining system (Laudal; Siqveland): the
+relations and a 1-cochain on each free word, set once, from which rho is
+read by folding every cochain through its word's current normal form.
+
 `RPointedAlgebra` holds only the presentation of H; elements are
 computed in `MatricOHat`, the matric algebra with blocks of size
 dim M_i.  H itself is the same algebra with every block 1x1.
@@ -109,16 +113,6 @@ class RPointedAlgebra:
             self._normal_forms[word] = nf
         return nf
 
-    def truncate(self, order):
-        """Stage algebra at a lower order (surjection by discarding)."""
-        rels = []
-        for rel in self.relations:
-            tr = {w: c for w, c in rel.items() if len(w) <= order}
-            if tr:
-                rels.append(tr)
-        return RPointedAlgebra(self.field, self.r, self.generators, order,
-                               rels)
-
     def presentation_lines(self, format_scalar=None):
         fmt = format_scalar or self.field.format
         lines = []
@@ -135,18 +129,13 @@ class RPointedAlgebra:
 
 
 class HullTower:
-    """Stages H_2 <- H_3 <- ... <- H_N of the truncated hull."""
+    """H_N and the new relation keys of each stage; the stage H_n of
+    H_2 <- ... <- H_N is H_N with words longer than n discarded."""
 
     def __init__(self, final):
         self.final = final
         self.stabilized = None     # set by hull()
         self.new_relations_by_stage = {}
-
-    def stage(self, n):
-        """H_n: the final algebra with words longer than n discarded."""
-        if n == self.final.order:
-            return self.final
-        return self.final.truncate(n)
 
 
 class MatricOHat:
@@ -562,8 +551,8 @@ class _HullBuilder:
                 self.deriv_seed.append(psi)
 
     def build(self):
-        hull_alg, C, new_by_stage = self._run_stages(self.order)
-        ohat = self._matric(hull_alg, C)
+        hull_alg, C_free, new_by_stage = self._run_stages(self.order)
+        ohat = self._matric(hull_alg, C_free)
         self._verify(ohat)
         tower = HullTower(hull_alg)
         tower.new_relations_by_stage = new_by_stage
@@ -582,30 +571,29 @@ class _HullBuilder:
 
     def _run_stages(self, last):
         """One pass over stages 2..last, stage n in its own algebra H_n of
-        order n on the relations so far: correct each defect, extend the
-        relations and, after a stage that added some, refold C onto the
-        next algebra.  Lowest-lead rewriting never shortens a word, so
-        H_n is H_N cut at n, and stage n reads no longer product.
-        Returns (H_N, C, new relation keys per stage)."""
+        order n on the relations so far.  Lowest-lead rewriting never
+        shortens a word, so H_n is H_N cut at n, and stage n reads no
+        longer product.  The state is the defining system: the relations
+        and C_free, a 1-cochain per free word, seeded on the letters.
+        Stage n splits the defect of each reduced word w of length n into
+        new relation terms and C_free[w], set once; `_matric` folds C_free
+        through the current normal forms.  Returns (H_N, C_free, new
+        relation keys per stage)."""
         f = self.field
         relations = {}        # (i, j, l) -> {word: coeff}
-        # C: word -> 1-cochain (list of Mats per algebra basis element)
-        C = {(g,): psi for g, psi in enumerate(self.deriv_seed)}
+        C_free = {(g,): psi for g, psi in enumerate(self.deriv_seed)}
         new_by_stage = {}
-        stage_new = []
         for stage in range(2, last + 1):
             hull_alg = self._algebra(stage, relations)
-            if stage_new:
-                C = self._refold(hull_alg, C)
-            stage_new = []
             # reduced words are closed under factors: an empty layer
             # stays empty at every later length, so no defect is left
             if not hull_alg.words_by_len.get(stage):
                 break
+            stage_new = []
             for w, (lambdas, psi) in self._stage_classes(
-                    stage, hull_alg, C).items():
+                    stage, hull_alg, C_free).items():
                 block = hull_alg.word_block(w)
-                C[w] = psi
+                C_free[w] = psi
                 for l, lam in enumerate(lambdas):
                     if f.is_zero(lam):
                         continue
@@ -614,10 +602,7 @@ class _HullBuilder:
                     rel[w] = f.add(rel.get(w, f.zero), lam)
                     stage_new.append((key, w))
             new_by_stage[stage] = stage_new
-        hull_alg = self._algebra(self.order, relations)
-        if stage_new:
-            C = self._refold(hull_alg, C)
-        return hull_alg, C, new_by_stage
+        return self._algebra(self.order, relations), C_free, new_by_stage
 
     def _algebra(self, order, relations):
         """The r-pointed algebra of the given order on the relations; a
@@ -628,11 +613,11 @@ class _HullBuilder:
         except InputError:
             raise _over_budget(self.order) from None
 
-    def _stage_classes(self, stage, hull_alg, C):
+    def _stage_classes(self, stage, hull_alg, C_free):
         """Split each nonzero defect of the given stage into its Ext^2
         coordinates and a coboundary part: {word: (lambdas, psi)}."""
         out = {}
-        for w, coch in self._stage_defects(stage, hull_alg, C).items():
+        for w, coch in self._stage_defects(stage, hull_alg, C_free).items():
             if not coch:
                 continue
             pair = self.pairs[hull_alg.word_block(w)]
@@ -644,13 +629,13 @@ class _HullBuilder:
                                        pair.target, coch, pair.span())
         return out
 
-    def _stage_defects(self, stage, hull_alg, C):
+    def _stage_defects(self, stage, hull_alg, C_free):
         """Defect 2-cochains on the reduced words of the given length,
         each {(a, b): Mat} over its nonzero pairs only.  hull_alg has
         order `stage`, so no longer word occurs."""
         out = {w: {} for w in hull_alg.words_by_len.get(stage, [])}
         for ab, delta in _defects(self.algebra,
-                                  self._matric(hull_alg, C)).items():
+                                  self._matric(hull_alg, C_free)).items():
             for key, m in delta.items():
                 if key[0] == "e":
                     raise InternalInvariantError(
@@ -661,35 +646,28 @@ class _HullBuilder:
                 out[key[1]][ab] = m
         return out
 
-    def _matric(self, hull_alg, C):
-        """The matric algebra over hull_alg with rho read off C."""
-        table = []
-        for a in range(self.algebra.dim):
-            elem = {}
-            for i, m in enumerate(self.modules):
-                blockm = m.action[a]
-                if not blockm.is_zero():
-                    elem[("e", i)] = blockm
-            for w, psi in C.items():
-                if not hull_alg.is_reduced(w):
-                    continue
-                mat = psi[a]
-                if not mat.is_zero():
-                    elem[("m", w)] = mat
-            table.append(elem)
+    def _matric(self, hull_alg, C_free):
+        """The matric algebra over hull_alg with rho read off the defining
+        system: each cochain of C_free lands on the normal form of its
+        word in hull_alg, a reduced word on itself, unscaled."""
+        table = [{("e", i): m.action[a] for i, m in enumerate(self.modules)
+                  if not m.action[a].is_zero()}
+                 for a in range(self.algebra.dim)]
+        for w, psi in C_free.items():
+            nf = ((w, None),) if hull_alg.is_reduced(w) else \
+                hull_alg.normal_form(w).items()
+            for nw, c in nf:
+                key = ("m", nw)
+                for elem, mat in zip(table, psi):
+                    if c is not None:
+                        mat = mat.scale(c)
+                    if key in elem:
+                        mat = mat.add(elem[key])
+                    if not mat.is_zero():
+                        elem[key] = mat
+                    elif key in elem:
+                        del elem[key]
         return MatricOHat(hull_alg, [m.dim for m in self.modules], table)
-
-    def _refold(self, hull_alg, C):
-        """Re-express C on the new reduced words after a relation update."""
-        out = {}
-        for w, psi in C.items():
-            for nw, c in hull_alg.normal_form(w).items():
-                scaled = [m.scale(c) for m in psi]
-                if nw in out:
-                    out[nw] = [a.add(b) for a, b in zip(out[nw], scaled)]
-                else:
-                    out[nw] = scaled
-        return out
 
     def _verify(self, ohat):
         """rho is unital and multiplicative, and pi . rho = eta exactly."""
@@ -770,8 +748,8 @@ def massey_step(algebra, modules, order):
     length.  At order 2 this is the cup product on dual generators."""
     builder = _HullBuilder(algebra, modules, max(order, 2))
     f = algebra.field
-    hull_alg, C, _ = builder._run_stages(order - 1)
-    classes = builder._stage_classes(order, hull_alg, C)
+    hull_alg, C_free, _ = builder._run_stages(order - 1)
+    classes = builder._stage_classes(order, hull_alg, C_free)
     out = {}
     for w in hull_alg.words_by_len.get(order, []):
         if w in classes:

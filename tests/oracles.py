@@ -851,24 +851,45 @@ def tower_is_small(tower):
     return True
 
 
+def truncate(h, order):
+    """The stage algebra of a lower order of a hull algebra h (a
+    surjection by discarding words longer than the order)."""
+    rels = []
+    for rel in h.relations:
+        tr = {w: c for w, c in rel.items() if len(w) <= order}
+        if tr:
+            rels.append(tr)
+    return RPointedAlgebra(h.field, h.r, h.generators, order, rels)
+
+
+def tower_stage(tower, n):
+    """H_n: the final algebra of the tower with words longer than n
+    discarded, built only below the final order."""
+    if n == tower.final.order:
+        return tower.final
+    return truncate(tower.final, n)
+
+
 def order_n_stages(builder, last):
     """The reference for `_HullBuilder._run_stages`: every stage runs in
     the algebra of the requested order N, which starts with no relations
-    and is rebuilt, with C refolded onto it, after each stage that adds
-    relations.  Each defect is the order-N product rho(a) rho(b) minus
-    rho(ab), read on the reduced words of the stage's length."""
+    and is rebuilt after each stage that adds relations.  The cochains
+    sit on free words, each set once, and `_matric` folds them through
+    the normal forms of the current algebra.  Each defect is the order-N
+    product rho(a) rho(b) minus rho(ab), read on the reduced words of
+    the stage's length."""
     f = builder.field
     algebra = builder.algebra
     relations = {}
     hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
                                builder.order, [])
-    C = {(g,): psi for g, psi in enumerate(builder.deriv_seed)}
+    C_free = {(g,): psi for g, psi in enumerate(builder.deriv_seed)}
     new_by_stage = {}
     for stage in range(2, last + 1):
         words = hull_alg.words_by_len.get(stage)
         if not words:
             break
-        ohat = builder._matric(hull_alg, C)
+        ohat = builder._matric(hull_alg, C_free)
         defects = {w: {} for w in words}
         for a in range(algebra.dim):
             for b in range(algebra.dim):
@@ -884,7 +905,7 @@ def order_n_stages(builder, last):
                 continue
             block = hull_alg.word_block(w)
             pair = builder.pairs[block]
-            lambdas, C[w] = split_two_cocycle(
+            lambdas, C_free[w] = split_two_cocycle(
                 algebra, pair.source, pair.target, coch, pair.span())
             for l, lam in enumerate(lambdas):
                 if lam:
@@ -897,7 +918,61 @@ def order_n_stages(builder, last):
             hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
                                        builder.order,
                                        list(relations.values()))
-            C = builder._refold(hull_alg, C)
+    return hull_alg, C_free, new_by_stage
+
+
+def refold(hull_alg, C):
+    """C re-expressed on the reduced words of hull_alg: each cochain
+    moved onto the normal form of its word, and dropped with a word that
+    reduces to 0."""
+    out = {}
+    for w, psi in C.items():
+        for nw, c in hull_alg.normal_form(w).items():
+            scaled = [m.scale(c) for m in psi]
+            if nw in out:
+                out[nw] = [a.add(b) for a, b in zip(out[nw], scaled)]
+            else:
+                out[nw] = scaled
+    return out
+
+
+def in_place_stages(builder, last):
+    """`_HullBuilder._run_stages` with the cochains kept on reduced
+    words: after a stage that adds relations, C is refolded in place onto
+    the next stage algebra, and `C[w] = psi` overwrites what a refold put
+    on w.  A cochain dropped with a word that once reduced to 0 never
+    reaches the coordinates that word moves to when a later stage gives
+    its relation a longer tail, so this loop fails there (rho not
+    multiplicative, or a defect below the current stage).  Wherever it
+    completes, the build must match the one on free words; C is on
+    reduced words whenever `_matric` reads it, so the fold there passes
+    it through as it is."""
+    f = builder.field
+    relations = {}
+    C = {(g,): psi for g, psi in enumerate(builder.deriv_seed)}
+    new_by_stage = {}
+    stage_new = []
+    for stage in range(2, last + 1):
+        hull_alg = builder._algebra(stage, relations)
+        if stage_new:
+            C = refold(hull_alg, C)
+        stage_new = []
+        if not hull_alg.words_by_len.get(stage):
+            break
+        for w, (lambdas, psi) in builder._stage_classes(
+                stage, hull_alg, C).items():
+            block = hull_alg.word_block(w)
+            C[w] = psi
+            for l, lam in enumerate(lambdas):
+                if lam:
+                    key = (block[0], block[1], l)
+                    rel = relations.setdefault(key, {})
+                    rel[w] = f.add(rel.get(w, f.zero), lam)
+                    stage_new.append((key, w))
+        new_by_stage[stage] = stage_new
+    hull_alg = builder._algebra(builder.order, relations)
+    if stage_new:
+        C = refold(hull_alg, C)
     return hull_alg, C, new_by_stage
 
 

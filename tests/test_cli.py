@@ -294,6 +294,8 @@ EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
      "aspec_poly_ring.txt"),
     (["simples", "--input", str(EXAMPLES / "lower_triangular.txt")],
      "simples_lower_triangular.txt"),
+    (["hull", "--input", str(EXAMPLES / "local_kxy.txt")],
+     "hull_local_kxy.txt"),
 ])
 def test_golden_outputs(args, golden):
     proc = run_cli(args)

@@ -1,22 +1,36 @@
 """The hull is built in one pass: every lower stage H_n and the image of
 rho in it are read off the order-N build by discarding words longer
 than n.  These tests compare that against a fresh build at order n, and
-the pass over the stage algebras against the reference loop that runs
-every stage in the order-N algebra."""
+the pass over the stage algebras against two reference loops: one that
+runs every stage in the order-N algebra, and one that keeps the
+cochains on reduced words and refolds them in place, which must agree
+wherever it completes."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aspec.errors import InputError
+from aspec.errors import InputError, InternalInvariantError
 from aspec.fields import GF, QQ
-from aspec.hull import HullTower, RPointedAlgebra, _HullBuilder, hull
+from aspec.hull import (
+    HullTower,
+    RPointedAlgebra,
+    _HullBuilder,
+    default_order,
+    hull,
+)
 from aspec.linalg import Mat
 from aspec.modules import ModuleRep, simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import corpus, make_a2
-from oracles import order_n_stages, tower_is_small
+from oracles import (
+    in_place_stages,
+    order_n_stages,
+    tower_is_small,
+    tower_stage,
+)
+from test_defining_system import FIELDS, REPRODUCERS, reproducer
 from test_hull_stress import make_double_loop, make_fat_point, make_kronecker
 from test_rewrite import acyclic_quivers
 
@@ -57,8 +71,8 @@ def test_truncated_pass_equals_fresh_build(alg):
         fresh_h = fresh_tower.final
         assert [w for w in tower.final.reduced_words if len(w) <= n] == \
             fresh_h.reduced_words
-        assert tower.stage(n).reduced_words == fresh_h.reduced_words
-        assert _relations(tower.stage(n)) == _relations(fresh_h)
+        assert tower_stage(tower, n).reduced_words == fresh_h.reduced_words
+        assert _relations(tower_stage(tower, n)) == _relations(fresh_h)
         assert [ohat.flatten(t, n) for t in ohat.rho_table] == \
             [fresh.flatten(t) for t in fresh.rho_table]
         assert ohat.flat_dim(n) == fresh.flat_dim()
@@ -74,6 +88,8 @@ def test_hull_builds_one_resolution_per_module(resolutions_built):
 
 
 def test_tower_stages_are_built_on_demand(monkeypatch):
+    # the tower holds H_N only; a lower stage is H_N cut at its order,
+    # and no algebra is built until one is asked for
     a = make_kx4()
     tower, _ = hull(a, simple_modules(a), 5)
     built = []
@@ -86,9 +102,9 @@ def test_tower_stages_are_built_on_demand(monkeypatch):
     monkeypatch.setattr(RPointedAlgebra, "__init__", counting_init)
     fresh = HullTower(tower.final)
     assert tower_is_small(fresh)
-    assert fresh.stage(5) is tower.final
+    assert tower_stage(fresh, 5) is tower.final
     assert built == []
-    assert fresh.stage(3).order == 3
+    assert tower_stage(fresh, 3).order == 3
     assert len(built) == 1
 
 
@@ -139,19 +155,58 @@ def _outputs(tower, ohat):
             [ohat.flatten(t) for t in ohat.rho_table], tower.stabilized)
 
 
+def assert_matches(alg, modules, order, stages, fails=(InputError,)):
+    """The hull equals the build whose stage loop is `stages` wherever
+    that build raises none of `fails`."""
+    reference = _HullBuilder(alg, modules, order)
+    reference._run_stages = lambda last: stages(reference, last)
+    try:
+        want = _outputs(*reference.build())
+    except fails:
+        return
+    assert _outputs(*hull(alg, modules, order)) == want
+
+
+def assert_matches_the_in_place_loop(alg, modules, order):
+    # that loop fails where a stage gives an old relation a longer tail
+    assert_matches(alg, modules, order, in_place_stages,
+                   (InputError, InternalInvariantError))
+
+
+QUIVER_ALGEBRAS = st.one_of(
+    acyclic_quivers(), acyclic_quivers(monomial=True)).map(
+        lambda case: from_quiver(case[1], field=case[0]))
+
+
+def with_reproducers(test):
+    """The test run also on each reproducer of test_defining_system,
+    with its simples at its default order."""
+    for name in REPRODUCERS:
+        for field in FIELDS:
+            alg = reproducer(name, field)
+            test = example(alg, "simples", default_order(alg))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.one_of(acyclic_quivers(), acyclic_quivers(monomial=True)),
-       st.sampled_from(sorted(FAMILIES)), st.integers(2, 4))
-def test_stage_algebras_match_the_order_n_loop(case, family, order):
+@given(QUIVER_ALGEBRAS, st.sampled_from(sorted(FAMILIES)), st.integers(2, 4))
+@with_reproducers
+def test_stage_algebras_match_the_order_n_loop(alg, family, order):
     # presentation, reduced words, relations per stage, rho and the
     # stabilized flag agree wherever the reference builds
-    field, q = case
-    alg = from_quiver(q, field=field)
-    modules = FAMILIES[family](simple_modules(alg))
-    reference = _HullBuilder(alg, modules, order)
-    reference._run_stages = lambda last: order_n_stages(reference, last)
-    try:
-        want = reference.build()
-    except InputError:
-        return
-    assert _outputs(*hull(alg, modules, order)) == _outputs(*want)
+    assert_matches(alg, FAMILIES[family](simple_modules(alg)), order,
+                   order_n_stages)
+
+
+@pytest.mark.parametrize("alg", cases())
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_free_words_match_the_in_place_loop_on_the_corpus(alg, family):
+    assert_matches_the_in_place_loop(
+        alg, FAMILIES[family](simple_modules(alg)), ORDER)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(QUIVER_ALGEBRAS, st.sampled_from(sorted(FAMILIES)), st.integers(2, 4))
+def test_free_words_match_the_in_place_loop(alg, family, order):
+    assert_matches_the_in_place_loop(
+        alg, FAMILIES[family](simple_modules(alg)), order)

@@ -1,19 +1,37 @@
-"""Random acyclic quivers with monomial zero relations, built over Q and
-over F_p for a large prime p: the whole pipeline against what the
-algebra is known to be.  The Ext dimensions of the simples of a
+"""Random algebras through the whole pipeline, against what each algebra
+is known to be.
+
+Acyclic quivers with monomial zero relations are built over Q and over
+F_p for a large prime p.  The Ext dimensions of the simples of a
 monomial algebra do not depend on the field; the hull of the simples of
 a finite-dimensional basic algebra recovers it, dim H = dim O = dim A;
 O has one maximal ideal per simple with that simple as its quotient;
 O over O gives O back; and the space checks of `verify` pass on the
 space of simples: the sheaf axioms (up to SHEAF_CHECK_MAX_POINTS
 points) and the global-sections roundtrip, which read O and its
-degree-0 blocks on every open."""
+degree-0 blocks on every open.
+
+Two more generators draw the inputs on which a stage gives a relation of
+an earlier stage a longer tail: local quotients k[x,y]/(x^a, y^b, ...)
+with inhomogeneous relations, and acyclic quivers with relations between
+parallel paths of different lengths.  Each must recover the algebra
+(`assert_recovers`) and, wherever the loop that refolds the cochains in
+place completes, give the same hull as the defining system on free
+words."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspec.fields import GF, QQ
-from aspec.hull import ExtData, hull, maximal_ideals, o_algebra
+from aspec.hull import (
+    ExtData,
+    default_order,
+    hull,
+    maximal_ideals,
+    o_algebra,
+)
 from aspec.modules import simple_modules
+from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from aspec.topology import (
     SHEAF_CHECK_MAX_POINTS,
@@ -21,9 +39,13 @@ from aspec.topology import (
     global_sections_roundtrip,
     space_of_simples,
 )
+from test_defining_system import assert_recovers
+from test_hull_one_pass import assert_matches_the_in_place_loop
 from test_rewrite import acyclic_quivers
 
 FP = GF(2147483647)
+F5 = GF(5)
+F7 = GF(7)
 
 
 def over(field, q):
@@ -64,3 +86,68 @@ def test_random_monomial_quivers_over_q_and_fp(case):
         roundtrip = global_sections_roundtrip(space)
         assert roundtrip["passed"], (field, roundtrip)
     assert dims[0] == dims[1]
+
+
+@st.composite
+def local_kxy_quotients(draw):
+    """k[x,y]/(x^a, y^b, r_1[, r_2]) over Q, F5 or F7, with a, b in 2..5
+    and each r_k of 2 or 3 terms x^i y^j of degree 2..4 with coefficients
+    1..4: a local algebra whose relations are mostly inhomogeneous."""
+    field = draw(st.sampled_from((QQ, F5, F7)))
+    a, b = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    monomials = [(i, d - i) for d in range(2, 5) for i in range(d + 1)]
+    rels = [{(a, 0): field.one}, {(0, b): field.one}]
+    for _ in range(draw(st.integers(1, 2))):
+        terms = draw(st.lists(st.sampled_from(monomials), min_size=2,
+                              max_size=3, unique=True))
+        rels.append({m: field.of_int(draw(st.integers(1, 4)))
+                     for m in terms})
+    return from_poly_quotient(field, ["x", "y"], rels)
+
+
+@st.composite
+def different_length_quivers(draw):
+    """An acyclic quiver over Q or F5 on 3-5 vertices with 3-7 arrows
+    i -> j, i < j: the spine 0 -> 1 -> ... -> n-1 and 1 to 8-n more, so
+    that most quivers have parallel paths of different lengths.  It has
+    1-3 relations, each c p + c' q for parallel paths p, q of different
+    lengths >= 2 where the quiver has such a pair, and otherwise one path
+    of length >= 2."""
+    field = draw(st.sampled_from((QQ, F5)))
+    n = draw(st.integers(3, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    spine = [(i, i + 1) for i in range(n - 1)]
+    ends = draw(st.permutations(spine + draw(st.lists(
+        st.sampled_from(pairs), min_size=1, max_size=8 - n))))
+    arrows = [(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(ends)]
+    paths = []
+    layer = [[a] for a in arrows]
+    while layer:
+        paths += [p for p in layer if len(p) >= 2]
+        layer = [p + [a] for p in layer for a in arrows if a[1] == p[-1][2]]
+    mixed = [(p, q) for p in paths for q in paths
+             if len(p) < len(q) and (p[0][1], p[-1][2]) == (q[0][1], q[-1][2])]
+    coeff = st.integers(1, 4).map(field.of_int)
+    rels = []
+    for _ in range(draw(st.integers(1, 3)) if paths else 0):
+        terms = draw(st.sampled_from(mixed)) if mixed else \
+            [draw(st.sampled_from(paths))]
+        rels.append([(draw(coeff), [a[0] for a in p]) for p in terms])
+    q = QuiverPresentation([str(i) for i in range(n)], arrows, rels)
+    return from_quiver(q, field=field)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(local_kxy_quotients())
+def test_local_kxy_quotients_recover_the_algebra(alg):
+    assert_recovers(alg, commutative=True)
+    assert_matches_the_in_place_loop(alg, simple_modules(alg),
+                                     default_order(alg))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(different_length_quivers())
+def test_quivers_with_relations_of_mixed_lengths_recover_the_algebra(alg):
+    assert_recovers(alg)
+    assert_matches_the_in_place_loop(alg, simple_modules(alg),
+                                     default_order(alg))
