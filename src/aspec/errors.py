@@ -26,11 +26,8 @@ class NotAUnitError(AspecError):
 
 
 class InfiniteDimensionalError(AspecError):
-    """A quotient failed to be finite-dimensional within the degree bound."""
-
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
+    """A quotient is proved infinite-dimensional, or is not shown finite
+    within the degree cap or the rewriting budget."""
 
 
 class InternalInvariantError(AspecError):

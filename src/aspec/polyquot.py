@@ -17,10 +17,10 @@ from .algebra import Algebra
 from .errors import InfiniteDimensionalError, InputError, InternalInvariantError
 from .fields import characteristic
 from .linalg import Mat, kernel_basis
-from .rewrite import Rewriter
+from .rewrite import REWRITE_BUDGET, Rewriter
 
 
-# standard monomials persisting at this degree are refused as infinite
+# standard monomials undecided at this degree are refused as infinite
 MAX_DEGREE = 64
 
 
@@ -37,6 +37,9 @@ def from_poly_quotient(field, var_names, relations, validate=True):
         raise InputError(f"duplicate variable {var_names[-1]!r}")
 
     def word(mono):
+        if sum(mono) > REWRITE_BUDGET:
+            raise InputError(f"monomial of degree {sum(mono)} exceeds the "
+                             f"rewriting budget of {REWRITE_BUDGET}")
         return tuple(g for g in range(nvars) for _ in range(mono[-1 - g]))
 
     def mono(w):
@@ -53,15 +56,8 @@ def from_poly_quotient(field, var_names, relations, validate=True):
         raise InputError("the relations generate the unit ideal, so the "
                          "quotient is zero")
     if words is None:
-        for v, name in enumerate(var_names):
-            g = nvars - 1 - v
-            if not any(w and set(w) == {g} for w in rw.rules):
-                raise InfiniteDimensionalError(
-                    f"quotient is infinite-dimensional: {name} has "
-                    "unbounded powers", degree=1)
         raise InfiniteDimensionalError(
-            f"quotient not finite-dimensional by degree {MAX_DEGREE}",
-            degree=MAX_DEGREE)
+            f"quotient not finite-dimensional by degree {MAX_DEGREE}")
     monos = [(0,) * nvars] + sorted(
         (mono(w) for layer in words for w in layer),
         key=lambda m: (sum(m), m))

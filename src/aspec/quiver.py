@@ -15,6 +15,10 @@ from .linalg import row_space_basis, unit_vec
 from .rewrite import Rewriter
 
 
+# irreducible paths undecided at this length are refused as infinite
+MAX_DEGREE = 24
+
+
 class QuiverPresentation:
     """vertices: names; arrows: (name, source, target); relations:
     lists of (coeff, [arrow names]) over parallel composable paths."""
@@ -68,11 +72,12 @@ class QuiverPresentation:
         return tuple(self._arrow_index[n] for n in path_names)
 
 
-def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
+def from_quiver(presentation, field=QQ, validate=True):
     """Algebra of the quiver modulo its relations.
 
-    Detects (rather than assumes) finite-dimensionality; the error names
-    the degree at which irreducible paths persist.
+    Detects (rather than assumes) finite-dimensionality: the rewriting
+    engine reads it off the leads, or refuses when they are still
+    undecided at MAX_DEGREE.
     """
     q = presentation
     rw = Rewriter(field)
@@ -85,12 +90,11 @@ def from_quiver(presentation, field=QQ, max_degree=24, validate=True):
             poly[w] = field.add(poly.get(w, field.zero), c)
         rw.add_relation(poly)
 
-    words = rw.basis_words(q.arrows, max_degree)
+    words = rw.basis_words(q.arrows, MAX_DEGREE)
     if words is None:
         raise InfiniteDimensionalError(
             "path algebra quotient is not finite-dimensional by degree "
-            f"{max_degree}: irreducible paths of that length remain",
-            degree=max_degree)
+            f"{MAX_DEGREE}: irreducible paths of that length remain")
 
     # assemble the basis: trivial paths first (vertex order), then words
     nv = len(q.vertices)

@@ -11,12 +11,19 @@ irreducible words are a basis of the quotient.
 The one parameter is the truncation order:
 
 - `order=None` (quivers and polynomial quotients): the highest word
-  leads each rule and words are never cut, and `basis_words` certifies
-  a finite basis;
+  leads each rule and words are never cut, and `basis_words` decides
+  finiteness from the leads;
 - `order=N` (hulls, the adic convention): the lowest word leads each
   rule and words longer than N are zero.  Lowest leads terminate only
   under a truncation, and the truncation is compatible with them: if
   u.lead.v is longer than N, so is every u.tail.v.
+
+`basis_words` completes degree by degree.  Once no overlap or inclusion
+of the leads is unresolved, k<X>/(leads) has the same irreducible words,
+and it is finite exactly when the Ufnarovski graph of the leads has no
+cycle (Ufnarovski, Math. Notes 1982); a cycle is a word whose powers
+never reduce.  A presentation still undecided at the caller's degree
+cap, or when the work passes REWRITE_BUDGET, is refused.
 """
 
 from __future__ import annotations
@@ -24,9 +31,23 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
+from .errors import InfiniteDimensionalError
+
 
 # words longer than this are reduced through their halves
 SPLIT = 128
+
+# work units `basis_words` may spend: per term a reduction pushes, one
+# plus one per 64 bits of numerator and denominator plus the square of
+# their 1024-bit blocks (gcds cost the square); per overlap position
+# tried, one plus one per 64 letters
+REWRITE_BUDGET = 2_000_000
+
+
+def _over_budget():
+    return InfiniteDimensionalError(
+        "quotient not shown finite-dimensional within the rewriting "
+        f"budget of {REWRITE_BUDGET} steps")
 
 
 def deglex(word):
@@ -46,6 +67,7 @@ class Rewriter:
         self.rules = {}           # lead word -> tail {word: coeff}
         self._lengths = set()     # lengths of the leads
         self._done = set()        # ambiguities already resolved
+        self.budget = None        # work left, while basis_words runs
         # heap key: the lead end of the order comes first
         self._key = _highest_first if order is None else deglex
 
@@ -81,6 +103,10 @@ class Rewriter:
         def push(word, c):
             if self.order is not None and len(word) > self.order:
                 return
+            if self.budget is not None:
+                bits = c.bit_length() if type(c) is int else \
+                    c.numerator.bit_length() + c.denominator.bit_length()
+                self._spend(1 + bits // 64 + (bits // 1024) ** 2)
             if word in pending:
                 pending[word] = f.add(pending[word], c)
             else:
@@ -143,24 +169,45 @@ class Rewriter:
                 for b in list(self.rules):
                     pending.extend(self._ambiguities(lead, b, degree))
 
-    def _ambiguities(self, a, b, degree):
-        """Differences of the two one-step rewrites of every unresolved
-        overlap or inclusion of the leads a and b up to degree."""
-        found = []
+    def _spend(self, units):
+        """Take work units off the budget, if one is set."""
+        if self.budget is not None:
+            self.budget -= units
+            if self.budget < 0:
+                raise _over_budget()
+
+    def _overlaps(self, a, b, degree):
+        """Every overlap or inclusion (word, x, px, y, py) of the leads a
+        and b up to degree, lazily: word has the lead x at px and y at
+        py."""
         for x, y in ((a, b), (b, a)):
             # an overlap of k letters is len(x) + len(y) - k long: only
             # the ones within degree are built
             for k in range(max(1, len(x) + len(y) - degree),
                            min(len(x), len(y))):
+                self._spend(1 + k // 64)
                 if x[-k:] == y[:k]:
-                    found.append((x + y[k:], x, 0, y, len(x) - k))
+                    yield (x + y[k:], x, 0, y, len(x) - k)
             if len(y) < len(x) <= degree:
                 for pos in range(len(x) - len(y) + 1):
+                    self._spend(1 + len(y) // 64)
                     if x[pos:pos + len(y)] == y:
-                        found.append((x, x, 0, y, pos))
+                        yield (x, x, 0, y, pos)
+
+    def _resolved(self):
+        """Whether every overlap and inclusion of the leads is resolved;
+        the search stops at the first one that is not."""
+        leads = list(self.rules)
+        return all(amb in self._done
+                   for k, a in enumerate(leads) for b in leads[:k + 1]
+                   for amb in self._overlaps(a, b, len(a) + len(b)))
+
+    def _ambiguities(self, a, b, degree):
+        """Differences of the two one-step rewrites of every unresolved
+        overlap or inclusion of the leads a and b up to degree."""
         f = self.field
         out = []
-        for amb in found:
+        for amb in self._overlaps(a, b, degree):
             if amb in self._done:
                 continue
             self._done.add(amb)
@@ -194,11 +241,12 @@ class Rewriter:
     def irreducible_words(self, letters, upto, budget=None):
         """Irreducible composable words in the letters (name, source,
         target), grown layer by layer.  Returns [(candidates, irreducible)]
-        for the lengths 1, 2, ..., up to upto and the first empty layer,
-        each list sorted.  The candidates are the irreducible words one
-        letter shorter, extended: a factor of an irreducible word is
-        irreducible.  With a budget, returns None instead of listing a
-        layer whose candidates would take the words past it."""
+        for the lengths 1, 2, ..., up to upto (None: no bound) and the
+        first empty layer, each list sorted.  The candidates are the
+        irreducible words one letter shorter, extended: a factor of an
+        irreducible word is irreducible.  With a budget, returns None
+        instead of listing a layer whose candidates would take the words
+        past it."""
         follows = [[g for g, a in enumerate(letters) if a[1] == target]
                    for _, _, target in letters]
         layers = []
@@ -208,7 +256,7 @@ class Rewriter:
             good = [w for w in candidates if self.find(w) is None]
             layers.append((candidates, good))
             words += len(good)
-            if not good or len(layers) >= upto:
+            if not good or upto is not None and len(layers) >= upto:
                 return layers
             if budget is not None and words + sum(
                     len(follows[w[-1]]) for w in good) > budget:
@@ -216,28 +264,68 @@ class Rewriter:
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
 
     def basis_words(self, letters, max_degree):
-        """Complete until the irreducible words in the letters die out at
-        some length L, with every ambiguity up to 2(L - 1) resolved, so
-        that the normal forms of products of two of them are certified.
-        Returns the irreducible words by length [length 1, ..., L - 1],
-        or None when words of length max_degree remain.  The first
-        completion degree is clipped to max_degree, and it doubles up to
-        max_degree while words persist.  A rule whose lead is longer than
-        the degree is reduced by the others after each completion: once
-        the words die out, the shorter rules reduce every such lead."""
-        degree = min(max_degree, max([4] + [2 * len(w) for w in self.rules]))
-        while True:
-            self.complete(degree)
-            while self._settle_long_leads(degree):
+        """The irreducible words in the letters by length [length 1, ...,
+        L], completing degree by degree up to max_degree until no overlap
+        or inclusion of the leads is left unresolved; None when max_degree
+        passes with some unresolved.  The first degree, clipped to
+        max_degree, is the longest overlap of the longest lead.  Raises
+        InfiniteDimensionalError when the leads prove the quotient
+        infinite, and when the work passes REWRITE_BUDGET."""
+        self.budget = REWRITE_BUDGET
+        longest = max([1] + [len(w) for w in self.rules])
+        try:
+            for degree in range(min(2 * longest - 1, max_degree),
+                                max_degree + 1):
                 self.complete(degree)
+                while self._settle_long_leads(degree):
+                    self.complete(degree)
+                if self._resolved():
+                    return self._certified_words(letters)
+            return None
+        finally:
+            self.budget = None
+
+    def _certified_words(self, letters):
+        """basis_words of a complete rule set.  The Ufnarovski graph has
+        the irreducible words of length n = max(m, 2) - 1, m the longest
+        lead, as vertices and an edge u -> v per irreducible word u.y =
+        x.v.  Its listing may take the budget left, at n + 1 a word."""
+        n = max([2] + [len(w) for w in self.rules]) - 1
+        layers = self.irreducible_words(letters, n + 1,
+                                        self.budget // (n + 1))
+        if layers is None:
+            raise _over_budget()
+        words = [good for _, good in layers]
+        if words[-1]:
+            edges = {}
+            for w in words[-1]:
+                edges.setdefault(w[:-1], []).append(w[1:])
+            cycle = _cycle(edges)
+            if cycle:
+                word = ".".join(letters[v[-1]][0] for v in cycle)
+                raise InfiniteDimensionalError(
+                    f"quotient is infinite-dimensional: {word} has "
+                    "unbounded powers")
             words = [good for _, good in
-                     self.irreducible_words(letters, degree)]
-            if words[-1]:
-                if degree >= max_degree:
-                    return None
-                degree = min(max_degree, degree * 2)
-                continue
-            needed = 2 * max(len(words) - 1, 1)
-            if needed <= degree:
-                return words[:-1]
-            degree = needed
+                     self.irreducible_words(letters, None)]
+        return words[:-1]
+
+
+def _cycle(edges):
+    """The vertices of a cycle of the graph {vertex: successors}, or None.
+    Vertices without a successor are dropped until none is; a walk from
+    the highest left (a commutative quotient's first variable first)
+    then closes a cycle."""
+    live = set(edges)
+    while True:
+        dead = {v for v in live if not any(u in live for u in edges[v])}
+        if not dead:
+            break
+        live -= dead
+    if not live:
+        return None
+    walk, v = [], max(live)
+    while v not in walk:
+        walk.append(v)
+        v = next(u for u in edges[v] if u in live)
+    return walk[walk.index(v):]

@@ -9,7 +9,8 @@ Hochschild coboundaries multiply the action matrices as `Mat`s one basis
 pair or triple at a time; the eager bar comparison mu lifts every cell
 through a `Span` of the resolution's d2; HH^1, the Ext^1 reference, takes `kernel_basis`
 and `quotient_basis` of the derivation equations; the smallness of a
-hull tower reads the hull's own normal forms; the order-N stage loop
+hull tower reads the hull's own normal forms; the guessed-degree basis
+words complete with the engine's own `Rewriter`; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
 own parts; the principal ideals by all products use O's own
 multiplication; the references for O^A(M) multiply in `MatricOHat`,
@@ -35,7 +36,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from aspec.errors import InputError, InternalInvariantError, ValidationError
+from aspec.errors import (
+    InfiniteDimensionalError,
+    InputError,
+    InternalInvariantError,
+    ValidationError,
+)
 from aspec.fields import PrimeField
 from aspec.hochschild import split_two_cocycle
 from aspec.hull import (
@@ -1054,6 +1060,39 @@ class FrameEchelon:
             if p in out:
                 out = self._axpy(out[p], row, out)
         return out
+
+
+def guessed_degree_basis_words(rw, letters, max_degree, budget=None):
+    """The irreducible words of a `Rewriter` by guessed degrees: complete
+    to max(4, twice the longest lead), clipped to max_degree, and double
+    the degree while words of that length remain; once the words die out
+    at some length L, complete to 2(L - 1).  Returns the words by length
+    [length 1, ..., L - 1], or None when words of length max_degree
+    remain.  Without a budget it may not finish on an infinite quotient;
+    with one, it gives up (returns False) once the rewriter's work or the
+    words of one listing pass it."""
+    degree = min(max_degree, max([4] + [2 * len(w) for w in rw.rules]))
+    rw.budget = budget
+    while True:
+        try:
+            rw.complete(degree)
+            while rw._settle_long_leads(degree):
+                rw.complete(degree)
+        except InfiniteDimensionalError:
+            return False
+        layers = rw.irreducible_words(letters, degree, budget)
+        if layers is None:
+            return False
+        words = [good for _, good in layers]
+        if words[-1]:
+            if degree >= max_degree:
+                return None
+            degree = min(max_degree, degree * 2)
+            continue
+        needed = 2 * max(len(words) - 1, 1)
+        if needed <= degree:
+            return words[:-1]
+        degree = needed
 
 
 # -- dense exact linear algebra: the reference for the zero-skipping kernels --

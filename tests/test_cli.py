@@ -1,4 +1,6 @@
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,13 @@ import aspec.cli as cli_module
 from aspec.cli import main, parse, run
 from aspec.errors import InputError
 from aspec.ext import ext
+from aspec.fields import GF, QQ
 from aspec.hull import default_order, hull, o_algebra
 from aspec.modules import simple_modules
+from aspec.quiver import MAX_DEGREE as QUIVER_MAX_DEGREE
+from aspec.quiver import QuiverPresentation
+from oracles import guessed_degree_basis_words
+from test_rewrite import quiver_rewriter
 
 A2_DOC = """\
 field Q
@@ -246,15 +253,25 @@ def test_seed_flag_is_rejected(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+# address space of a child process: an engine that runs away fails
+# there (MemoryError, exit 3) rather than exhausting the host
+CHILD_MEMORY = 2 << 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
 def run_python(args, timeout=None):
     """`python <args>` in a child process that imports the same aspec as
-    the tests, installed or not."""
+    the tests, installed or not, with its address space capped."""
     src = str(Path(cli_module.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
     return subprocess.run([sys.executable] + args,
                           capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_cap_memory)
 
 
 def run_cli(args, timeout=None):
@@ -705,6 +722,99 @@ def test_oversized_exponents_are_refused_before_allocation(
     assert proc.returncode == 2
     assert proc.stderr == \
         "error: quotient not finite-dimensional by degree 64\n"
+
+
+def test_exponents_past_the_budget_are_an_input_error(tmp_path):
+    # x^1000000000 would be a word of 10^9 letters: refused unbuilt
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x", ["x^1000000000"]), encoding="utf-8")
+    proc = run_cli(["simples", "--input", str(doc)], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: monomial of degree 1000000000 "
+                           "exceeds the rewriting budget of 2000000\n")
+
+
+def double_loop_doc(field, relations):
+    return (f"field {field}\nalgebra quiver\n  vertex v\n  arrow a v v\n"
+            "  arrow b v v\n" +
+            "".join(f"  relation {r}\n" for r in relations) + "end\n")
+
+
+@pytest.mark.parametrize("relation, seconds, message", [
+    # a cycle of the leads once the overlaps of a.b.a are resolved
+    ("1*a.b.a + 1*a.a", 5,
+     "quotient is infinite-dimensional: a has unbounded powers"),
+    # one new rule per degree, each completion twice as long as the last
+    ("2*a.b.b + 3*b.a.b + 3*a.a.b", 60,
+     "quotient not shown finite-dimensional within the rewriting budget "
+     "of 2000000 steps"),
+])
+def test_double_loop_gets_a_verdict_in_time(tmp_path, relation, seconds,
+                                            message):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(double_loop_doc("Q", [relation]), encoding="utf-8")
+    proc = run_cli(["simples", "--input", str(doc)], timeout=seconds)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
+def two_loop_sweep():
+    """30 one-vertex quivers with loops a and b over Q or F5: 1-3
+    relations of 1-3 terms of length 2-4, coefficients 1-4."""
+    rng = random.Random(7)
+    cases = []
+    for _ in range(30):
+        field = rng.choice(["Q", "F5"])
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                path = ".".join(rng.choice("ab")
+                                for _ in range(rng.randint(2, 4)))
+                terms[path] = rng.randint(1, 4)
+            rels.append(terms)
+        cases.append((field, rels))
+    return cases
+
+
+LABELS_CHILD = """\
+import sys
+from aspec.cli import main, parse
+code = main(["simples", "--input", sys.argv[1]])
+if code == 0:
+    with open(sys.argv[1], encoding="utf-8") as fh:
+        print("labels", *parse(fh.read()).algebra.labels)
+sys.exit(code)
+"""
+
+
+def test_two_loop_quivers_get_a_verdict_as_the_guessed_degrees(tmp_path):
+    # each case in its own child, so a run-away case fails alone; where
+    # the guessed-degree loop finishes within its budget, its words are
+    # the basis
+    for k, (field, rels) in enumerate(two_loop_sweep()):
+        text = double_loop_doc(field, [
+            " + ".join(f"{c}*{path}" for path, c in terms.items())
+            for terms in rels])
+        doc = tmp_path / f"case{k}.txt"
+        doc.write_text(text, encoding="utf-8")
+        proc = run_python(["-c", LABELS_CHILD, str(doc)], timeout=60)
+        assert proc.returncode in (0, 2), (text, proc.stderr)
+        f = QQ if field == "Q" else GF(5)
+        pres = QuiverPresentation(
+            ["v"], [("a", "v", "v"), ("b", "v", "v")],
+            [[(f.of_int(c), path.split(".")) for path, c in terms.items()]
+             for terms in rels])
+        words = guessed_degree_basis_words(
+            quiver_rewriter(f, pres), pres.arrows, QUIVER_MAX_DEGREE, 30000)
+        if words is None or words is False:
+            continue
+        if proc.returncode == 2:
+            assert "not admissible" in proc.stderr, text
+            continue
+        labels = ["e_v"] + [".".join(pres.arrows[g][0] for g in w)
+                            for layer in words for w in layer]
+        assert proc.stdout.splitlines()[-1].split()[1:] == labels, text
 
 
 @pytest.mark.parametrize("relations", [

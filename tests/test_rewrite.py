@@ -2,8 +2,10 @@
 the reduced words and normal forms of every hull algebra, random relation
 sets with tails over several lengths, and the bases and structure
 constants of random acyclic quivers.  Polynomial quotients against
-sympy's reduced grlex Groebner basis.  Also: the hull's stage loop stops
-at the first length with no reduced word."""
+sympy's reduced grlex Groebner basis.  The words the leads decide
+against the guessed-degree loop of `tests/oracles.py`, wherever that
+loop finishes.  Also: the hull's stage loop stops at the first length
+with no reduced word."""
 
 import random
 import sys
@@ -18,10 +20,13 @@ from aspec.errors import InfiniteDimensionalError, InputError
 from aspec.fields import GF, QQ
 from aspec.hull import RPointedAlgebra, hull
 from aspec.modules import simple_modules
+from aspec.polyquot import MAX_DEGREE as POLY_MAX_DEGREE
 from aspec.polyquot import from_poly_quotient
+from aspec.quiver import MAX_DEGREE as QUIVER_MAX_DEGREE
 from aspec.quiver import QuiverPresentation, from_quiver
+from aspec.rewrite import Rewriter
 from conftest import corpus, make_a2
-from oracles import FrameEchelon
+from oracles import FrameEchelon, guessed_degree_basis_words
 from test_hull_stress import (
     make_a4_zero,
     make_double_loop,
@@ -348,7 +353,7 @@ def named_quotient(field, names, *rels):
         id=f"{'+'.join(str(sorted(r)) for r in rels)}/{field}")
 
 
-@pytest.mark.parametrize("field, names, rels", [
+NAMED_QUOTIENTS = [
     # valid inputs on which `hull` exits 3, and similar ones it builds
     *[named_quotient(field, ["x", "y"], *rels) for field in (QQ, F5, F7)
       for rels in [
@@ -377,7 +382,10 @@ def named_quotient(field, names, *rels):
           (["x", "y"], ({(2, 0): 1}, {(0, 2): 1}, {(65, 1): 1, (1, 1): 2})),
       ]],
     named_quotient(F5, ["x"], {(3,): 1, (1,): 2, (0,): 2}),
-])
+]
+
+
+@pytest.mark.parametrize("field, names, rels", NAMED_QUOTIENTS)
 def test_named_poly_quotients_match_sympy(field, names, rels):
     assert_quotient_matches_sympy(field, names, rels)
 
@@ -386,6 +394,94 @@ def test_named_poly_quotients_match_sympy(field, names, rels):
 @given(poly_quotients())
 def test_random_poly_quotients_match_sympy(case):
     assert_quotient_matches_sympy(*case)
+
+
+def quiver_rewriter(field, q):
+    """The rewriter of `from_quiver` on q, relations added, not completed."""
+    rw = Rewriter(field)
+    for terms in q.relations:
+        rel = {}
+        for c, path in terms:
+            w = q.word_of(path)
+            rel[w] = field.add(rel.get(w, field.zero), c)
+        rw.add_relation(rel)
+    return rw
+
+
+def poly_rewriter(field, names, rels):
+    """The rewriter of `from_poly_quotient` on k[names]/(rels) and its
+    letters: the last variable is letter 0, and x.y -> y.x."""
+    n = len(names)
+    rw = Rewriter(field)
+    if n == 2:
+        rw.add_relation({(1, 0): field.one, (0, 1): field.neg(field.one)})
+    for rel in rels:
+        rw.add_relation({tuple(g for g in range(n) for _ in range(m[-1 - g])):
+                         c for m, c in rel.items()})
+    return rw, [(name, "v", "v") for name in reversed(names)]
+
+
+def assert_words_as_guessed_degrees(make, max_degree):
+    """Where the guessed-degree loop finishes with words, the leads give
+    the same words.  make() gives a fresh (rewriter, letters)."""
+    rw, letters = make()
+    reference = guessed_degree_basis_words(rw, letters, max_degree)
+    if reference is not None:
+        rw, letters = make()
+        assert rw.basis_words(letters, max_degree) == reference
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_corpus_quiver_words_match_the_guessed_degrees(field):
+    quivers = [alg.presentation for _, alg in corpus(field)
+               if isinstance(alg.presentation, QuiverPresentation)]
+    assert quivers
+    for q in quivers:
+        assert_words_as_guessed_degrees(
+            lambda: (quiver_rewriter(field, q), q.arrows), QUIVER_MAX_DEGREE)
+
+
+@pytest.mark.parametrize("rels", [
+    # the longest bases (19-23 words) of 200 two-loop quivers over Q drawn
+    # as `test_cli.two_loop_sweep` draws its 30
+    [{"a.a.a": 2, "b.b.a": 1, "a.b.b": 1}, {"b.b": 3, "b.b.a": 2, "a.b.a": 3}],
+    [{"b.b": 2, "b.b.a": 1}, {"a.b.a.b": 1, "a.a.a.a": 1}, {"a.b.a.a": 1}],
+    [{"b.b": 1, "a.b.a": 2}, {"a.a.a.a": 1},
+     {"b.b.a.a": 2, "a.b.a.a": 1, "b.a.b.b": 3}],
+    [{"a.b.a": 2, "b.b.b": 3}, {"a.a.b.a": 1, "a.a": 4, "b.b.a.b": 2}],
+])
+def test_two_loop_words_match_the_guessed_degrees(rels):
+    q = QuiverPresentation(
+        ["v"], [("a", "v", "v"), ("b", "v", "v")],
+        [[(c, path.split(".")) for path, c in terms.items()]
+         for terms in rels])
+    words = guessed_degree_basis_words(quiver_rewriter(QQ, q), q.arrows,
+                                       QUIVER_MAX_DEGREE)
+    assert sum(map(len, words)) >= 19
+    assert quiver_rewriter(QQ, q).basis_words(q.arrows,
+                                              QUIVER_MAX_DEGREE) == words
+
+
+@pytest.mark.parametrize("field, names, rels", NAMED_QUOTIENTS)
+def test_named_quotient_words_match_the_guessed_degrees(field, names, rels):
+    assert_words_as_guessed_degrees(
+        lambda: poly_rewriter(field, names, rels), POLY_MAX_DEGREE)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(poly_quotients())
+def test_random_quotient_words_match_the_guessed_degrees(case):
+    assert_words_as_guessed_degrees(lambda: poly_rewriter(*case),
+                                    POLY_MAX_DEGREE)
+
+
+def test_a_long_lead_without_overlaps_is_refused_at_the_budget():
+    # a^99999.b overlaps no lead, so a search for its overlaps tries every
+    # length; the letters it compares count against the budget
+    rw = Rewriter(QQ)
+    rw.add_relation({(0,) * 99999 + (1,): QQ.one})
+    with pytest.raises(InfiniteDimensionalError, match="rewriting budget"):
+        rw.basis_words([("a", "v", "v"), ("b", "v", "v")], 24)
 
 
 def count_stage_defects(monkeypatch):
