@@ -18,18 +18,18 @@ The one parameter is the truncation order:
   under a truncation, and the truncation is compatible with them: if
   u.lead.v is longer than N, so is every u.tail.v.
 
-`basis_words` completes degree by degree.  Once no overlap or inclusion
-of the leads is unresolved, k<X>/(leads) has the same irreducible words,
-and it is finite exactly when the Ufnarovski graph of the leads has no
-cycle (Ufnarovski, Math. Notes 1982); a cycle is a word whose powers
-never reduce.  A presentation still undecided at the caller's degree
-cap, or when the work passes REWRITE_BUDGET, is refused.
+Once the rules are complete, k<X>/(leads) has the same irreducible
+words, so `basis_words` reads finiteness off the leads: the quotient is
+finite exactly when their Ufnarovski graph has no cycle (Ufnarovski,
+Math. Notes 1982).  Its work is bounded by REWRITE_BUDGET.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
+from math import inf
 
 from .errors import InfiniteDimensionalError
 
@@ -40,14 +40,8 @@ SPLIT = 128
 # work units `basis_words` may spend: per term a reduction pushes, one
 # plus one per 64 bits of numerator and denominator plus the square of
 # their 1024-bit blocks (gcds cost the square); per overlap position
-# tried, one plus one per 64 letters
+# tried, one plus one per 64 letters; per word listed, one a letter
 REWRITE_BUDGET = 2_000_000
-
-
-def _over_budget():
-    return InfiniteDimensionalError(
-        "quotient not shown finite-dimensional within the rewriting "
-        f"budget of {REWRITE_BUDGET} steps")
 
 
 def deglex(word):
@@ -67,6 +61,8 @@ class Rewriter:
         self.rules = {}           # lead word -> tail {word: coeff}
         self._lengths = set()     # lengths of the leads
         self._done = set()        # ambiguities already resolved
+        self._degree = 0          # degree of the last completion
+        self._fresh = set()       # leads added since it
         self.budget = None        # work left, while basis_words runs
         # heap key: the lead end of the order comes first
         self._key = _highest_first if order is None else deglex
@@ -152,71 +148,66 @@ class Rewriter:
         self.rules[lead] = {w: f.mul(inv, c) for w, c in poly.items()
                             if w != lead}
         self._lengths.add(len(lead))
+        self._fresh.add(lead)
         return lead
 
     def complete(self, degree=None):
         """Resolve every ambiguity of length at most degree (by default
-        the truncation order), adding the rules that takes."""
+        the truncation order), adding the rules that takes.  Of two
+        leads that the last completion met, only the ambiguities longer
+        than its degree are new."""
         degree = self.order if degree is None else degree
+        f = self.field
         leads = list(self.rules)
         pending = deque()
         for k, a in enumerate(leads):
             for b in leads[:k + 1]:
-                pending.extend(self._ambiguities(a, b, degree))
+                met = a not in self._fresh and b not in self._fresh
+                pending.extend(self._overlaps(
+                    a, b, self._degree if met else 0, degree))
         while pending:
-            lead = self.add_relation(pending.popleft())
+            amb = pending.popleft()
+            if amb in self._done:
+                continue
+            self._done.add(amb)
+            # the difference of its two one-step rewrites
+            word, x, px, y, py = amb
+            diff = self._rewrite(word, x, px)
+            for w, c in self._rewrite(word, y, py).items():
+                diff[w] = f.sub(diff.get(w, f.zero), c)
+            lead = self.add_relation(diff)
             if lead is not None:
                 for b in list(self.rules):
-                    pending.extend(self._ambiguities(lead, b, degree))
+                    pending.extend(self._overlaps(lead, b, 0, degree))
+        self._fresh.clear()
+        self._degree = degree
 
     def _spend(self, units):
         """Take work units off the budget, if one is set."""
         if self.budget is not None:
             self.budget -= units
             if self.budget < 0:
-                raise _over_budget()
+                raise InfiniteDimensionalError(
+                    "quotient not shown finite-dimensional within the "
+                    f"rewriting budget of {REWRITE_BUDGET} steps")
 
-    def _overlaps(self, a, b, degree):
+    def _overlaps(self, a, b, above, upto):
         """Every overlap or inclusion (word, x, px, y, py) of the leads a
-        and b up to degree, lazily: word has the lead x at px and y at
-        py."""
-        for x, y in ((a, b), (b, a)):
+        and b longer than above and at most upto letters, lazily: word
+        has the lead x at px and y at py."""
+        for x, y in ((a, b),) if a == b else ((a, b), (b, a)):
             # an overlap of k letters is len(x) + len(y) - k long: only
-            # the ones within degree are built
-            for k in range(max(1, len(x) + len(y) - degree),
-                           min(len(x), len(y))):
+            # the ones within the lengths are tried
+            n = len(x) + len(y)
+            for k in range(max(1, n - upto), min(len(x), len(y), n - above)):
                 self._spend(1 + k // 64)
                 if x[-k:] == y[:k]:
                     yield (x + y[k:], x, 0, y, len(x) - k)
-            if len(y) < len(x) <= degree:
+            if len(y) < len(x) and above < len(x) <= upto:
                 for pos in range(len(x) - len(y) + 1):
                     self._spend(1 + len(y) // 64)
                     if x[pos:pos + len(y)] == y:
                         yield (x, x, 0, y, pos)
-
-    def _resolved(self):
-        """Whether every overlap and inclusion of the leads is resolved;
-        the search stops at the first one that is not."""
-        leads = list(self.rules)
-        return all(amb in self._done
-                   for k, a in enumerate(leads) for b in leads[:k + 1]
-                   for amb in self._overlaps(a, b, len(a) + len(b)))
-
-    def _ambiguities(self, a, b, degree):
-        """Differences of the two one-step rewrites of every unresolved
-        overlap or inclusion of the leads a and b up to degree."""
-        f = self.field
-        out = []
-        for amb in self._overlaps(a, b, degree):
-            if amb in self._done:
-                continue
-            self._done.add(amb)
-            word, x, px, y, py = amb
-            diff = self._rewrite(word, x, px)
-            for w, c in self._rewrite(word, y, py).items():
-                diff[w] = f.sub(diff.get(w, f.zero), c)
-            out.append(diff)
-        return out
 
     def _rewrite(self, word, lead, pos):
         u, v = word[:pos], word[pos + len(lead):]
@@ -241,81 +232,90 @@ class Rewriter:
     def irreducible_words(self, letters, upto, budget=None):
         """Irreducible composable words in the letters (name, source,
         target), grown layer by layer.  Returns [(candidates, irreducible)]
-        for the lengths 1, 2, ..., up to upto (None: no bound) and the
-        first empty layer, each list sorted.  The candidates are the
-        irreducible words one letter shorter, extended: a factor of an
-        irreducible word is irreducible.  With a budget, returns None
-        instead of listing a layer whose candidates would take the words
-        past it."""
+        for the lengths 1, 2, ..., up to upto and the first empty layer,
+        each list sorted.  The candidates are the irreducible words one
+        letter shorter, extended: a factor of an irreducible word is
+        irreducible.  With a budget, returns None instead of listing a
+        layer whose candidates would take the words past it."""
+        layers = list(self._layers(letters, upto, budget))
+        return None if layers[-1] is None else layers
+
+    def _layers(self, letters, upto, budget):
+        """The layers of irreducible_words one by one, and None in place
+        of one past the budget.  Each candidate takes a unit a letter of
+        the work budget, if one is set."""
         follows = [[g for g, a in enumerate(letters) if a[1] == target]
                    for _, _, target in letters]
-        layers = []
         words = 0
         candidates = [(g,) for g in range(len(letters))]
-        while True:
+        for length in count(2):
             good = [w for w in candidates if self.find(w) is None]
-            layers.append((candidates, good))
+            yield candidates, good
+            if not good or length > upto:
+                return
             words += len(good)
-            if not good or upto is not None and len(layers) >= upto:
-                return layers
-            if budget is not None and words + sum(
-                    len(follows[w[-1]]) for w in good) > budget:
-                return None
+            grown = sum(len(follows[w[-1]]) for w in good)
+            self._spend(grown * length)
+            if budget is not None and words + grown > budget:
+                yield None
+                return
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
 
     def basis_words(self, letters, max_degree):
         """The irreducible words in the letters by length [length 1, ...,
-        L], completing degree by degree up to max_degree until no overlap
-        or inclusion of the leads is left unresolved; None when max_degree
-        passes with some unresolved.  The first degree, clipped to
-        max_degree, is the longest overlap of the longest lead.  Raises
-        InfiniteDimensionalError when the leads prove the quotient
-        infinite, and when the work passes REWRITE_BUDGET."""
+        L].  Completes degree by degree, from the longest overlap of the
+        longest lead (clipped to max_degree), until no overlap or
+        inclusion of the leads is unresolved, which leads within
+        max_degree are by 2 max_degree - 1.  Returns None when words of
+        length max_degree remain, as they do when a lead longer than
+        max_degree is left from max_degree on (its factors).  Raises
+        InfiniteDimensionalError when the Ufnarovski graph has a cycle (a
+        word whose powers never reduce), and when the work passes
+        REWRITE_BUDGET."""
         self.budget = REWRITE_BUDGET
-        longest = max([1] + [len(w) for w in self.rules])
+        degree = min(2 * max([1] + [len(w) for w in self.rules]) - 1,
+                     max_degree)
         try:
-            for degree in range(min(2 * longest - 1, max_degree),
-                                max_degree + 1):
+            while True:
                 self.complete(degree)
                 while self._settle_long_leads(degree):
                     self.complete(degree)
-                if self._resolved():
-                    return self._certified_words(letters)
-            return None
+                leads = list(self.rules)
+                if degree >= max_degree and \
+                        max(map(len, leads), default=0) > max_degree:
+                    return None
+                # the ambiguities left are the ones longer than degree
+                if not any(True for k, a in enumerate(leads)
+                           for b in leads[:k + 1]
+                           for _ in self._overlaps(a, b, degree, inf)):
+                    break
+                degree += 1
+            # the graph's vertices are the irreducible words of length n,
+            # one less than the longest lead, with an edge u -> v per
+            # irreducible word u.y = x.v
+            n = max([2] + [len(w) for w in self.rules]) - 1
+            words = []
+            for _, good in self._layers(letters, max_degree, None):
+                words.append(good)
+                cycle = len(words) == n + 1 and _cycle(good)
+                if cycle:
+                    word = ".".join(letters[v[-1]][0] for v in cycle)
+                    raise InfiniteDimensionalError(
+                        f"quotient is infinite-dimensional: {word} has "
+                        "unbounded powers")
+            return None if words[-1] else words[:-1]
         finally:
             self.budget = None
 
-    def _certified_words(self, letters):
-        """basis_words of a complete rule set.  The Ufnarovski graph has
-        the irreducible words of length n = max(m, 2) - 1, m the longest
-        lead, as vertices and an edge u -> v per irreducible word u.y =
-        x.v.  Its listing may take the budget left, at n + 1 a word."""
-        n = max([2] + [len(w) for w in self.rules]) - 1
-        layers = self.irreducible_words(letters, n + 1,
-                                        self.budget // (n + 1))
-        if layers is None:
-            raise _over_budget()
-        words = [good for _, good in layers]
-        if words[-1]:
-            edges = {}
-            for w in words[-1]:
-                edges.setdefault(w[:-1], []).append(w[1:])
-            cycle = _cycle(edges)
-            if cycle:
-                word = ".".join(letters[v[-1]][0] for v in cycle)
-                raise InfiniteDimensionalError(
-                    f"quotient is infinite-dimensional: {word} has "
-                    "unbounded powers")
-            words = [good for _, good in
-                     self.irreducible_words(letters, None)]
-        return words[:-1]
 
-
-def _cycle(edges):
-    """The vertices of a cycle of the graph {vertex: successors}, or None.
-    Vertices without a successor are dropped until none is; a walk from
-    the highest left (a commutative quotient's first variable first)
-    then closes a cycle."""
+def _cycle(words):
+    """A cycle of the graph with an edge u -> v per word u.y = x.v, as its
+    vertices, or None.  Vertices without a successor are dropped until
+    none is; a walk from the highest left (a commutative quotient's first
+    variable first) then closes a cycle."""
+    edges = {}
+    for w in words:
+        edges.setdefault(w[:-1], []).append(w[1:])
     live = set(edges)
     while True:
         dead = {v for v in live if not any(u in live for u in edges[v])}

@@ -1078,9 +1078,9 @@ def guessed_degree_basis_words(rw, letters, max_degree, budget=None):
             rw.complete(degree)
             while rw._settle_long_leads(degree):
                 rw.complete(degree)
+            layers = rw.irreducible_words(letters, degree, budget)
         except InfiniteDimensionalError:
             return False
-        layers = rw.irreducible_words(letters, degree, budget)
         if layers is None:
             return False
         words = [good for _, good in layers]

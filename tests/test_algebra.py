@@ -11,8 +11,7 @@ from aspec.errors import InfiniteDimensionalError, InputError, ValidationError
 from aspec.fields import GF, QQ
 from aspec.linalg import Mat, rank, row_space_basis
 from aspec.polyquot import from_poly_quotient
-from aspec.quiver import MAX_DEGREE, QuiverPresentation, from_quiver
-from aspec.rewrite import Rewriter
+from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import (
     corpus,
     make_a2,
@@ -87,24 +86,29 @@ def a_n_path_modulo_its_longest_path(n):
 
 
 def test_quiver_paths_past_the_max_degree_are_refused():
-    # x^26 = 0 leaves paths of length 24 while its lead is longer than
-    # the max degree, and so does y^13 = 0 while the overlaps of y^13
-    # with itself, up to y^25, are unresolved
-    for arrow, length in (("x", 26), ("y", 13)):
-        q = QuiverPresentation(["v"], [(arrow, "v", "v")],
-                               [[(QQ.one, [arrow] * length)]])
+    # y^n = 0 builds up to the max degree, though the overlaps of y^24
+    # with itself reach y^47; y^25 = 0 and y^26 = 0 leave paths of
+    # length 24, their leads past the max degree overlapping themselves
+    def loop_power(n):
+        return QuiverPresentation(["v"], [("y", "v", "v")],
+                                  [[(QQ.one, ["y"] * n)]])
+    assert [from_quiver(loop_power(n)).dim for n in (13, 24)] == [13, 24]
+    for n in (25, 26):
         with pytest.raises(InfiniteDimensionalError, match="by degree 24"):
-            from_quiver(q)
-    # the 26-arrow path has no overlap with itself, so the leads decide
-    # at once: every shorter path of A_27 survives, 27 + 350 basis paths
-    # (read off the rewriter: the dense table of dimension 377 is slow)
-    q = a_n_path_modulo_its_longest_path(26)
-    rw = Rewriter(QQ)
-    rw.add_relation({q.word_of(q.relations[0][0][1]): QQ.one})
-    words = rw.basis_words(q.arrows, MAX_DEGREE)
-    assert [len(layer) for layer in words] == list(range(26, 1, -1))
+            from_quiver(loop_power(n))
+    # the 26-arrow path overlaps nothing, so its rules are complete at
+    # once, yet its paths of length 24 and 25 survive
+    with pytest.raises(InfiniteDimensionalError, match="by degree 24"):
+        from_quiver(a_n_path_modulo_its_longest_path(26))
     assert from_quiver(a_n_path_modulo_its_longest_path(6)).dim == \
         7 + 6 + 5 + 4 + 3 + 2
+
+
+def test_poly_powers_past_the_max_degree_are_refused():
+    # x^64 builds, though its overlaps with itself reach x^127
+    assert from_poly_quotient(QQ, ["x"], [{(64,): 1}]).dim == 64
+    with pytest.raises(InfiniteDimensionalError, match="by degree 64"):
+        from_poly_quotient(QQ, ["x"], [{(65,): 1}])
 
 
 def test_non_admissible_relation_rejected():

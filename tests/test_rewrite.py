@@ -441,6 +441,29 @@ def test_corpus_quiver_words_match_the_guessed_degrees(field):
             lambda: (quiver_rewriter(field, q), q.arrows), QUIVER_MAX_DEGREE)
 
 
+def test_powers_match_the_guessed_degrees():
+    # a lead of length m overlaps itself up to length 2m - 1, past the
+    # max degree for m > 12 (quivers) or m > 32 (polynomials); the
+    # guessed-degree loop builds up to m = max degree and refuses beyond
+    for n in range(2, QUIVER_MAX_DEGREE + 3):
+        q = QuiverPresentation(["v"], [("y", "v", "v")],
+                               [[(QQ.one, ["y"] * n)]])
+        words = guessed_degree_basis_words(quiver_rewriter(QQ, q), q.arrows,
+                                           QUIVER_MAX_DEGREE)
+        assert (words is None) == (n > QUIVER_MAX_DEGREE)
+        assert quiver_rewriter(QQ, q).basis_words(q.arrows,
+                                                  QUIVER_MAX_DEGREE) == words
+    for names, rels in [*[(["x"], [{(n,): 1}])
+                          for n in range(2, POLY_MAX_DEGREE + 3)],
+                        (["x", "y"], [{(40, 0): 1}, {(0, 3): 1}]),
+                        (["x", "y"], [{(3, 0): 1}, {(0, 64): 1}]),
+                        (["x", "y"], [{(3, 0): 1}, {(0, 65): 1}])]:
+        words = guessed_degree_basis_words(*poly_rewriter(QQ, names, rels),
+                                           POLY_MAX_DEGREE)
+        assert poly_rewriter(QQ, names, rels)[0].basis_words(
+            poly_rewriter(QQ, names, rels)[1], POLY_MAX_DEGREE) == words
+
+
 @pytest.mark.parametrize("rels", [
     # the longest bases (19-23 words) of 200 two-loop quivers over Q drawn
     # as `test_cli.two_loop_sweep` draws its 30
@@ -462,6 +485,23 @@ def test_two_loop_words_match_the_guessed_degrees(rels):
                                               QUIVER_MAX_DEGREE) == words
 
 
+def test_a_settled_lead_overlaps_every_lead():
+    # the 26-letter lead, past the first degree (24), is reduced by the
+    # shorter rules into one within it, whose overlaps of every length,
+    # not only those past 24, are still to resolve
+    path = "b.a.b.a.a.a.b.b.b.a.b.b.a.a.b.a.a.a.b.a.a.a.a.b.a.a"
+    q = QuiverPresentation(
+        ["v"], [("a", "v", "v"), ("b", "v", "v")],
+        [[(F5.one, path.split(".")), (F5.of_int(2), ["a", "a", "a"])],
+         [(F5.one, ["b", "b"])],
+         [(F5.of_int(2), ["a", "b", "a", "a"]), (F5.of_int(3), ["b", "a"])]])
+    words = guessed_degree_basis_words(quiver_rewriter(F5, q), q.arrows,
+                                       QUIVER_MAX_DEGREE)
+    assert sum(map(len, words)) == 5
+    assert quiver_rewriter(F5, q).basis_words(q.arrows,
+                                              QUIVER_MAX_DEGREE) == words
+
+
 @pytest.mark.parametrize("field, names, rels", NAMED_QUOTIENTS)
 def test_named_quotient_words_match_the_guessed_degrees(field, names, rels):
     assert_words_as_guessed_degrees(
@@ -475,13 +515,16 @@ def test_random_quotient_words_match_the_guessed_degrees(case):
                                     POLY_MAX_DEGREE)
 
 
-def test_a_long_lead_without_overlaps_is_refused_at_the_budget():
-    # a^99999.b overlaps no lead, so a search for its overlaps tries every
-    # length; the letters it compares count against the budget
+def test_a_long_lead_is_refused_unsearched():
+    # a^99999.b leaves its factors of length 24 irreducible, so the
+    # quotient is refused at the max degree before the overlaps of the
+    # lead, up to 199998 letters long, are sought
     rw = Rewriter(QQ)
     rw.add_relation({(0,) * 99999 + (1,): QQ.one})
-    with pytest.raises(InfiniteDimensionalError, match="rewriting budget"):
-        rw.basis_words([("a", "v", "v"), ("b", "v", "v")], 24)
+    spent, spend = [], rw._spend
+    rw._spend = lambda units: spent.append(units) or spend(units)
+    assert rw.basis_words([("a", "v", "v"), ("b", "v", "v")], 24) is None
+    assert sum(spent) < 1000
 
 
 def count_stage_defects(monkeypatch):
