@@ -215,19 +215,23 @@ class Algebra:
     def radical(self):
         """Basis of the Jacobson radical plus its nilpotency index.
 
-        Quiver algebras use the arrow ideal; otherwise the trace-form
-        kernel (char 0) or the integral trace chain of Cohen, Ivanyos and
-        Wales (char p).  The chain A = R_0 > R_1 > ... ends at rad, and
-        every R_i holds rad.  It stops at the first R_i that is a
-        nilpotent two-sided ideal: a nilpotent ideal lies in rad, so that
-        R_i is rad, and its echelon basis is the one the whole chain
-        returns.  The powers that prove it nilpotent give the index.
+        Quiver algebras use the arrow ideal, spanned by the basis paths
+        of positive length; it is rad exactly when it is nilpotent, that
+        is when the relations are admissible, and a ValidationError says
+        so otherwise.  Other algebras use the trace-form kernel (char 0)
+        or the integral trace chain of Cohen, Ivanyos and Wales (char p).
+        The chain A = R_0 > R_1 > ... ends at rad, and every R_i holds
+        rad.  It stops at the first R_i that is a nilpotent two-sided
+        ideal: a nilpotent ideal lies in rad, so that R_i is rad, and its
+        echelon basis is the one the whole chain returns.  The powers
+        that prove it nilpotent give the index.
         """
         if self._radical is None:
             powers = None
-            if self.presentation is not None and getattr(
-                    self.presentation, "arrow_ideal_basis", None) is not None:
-                basis = [list(v) for v in self.presentation.arrow_ideal_basis]
+            if self.presentation is not None:
+                basis = [self.basis_vector(i) for i, (kind, _) in
+                         enumerate(self.presentation.basis_words)
+                         if kind == "w"]
             elif characteristic(self.field) == 0:
                 basis = self._radical_trace_form()
             else:
@@ -235,6 +239,10 @@ class Algebra:
             if powers is None:
                 powers = self._nilpotent_powers(basis)
                 if powers is None:
+                    if self.presentation is not None:
+                        raise ValidationError(
+                            "relations are not admissible: the arrow ideal "
+                            "is not nilpotent in the quotient")
                     raise InternalInvariantError(
                         "radical candidate is not nilpotent")
             index, self._radical_square = powers
@@ -257,27 +265,28 @@ class Algebra:
                 self.field, basis, self._radical_square, length=self.dim)
         return self._radical_generators
 
+    def ideal_powers(self, basis):
+        """The descending chain [I, I^2, ..., I^k] of the two-sided ideal
+        I spanned by `basis`, each power after the first the echelon basis
+        of the products of the one before with I.  It stops at the first
+        power that is zero or no smaller than the one before: from there
+        on the powers are equal, so I is nilpotent exactly when the last
+        power is zero, and otherwise the last power is the stable one."""
+        chain = [basis]
+        while chain[-1]:
+            chain.append(row_space_basis(
+                self.field, [self.mul(v, w) for v in chain[-1] for w in basis]))
+            if len(chain[-1]) == len(chain[-2]):
+                break
+        return chain
+
     def _nilpotent_powers(self, basis):
         """(k, basis of I^2) for the two-sided ideal I spanned by `basis`
-        when I^k = 0 is its first vanishing power, else None.  The powers
-        of an ideal descend, so they stop shrinking at a nonzero I^j
-        exactly when I is not nilpotent."""
-        if not basis:
-            return 1, []
-        f = self.field
-        current = basis
-        index = 1
-        square = None
-        while current:
-            index += 1
-            nxt = row_space_basis(
-                f, [self.mul(v, w) for v in current for w in basis])
-            if len(nxt) == len(current):
-                return None
-            if square is None:
-                square = nxt
-            current = nxt
-        return index, square
+        when I^k = 0 is its first vanishing power, else None."""
+        chain = self.ideal_powers(basis)
+        if chain[-1]:
+            return None
+        return len(chain), chain[1] if len(chain) > 1 else []
 
     def _is_two_sided_ideal(self, basis):
         """Whether span(basis) is closed under multiplication by every
@@ -481,18 +490,16 @@ def split_commutative_semisimple(alg):
             if len(factors) == 1:
                 new_blocks.append(block)
                 continue
-            for poly, mult in factors:
-                # eigenspace for root -poly[0]/poly[1] (poly is monic linear)
+            for poly, _ in factors:
+                # eigenspace for root -poly[0]/poly[1] (poly is monic
+                # linear); op is diagonalizable, as alg is semisimple and
+                # every factor is linear, so it is the generalized one
                 lam = f.neg(poly[0])
                 shifted = Mat(f, [[f.sub(op.data[i][j],
                                          lam if i == j else f.zero)
                                    for j in range(len(block))]
                                   for i in range(len(block))], cols=len(block))
-                # generalized eigenspace: kernel of (op - lam)^dim
-                powm = Mat.identity(f, len(block))
-                for _ in range(len(block)):
-                    powm = powm.mul(shifted)
-                ker = kernel_basis(powm.transpose())
+                ker = kernel_basis(shifted.transpose())
                 sub = row_space_basis(
                     f, [_combination(f, coeffs, block, alg.dim)
                         for coeffs in ker])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .errors import InfiniteDimensionalError, InputError, InternalInvariantError
 from .fields import characteristic
-from .linalg import Mat, kernel_basis
+from .linalg import Mat, _Echelon, unit_vec, vec_is_zero
 from .rewrite import REWRITE_BUDGET, Rewriter
 
 
@@ -24,9 +24,9 @@ from .rewrite import REWRITE_BUDGET, Rewriter
 MAX_DEGREE = 64
 
 
-def from_poly_quotient(field, var_names, relations, validate=True):
-    """Commutative Algebra k[vars]/(relations) on its standard monomials,
-    deglex-sorted.
+def from_poly_quotient(field, var_names, relations):
+    """Validated commutative Algebra k[vars]/(relations) on its standard
+    monomials, deglex-sorted.
 
     relations: list of polynomials as {exponent tuple: coeff}.
     """
@@ -80,8 +80,7 @@ def from_poly_quotient(field, var_names, relations, validate=True):
 
     table = [[normal_form(tuple(a + b for a, b in zip(mi, mj)))
               for mj in monos] for mi in monos]
-    alg = Algebra(field, [label(m) for m in monos], table, table[0][0],
-                  validate=validate)
+    alg = Algebra(field, [label(m) for m in monos], table, table[0][0])
     # the variables as elements of A (x = a when A = k[x]/(x - a))
     variables = [normal_form(tuple(int(k == v) for k in range(nvars)))
                  for v in range(nvars)]
@@ -94,21 +93,20 @@ def from_poly_quotient(field, var_names, relations, validate=True):
 
 
 def min_poly_of_matrix(m):
-    """Monic minimal polynomial (coeff list, low degree first) of a square Mat."""
+    """Monic minimal polynomial (coeff list, low degree first) of a square
+    Mat.  I, M, M^2, ... go flattened into one echelon, each tagged with
+    its degree; the first power that reduces to zero leaves in its tag
+    the monic relation to the powers below it."""
     f = m.field
     n = m.rows
-    powers = [Mat.identity(f, n)]
-    for _ in range(n):
-        powers.append(powers[-1].mul(m))
-    flat = [sum(p.data, []) for p in powers]
-    for d in range(1, n + 2):
-        cols = flat[:d + 1]
-        sysm = Mat(f, [[cols[k][i] for k in range(d + 1)]
-                       for i in range(n * n)], cols=d + 1)
-        for ker in kernel_basis(sysm):
-            if not f.is_zero(ker[d]):
-                inv = f.inv(ker[d])
-                return [f.mul(inv, c) for c in ker]
+    ech = _Echelon(f, n * n)
+    power = Mat.identity(f, n)
+    for d in range(n + 1):
+        r = ech.reduce(sum(power.data, []) + unit_vec(f, n + 1, d))
+        if vec_is_zero(f, r[:n * n]):
+            return r[n * n:n * n + d + 1]
+        ech.insert(r)
+        power = power.mul(m)
     raise InternalInvariantError("minimal polynomial not found")
 
 

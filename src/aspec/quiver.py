@@ -11,7 +11,7 @@ from __future__ import annotations
 from .algebra import Algebra
 from .errors import InfiniteDimensionalError, InputError, ValidationError
 from .fields import QQ
-from .linalg import row_space_basis, unit_vec
+from .linalg import unit_vec
 from .rewrite import Rewriter
 
 
@@ -38,9 +38,6 @@ class QuiverPresentation:
         self.relations = [list(terms) for terms in relations]
         self._arrow_index = {a[0]: i for i, a in enumerate(self.arrows)}
         self._check_relations()
-        # filled by from_quiver
-        self.arrow_ideal_basis = None
-        self.vertex_idempotents = None
 
     def _check_relations(self):
         for terms in self.relations:
@@ -72,12 +69,15 @@ class QuiverPresentation:
         return tuple(self._arrow_index[n] for n in path_names)
 
 
-def from_quiver(presentation, field=QQ, validate=True):
-    """Algebra of the quiver modulo its relations.
+def from_quiver(presentation, field=QQ):
+    """Validated Algebra of the quiver modulo its relations.
 
     Detects (rather than assumes) finite-dimensionality: the rewriting
     engine reads it off the leads, or refuses when they are still
-    undecided at MAX_DEGREE.
+    undecided at MAX_DEGREE.  Admissibility, a nilpotent arrow ideal, is
+    proved by the radical before the costlier associativity check.
+    Sets `presentation.basis_words`, the ("e", vertex) and ("w", path)
+    entries of the basis, which the radical reads.
     """
     q = presentation
     rw = Rewriter(field)
@@ -127,23 +127,10 @@ def from_quiver(presentation, field=QQ, validate=True):
     table = [[product(bi, bj) for bj in basis_words] for bi in basis_words]
     unit = [field.one] * nv + [field.zero] * (dim - nv)
     idempotents = [unit_vec(field, dim, vi) for vi in range(nv)]
-
-    q.vertex_idempotents = idempotents
-    q.arrow_ideal_basis = [unit_vec(field, dim, i) for i in range(nv, dim)]
     q.basis_words = basis_words
 
     alg = Algebra(field, labels, table, unit, idempotents=idempotents,
-                  presentation=q, validate=validate)
-
-    # admissibility: the arrow ideal must be nilpotent in the quotient
-    power = arrow_basis = q.arrow_ideal_basis
-    for _ in range(dim + 1):
-        if not power:
-            break
-        power = row_space_basis(
-            field, [alg.mul(v, w) for v in power for w in arrow_basis])
-    if power:
-        raise ValidationError(
-            "relations are not admissible: the arrow ideal is not "
-            "nilpotent in the quotient")
+                  presentation=q, validate=False)
+    alg.radical()
+    alg.validate()
     return alg

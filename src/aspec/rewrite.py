@@ -21,7 +21,8 @@ The one parameter is the truncation order:
 Once the rules are complete, k<X>/(leads) has the same irreducible
 words, so `basis_words` reads finiteness off the leads: the quotient is
 finite exactly when their Ufnarovski graph has no cycle (Ufnarovski,
-Math. Notes 1982).  Its work is bounded by REWRITE_BUDGET.
+Math. Notes 1982).  Its work is bounded by REWRITE_BUDGET, and the
+words it lists by BASIS_BUDGET.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from heapq import heappop, heappush
 from itertools import count
 from math import inf
 
-from .errors import InfiniteDimensionalError
+from .errors import InfiniteDimensionalError, InputError
 
 
 # words longer than this are reduced through their halves
@@ -42,6 +43,12 @@ SPLIT = 128
 # their 1024-bit blocks (gcds cost the square); per overlap position
 # tried, one plus one per 64 letters; per word listed, one a letter
 REWRITE_BUDGET = 2_000_000
+
+# words `basis_words` may list, counted as `irreducible_words` counts
+# them (a layer's candidates before it is listed), as the builders'
+# dense structure tables have dim^3 entries: over F5, k[x,y]/(x^16, y^16)
+# (dim 256) peaks at 334 MB resident while it builds, dim 400 at 1.2 GB
+BASIS_BUDGET = 256
 
 
 def deglex(word):
@@ -271,7 +278,8 @@ class Rewriter:
         max_degree is left from max_degree on (its factors).  Raises
         InfiniteDimensionalError when the Ufnarovski graph has a cycle (a
         word whose powers never reduce), and when the work passes
-        REWRITE_BUDGET."""
+        REWRITE_BUDGET; raises InputError when the words would pass
+        BASIS_BUDGET."""
         self.budget = REWRITE_BUDGET
         degree = min(2 * max([1] + [len(w) for w in self.rules]) - 1,
                      max_degree)
@@ -295,7 +303,11 @@ class Rewriter:
             # irreducible word u.y = x.v
             n = max([2] + [len(w) for w in self.rules]) - 1
             words = []
-            for _, good in self._layers(letters, max_degree, None):
+            for layer in self._layers(letters, max_degree, BASIS_BUDGET):
+                if layer is None:
+                    raise InputError("quotient needs more basis words than "
+                                     f"the budget of {BASIS_BUDGET}")
+                _, good = layer
                 words.append(good)
                 cycle = len(words) == n + 1 and _cycle(good)
                 if cycle:

@@ -86,6 +86,7 @@ class ASpecSpace:
         self._pair_blocks = {}    # of the raw restrictions (sheaf_sections)
         self._ext_data = None     # shared by every hull of the space
         self._subbasis = None
+        self._minimal_opens = None
         self._opens = None
 
     def at_order(self, order):
@@ -142,39 +143,32 @@ class ASpecSpace:
             self._subbasis = sorted(sets, key=lambda s: (len(s), sorted(s)))
         return self._subbasis
 
+    def minimal_opens(self):
+        """U_x for each point x: the intersection of the subbasis sets
+        that hold x, the smallest open that holds x."""
+        if self._minimal_opens is None:
+            space = frozenset(range(len(self.points)))
+            self._minimal_opens = [
+                space.intersection(*(s for s in self.subbasis() if x in s))
+                for x in range(len(self.points))]
+        return self._minimal_opens
+
     def opens(self):
-        """The full open-set lattice, deterministically ordered."""
-        if self._opens is not None:
-            return self._opens
-        base = set(self.subbasis())
-        # finite intersections
-        changed = True
-        inter_closed = set(base) | {frozenset(range(len(self.points)))}
-        while changed:
-            changed = False
-            for a in list(inter_closed):
-                for b in list(inter_closed):
-                    c = a & b
-                    if c not in inter_closed:
-                        inter_closed.add(c)
-                        changed = True
-        # arbitrary (finite) unions
-        opens = set(inter_closed) | {frozenset()}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(opens):
-                for b in list(opens):
-                    c = a | b
-                    if c not in opens:
-                        opens.add(c)
-                        changed = True
-        opens.add(frozenset(range(len(self.points))))
-        self._opens = sorted(opens, key=lambda s: (len(s), sorted(s)))
+        """The full open-set lattice, deterministically ordered: the
+        unions of the minimal opens, grown point by point."""
+        if self._opens is None:
+            opens = {frozenset()}
+            for u in self.minimal_opens():
+                opens |= {o | u for o in opens}
+            self._opens = sorted(opens, key=lambda s: (len(s), sorted(s)))
         return self._opens
 
     def is_open(self, subset):
-        return frozenset(subset) in set(self.opens())
+        """Whether subset is a set of points that holds the minimal open
+        of each of its points."""
+        subset = frozenset(subset)
+        return subset <= frozenset(range(len(self.points))) and \
+            self.minimal_open_containing(subset) == subset
 
     # -- sections ----------------------------------------------------------
 
@@ -365,12 +359,9 @@ class ASpecSpace:
     # -- stalks ----------------------------------------------------------------
 
     def minimal_open_containing(self, subset):
-        subset = frozenset(subset)
-        out = frozenset(range(len(self.points)))
-        for u in self.opens():
-            if subset <= u:
-                out = out & u
-        return out
+        """The union of the minimal opens of the points of subset."""
+        minimal = self.minimal_opens()
+        return frozenset().union(*(minimal[x] for x in subset))
 
     def stalk(self, subset):
         subset = frozenset(subset)
@@ -669,14 +660,8 @@ def _localization_kernel(algebra, module, o):
     acts = Mat(f, [[m.data[r][c] for m in module.action]
                    for r in range(module.dim) for c in range(module.dim)],
                cols=algebra.dim)
-    ann = kernel_basis(acts)
-    ideal = ann
-    while True:
-        power = row_space_basis(f, [algebra.mul(u, v) for u in ideal
-                                    for v in ann])
-        if len(power) == len(ideal):
-            return algebra.dim - len(ideal), ideal
-        ideal = power
+    stable = algebra.ideal_powers(kernel_basis(acts))[-1]
+    return algebra.dim - len(stable), stable
 
 
 # -- O_X(X) as a base algebra: closure and the global-sections roundtrip -----

@@ -18,7 +18,9 @@ invert by `invert_unit`, read coordinates through a `Span`, solve for
 unit inverses in a `Span` of O's table, rref the flattened rho table
 and test simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
-`act`, one basis triple or pair at a time; the dense resolutions build
+`act`, one basis triple or pair at a time, and the powers of the arrow
+ideal multiply through `Algebra.mul` and echelonize by
+`row_space_basis`; the dense resolutions build
 each e A through `Algebra.mul`, act through dense `Mat`s and solve with
 `rref`, `kernel_basis` and `quotient_basis`, and the whole trace chain
 and the dense trace form read the regular representation through
@@ -1332,6 +1334,24 @@ def algebra_validate_dense(alg):
         alg.validate_idempotents(alg.idempotents)
 
 
+def arrow_ideal_nilpotent_by_powers(alg):
+    """Whether the arrow ideal of a quiver algebra is nilpotent, by the
+    loop `from_quiver` ran before the radical proved it: the paths of
+    positive length (every basis element after the vertices) times
+    themselves, dim + 1 times, through `Algebra.mul` and
+    `row_space_basis`."""
+    f = alg.field
+    nv = len(alg.presentation.vertices)
+    power = arrow_basis = [unit_vec(f, alg.dim, i)
+                           for i in range(nv, alg.dim)]
+    for _ in range(alg.dim + 1):
+        if not power:
+            break
+        power = row_space_basis(
+            f, [alg.mul(v, w) for v in power for w in arrow_basis])
+    return not power
+
+
 def module_validate_dense(mod):
     """`ModuleRep.validate` by the dense loop: 1 acts as the identity,
     then every basis pair through a `Mat.mul` and an `act`; raises the
@@ -1737,6 +1757,33 @@ def closed_points_report(space):
     opens = set(space.opens())
     return {idx: (all_pts - {idx}) in opens
             for idx, pt in enumerate(space.points) if is_simple_point(pt)}
+
+
+def opens_by_closure(subbasis, npoints):
+    """The opens of the topology on range(npoints) that the subbasis
+    generates, sorted as `ASpecSpace.opens` sorts them: the subbasis and
+    the whole space closed under pairwise intersections, then under
+    pairwise unions, with the empty set."""
+    whole = frozenset(range(npoints))
+    inter_closed = set(subbasis) | {whole}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(inter_closed):
+            for b in list(inter_closed):
+                if a & b not in inter_closed:
+                    inter_closed.add(a & b)
+                    changed = True
+    opens = inter_closed | {frozenset()}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(opens):
+            for b in list(opens):
+                if a | b not in opens:
+                    opens.add(a | b)
+                    changed = True
+    return sorted(opens, key=lambda s: (len(s), sorted(s)))
 
 
 def sections_simples_only(space, subset):

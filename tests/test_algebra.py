@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aspec.quiver as quiver_module
+import aspec.rewrite as rewrite_module
 from aspec.algebra import Algebra, from_structure_constants
 from aspec.errors import InfiniteDimensionalError, InputError, ValidationError
 from aspec.fields import GF, QQ
@@ -25,6 +27,7 @@ from conftest import (
 )
 from oracles import (
     FpAlgebra,
+    arrow_ideal_nilpotent_by_powers,
     dense_algebra_mul,
     enumerate_paths,
     nil_ideal_radical,
@@ -35,6 +38,7 @@ from test_resolution_sparse import matrix_algebra, structure_only
 from test_rewrite import acyclic_quivers
 
 EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
+F5 = GF(5)
 
 
 def test_one_vertex_is_k():
@@ -118,6 +122,81 @@ def test_non_admissible_relation_rejected():
         relations=[[(QQ.one, ["x", "x"]), (QQ.neg(QQ.one), ["x", "x", "x"])]])
     with pytest.raises(ValidationError):
         from_quiver(q)
+
+
+def loop_quiver_sweep(count, seed):
+    """count quivers on one or two vertices with one to three arrows
+    between them, loops and cycles allowed, over Q or F5, and one to
+    three relations of one to three parallel paths of length 2-4 with
+    coefficients 1-4, so that a relation may join paths of different
+    lengths."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        field = rng.choice([QQ, F5])
+        vertices = ["1", "2"][:rng.randint(1, 2)]
+        arrows = [(f"a{k}", rng.choice(vertices), rng.choice(vertices))
+                  for k in range(rng.randint(1, 3))]
+        by_ends = {}
+        layer = [[a] for a in arrows]
+        for _ in range(3):
+            layer = [p + [a] for p in layer for a in arrows
+                     if a[1] == p[-1][2]]
+            for p in layer:
+                by_ends.setdefault((p[0][1], p[-1][2]), []).append(
+                    [a[0] for a in p])
+        rels = []
+        for _ in range(rng.randint(1, 3) if by_ends else 0):
+            parallel = by_ends[rng.choice(sorted(by_ends))]
+            rels.append([(field.of_int(rng.randint(1, 4)), path)
+                         for path in rng.sample(
+                             parallel, rng.randint(1, min(3, len(parallel))))])
+        cases.append((field, QuiverPresentation(vertices, arrows, rels)))
+    return cases
+
+
+def test_admissibility_is_refused_as_the_arrow_ideal_power_loop_refuses():
+    # from_quiver proves admissibility by the radical; on every quiver it
+    # builds a table for, it refuses exactly where the arrow ideal's
+    # powers, multiplied dim + 1 times, stay nonzero.  The rewriting
+    # budget is cut to 100000 steps, as a refusal at the full budget
+    # takes up to 25 s here; no quiver of the sweep that builds needs more
+    one = QQ.one
+    cases = [(QQ, QuiverPresentation(["v"], [("a", "v", "v")], [
+        [(one, ["a", "a", "a"]), (QQ.neg(one), ["a", "a"])]]))]
+    verdicts = []
+    for field, q in cases + loop_quiver_sweep(150, 24):
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rewrite_module, "REWRITE_BUDGET", 100_000)
+            mp.setattr(quiver_module, "Algebra", lambda *args, **kwargs:
+                       built.append(Algebra(*args, **kwargs)) or built[-1])
+            try:
+                from_quiver(q, field=field)
+                refused = False
+            except (InfiniteDimensionalError, InputError):
+                continue
+            except ValidationError as exc:
+                assert str(exc) == ("relations are not admissible: the arrow "
+                                    "ideal is not nilpotent in the quotient")
+                refused = True
+        assert refused != arrow_ideal_nilpotent_by_powers(built[0]), \
+            q.relations
+        verdicts.append(refused)
+    assert verdicts[0] and verdicts.count(True) >= 5 and \
+        verdicts.count(False) >= 20, verdicts
+
+
+def test_largest_quotient_within_the_basis_budget_builds():
+    # the budget counts the candidates of a length before listing them:
+    # the 254 monomials of positive degree of k[x,y]/(x^5, y^59, x*y^49)
+    # and the 2 candidates of degree 59, y^59 and x*y^58, make 256; with
+    # x*y^50 the count passes it
+    rels = [{(5, 0): 1}, {(0, 59): 1}]
+    assert from_poly_quotient(F5, ["x", "y"], rels + [{(1, 49): 1}]).dim \
+        == 255
+    with pytest.raises(InputError, match="budget of 256"):
+        from_poly_quotient(F5, ["x", "y"], rels + [{(1, 50): 1}])
 
 
 def test_commutative_square_quiver():

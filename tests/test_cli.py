@@ -758,6 +758,31 @@ def test_double_loop_gets_a_verdict_in_time(tmp_path, relation, seconds,
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_a_non_admissible_double_loop_is_refused_before_validation(
+        tmp_path):
+    # the powers of the arrow ideal refuse it before the associativity
+    # check of its 24-dimensional table, which took over 10 s first
+    doc = tmp_path / "doc.txt"
+    doc.write_text(double_loop_doc("Q", ["2*a.a.a + 1*b.b.a + 1*a.b.b",
+                                         "3*b.b + 2*b.b.a + 3*a.b.a"]),
+                   encoding="utf-8")
+    proc = run_cli(["simples", "--input", str(doc)], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: relations are not admissible: the "
+                           "arrow ideal is not nilpotent in the quotient\n")
+
+
+def test_a_quotient_past_the_basis_budget_is_refused_unbuilt(tmp_path):
+    # dimension 1024: its dense table ran out of the capped address space
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x y", ["x^32", "y^32"]).replace(
+        "field Q", "field F5"), encoding="utf-8")
+    proc = run_cli(["simples", "--input", str(doc)], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: quotient needs more basis words "
+                           "than the budget of 256\n")
+
+
 def two_loop_sweep():
     """30 one-vertex quivers with loops a and b over Q or F5: 1-3
     relations of 1-3 terms of length 2-4, coefficients 1-4."""

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,11 @@ from conftest import (
     make_kx3,
     make_split_quadratic,
 )
-from oracles import closed_points_report, sections_simples_only
+from oracles import (
+    closed_points_report,
+    opens_by_closure,
+    sections_simples_only,
+)
 
 
 def make_a3_path():
@@ -58,6 +63,28 @@ def test_topology_single_point():
     a = make_dual_numbers()
     space = space_of_simples(a)
     assert space.opens() == [frozenset(), frozenset({0})]
+
+
+def test_opens_are_the_unions_of_the_minimal_opens():
+    # random subbases on 1-6 points: the opens, the open subsets and the
+    # minimal open around each subset agree with the closure loops
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        space = ASpecSpace(None, range(n))
+        space._subbasis = sorted(
+            {frozenset(x for x in range(n) if rng.random() < 0.5)
+             for _ in range(rng.randint(0, 6))},
+            key=lambda s: (len(s), sorted(s)))
+        opens = opens_by_closure(space._subbasis, n)
+        assert space.opens() == opens
+        for k in range(n + 1):
+            for subset in map(frozenset, combinations(range(n), k)):
+                assert space.is_open(subset) == (subset in opens)
+                assert space.minimal_open_containing(subset) == \
+                    frozenset(range(n)).intersection(
+                        *(u for u in opens if subset <= u))
+        assert not space.is_open({n})
 
 
 def test_closed_points():

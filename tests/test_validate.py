@@ -124,7 +124,7 @@ def path_algebra(n, field=QQ):
     return from_quiver(QuiverPresentation(
         [str(v) for v in range(n)],
         [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]),
-        field=field, validate=False)
+        field=field)
 
 
 def test_validate_work_is_bounded_by_the_nonzero_structure_constants(
