@@ -51,7 +51,7 @@ def from_poly_quotient(field, var_names, relations):
     for rel in relations:
         rw.add_relation({word(m): field.normalize(c) for m, c in rel.items()})
     letters = [(name, "v", "v") for name in reversed(var_names)]
-    words = rw.basis_words(letters, MAX_DEGREE)
+    words = rw.basis_words(letters, MAX_DEGREE, 1)
     if () in rw.rules:
         raise InputError("the relations generate the unit ideal, so the "
                          "quotient is zero")

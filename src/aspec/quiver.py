@@ -90,7 +90,7 @@ def from_quiver(presentation, field=QQ):
             poly[w] = field.add(poly.get(w, field.zero), c)
         rw.add_relation(poly)
 
-    words = rw.basis_words(q.arrows, MAX_DEGREE)
+    words = rw.basis_words(q.arrows, MAX_DEGREE, len(q.vertices))
     if words is None:
         raise InfiniteDimensionalError(
             "path algebra quotient is not finite-dimensional by degree "

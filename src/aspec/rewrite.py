@@ -44,10 +44,10 @@ SPLIT = 128
 # tried, one plus one per 64 letters; per word listed, one a letter
 REWRITE_BUDGET = 2_000_000
 
-# words `basis_words` may list, counted as `irreducible_words` counts
-# them (a layer's candidates before it is listed), as the builders'
-# dense structure tables have dim^3 entries: over F5, k[x,y]/(x^16, y^16)
-# (dim 256) peaks at 334 MB resident while it builds, dim 400 at 1.2 GB
+# basis elements a quotient may have, its vertices' trivial paths and
+# its irreducible words, as the builders' dense structure tables have
+# dim^3 entries: over F5, k[x,y]/(x^16, y^16) (dim 256) peaks at 334 MB
+# resident while it builds, dim 400 at 1.2 GB
 BASIS_BUDGET = 256
 
 
@@ -268,18 +268,19 @@ class Rewriter:
                 return
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
 
-    def basis_words(self, letters, max_degree):
+    def basis_words(self, letters, max_degree, vertices=1):
         """The irreducible words in the letters by length [length 1, ...,
-        L].  Completes degree by degree, from the longest overlap of the
-        longest lead (clipped to max_degree), until no overlap or
-        inclusion of the leads is unresolved, which leads within
-        max_degree are by 2 max_degree - 1.  Returns None when words of
+        L], of a quotient whose basis holds them and the trivial paths of
+        its vertices.  Completes degree by degree, from the longest
+        overlap of the longest lead (clipped to max_degree), until no
+        overlap or inclusion of the leads is unresolved, which leads
+        within max_degree are by 2 max_degree - 1.  Returns None when words of
         length max_degree remain, as they do when a lead longer than
         max_degree is left from max_degree on (its factors).  Raises
         InfiniteDimensionalError when the Ufnarovski graph has a cycle (a
         word whose powers never reduce), and when the work passes
-        REWRITE_BUDGET; raises InputError when the words would pass
-        BASIS_BUDGET."""
+        REWRITE_BUDGET; raises InputError when the words and the
+        vertices pass BASIS_BUDGET, once the cycle is looked for."""
         self.budget = REWRITE_BUDGET
         degree = min(2 * max([1] + [len(w) for w in self.rules]) - 1,
                      max_degree)
@@ -303,18 +304,19 @@ class Rewriter:
             # irreducible word u.y = x.v
             n = max([2] + [len(w) for w in self.rules]) - 1
             words = []
-            for layer in self._layers(letters, max_degree, BASIS_BUDGET):
-                if layer is None:
-                    raise InputError("quotient needs more basis words than "
-                                     f"the budget of {BASIS_BUDGET}")
-                _, good = layer
+            size = vertices
+            for _, good in self._layers(letters, max_degree, None):
                 words.append(good)
+                size += len(good)
                 cycle = len(words) == n + 1 and _cycle(good)
                 if cycle:
                     word = ".".join(letters[v[-1]][0] for v in cycle)
                     raise InfiniteDimensionalError(
                         f"quotient is infinite-dimensional: {word} has "
                         "unbounded powers")
+                if size > BASIS_BUDGET and (len(words) > n or not good):
+                    raise InputError("quotient needs more basis words than "
+                                     f"the budget of {BASIS_BUDGET}")
             return None if words[-1] else words[:-1]
         finally:
             self.budget = None

@@ -360,6 +360,8 @@ class ASpecSpace:
 
     def minimal_open_containing(self, subset):
         """The union of the minimal opens of the points of subset."""
+        if not frozenset(subset) <= frozenset(range(len(self.points))):
+            raise InputError("minimal open at unknown points")
         minimal = self.minimal_opens()
         return frozenset().union(*(minimal[x] for x in subset))
 

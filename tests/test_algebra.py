@@ -188,15 +188,36 @@ def test_admissibility_is_refused_as_the_arrow_ideal_power_loop_refuses():
 
 
 def test_largest_quotient_within_the_basis_budget_builds():
-    # the budget counts the candidates of a length before listing them:
-    # the 254 monomials of positive degree of k[x,y]/(x^5, y^59, x*y^49)
-    # and the 2 candidates of degree 59, y^59 and x*y^58, make 256; with
-    # x*y^50 the count passes it
-    rels = [{(5, 0): 1}, {(0, 59): 1}]
-    assert from_poly_quotient(F5, ["x", "y"], rels + [{(1, 49): 1}]).dim \
-        == 255
+    # the budget counts the basis, the unit and the listed monomials:
+    # k[x,y]/(x^8, y^32) has 256 of them; k[x,y]/(x^8, y^33, x*y^32) has
+    # the 257th, y^32
+    assert from_poly_quotient(F5, ["x", "y"],
+                              [{(8, 0): 1}, {(0, 32): 1}]).dim == 256
     with pytest.raises(InputError, match="budget of 256"):
-        from_poly_quotient(F5, ["x", "y"], rels + [{(1, 50): 1}])
+        from_poly_quotient(F5, ["x", "y"],
+                           [{(8, 0): 1}, {(0, 33): 1}, {(1, 32): 1}])
+
+
+def test_the_basis_budget_counts_listed_words_and_vertices():
+    # 16 loops build 256 products of two, but with radical square zero
+    # none is listed; without relations their cycle is found first
+    names = [f"a{i}" for i in range(16)]
+    loops = [(n, "v", "v") for n in names]
+    zero = [[(QQ.one, [x, y])] for x in names for y in names]
+    assert from_quiver(QuiverPresentation(["v"], loops, zero)).dim == 17
+    with pytest.raises(InfiniteDimensionalError,
+                       match="a0 has unbounded powers"):
+        from_quiver(QuiverPresentation(["v"], loops, []))
+    # 1 -> 2 -> 3 with 16 arrows a step and every composite zero
+    steps = [(f"a{i}", "1", "2") for i in range(16)] + \
+        [(f"b{i}", "2", "3") for i in range(16)]
+    zero = [[(QQ.one, [f"a{i}", f"b{j}"])] for i in range(16)
+            for j in range(16)]
+    assert from_quiver(QuiverPresentation(["1", "2", "3"], steps,
+                                          zero)).dim == 35
+    # the vertices' trivial paths are basis elements too
+    with pytest.raises(InputError, match="budget of 256"):
+        from_quiver(QuiverPresentation([str(v) for v in range(257)], []))
 
 
 def test_commutative_square_quiver():

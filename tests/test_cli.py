@@ -783,6 +783,20 @@ def test_a_quotient_past_the_basis_budget_is_refused_unbuilt(tmp_path):
                            "than the budget of 256\n")
 
 
+def test_a_quiver_of_more_vertices_than_the_basis_budget_is_refused(
+        tmp_path):
+    # 600 isolated vertices: the dense table of dim 600 ran out of the
+    # capped address space
+    doc = tmp_path / "doc.txt"
+    doc.write_text("field Q\nalgebra quiver\n" +
+                   "".join(f"  vertex v{i}\n" for i in range(600)) +
+                   "end\n", encoding="utf-8")
+    proc = run_cli(["simples", "--input", str(doc)], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("input error: quotient needs more basis words "
+                           "than the budget of 256\n")
+
+
 def two_loop_sweep():
     """30 one-vertex quivers with loops a and b over Q or F5: 1-3
     relations of 1-3 terms of length 2-4, coefficients 1-4."""

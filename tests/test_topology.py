@@ -85,6 +85,9 @@ def test_opens_are_the_unions_of_the_minimal_opens():
                     frozenset(range(n)).intersection(
                         *(u for u in opens if subset <= u))
         assert not space.is_open({n})
+        for outside in (n, -1):
+            with pytest.raises(InputError, match="unknown points"):
+                space.minimal_open_containing({outside})
 
 
 def test_closed_points():
