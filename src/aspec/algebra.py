@@ -143,23 +143,26 @@ class Algebra:
         if any(len(self.table[i][j]) != n
                for i in range(n) for j in range(n)):
             raise ValidationError("structure constant vector length")
-        failing = self._associator_failures()
+        failing = self._associator_failure()
         if failing:
-            i, j, k = min(failing)
+            i, j, k = failing
             raise ValidationError(
                 "associativity fails on triple "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
         if self.idempotents is not None:
             self.validate_idempotents(self.idempotents)
 
-    def _associator_failures(self):
-        """The triples (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k).
+    def _associator_failure(self):
+        """The least triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
+        or None.
 
-        Each side is a {(i, j, k, m): scalar} table summed over the
-        nonzero structure constants: the left from every nonzero
-        b_i b_j = sum c_l b_l and the nonzero rows b_l b_k, the right from
-        every nonzero b_j b_k = sum c_l b_l and the nonzero columns
-        b_i b_l.  An entry absent from one side is zero there.
+        Both sides are summed over the nonzero structure constants, one
+        first index i at a time, as {(j, k, m): scalar} tables: the left
+        from every nonzero b_i b_j = sum c_l b_l and the nonzero rows
+        b_l b_k, the right from every nonzero b_i b_l and the pairs
+        (j, k) whose product has a b_l term.  An entry absent from one
+        side is zero there.  The tables of one i hold at most n^3
+        entries, and the check stops at the first i that fails.
         """
         f = self.field
         add, mul = f.add, f.mul
@@ -167,27 +170,35 @@ class Algebra:
         products = self.products
         rows = [[(k, terms) for k, terms in enumerate(products[l]) if terms]
                 for l in range(n)]
-        cols = [[(i, products[i][l]) for i in range(n) if products[i][l]]
-                for l in range(n)]
-        left, right = {}, {}
+        having = [[] for _ in range(n)]    # l -> (j, k, c): c b_l in b_j b_k
+        for j in range(n):
+            for k in range(n):
+                for l, c in products[j][k]:
+                    having[l].append((j, k, c))
 
-        def accumulate(side, i, j, k, c, terms):
+        def accumulate(side, j, k, c, terms):
             for m, t in terms:
                 t = mul(c, t)
-                key = (i, j, k, m)
+                key = (j, k, m)
                 o = side.get(key)
                 side[key] = add(o, t) if o else t
 
+        zero = f.zero
         for i in range(n):
+            left, right = {}, {}
             for j in range(n):
                 for l, c in products[i][j]:
                     for k, terms in rows[l]:
-                        accumulate(left, i, j, k, c, terms)
-                    for h, terms in cols[l]:
-                        accumulate(right, h, i, j, c, terms)
-        zero = f.zero
-        return {key[:3] for key in left.keys() | right.keys()
-                if left.get(key, zero) != right.get(key, zero)}
+                        accumulate(left, j, k, c, terms)
+            for l, terms in enumerate(products[i]):
+                if terms:
+                    for j, k, c in having[l]:
+                        accumulate(right, j, k, c, terms)
+            failing = [key[:2] for key in left.keys() | right.keys()
+                       if left.get(key, zero) != right.get(key, zero)]
+            if failing:
+                return (i,) + min(failing)
+        return None
 
     def validate_idempotents(self, idems):
         f = self.field
@@ -228,16 +239,20 @@ class Algebra:
         """
         if self._radical is None:
             powers = None
+            arrows = None
             if self.presentation is not None:
-                basis = [self.basis_vector(i) for i, (kind, _) in
+                paths = [(i, val) for i, (kind, val) in
                          enumerate(self.presentation.basis_words)
                          if kind == "w"]
+                basis = [self.basis_vector(i) for i, _ in paths]
+                arrows = [self.basis_vector(i) for i, w in paths
+                          if len(w) == 1]
             elif characteristic(self.field) == 0:
                 basis = self._radical_trace_form()
             else:
                 basis, powers = self._radical_char_p()
             if powers is None:
-                powers = self._nilpotent_powers(basis)
+                powers = self._nilpotent_powers(basis, arrows)
                 if powers is None:
                     if self.presentation is not None:
                         raise ValidationError(
@@ -265,25 +280,31 @@ class Algebra:
                 self.field, basis, self._radical_square, length=self.dim)
         return self._radical_generators
 
-    def ideal_powers(self, basis):
+    def ideal_powers(self, basis, generators=None):
         """The descending chain [I, I^2, ..., I^k] of the two-sided ideal
         I spanned by `basis`, each power after the first the echelon basis
-        of the products of the one before with I.  It stops at the first
+        of the products of the one before with `generators`.  These
+        default to `basis`; any vectors that generate I as an algebra
+        without unit will do, as the arrows generate the arrow ideal, since
+        then I^n times them is I^(n+1).  The chain stops at the first
         power that is zero or no smaller than the one before: from there
         on the powers are equal, so I is nilpotent exactly when the last
         power is zero, and otherwise the last power is the stable one."""
+        generators = basis if generators is None else generators
         chain = [basis]
         while chain[-1]:
             chain.append(row_space_basis(
-                self.field, [self.mul(v, w) for v in chain[-1] for w in basis]))
+                self.field,
+                [self.mul(v, w) for v in chain[-1] for w in generators]))
             if len(chain[-1]) == len(chain[-2]):
                 break
         return chain
 
-    def _nilpotent_powers(self, basis):
+    def _nilpotent_powers(self, basis, generators=None):
         """(k, basis of I^2) for the two-sided ideal I spanned by `basis`
-        when I^k = 0 is its first vanishing power, else None."""
-        chain = self.ideal_powers(basis)
+        when I^k = 0 is its first vanishing power, else None; `generators`
+        as for `ideal_powers`."""
+        chain = self.ideal_powers(basis, generators)
         if chain[-1]:
             return None
         return len(chain), chain[1] if len(chain) > 1 else []

@@ -47,12 +47,12 @@ from .topology import (
 class InputDocument:
     def __init__(self):
         self.field = None
-        self.algebra_kind = None
         self.algebra = None
+        self.words = []            # per basis element, its generator names
+        self.generators = {}       # generator name -> element of the algebra
         self.modules = {}          # name -> ModuleRep (or PointModule)
         self.points = []           # declared spectral point names/values
         self.options = {"order": None, "elems": []}
-        self.generator_names = []
         self.text = ""
 
     def digest(self):
@@ -62,50 +62,48 @@ class InputDocument:
 # -- scalar / element expression parsing ------------------------------------
 
 
+def _signed_terms(field, text):
+    """[(coefficient, name)] for the terms of a signed sum such as
+    '1/2*a.b - c*d + 3'.  A term is an optional sign, then a scalar and
+    '*' when its first factor starts with a digit, then its name; a
+    term of one factor keeps that factor as its name, scalar or not."""
+    out = []
+    for term in text.replace("-", "+-").split("+"):
+        term = term.strip()
+        if not term:
+            continue
+        coeff = field.one
+        if term.startswith("-"):
+            coeff, term = field.neg(coeff), term[1:].strip()
+        head, star, rest = term.partition("*")
+        if star and head[:1].isdigit():
+            coeff, term = field.mul(coeff, field.parse(head)), rest.strip()
+        out.append((coeff, term))
+    return out
+
+
 def parse_combination(field, text, label_to_vec, dim, what="element"):
     """'1/2*e1 + x - 2*e2' as a coordinate vector; bare scalars mean
     scalar * 1 when a unit vector is supplied under the key '1'."""
     vec = [field.zero] * dim
-    text = text.replace("-", "+-").replace("++-", "+-")
-    terms = [t.strip() for t in text.split("+") if t.strip()]
+    terms = _signed_terms(field, text)
     if not terms:
         raise InputError(f"empty {what} expression")
-    for term in terms:
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        if "*" in term:
-            coeff_text, label = term.split("*", 1)
-            coeff = field.parse(coeff_text.strip())
-            label = label.strip()
-        elif term in label_to_vec:
-            coeff = field.one
-            label = term
-        else:
-            coeff = field.parse(term)
-            label = "1"
+    for coeff, label in terms:
+        if label not in label_to_vec and label[:1].isdigit():
+            coeff, label = field.mul(coeff, field.parse(label)), "1"
         if label not in label_to_vec:
             raise InputError(f"unknown label {label!r} in {what}")
-        if neg:
-            coeff = field.neg(coeff)
-        base = label_to_vec[label]
-        _add_scaled(field, vec, coeff, base)
+        _add_scaled(field, vec, coeff, label_to_vec[label])
     return vec
 
 
 def parse_poly_terms(field, text, var_names):
     """Polynomial text like 'x^2 - x*y + 1/2' into {exponent tuple: coeff}."""
-    nvars = len(var_names)
     out = {}
-    text = text.replace("-", "+-")
-    terms = [t.strip() for t in text.split("+") if t.strip()]
-    for term in terms:
-        neg = term.startswith("-")
-        if neg:
-            term = term[1:].strip()
-        coeff = field.one
-        expo = [0] * nvars
-        for factor in term.split("*"):
+    for coeff, name in _signed_terms(field, text):
+        expo = [0] * len(var_names)
+        for factor in name.split("*"):
             factor = factor.strip()
             if not factor:
                 continue
@@ -122,8 +120,6 @@ def parse_poly_terms(field, text, var_names):
                 expo[var_names.index(factor)] += 1
             else:
                 coeff = field.mul(coeff, field.parse(factor))
-        if neg:
-            coeff = field.neg(coeff)
         key = tuple(expo)
         out[key] = field.add(out.get(key, field.zero), coeff)
     return {k: c for k, c in out.items() if not field.is_zero(c)}
@@ -216,7 +212,6 @@ def _parse_algebra(doc, lines, pos, kind, error):
     f = doc.field
     no0 = lines[pos][0]
     body, pos = _block(lines, pos, error)
-    doc.algebra_kind = kind
     if kind == "quiver":
         vertices, arrows, relations = [], [], []
         for no, line in body:
@@ -226,30 +221,22 @@ def _parse_algebra(doc, lines, pos, kind, error):
             elif head[0] == "arrow" and len(head) == 4:
                 arrows.append((head[1], head[2], head[3]))
             elif head[0] == "relation":
-                terms = []
-                expr = line[len("relation"):].strip()
-                expr = expr.replace("-", "+-")
-                for term in [t.strip() for t in expr.split("+") if t.strip()]:
-                    neg = term.startswith("-")
-                    if neg:
-                        term = term[1:].strip()
-                    if "*" in term:
-                        coeff_text, path_text = term.split("*", 1)
-                        coeff = f.parse(coeff_text.strip())
-                    else:
-                        coeff = f.one
-                        path_text = term
-                    if neg:
-                        coeff = f.neg(coeff)
-                    path = [p.strip() for p in path_text.strip().split(".")]
-                    terms.append((coeff, path))
-                relations.append(terms)
+                relations.append([
+                    (coeff, [a.strip() for a in path.split(".")])
+                    for coeff, path in _signed_terms(
+                        f, line[len("relation"):])])
             else:
                 error(no, f"bad quiver line: {line!r}")
         pres = QuiverPresentation(vertices, arrows, relations)
-        doc.algebra = from_quiver(pres, field=f)
-        doc.generator_names = [f"e_{v}" for v in vertices] + \
-            [a[0] for a in arrows]
+        alg = doc.algebra = from_quiver(pres, field=f)
+        doc.words = [[f"e_{vertices[val]}"] if tag == "e" else
+                     [arrows[i][0] for i in val]
+                     for tag, val in pres.basis_words]
+        for v in vertices:
+            doc.generators[v] = doc.generators[f"e_{v}"] = \
+                alg.element_from_label(f"e_{v}")
+        for a in arrows:
+            doc.generators[a[0]] = alg.element_from_label(a[0])
     elif kind == "structure_constants":
         basis, unit_text, idems, muls = None, None, [], {}
         for no, line in body:
@@ -291,7 +278,8 @@ def _parse_algebra(doc, lines, pos, kind, error):
                      for t in idems] or None
         doc.algebra = from_structure_constants(f, basis, table, unit,
                                                idempotents=idem_vecs)
-        doc.generator_names = list(basis)
+        doc.words = [[lab] for lab in basis]
+        doc.generators = label_to_vec
     elif kind == "poly_quotient":
         var_names, rels = [], []
         for no, line in body:
@@ -310,8 +298,10 @@ def _parse_algebra(doc, lines, pos, kind, error):
                 polys.append(parse_poly_terms(f, rel, var_names))
             except InputError as exc:
                 error(no, str(exc))
-        doc.algebra = from_poly_quotient(f, var_names, polys)
-        doc.generator_names = list(var_names)
+        alg = doc.algebra = from_poly_quotient(f, var_names, polys)
+        doc.words = [[v for v, e in zip(var_names, mono) for _ in range(e)]
+                     for mono in alg.poly_data["monomials"]]
+        doc.generators = dict(zip(var_names, alg.poly_data["variables"]))
     elif kind == "poly_ring":
         var = "x"
         for no, line in body:
@@ -321,7 +311,6 @@ def _parse_algebra(doc, lines, pos, kind, error):
             else:
                 error(no, f"bad poly_ring line: {line!r}")
         doc.algebra = PolynomialRing(f, var)
-        doc.generator_names = [var]
     else:
         error(no0, f"unknown algebra kind {kind!r}")
     return pos
@@ -355,64 +344,36 @@ def _parse_module(doc, lines, pos, error):
         if len(rows) != dim or any(len(r) != dim for r in rows):
             error(no0, f"module {name!r}: action for {gen!r} is not "
                   f"{dim}x{dim}")
-    mats = _expand_actions(doc, dim, actions, name, error, no0)
-    doc.modules[name] = ModuleRep(doc.algebra, mats, name=name)
+        if gen not in doc.generators:
+            error(no0, f"module {name!r}: {gen!r} is not a generator of "
+                  "the algebra")
+    actions = {gen: Mat(f, rows) for gen, rows in actions.items()}
+    module = ModuleRep(doc.algebra, _expand_actions(doc, dim, actions, name,
+                                                    error, no0), name=name)
+    for gen, mat in actions.items():
+        if module.act(doc.generators[gen]) != mat:
+            error(no0, f"module {name!r}: action for {gen!r} is not the "
+                  "action of the element it names")
+    doc.modules[name] = module
     return pos
 
 
 def _expand_actions(doc, dim, actions, name, error, no0):
-    """Action matrices for the full basis from per-generator data."""
-    alg = doc.algebra
-    f = doc.field
-    if doc.algebra_kind == "quiver":
-        pres = alg.presentation
-        gen_mats = {}
-        for lab, mat in actions.items():
-            gen_mats[lab] = Mat(f, mat)
-        mats = []
-        for bw, label in zip(pres.basis_words, alg.labels):
-            kind, val = bw
-            if kind == "e":
-                lab = f"e_{pres.vertices[val]}"
-                if lab in gen_mats:
-                    mats.append(gen_mats[lab])
-                elif lab.replace("e_", "") in gen_mats:
-                    mats.append(gen_mats[lab.replace("e_", "")])
-                else:
-                    error(no0, f"module {name!r}: missing action for {lab}")
-            else:
-                m = Mat.identity(f, dim)
-                for arrow_idx in val:
-                    arrow_name = pres.arrows[arrow_idx][0]
-                    if arrow_name not in gen_mats:
-                        error(no0, f"module {name!r}: missing action for "
-                              f"{arrow_name}")
-                    m = m.mul(gen_mats[arrow_name])
-                mats.append(m)
-        return mats
-    if doc.algebra_kind == "poly_quotient":
-        var_names = alg.poly_data["vars"]
-        monos = alg.poly_data["monomials"]
-        var_mats = []
-        for v in var_names:
-            if v not in actions:
-                error(no0, f"module {name!r}: missing action for {v!r}")
-            var_mats.append(Mat(f, actions[v]))
-        mats = []
-        for m in monos:
-            out = Mat.identity(f, dim)
-            for v_idx, e in enumerate(m):
-                for _ in range(e):
-                    out = out.mul(var_mats[v_idx])
-            mats.append(out)
-        return mats
-    # structure constants: one matrix per basis label
+    """The action of every basis element: the product of its generators'
+    actions along its word, the identity for the empty word.  A generator
+    acts as declared under any name of the same element (a vertex as `1`
+    or `e_1`)."""
+    by_element = {tuple(doc.generators[gen]): mat
+                  for gen, mat in actions.items()}
     mats = []
-    for lab in alg.labels:
-        if lab not in actions:
-            error(no0, f"module {name!r}: missing action for basis "
-                  f"element {lab!r}")
-        mats.append(Mat(f, actions[lab]))
+    for word in doc.words:
+        mat = Mat.identity(doc.field, dim)
+        for gen in word:
+            acting = by_element.get(tuple(doc.generators[gen]))
+            if acting is None:
+                error(no0, f"module {name!r}: missing action for {gen!r}")
+            mat = mat.mul(acting)
+        mats.append(mat)
     return mats
 
 

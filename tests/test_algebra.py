@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -155,16 +156,18 @@ def loop_quiver_sweep(count, seed):
     return cases
 
 
-def test_admissibility_is_refused_as_the_arrow_ideal_power_loop_refuses():
-    # from_quiver proves admissibility by the radical; on every quiver it
-    # builds a table for, it refuses exactly where the arrow ideal's
-    # powers, multiplied dim + 1 times, stay nonzero.  The rewriting
-    # budget is cut to 100000 steps, as a refusal at the full budget
-    # takes up to 25 s here; no quiver of the sweep that builds needs more
+@functools.lru_cache(maxsize=None)
+def admissibility_sweep():
+    """[(algebra, refused)] for `a^3 = a^2` and the 150 quivers of
+    `loop_quiver_sweep(150, 24)` that `from_quiver` builds a table for:
+    the algebra as built before its radical, and whether the radical
+    refused it as not admissible.  The rewriting budget is cut to 100000
+    steps, as a refusal at the full budget takes up to 25 s here; no
+    quiver of the sweep that builds needs more."""
     one = QQ.one
     cases = [(QQ, QuiverPresentation(["v"], [("a", "v", "v")], [
         [(one, ["a", "a", "a"]), (QQ.neg(one), ["a", "a"])]]))]
-    verdicts = []
+    out = []
     for field, q in cases + loop_quiver_sweep(150, 24):
         built = []
         with pytest.MonkeyPatch.context() as mp:
@@ -180,11 +183,43 @@ def test_admissibility_is_refused_as_the_arrow_ideal_power_loop_refuses():
                 assert str(exc) == ("relations are not admissible: the arrow "
                                     "ideal is not nilpotent in the quotient")
                 refused = True
-        assert refused != arrow_ideal_nilpotent_by_powers(built[0]), \
-            q.relations
+        out.append((built[0], refused))
+    return out
+
+
+def test_admissibility_is_refused_as_the_arrow_ideal_power_loop_refuses():
+    # from_quiver proves admissibility by the radical; on every quiver it
+    # builds a table for, it refuses exactly where the arrow ideal's
+    # powers, multiplied dim + 1 times, stay nonzero
+    verdicts = []
+    for alg, refused in admissibility_sweep():
+        assert refused != arrow_ideal_nilpotent_by_powers(alg), \
+            alg.presentation.relations
         verdicts.append(refused)
     assert verdicts[0] and verdicts.count(True) >= 5 and \
         verdicts.count(False) >= 20, verdicts
+
+
+def test_the_arrow_ideal_powers_by_the_arrows_are_the_powers_by_the_ideal():
+    # I^(n+1) = I^n times the arrows, so the chain the radical builds
+    # from the arrows has the rows of the chain that multiplies by all
+    # of I: the same index, rad^2 and refusals
+    quivers = [alg for name, alg in corpus() + corpus(GF(5))
+               if alg.presentation is not None]
+    cases = [(alg, False) for alg in quivers] + admissibility_sweep()
+    for alg, refused in cases:
+        basis_words = alg.presentation.basis_words
+        ideal = [alg.basis_vector(i) for i, (kind, _) in
+                 enumerate(basis_words) if kind == "w"]
+        by_ideal = alg.ideal_powers(ideal)
+        assert refused == bool(by_ideal[-1])
+        arrows = [alg.basis_vector(i) for i, (kind, w) in
+                  enumerate(basis_words) if kind == "w" and len(w) == 1]
+        assert alg.ideal_powers(ideal, arrows) == by_ideal
+        if not refused:
+            alg._radical = None
+            assert alg.radical() == (ideal, len(by_ideal))
+            assert alg._radical_square == (by_ideal[1:] or [[]])[0]
 
 
 def test_largest_quotient_within_the_basis_budget_builds():

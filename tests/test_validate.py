@@ -6,6 +6,8 @@ multiplicativity fails, they must reject the same inputs with the same
 message as the dense loops.  Their work is bounded by the nonzero
 structure constants, counted, not timed."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from aspec.errors import ValidationError
 from aspec.fields import GF, QQ
 from aspec.linalg import Mat, Span
 from aspec.modules import ModuleRep, regular_module, simple_modules
+from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import corpus
 from oracles import algebra_validate_dense, module_validate_dense
@@ -152,3 +155,20 @@ def test_validate_work_is_bounded_by_the_nonzero_structure_constants(
         simple.validate()
         acting = sum(1 for e in simple._entries if e)
         assert len(mat_muls) <= acting ** 2, simple.name
+
+
+def test_validate_memory_is_bounded_by_one_first_index_at_a_time():
+    # a dense local quotient of dim 25 over F5: tables of both sides for
+    # every first index at once peaked at 57 MB, one index at a time
+    # peaks at 2.5 MB
+    alg = from_poly_quotient(F5, ["x", "y"], [
+        {(5, 0): 1, (2, 2): 2, (1, 2): 3, (0, 4): 1},
+        {(0, 5): 1, (3, 2): 4, (4, 0): 1}])
+    assert alg.dim == 25
+    tracemalloc.start()
+    try:
+        alg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
