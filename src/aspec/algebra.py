@@ -36,6 +36,13 @@ class Algebra:
 
     table[i][j] is the coordinate vector of basis_i * basis_j, and
     products[i][j] lists its nonzero entries as (k, coefficient).
+
+    `times_basis(x, j)` = x b_j and `basis_times(i, y)` = b_i y are read
+    straight off `products`: they cost the nonzero coordinates of x (or
+    y) times the terms of their products with the basis element, with
+    no dense basis vector to scan.  The unit axiom, the multiplication
+    matrices, the two-sided ideal test and ext's projectives e A use
+    them.
     """
 
     def __init__(self, field, labels, table, unit, idempotents=None,
@@ -83,6 +90,32 @@ class Algebra:
                     out[k] = add(o, t) if o else t
         return out
 
+    def times_basis(self, x, j):
+        """x * b_j: the terms of b_i b_j scaled by each nonzero x_i."""
+        f = self.field
+        add, mul = f.add, f.mul
+        out = zero_vec(f, self.dim)
+        for xi, row in zip(x, self.products):
+            if xi:
+                for k, t in row[j]:
+                    t = mul(xi, t)
+                    o = out[k]
+                    out[k] = add(o, t) if o else t
+        return out
+
+    def basis_times(self, i, y):
+        """b_i * y: the terms of b_i b_j scaled by each nonzero y_j."""
+        f = self.field
+        add, mul = f.add, f.mul
+        out = zero_vec(f, self.dim)
+        for yj, terms in zip(y, self.products[i]):
+            if yj:
+                for k, t in terms:
+                    t = mul(yj, t)
+                    o = out[k]
+                    out[k] = add(o, t) if o else t
+        return out
+
     def add(self, x, y):
         return vec_add(self.field, x, y)
 
@@ -111,13 +144,13 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y acting on column coordinate vectors."""
-        cols = [self.mul(x, self.basis_vector(j)) for j in range(self.dim)]
+        cols = [self.times_basis(x, j) for j in range(self.dim)]
         return Mat(self.field, [[cols[j][i] for j in range(self.dim)]
                                 for i in range(self.dim)], cols=self.dim)
 
     def right_mult_matrix(self, x):
         """Matrix R with (v*x) = v.R for row coordinate vectors v."""
-        rows = [self.mul(self.basis_vector(i), x) for i in range(self.dim)]
+        rows = [self.basis_times(i, x) for i in range(self.dim)]
         return Mat(self.field, rows, cols=self.dim)
 
     # -- validation --------------------------------------------------------
@@ -137,7 +170,8 @@ class Algebra:
             raise ValidationError("unit vector has wrong length")
         for i in range(n):
             b = self.basis_vector(i)
-            if self.mul(self.unit, b) != b or self.mul(b, self.unit) != b:
+            if self.times_basis(self.unit, i) != b or \
+                    self.basis_times(i, self.unit) != b:
                 raise ValidationError(
                     f"unit axiom fails on basis element {self.labels[i]!r}")
         if any(len(self.table[i][j]) != n
@@ -317,9 +351,8 @@ class Algebra:
             ech.insert(v)
         for v in basis:
             for b in range(self.dim):
-                e = self.basis_vector(b)
-                if not (ech.contains(self.mul(v, e))
-                        and ech.contains(self.mul(e, v))):
+                if not (ech.contains(self.times_basis(v, b))
+                        and ech.contains(self.basis_times(b, v))):
                     return False
         return True
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -719,7 +720,10 @@ def _verify(doc, order):
     return entries, failed
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call to `main` (not at
+    import) and shared by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="aspec",
         description="noncommutative deformation hulls, O-algebras, and "
@@ -738,7 +742,11 @@ def main(argv=None):
                         default="text")
     parser.add_argument("--timing", action="store_true",
                         help="append a (nondeterministic) timing line")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -7,7 +7,12 @@ convention (image of row x is x.D).  Ext^d(M, N) is computed from
     Z^d = {f in Hom_A(P_d, N) : f vanishes on ker d_d},
     B^d = image of precomposition with d_d,
 
-which only needs the resolution up to homological degree d.
+which only needs the resolution up to homological degree d.  Into a
+target N killed by the radical (N G = 0, so N rad = 0) the cocycles are
+read off the resolution: `Resolution.check` proves that every kernel
+ker d_d, and so the image of d_{d+1}, lies in P_d rad, and an A-map f
+into N has f(x r) = f(x) r = 0.  So Z^d = Hom_A(P_d, N) and B^d = 0,
+and the Hom basis is the cocycle basis, the general path's own answer.
 
 G spans rad modulo rad^2, so rad = A G and T rad = T G for a submodule
 T.  A cover of T reads T e modulo T (G e), and minimality is checked
@@ -22,6 +27,8 @@ Ext^1 and Ext^2 share Hom(P_1, N).
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import InternalInvariantError, ValidationError
 from .linalg import (
@@ -51,7 +58,7 @@ class _VertexProjective:
         f = algebra.field
         n = algebra.dim
         self.basis = row_space_basis(
-            f, [algebra.mul(e, algebra.basis_vector(b)) for b in range(n)])
+            f, [algebra.times_basis(e, b) for b in range(n)])
         self.dim = len(self.basis)
         # the basis is in rref: a vector of e A has its coordinates at
         # the pivot columns
@@ -68,9 +75,9 @@ class _VertexProjective:
         for b in range(n):
             rows = []
             for w in self.basis:
-                img = algebra.mul(w, algebra.basis_vector(b))
-                rows.append([] if vec_is_zero(f, img) else
-                            [(c, x) for c, x in enumerate(coords(img)) if x])
+                img = algebra.times_basis(w, b)
+                rows.append([(c, x) for c, x in enumerate(coords(img)) if x]
+                            if any(img) else [])
             self.action.append(rows)
         add, mul = f.add, f.mul
         gens = algebra.radical_generators()
@@ -207,13 +214,14 @@ class Resolution:
             ker = self.kernels[d - 1]
             if len(im) != len(ker):
                 raise InternalInvariantError("resolution not exact")
-        # minimality: rows of every differential land in P_{d-1} * rad
-        for d in range(1, len(self.terms)):
-            prev = self.terms[d - 1]
-            for row in self.diffs[d].data:
-                if not prev.is_radical_valued(row):
+        # minimality: every kernel lies in P_d rad.  For d < 2 this says
+        # that the rows of d_{d+1}, which span ker d_d, land there; for
+        # d = 2 that P_2 covers ker d_1 minimally
+        for proj, ker in zip(self.terms, self.kernels):
+            for row in ker:
+                if not proj.is_radical_valued(row):
                     raise InternalInvariantError(
-                        "resolution differential not radical-valued (not minimal)")
+                        "resolution kernel not radical-valued (not minimal)")
 
     def homs(self, degree, target):
         """Basis of Hom_A(P_degree, target), built once per target: Ext^1
@@ -266,19 +274,29 @@ def _cover_data(algebra, target, target_rows):
 
 
 class ExtSpace:
-    """Ext^degree(source, target) with explicit cochain representatives."""
+    """Ext^degree(source, target) with explicit cochain representatives:
+    `cocycles` is a basis of Z^degree modulo B^degree.  The echelons of
+    the spans of Z and B, which only `is_cocycle` and `class_of` read,
+    are built on first use."""
 
     def __init__(self, degree, source, target, resolution, cocycles,
-                 hom_basis, boundary_ech, z_ech):
+                 z_basis=(), b_basis=()):
         self.degree = degree
         self.source = source
         self.target = target
         self.resolution = resolution
         self.cocycles = cocycles      # list of k-matrices P_degree -> target
         self.dimension = len(cocycles)
-        self._hom_basis = hom_basis
-        self._boundary_ech = boundary_ech
-        self._z_ech = z_ech
+        self._z_basis = z_basis       # k-matrices spanning Z^degree
+        self._b_basis = b_basis       # k-matrices spanning B^degree
+
+    @functools.cached_property
+    def _z_ech(self):
+        return _echelon_of(self.target.algebra.field, self._z_basis)
+
+    @functools.cached_property
+    def _boundary_ech(self):
+        return _echelon_of(self.target.algebra.field, self._b_basis)
 
     def class_of(self, cochain_matrix):
         """Coordinates of a cocycle's class in the chosen basis."""
@@ -299,6 +317,14 @@ class ExtSpace:
 
 def _flatten(mat):
     return [x for row in mat.data for x in row]
+
+
+def _echelon_of(field, mats):
+    flats = [_flatten(m) for m in mats]
+    ech = _Echelon(field, len(flats[0]) if flats else 0)
+    for v in flats:
+        ech.insert(v)
+    return ech
 
 
 def _hom_space_basis(proj, target):
@@ -323,17 +349,16 @@ def ext(source, target, degree, resolution=None):
     f = algebra.field
     if not algebra.radical_basis():
         # semisimple: all higher Ext vanish; no resolution needed
-        empty_ech = _Echelon(f, max(source.dim * target.dim, 1))
-        return ExtSpace(degree, source, target, None, [], [], empty_ech,
-                        empty_ech)
+        return ExtSpace(degree, source, target, None, [])
     res = resolution or Resolution(source)
     proj = res.terms[degree]
     if proj.dim == 0 or target.dim == 0:
-        empty_ech = _Echelon(f, 1)
-        return ExtSpace(degree, source, target, res, [], [], empty_ech,
-                        empty_ech)
+        return ExtSpace(degree, source, target, res, [])
     hom_basis = res.homs(degree, target)
-    ncoords = proj.dim * target.dim
+    if target.killed_by_radical():
+        # Z = Hom and B = 0, as the module docstring proves
+        return ExtSpace(degree, source, target, res, list(hom_basis),
+                        hom_basis)
 
     # cocycles: maps vanishing on ker d_degree
     ker_rows = res.kernels[degree]
@@ -357,21 +382,13 @@ def ext(source, target, degree, resolution=None):
     prev_homs = res.homs(degree - 1, target)
     b_basis = [res.diffs[degree].mul(phi) for phi in prev_homs]
 
-    z_flat = [_flatten(m) for m in z_basis]
-    b_flat = [_flatten(m) for m in b_basis]
-    reps_flat = quotient_basis(f, z_flat, b_flat, length=ncoords)
-    rep_mats = []
-    for vec in reps_flat:
-        rep_mats.append(Mat(f, [vec[i * target.dim:(i + 1) * target.dim]
-                                for i in range(proj.dim)], cols=target.dim))
-    bech = _Echelon(f, ncoords)
-    for v in b_flat:
-        bech.insert(v)
-    zech = _Echelon(f, ncoords)
-    for v in z_flat:
-        zech.insert(v)
-    return ExtSpace(degree, source, target, res, rep_mats, hom_basis, bech,
-                    zech)
+    reps_flat = quotient_basis(f, [_flatten(m) for m in z_basis],
+                               [_flatten(m) for m in b_basis],
+                               length=proj.dim * target.dim)
+    rep_mats = [Mat(f, [vec[i * target.dim:(i + 1) * target.dim]
+                        for i in range(proj.dim)], cols=target.dim)
+                for vec in reps_flat]
+    return ExtSpace(degree, source, target, res, rep_mats, z_basis, b_basis)
 
 
 def _lift_through(proj, target_res, rhs_rows, depth):

@@ -29,6 +29,8 @@ from .linalg import (
 class ModuleRep:
     """Right A-module: one dim x dim action matrix per algebra basis element."""
 
+    _killed_by_radical = None     # set by killed_by_radical
+
     def __init__(self, algebra, action_matrices, name="M", validate=True):
         self.algebra = algebra
         self.name = name
@@ -118,6 +120,16 @@ class ModuleRep:
                         o = out[j]
                         out[j] = add(o, t) if o else t
         return out
+
+    def killed_by_radical(self):
+        """Whether M rad = 0, decided once per module: rad = A G for the
+        radical generators G, so M rad = M G is 0 exactly when every g in
+        G acts by 0."""
+        if self._killed_by_radical is None:
+            self._killed_by_radical = all(
+                self.act(g).is_zero()
+                for g in self.algebra.radical_generators())
+        return self._killed_by_radical
 
     def __repr__(self):
         return f"ModuleRep({self.name}, dim={self.dim})"

@@ -600,7 +600,7 @@ def spec_compare(algebra, order=None, points=None):
     pts = []
     separators = []             # prod over j != i of g_j^e_j
     for i, (g, e) in enumerate(factors):
-        ideal = [algebra.mul(values[i], algebra.basis_vector(b))
+        ideal = [algebra.times_basis(values[i], b)
                  for b in range(algebra.dim)]
         mod = QuotientModuleRep(regular, ideal, name=f"P{i + 1}")
         pts.append(SpectralPoint(mod, provenance="contraction",

@@ -22,7 +22,9 @@ algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
 ideal multiply through `Algebra.mul` and echelonize by
 `row_space_basis`; the dense resolutions build
 each e A through `Algebra.mul`, act through dense `Mat`s and solve with
-`rref`, `kernel_basis` and `quotient_basis`, and the whole trace chain
+`rref`, `kernel_basis` and `quotient_basis`, the general Ext path
+solves for the cocycles of any target with `kernel_basis` and
+`quotient_basis` over the production resolution, and the whole trace chain
 and the dense trace form read the regular representation through
 `left_mult_matrix`; the corner simples multiply through `Algebra.mul`
 and solve in a `Span`; the `Mat` references for the scalar kernel of
@@ -1541,6 +1543,84 @@ def ext_cocycles_dense(res, target, degree):
     return [Mat(f, [v[i * target.dim:(i + 1) * target.dim]
                     for i in range(proj.dim)], cols=target.dim)
             for v in reps]
+
+
+class GeneralExt:
+    """Ext^degree(source, target) over a `Resolution` by the general
+    path, whatever the target: Z the maps of the resolution's
+    Hom_A(P_d, N) basis that vanish on ker d_d, by `kernel_basis` of
+    their values there; B the precompositions of Hom_A(P_{d-1}, N) with
+    d_d; the cocycles a basis of Z modulo B by `quotient_basis`; and the
+    class of a cocycle its coordinates on the cocycles in a `Span` of
+    the cocycles and B."""
+
+    def __init__(self, res, target, degree):
+        f = target.algebra.field
+        self.field = f
+        self.cocycles, self.z_basis, self.b_basis = [], [], []
+        proj = res.terms[degree]
+        if proj.dim == 0 or target.dim == 0:
+            return
+        hom_basis = res.homs(degree, target)
+        if hom_basis:
+            cond = [[phi.apply_row(kr)[j] for phi in hom_basis]
+                    for kr in res.kernels[degree] for j in range(target.dim)]
+            coeffs = kernel_basis(Mat(f, cond, cols=len(hom_basis))) \
+                if cond else [unit_vec(f, len(hom_basis), i)
+                              for i in range(len(hom_basis))]
+            for c in coeffs:
+                total = Mat.zeros(f, proj.dim, target.dim)
+                for ck, phi in zip(c, hom_basis):
+                    if ck:
+                        total = total.add(phi.scale(ck))
+                self.z_basis.append(total)
+        self.b_basis = [res.diffs[degree].mul(phi)
+                        for phi in res.homs(degree - 1, target)]
+        reps = quotient_basis(f, [_flat_mat(m) for m in self.z_basis],
+                              [_flat_mat(m) for m in self.b_basis],
+                              length=proj.dim * target.dim)
+        self.cocycles = [
+            Mat(f, [v[i * target.dim:(i + 1) * target.dim]
+                    for i in range(proj.dim)], cols=target.dim)
+            for v in reps]
+
+    def class_of(self, mat):
+        flat = _flat_mat(mat)
+        span = Span(self.field, [_flat_mat(m) for m in
+                                 self.cocycles + self.b_basis], len(flat))
+        coords = span.coords(flat)
+        if coords is None:
+            raise InternalInvariantError("not a cocycle")
+        return coords[:len(self.cocycles)]
+
+
+def _flat_mat(m):
+    return [x for row in m.data for x in row]
+
+
+def vertex_projective_by_mul(algebra, e):
+    """e A through `Algebra.mul` by dense basis vectors: its rref basis,
+    the coordinates of e, per basis element b and basis row w the nonzero
+    coordinates (c, x) of w b, and the rref rows of e rad = (e A) G."""
+    f = algebra.field
+    n = algebra.dim
+    basis = row_space_basis(
+        f, [algebra.mul(e, algebra.basis_vector(b)) for b in range(n)])
+    span = Span(f, basis, n)
+
+    def coords(v):
+        out = span.coords(v)
+        if out is None:
+            raise InternalInvariantError("e_v A not action-closed")
+        return out
+
+    action = [[[(c, x) for c, x in
+                enumerate(coords(algebra.mul(w, algebra.basis_vector(b))))
+                if x] for w in basis] for b in range(n)]
+    radical = row_space_basis(
+        f, [coords(algebra.mul(w, g)) for w in basis
+            for g in algebra.radical_generators()])
+    return basis, coords(e), action, radical
 
 
 def radical_trace_chain(alg):

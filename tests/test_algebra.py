@@ -12,7 +12,7 @@ import aspec.rewrite as rewrite_module
 from aspec.algebra import Algebra, from_structure_constants
 from aspec.errors import InfiniteDimensionalError, InputError, ValidationError
 from aspec.fields import GF, QQ
-from aspec.linalg import Mat, rank, row_space_basis
+from aspec.linalg import Mat, Span, rank, row_space_basis
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import (
@@ -625,3 +625,67 @@ def test_trace_form_forms_no_matrix_product(monkeypatch):
     basis, index = alg.radical()
     assert (len(basis), index) == (7, 8)
     assert products == []
+
+
+# -- products by a basis element ------------------------------------------------
+
+
+def rebased(alg):
+    """The same algebra on the basis c_i = b_i + b_{i+1} + ... + b_n,
+    whose products have several terms."""
+    f, n = alg.field, alg.dim
+    basis = [[f.one if j >= i else f.zero for j in range(n)]
+             for i in range(n)]
+    span = Span(f, basis, n)
+    table = [[span.coords(alg.mul(u, v)) for v in basis] for u in basis]
+    return Algebra(f, [f"c{i}" for i in range(n)], table,
+                   span.coords(alg.unit))
+
+
+@functools.cache
+def basis_product_algebras():
+    """The corpus, the double loop and the fat point over Q and F7, and
+    the last two and the lower triangular matrices rebased."""
+    out = []
+    for field in (QQ, GF(7)):
+        local = [make_double_loop(field), make_fat_point(field),
+                 make_lower_triangular(field)]
+        out += [a for _, a in corpus(field)] + local
+        out += [rebased(a) for a in local]
+    return out
+
+
+@st.composite
+def basis_product_cases(draw):
+    """(algebra, x, basis index): x is zero one time in four, else a
+    vector of small scalars with many zero entries (fractions over Q)."""
+    algs = basis_product_algebras()
+    alg = algs[draw(st.integers(0, len(algs) - 1))]
+    f = alg.field
+    scalar = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(
+        lambda nd: f.div(f.of_int(nd[0]), f.of_int(nd[1])))
+    entry = st.one_of(st.just(f.zero), st.just(f.zero), scalar)
+    x = [f.zero] * alg.dim if draw(st.integers(0, 3)) == 0 else \
+        draw(st.lists(entry, min_size=alg.dim, max_size=alg.dim))
+    return alg, x, draw(st.integers(0, alg.dim - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(basis_product_cases())
+def test_products_by_a_basis_element_match_mul(case):
+    alg, x, b = case
+    e = alg.basis_vector(b)
+    assert alg.times_basis(x, b) == alg.mul(x, e)
+    assert alg.basis_times(b, x) == alg.mul(e, x)
+
+
+def test_multiplication_matrices_match_mul():
+    for alg in basis_product_algebras():
+        n = alg.dim
+        for x in [alg.basis_vector(i) for i in range(n)] + [alg.unit]:
+            left = alg.left_mult_matrix(x)
+            right = alg.right_mult_matrix(x)
+            for j in range(n):
+                e = alg.basis_vector(j)
+                assert [row[j] for row in left.data] == alg.mul(x, e)
+                assert right.data[j] == alg.mul(e, x)

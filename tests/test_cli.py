@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import resource
@@ -337,6 +338,57 @@ def test_verify_on_the_examples_never_imports_sympy():
     proc = run_python(["-c", SYMPY_PROBE] +
                       [str(p) for p in sorted(EXAMPLES.glob("*.txt"))])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_repeated_calls_in_one_process_build_one_parser(tmp_path, capsys,
+                                                        monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli_module._parser.cache_clear()
+    try:
+        doc = tmp_path / "doc.txt"
+        doc.write_text(K2_DOC, encoding="utf-8")
+        good = ["simples", "--input", str(doc)]
+        bad = ["banana", "--input", str(doc)]
+        assert main(good) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err
+        assert main(good) == 0
+        assert main(["verify", "--input", str(doc)]) == 0
+        assert len(built) == 1
+    finally:
+        cli_module._parser.cache_clear()
+    child = run_cli(bad)
+    assert child.returncode == 2
+    assert child.stderr == usage
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = run_python(["-c", "import aspec.cli as c; "
+                       "assert c._parser.cache_info().currsize == 0"])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("example", sorted(p.name for p in
+                                           EXAMPLES.glob("*.txt")))
+def test_in_process_calls_print_what_a_fresh_process_prints(capsys,
+                                                            example):
+    args = ["verify", "--input", str(EXAMPLES / example), "--format", "tree"]
+    outs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    child = run_cli(args)
+    assert child.returncode == 0, child.stderr
+    assert outs == [child.stdout] * 2
 
 
 def test_simples_on_poly_ring_is_an_input_error(tmp_path, capsys):

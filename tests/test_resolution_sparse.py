@@ -2,25 +2,45 @@
 `tests/oracles.py`.  Resolutions over sparse vertex projectives must give
 the slots, generator images, differentials, kernels and Ext cocycles of
 the resolution over dense action matrices, whose covers span every
-x * e, x in rad.  The char-p radical, which stops at the first nilpotent
-two-sided ideal of the trace chain, must give the basis and index of the
-whole chain.  The work pins: k[x]/x^8 over F5 forms no integral matrix
-product, and the hull of A7 builds no dense projective action matrix."""
+x * e, x in rad.  Each e A, built from the products by basis elements,
+must give the basis, generator, action and radical rows of e A built
+through `Algebra.mul`.  Ext into a target killed by the radical, read
+off the resolution, must give the cocycles, dimension and classes of the
+general path, and a projective target must still take that path.  The
+char-p radical, which stops at the first nilpotent two-sided ideal of
+the trace chain, must give the basis and index of the whole chain.  The
+work pins: k[x]/x^8 over F5 forms no integral matrix product, and the
+hull of A7 builds no dense projective action matrix."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspec.algebra import Algebra
-from aspec.ext import Resolution, _cover_data, ext
+from aspec.ext import (
+    ProjectiveModule,
+    Resolution,
+    _cover_data,
+    _vertex_projective,
+    ext,
+)
 from aspec.fields import GF, QQ
 from aspec.hull import hull
 from aspec.modules import regular_module, simple_modules
 from aspec.polyquot import from_poly_quotient
-from aspec.quiver import from_quiver
+from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import corpus
-from oracles import DenseResolution, ext_cocycles_dense, radical_trace_chain
+from oracles import (
+    DenseResolution,
+    GeneralExt,
+    ext_cocycles_dense,
+    radical_trace_chain,
+    vertex_projective_by_mul,
+)
 from test_hull_stress import make_double_loop
+from test_random_corpus import FP, over
 from test_rewrite import acyclic_quivers
 from test_validate import path_algebra
 
@@ -74,11 +94,11 @@ def test_resolutions_match_the_dense_reference_on_random_quivers(case):
 
 
 @st.composite
-def local_kxy_quotients(draw):
+def local_kxy_quotients(draw, primes=(2, 3, 5, 7)):
     """k[x, y]/(x^a, y^b, up to two more relations) over F_p, each extra
     relation a combination of monomials of positive degree below
     x^a and y^b, so the quotient is local and finite-dimensional."""
-    field = GF(draw(st.sampled_from([2, 3, 5, 7])))
+    field = GF(draw(st.sampled_from(primes)))
     a, b = draw(st.integers(2, 4)), draw(st.integers(2, 3))
     rels = [{(a, 0): field.one}, {(0, b): field.one}]
     monos = [(i, j) for i in range(a) for j in range(b) if i + j > 0]
@@ -94,6 +114,94 @@ def local_kxy_quotients(draw):
 @given(local_kxy_quotients())
 def test_resolutions_match_the_dense_reference_on_local_kxy(alg):
     assert_simples_match_dense(alg)
+
+
+# -- e A and Ext into targets killed by the radical ------------------------------
+
+
+def assert_vertex_projectives_match_mul(alg):
+    for e in alg.ensure_idempotents():
+        blk = _vertex_projective(alg, e)
+        basis, generator, action, radical = vertex_projective_by_mul(alg, e)
+        assert blk.basis == basis
+        assert blk.generator == generator
+        assert blk.action == action
+        assert blk.radical.rows == radical
+
+
+def assert_ext_matches_the_general_path(alg):
+    """Ext^1 and Ext^2 between the simples, and from each simple into
+    each projective e A that the radical does not kill, against the
+    general path: the cocycles entry for entry, and the class of every
+    cocycle of Z, plus a coboundary of B, in the cocycle basis."""
+    simples = simple_modules(alg)
+    projectives = [p for p in (ProjectiveModule(alg, [v])
+                               for v in range(len(simples)))
+                   if not p.killed_by_radical()]
+    assert all(s.killed_by_radical() for s in simples)
+    for s in simples:
+        res = Resolution(s)
+        for target in simples + projectives:
+            for degree in (1, 2):
+                e = ext(s, target, degree, resolution=res)
+                ref = GeneralExt(res, target, degree)
+                assert e.cocycles == ref.cocycles
+                assert e.dimension == len(ref.cocycles)
+                for z in ref.z_basis:
+                    assert e.is_cocycle(z)
+                    assert e.class_of(z) == ref.class_of(z)
+                    for b in ref.b_basis:
+                        assert e.class_of(z.add(b)) == ref.class_of(z)
+
+
+def test_vertex_projectives_and_ext_match_the_general_path_on_the_corpus():
+    for field in (QQ, F5):
+        for name, alg in corpus(field):
+            assert_vertex_projectives_match_mul(alg)
+            assert_ext_matches_the_general_path(alg)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(acyclic_quivers(fields=(QQ,), monomial=True))
+def test_ext_matches_the_general_path_on_random_quivers(case):
+    _, q = case
+    for field in (QQ, FP):
+        alg = over(field, q)
+        assert_vertex_projectives_match_mul(alg)
+        assert_ext_matches_the_general_path(alg)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(local_kxy_quotients(primes=(5,)))
+def test_ext_matches_the_general_path_on_f5_poly_quotients(alg):
+    assert_vertex_projectives_match_mul(alg)
+    assert_ext_matches_the_general_path(alg)
+
+
+def test_a_projective_target_takes_the_general_path(monkeypatch):
+    # A2: e_1 A = <e_1, a> is not killed by a, so Ext^1 into it solves
+    # for the cocycles modulo the coboundaries; Ext^1 into the simples
+    # reads them off the resolution
+    alg = from_quiver(QuiverPresentation(["1", "2"], [("a", "1", "2")]),
+                      field=QQ)
+    # the package re-exports `ext`, which shadows the submodule
+    ext_module = sys.modules["aspec.ext"]
+    solved = []
+    quotient = ext_module.quotient_basis
+    monkeypatch.setattr(ext_module, "quotient_basis",
+                        lambda *a, **k: solved.append(a) or quotient(*a, **k))
+    simples = simple_modules(alg)
+    source = next(s for s in simples if Resolution(s).p1.dim)
+    res = Resolution(source)
+    solved.clear()
+    for target in simples:
+        ext(source, target, 1, resolution=res)
+    assert solved == []
+    target = ProjectiveModule(alg, [0])
+    assert not target.killed_by_radical()
+    e = ext(source, target, 1, resolution=res)
+    assert len(solved) == 1
+    assert e.cocycles == GeneralExt(res, target, 1).cocycles
 
 
 # -- the char-p radical ---------------------------------------------------------
