@@ -34,8 +34,9 @@ from .linalg import (
 class Algebra:
     """Associative unital k-algebra given by structure constants.
 
-    table[i][j] is the coordinate vector of basis_i * basis_j, and
-    products[i][j] lists its nonzero entries as (k, coefficient).
+    products[i][j] lists the nonzero coordinates of basis_i * basis_j as
+    (k, c), ascending in k: the one copy of the structure constants, held
+    as given (dense rows come in through `sparse_rows`).
 
     `times_basis(x, j)` = x b_j and `basis_times(i, y)` = b_i y are read
     straight off `products`: they cost the nonzero coordinates of x (or
@@ -45,14 +46,12 @@ class Algebra:
     them.
     """
 
-    def __init__(self, field, labels, table, unit, idempotents=None,
+    def __init__(self, field, labels, products, unit, idempotents=None,
                  presentation=None, validate=True):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.table = [[list(v) for v in row] for row in table]
-        self.products = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
-                         for row in self.table]
+        self.products = products
         self.unit = list(unit)
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self.presentation = presentation
@@ -156,9 +155,8 @@ class Algebra:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        """Check the unit axiom, the length of every structure-constant
-        vector and associativity, in that order; the error names the
-        first failing basis element or triple in basis order.
+        """Check the unit axiom and then associativity; the error names
+        the first failing basis element or triple in basis order.
 
         The associativity check costs the nonzero structure constants,
         not n^3 products: both sides of (b_i b_j) b_k = b_i (b_j b_k)
@@ -174,9 +172,6 @@ class Algebra:
                     self.basis_times(i, self.unit) != b:
                 raise ValidationError(
                     f"unit axiom fails on basis element {self.labels[i]!r}")
-        if any(len(self.table[i][j]) != n
-               for i in range(n) for j in range(n)):
-            raise ValidationError("structure constant vector length")
         failing = self._associator_failure()
         if failing:
             i, j, k = failing
@@ -249,11 +244,9 @@ class Algebra:
             raise ValidationError("idempotents do not sum to 1")
 
     def is_commutative(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.table[i][j] != self.table[j][i]:
-                    return False
-        return True
+        products = self.products
+        return all(products[i][j] == products[j][i]
+                   for i in range(self.dim) for j in range(i + 1, self.dim))
 
     # -- radical -----------------------------------------------------------
 
@@ -361,10 +354,10 @@ class Algebra:
         read off the structure constants.  X = L_{b_a} has X_kj = c for
         each term (k, c) of b_a b_j, so tr(L_a L_b) = sum_jk X_kj Y_jk; the
         sums are plain (integral for lifts of F_p scalars)."""
-        table = self.table
         products = self.products
         n = self.dim
-        return [[sum(c * table[b][k][j]
+        lookup = [[dict(terms) for terms in row] for row in products]
+        return [[sum(c * lookup[b][k].get(j, 0)
                      for j, terms in enumerate(products[a])
                      for k, c in terms)
                  for b in range(a, n)] for a in range(n)]
@@ -407,7 +400,8 @@ class Algebra:
                 if lifts is None:
                     # L_{b_a}: entry (k, j) is the b_k-coordinate of b_a b_j
                     lifts = [[[int(x) for x in row] for row in
-                              zip(*self.table[a])] for a in range(n)]
+                              self.left_mult_matrix(self.basis_vector(a)).data]
+                             for a in range(n)]
                 cur_lifts = [_int_combo(p, lifts, v) for v in current]
                 trace = [[_int_trace(_int_mat_pow(
                     _int_mat_mul(x, y), exponent))
@@ -450,15 +444,10 @@ class Algebra:
 
         qdim = len(reps)
         labels = [f"q{i}" for i in range(qdim)]
-        table = []
-        for i in range(qdim):
-            row = []
-            for j in range(qdim):
-                prod = self.mul(reps[i], reps[j])
-                row.append(project(prod))
-            table.append(row)
+        products = sparse_rows([[project(self.mul(x, y)) for y in reps]
+                                for x in reps])
         unit = project(self.unit)
-        quot = Algebra(f, labels, table, unit, validate=False)
+        quot = Algebra(f, labels, products, unit, validate=False)
         return quot, project, reps
 
     def ensure_idempotents(self):
@@ -576,16 +565,25 @@ def split_commutative_semisimple(alg):
     return idems
 
 
+def sparse_rows(table):
+    """`Algebra.products` from dense rows of normalized coordinates:
+    table[i][j] is the coordinate vector of b_i b_j."""
+    return [[[(k, c) for k, c in enumerate(v) if c] for v in row]
+            for row in table]
+
+
 def from_structure_constants(field, labels, table, unit, idempotents=None,
                              validate=True):
-    """Validated Algebra from raw structure constants, normalized."""
+    """Algebra from a dense table of raw structure constants, normalized."""
+    if any(len(v) != len(labels) for row in table for v in row):
+        raise ValidationError("structure constant vector length")
     norm = field.normalize
     table = [[[norm(c) for c in v] for v in row] for row in table]
     unit = [norm(c) for c in unit]
     if idempotents:
         idempotents = [[norm(c) for c in e] for e in idempotents]
-    return Algebra(field, labels, table, unit, idempotents=idempotents,
-                   validate=validate)
+    return Algebra(field, labels, sparse_rows(table), unit,
+                   idempotents=idempotents, validate=validate)
 
 
 def regular_algebra_of_matrices(field, mats, labels=None):
@@ -616,7 +614,7 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     unit = span.coords(sum(ident.data, []))
     if unit is None:
         raise ValidationError("matrix span does not contain the identity")
-    alg = Algebra(field, labels, table, unit, validate=False)
+    alg = Algebra(field, labels, sparse_rows(table), unit, validate=False)
     return alg, basis_mats
 
 

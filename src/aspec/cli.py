@@ -255,7 +255,9 @@ def _parse_algebra(doc, lines, pos, kind, error):
                 parts = lhs.split()
                 if len(parts) != 3:
                     error(no, "usage: mul a b = combination")
-                muls[(parts[1], parts[2])] = rhs.strip()
+                if (parts[1], parts[2]) in muls:
+                    error(no, f"duplicate product {parts[1]} {parts[2]}")
+                muls[(parts[1], parts[2])] = (no, rhs.strip())
             else:
                 error(no, f"bad structure_constants line: {line!r}")
         if basis is None or unit_text is None:
@@ -264,11 +266,15 @@ def _parse_algebra(doc, lines, pos, kind, error):
         label_to_vec = {lab: [f.one if i == j else f.zero
                               for j in range(dim)]
                         for i, lab in enumerate(basis)}
+        for pair, (no, _) in muls.items():
+            for lab in pair:
+                if lab not in label_to_vec:
+                    error(no, f"unknown label {lab!r} in mul")
         table = []
         for a in basis:
             row = []
             for b in basis:
-                expr = muls.get((a, b), "")
+                expr = muls.get((a, b), (None, ""))[1]
                 if not expr or expr == "0":
                     row.append([f.zero] * dim)
                 else:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .algebra import Algebra
+from .algebra import Algebra, sparse_rows
 from .errors import (
     InputError,
     InternalInvariantError,
@@ -770,7 +770,7 @@ class OAlgebra:
     flattened rho table.  The basis is its rows; R_k, the O-coordinates
     of rho(b_k), is flats[k] read at the pivots (`images`); and P_i, a
     preimage of the basis element o_i, is the row's tag (`preimages`).
-    The structure table is read off A: o_i o_j = rho(P_i) rho(P_j) =
+    The structure constants are read off A: o_i o_j = rho(P_i) rho(P_j) =
     rho(P_i P_j) = sum_k (P_i P_j)_k R_k.  This is exact because the hull build ends with `_verify`,
     which proves rho unital and multiplicative on every pair of basis
     elements of A; a hull that fails it never reaches O.  The same
@@ -790,8 +790,8 @@ class OAlgebra:
         self.images = [[v[p] for p in image.pivots]           # R_k
                        for v in image.flats]
         self.preimages = pre = image.tags                     # P_i
-        self.table = [[self.rho_coords(algebra.mul(p, q)) for q in pre]
-                      for p in pre]
+        self.products = sparse_rows(
+            [[self.rho_coords(algebra.mul(p, q)) for q in pre] for p in pre])
         self.unit = self.rho_coords(algebra.unit)
         self._span = None
         self._o_alg = None
@@ -814,7 +814,7 @@ class OAlgebra:
         """Structure constants of O on its echelon basis, a new Algebra
         on every call."""
         labels = labels or [f"o{i}" for i in range(self.dim)]
-        return Algebra(self.field, labels, self.table, self.unit,
+        return Algebra(self.field, labels, self.products, self.unit,
                        validate=False)
 
     @property

@@ -79,7 +79,7 @@ class ModuleRep:
         for i, j in sorted(pairs):
             left = (self.action[i].mul(self.action[j])
                     if entries[i] and entries[j] else zero)
-            if left != self.act(A.table[i][j]):
+            if left != self.act(A.basis_times(i, A.basis_vector(j))):
                 raise ValidationError(
                     f"module {self.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "
                     f"for ({A.labels[i]}, {A.labels[j]})")
@@ -381,7 +381,7 @@ def check_algebra_map(f_map, source, target):
         raise ValidationError("map does not preserve 1")
     for i in range(source.dim):
         for j in range(source.dim):
-            lhs = apply(source.table[i][j])
+            lhs = apply(source.basis_times(i, source.basis_vector(j)))
             rhs = target.mul(apply(source.basis_vector(i)),
                              apply(source.basis_vector(j)))
             if lhs != rhs:

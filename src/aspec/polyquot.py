@@ -68,22 +68,15 @@ def from_poly_quotient(field, var_names, relations):
         return "*".join(name if e == 1 else f"{name}^{e}"
                         for name, e in zip(var_names, m) if e) or "1"
 
-    products = {}             # monomial -> its normal form as a vector
-
-    def normal_form(m):
-        if m not in products:
-            vec = [field.zero] * dim
-            for w, c in rw.reduce({word(m): field.one}).items():
-                vec[index[mono(w)]] = c
-            products[m] = vec
-        return products[m]
-
-    table = [[normal_form(tuple(a + b for a, b in zip(mi, mj)))
-              for mj in monos] for mi in monos]
-    alg = Algebra(field, [label(m) for m in monos], table, table[0][0])
+    products = rw.structure_constants(letters, ["v"],
+                                      [word(m) for m in monos[1:]])
+    alg = Algebra(field, [label(m) for m in monos], products,
+                  unit_vec(field, dim, 0))
     # the variables as elements of A (x = a when A = k[x]/(x - a))
-    variables = [normal_form(tuple(int(k == v) for k in range(nvars)))
-                 for v in range(nvars)]
+    variables = [[field.zero] * dim for _ in range(nvars)]
+    for vec, g in zip(variables, reversed(range(nvars))):
+        for w, c in rw.reduce({(g,): field.one}).items():
+            vec[index[mono(w)]] = c
     alg.poly_data = {"vars": list(var_names), "monomials": monos,
                      "variables": variables}
     return alg

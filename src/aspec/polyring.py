@@ -11,7 +11,7 @@ its arithmetic.
 
 from __future__ import annotations
 
-from .algebra import Algebra
+from .algebra import Algebra, sparse_rows
 from .errors import InputError, InternalInvariantError, ValidationError
 from .hull import HullTower, MatricOHat, RPointedAlgebra
 from .linalg import Mat
@@ -206,20 +206,16 @@ class PolyOAlgebra:
                 for s in range(1, self.order + 1):
                     labels.append(f"t{i + 1}^{s}")
         elems = self.basis_elements()
-        table = []
-        for x in elems:
-            row = []
-            for y in elems:
-                row.append(self.flatten(self.ohat.mul(x, y)))
-            table.append(row)
+        table = [[self.flatten(self.ohat.mul(x, y)) for y in elems]
+                 for x in elems]
         unit = self.flatten(self.ohat.one())
         idems = []
         for i in range(len(self.points)):
             v = [f.zero] * self.dim
             v[i * (self.order + 1)] = f.one
             idems.append(v)
-        return Algebra(f, labels, table, unit, idempotents=idems,
-                       validate=False)
+        return Algebra(f, labels, sparse_rows(table), unit,
+                       idempotents=idems, validate=False)
 
 
 def hull_poly_ring(ring, points, order):

@@ -102,34 +102,13 @@ def from_quiver(presentation, field=QQ):
     basis_words = [("e", vi) for vi in range(nv)] + [("w", w) for w in paths]
     labels = [f"e_{v}" for v in q.vertices] + [
         ".".join(q.arrows[i][0] for i in w) for w in paths]
-    index = {bw: i for i, bw in enumerate(basis_words)}
+    products = rw.structure_constants(q.arrows, q.vertices, paths)
     dim = len(basis_words)
-
-    def ends(bw):
-        kind, val = bw
-        if kind == "e":
-            v = q.vertices[val]
-            return v, v
-        return q.arrows[val[0]][1], q.arrows[val[-1]][2]
-
-    def product(bi, bj):
-        if ends(bi)[1] != ends(bj)[0]:
-            return [field.zero] * dim
-        if bi[0] == "e":
-            return unit_vec(field, dim, index[bj])
-        if bj[0] == "e":
-            return unit_vec(field, dim, index[bi])
-        vec = [field.zero] * dim
-        for w, c in rw.reduce({bi[1] + bj[1]: field.one}).items():
-            vec[index[("w", w)]] = c
-        return vec
-
-    table = [[product(bi, bj) for bj in basis_words] for bi in basis_words]
     unit = [field.one] * nv + [field.zero] * (dim - nv)
     idempotents = [unit_vec(field, dim, vi) for vi in range(nv)]
     q.basis_words = basis_words
 
-    alg = Algebra(field, labels, table, unit, idempotents=idempotents,
+    alg = Algebra(field, labels, products, unit, idempotents=idempotents,
                   presentation=q, validate=False)
     alg.radical()
     alg.validate()

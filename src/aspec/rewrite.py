@@ -45,9 +45,11 @@ SPLIT = 128
 REWRITE_BUDGET = 2_000_000
 
 # basis elements a quotient may have, its vertices' trivial paths and
-# its irreducible words, as the builders' dense structure tables have
-# dim^3 entries: over F5, k[x,y]/(x^16, y^16) (dim 256) peaks at 334 MB
-# resident while it builds, dim 400 at 1.2 GB
+# its irreducible words; sized for dense tables of dim^3 entries.  With
+# the sparse `Algebra.products`, building k[x,y]/(x^16, y^16) over F5
+# (dim 256) peaks at 30 MB resident and k[x,y]/(x^20, y^20) (dim 400)
+# at 53 MB, against 165 MB and 559 MB dense (2-CPU x86-64, CPython
+# 3.11, one build in a fresh interpreter, imports 17 MB)
 BASIS_BUDGET = 256
 
 
@@ -320,6 +322,39 @@ class Rewriter:
             return None if words[-1] else words[:-1]
         finally:
             self.budget = None
+
+    def structure_constants(self, letters, vertices, words):
+        """`Algebra.products` on the trivial paths of the vertices, then
+        the irreducible `words` in the letters (name, source, target),
+        each after its prefix.  Each basis element times each letter g is
+        reduced once, into R_g (right multiplication by g); a prefix of
+        an irreducible word is irreducible, so b_i b_{w'g} = (b_i b_{w'})
+        R_g fills each row in word order, with b_i b_{w'} read as b_i for
+        w' empty (Bergman 1978; Green 1999).  The empty word, which only
+        the rules of a one-vertex quotient leave (x -> a), is its trivial
+        path: relations in the square of the arrow ideal never do."""
+        f = self.field
+        nv = len(vertices)
+        vertex = {v: i for i, v in enumerate(vertices)}
+        index = {(): 0, **{w: i for i, w in enumerate(words, nv)}}
+        ends = list(range(nv)) + [vertex[letters[w[-1]][2]] for w in words]
+        right = [[sorted((index[w], c) for w, c in
+                         self.reduce({u + (g,): f.one}).items())
+                  if ends[i] == vertex[source] else []
+                  for i, u in enumerate([()] * nv + words)]
+                 for g, (_, source, _) in enumerate(letters)]
+        products = []
+        for i, end in enumerate(ends):
+            row = [[] for _ in ends]
+            row[end] = [(i, f.one)]
+            for j, w in enumerate(words, nv):
+                acc = {}
+                for k, c in row[index[w[:-1]]] if len(w) > 1 else row[end]:
+                    for m, t in right[w[-1]][k]:
+                        acc[m] = f.add(acc.get(m, f.zero), f.mul(c, t))
+                row[j] = sorted((m, c) for m, c in acc.items() if c)
+            products.append(row)
+        return products
 
 
 def _cycle(words):

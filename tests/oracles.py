@@ -10,7 +10,10 @@ pair or triple at a time; the eager bar comparison mu lifts every cell
 through a `Span` of the resolution's d2; HH^1, the Ext^1 reference, takes `kernel_basis`
 and `quotient_basis` of the derivation equations; the smallness of a
 hull tower reads the hull's own normal forms; the guessed-degree basis
-words complete with the engine's own `Rewriter`; the order-N stage loop
+words complete with the engine's own `Rewriter`, and so do the
+reduce-per-pair builders of quivers and polynomial quotients, which
+differ from `from_quiver` and `from_poly_quotient` only in their
+tables, one reduction per pair of basis elements; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
 own parts; the principal ideals by all products use O's own
 multiplication; the references for O^A(M) multiply in `MatricOHat`,
@@ -40,6 +43,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from aspec.algebra import from_structure_constants
 from aspec.errors import (
     InfiniteDimensionalError,
     InputError,
@@ -67,7 +71,10 @@ from aspec.linalg import (
     zero_vec,
 )
 from aspec.modules import ModuleRep, contraction, is_isomorphic, is_simple
+from aspec.polyquot import MAX_DEGREE as POLY_MAX_DEGREE
 from aspec.polyring import PointModule
+from aspec.quiver import MAX_DEGREE as QUIVER_MAX_DEGREE
+from aspec.rewrite import Rewriter
 
 
 def naive_gauss_rank(rows_in, p=None):
@@ -162,7 +169,7 @@ class FpAlgebra:
     def from_algebra(cls, alg):
         p = alg.field.p
         table = [[tuple(int(c) % p for c in cell) for cell in row]
-                 for row in alg.table]
+                 for row in dense_table(alg)]
         return cls(p, table, tuple(int(c) % p for c in alg.unit))
 
     def mul(self, x, y):
@@ -342,6 +349,7 @@ def count_lift_gauge_classes(alg, etas, obj_spec, p, assignment=None):
 
     R = PointedObject(obj_spec, p)
     dim = alg.dim
+    table = dense_table(alg)
 
     def lift_element(X, b):
         elem = {}
@@ -372,7 +380,7 @@ def count_lift_gauge_classes(alg, etas, obj_spec, p, assignment=None):
             for b in range(dim):
                 lb = lift_element(X, b)
                 prod = R.mul(la, lb)
-                want = lift_of_vec(X, alg.table[a][b])
+                want = lift_of_vec(X, table[a][b])
                 diff = R.add(prod, {k: (-v) % p for k, v in want.items()})
                 for key, v in diff.items():
                     if key[0] == "e":
@@ -598,12 +606,13 @@ def solve_by_augmented_rref(columns, b, p=None):
 def coboundary_1(algebra, source, target, psi):
     """delta(psi)(a,b) = eta_i(a) psi(b) - psi(ab) + psi(a) eta_j(b), one
     dense product per basis pair."""
+    table = dense_table(algebra)
     out = {}
     for a in range(algebra.dim):
         for b in range(algebra.dim):
             term1 = source.action[a].mul(psi[b])
             term3 = psi[a].mul(target.action[b])
-            mid = psi_of(algebra, psi, algebra.table[a][b], source.dim,
+            mid = psi_of(algebra, psi, table[a][b], source.dim,
                          target.dim)
             out[(a, b)] = term1.sub(mid).add(term3)
     return out
@@ -636,15 +645,16 @@ def cochain2_of(algebra, coch, x, y, rows, cols):
 def is_two_cocycle_dense(algebra, source, target, coch):
     """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0, checked with
     dense products on every basis triple."""
+    table = dense_table(algebra)
     for a in range(algebra.dim):
         for b in range(algebra.dim):
             for g in range(algebra.dim):
                 t1 = source.action[a].mul(coch[(b, g)])
-                t2 = cochain2_of(algebra, coch, algebra.table[a][b],
+                t2 = cochain2_of(algebra, coch, table[a][b],
                                  algebra.basis_vector(g), source.dim,
                                  target.dim)
                 t3 = cochain2_of(algebra, coch, algebra.basis_vector(a),
-                                 algebra.table[b][g], source.dim, target.dim)
+                                 table[b][g], source.dim, target.dim)
                 t4 = coch[(a, b)].mul(target.action[g])
                 if not t1.sub(t2).add(t3).sub(t4).is_zero():
                     return False
@@ -706,6 +716,7 @@ def bar_mu_dense(bc):
     p1 = dense_projective(algebra, bc.res.terms[1].slots)
     d2 = bc.res.diffs[2]
     d2_span = Span(f, d2.data, d2.cols)
+    table = dense_table(algebra)
     mu = []
     for m in range(module.dim):
         rows = []
@@ -714,7 +725,7 @@ def bar_mu_dense(bc):
             ma = module.action[a].data[m]
             for b in range(algebra.dim):
                 t1 = _nu_of(bc, ma, algebra.basis_vector(b))
-                ab = algebra.table[a][b]
+                ab = table[a][b]
                 t2 = _nu_of(bc, unit_vec(f, module.dim, m), ab)
                 t3 = p1.action[b].apply_row(bc.nu[m][a]) if p1.dim else []
                 w = vec_add(f, vec_sub(f, t1, t2), t3)
@@ -774,6 +785,7 @@ def derivation_space(algebra, source, target):
     n = algebra.dim
     di, dj = source.dim, target.dim
     ncoords = n * di * dj
+    table = dense_table(algebra)
     rows = []
     for a in range(n):
         for b in range(n):
@@ -794,7 +806,7 @@ def derivation_space(algebra, source, target):
                             row[a * di * dj + r * dj + k] = f.add(
                                 row[a * di * dj + r * dj + k], coeff)
                     # term -psi(ab)
-                    for e, ce in enumerate(algebra.table[a][b]):
+                    for e, ce in enumerate(table[a][b]):
                         if not f.is_zero(ce):
                             row[e * di * dj + r * dj + c] = f.sub(
                                 row[e * di * dj + r * dj + c], ce)
@@ -890,6 +902,7 @@ def order_n_stages(builder, last):
     the stage's length."""
     f = builder.field
     algebra = builder.algebra
+    table = dense_table(algebra)
     relations = {}
     hull_alg = RPointedAlgebra(f, builder.r, builder.generators,
                                builder.order, [])
@@ -904,7 +917,7 @@ def order_n_stages(builder, last):
         for a in range(algebra.dim):
             for b in range(algebra.dim):
                 prod = ohat.mul(ohat.rho_table[a], ohat.rho_table[b])
-                delta = ohat.add(ohat.rho(algebra.table[a][b]),
+                delta = ohat.add(ohat.rho(table[a][b]),
                                  ohat.neg(prod))
                 for w in words:
                     if ("m", w) in delta:
@@ -1175,12 +1188,14 @@ class DenseEchelon:
 
 
 def dense_algebra_mul(alg, x, y):
-    """x * y by the triple loop over alg.table, every product formed."""
+    """x * y by the triple loop over the dense table, every product
+    formed."""
     f = alg.field
+    table = dense_table(alg)
     out = [f.zero] * alg.dim
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            for k, t in enumerate(alg.table[i][j]):
+            for k, t in enumerate(table[i][j]):
                 out[k] = f.add(out[k], f.mul(f.mul(xi, yj), t))
     return out
 
@@ -1308,6 +1323,118 @@ def maximal_ideals_full_sweep(o):
     return out
 
 
+# -- structure tables: dense rows and one reduction per pair ------------------
+
+
+def dense_table(alg):
+    """table[i][j], the coordinate vector of b_i b_j, read off
+    `alg.products`."""
+    f, n = alg.field, alg.dim
+    table = [[zero_vec(f, n) for _ in range(n)] for _ in range(n)]
+    for row, terms_row in zip(table, alg.products):
+        for vec, terms in zip(row, terms_row):
+            for k, c in terms:
+                vec[k] = c
+    return table
+
+
+def quiver_algebra_by_pairs(q, field):
+    """The Algebra `from_quiver` builds, unvalidated, with its table made
+    by one `Rewriter.reduce` per pair of basis paths: the builder before
+    the letter tables, on the words of the engine's own `basis_words`."""
+    rw = Rewriter(field)
+    for terms in q.relations:
+        poly = {}
+        for coeff, path in terms:
+            w = q.word_of(path)
+            c = field.parse(coeff) if isinstance(coeff, str) else \
+                field.normalize(coeff)
+            poly[w] = field.add(poly.get(w, field.zero), c)
+        rw.add_relation(poly)
+    words = rw.basis_words(q.arrows, QUIVER_MAX_DEGREE, len(q.vertices))
+    nv = len(q.vertices)
+    paths = [w for layer in words for w in layer]
+    basis_words = [("e", vi) for vi in range(nv)] + [("w", w) for w in paths]
+    labels = [f"e_{v}" for v in q.vertices] + [
+        ".".join(q.arrows[i][0] for i in w) for w in paths]
+    index = {bw: i for i, bw in enumerate(basis_words)}
+    dim = len(basis_words)
+
+    def ends(bw):
+        kind, val = bw
+        if kind == "e":
+            v = q.vertices[val]
+            return v, v
+        return q.arrows[val[0]][1], q.arrows[val[-1]][2]
+
+    def product(bi, bj):
+        if ends(bi)[1] != ends(bj)[0]:
+            return [field.zero] * dim
+        if bi[0] == "e":
+            return unit_vec(field, dim, index[bj])
+        if bj[0] == "e":
+            return unit_vec(field, dim, index[bi])
+        vec = [field.zero] * dim
+        for w, c in rw.reduce({bi[1] + bj[1]: field.one}).items():
+            vec[index[("w", w)]] = c
+        return vec
+
+    table = [[product(bi, bj) for bj in basis_words] for bi in basis_words]
+    unit = [field.one] * nv + [field.zero] * (dim - nv)
+    return from_structure_constants(field, labels, table, unit,
+                                    validate=False)
+
+
+def poly_quotient_by_pairs(field, var_names, relations):
+    """The Algebra `from_poly_quotient` builds, with its `poly_data`, its
+    table made by one `Rewriter.reduce` per distinct product of standard
+    monomials: the builder before the letter tables."""
+    nvars = len(var_names)
+
+    def word(mono):
+        return tuple(g for g in range(nvars) for _ in range(mono[-1 - g]))
+
+    def mono(w):
+        return tuple(w.count(nvars - 1 - v) for v in range(nvars))
+
+    rw = Rewriter(field)
+    if nvars == 2:
+        rw.add_relation({(1, 0): field.one, (0, 1): field.neg(field.one)})
+    for rel in relations:
+        rw.add_relation({word(m): field.normalize(c) for m, c in rel.items()})
+    letters = [(name, "v", "v") for name in reversed(var_names)]
+    words = rw.basis_words(letters, POLY_MAX_DEGREE, 1)
+    monos = [(0,) * nvars] + sorted(
+        (mono(w) for layer in words for w in layer),
+        key=lambda m: (sum(m), m))
+    index = {m: i for i, m in enumerate(monos)}
+    dim = len(monos)
+
+    def label(m):
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(var_names, m) if e) or "1"
+
+    products = {}             # monomial -> its normal form as a vector
+
+    def normal_form(m):
+        if m not in products:
+            vec = [field.zero] * dim
+            for w, c in rw.reduce({word(m): field.one}).items():
+                vec[index[mono(w)]] = c
+            products[m] = vec
+        return products[m]
+
+    table = [[normal_form(tuple(a + b for a, b in zip(mi, mj)))
+              for mj in monos] for mi in monos]
+    alg = from_structure_constants(field, [label(m) for m in monos], table,
+                                   table[0][0], validate=False)
+    variables = [normal_form(tuple(int(k == v) for k in range(nvars)))
+                 for v in range(nvars)]
+    alg.poly_data = {"vars": list(var_names), "monomials": monos,
+                     "variables": variables}
+    return alg
+
+
 def algebra_validate_dense(alg):
     """`Algebra.validate` by the dense loops: the unit axiom, then per
     basis pair the vector length and every triple through two
@@ -1320,14 +1447,15 @@ def algebra_validate_dense(alg):
         if alg.mul(alg.unit, b) != b or alg.mul(b, alg.unit) != b:
             raise ValidationError(
                 f"unit axiom fails on basis element {alg.labels[i]!r}")
+    table = dense_table(alg)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            ij = alg.table[i][j]
+            ij = table[i][j]
             if len(ij) != alg.dim:
                 raise ValidationError("structure constant vector length")
             for k in range(alg.dim):
                 left = alg.mul(ij, alg.basis_vector(k))
-                right = alg.mul(alg.basis_vector(i), alg.table[j][k])
+                right = alg.mul(alg.basis_vector(i), table[j][k])
                 if left != right:
                     raise ValidationError(
                         "associativity fails on triple "
@@ -1361,10 +1489,11 @@ def module_validate_dense(mod):
     A = mod.algebra
     if mod.act(A.unit) != Mat.identity(A.field, mod.dim):
         raise ValidationError(f"module {mod.name!r}: 1 does not act as identity")
+    table = dense_table(A)
     for i in range(A.dim):
         for j in range(A.dim):
             left = mod.action[i].mul(mod.action[j])
-            right = mod.act(A.table[i][j])
+            right = mod.act(table[i][j])
             if left != right:
                 raise ValidationError(
                     f"module {mod.name!r}: eta(b_i)eta(b_j) != eta(b_i b_j) "

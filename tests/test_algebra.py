@@ -30,6 +30,7 @@ from oracles import (
     FpAlgebra,
     arrow_ideal_nilpotent_by_powers,
     dense_algebra_mul,
+    dense_table,
     enumerate_paths,
     nil_ideal_radical,
     radical_trace_form_dense,
@@ -449,10 +450,21 @@ def test_radical_random_small_algebras_against_oracle(p):
 
 def test_quiver_roundtrip_structure_constants():
     a = make_a3_zero_rel()
-    b = from_structure_constants(a.field, a.labels, a.table, a.unit,
+    b = from_structure_constants(a.field, a.labels, dense_table(a), a.unit,
                                  idempotents=a.idempotents)
     assert b.dim == a.dim
-    assert b.table == a.table
+    assert dense_table(b) == dense_table(a)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_a_short_structure_constant_vector_is_refused(validate):
+    a = make_a3_zero_rel()
+    table = dense_table(a)
+    table[1][2] = table[1][2][:-1]
+    with pytest.raises(ValidationError,
+                       match="^structure constant vector length$"):
+        from_structure_constants(a.field, a.labels, table, a.unit,
+                                 validate=validate)
 
 
 def test_is_commutative_corpus():
@@ -524,7 +536,7 @@ def test_lower_triangular_against_matrix_multiplication():
                 norm = sum(unit_mat[r][c2] ** 2
                            for r in range(2) for c2 in range(2))
                 expect[k] = Fraction(c, norm)
-            assert a.table[i][j] == expect, (n1, n2)
+            assert dense_table(a)[i][j] == expect, (n1, n2)
 
 
 def test_associativity_error_names_triple():
@@ -638,8 +650,8 @@ def rebased(alg):
              for i in range(n)]
     span = Span(f, basis, n)
     table = [[span.coords(alg.mul(u, v)) for v in basis] for u in basis]
-    return Algebra(f, [f"c{i}" for i in range(n)], table,
-                   span.coords(alg.unit))
+    return from_structure_constants(f, [f"c{i}" for i in range(n)], table,
+                                    span.coords(alg.unit))
 
 
 @functools.cache

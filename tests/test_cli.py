@@ -760,6 +760,22 @@ def test_duplicate_variables_are_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: duplicate variable 'x'\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    # the left side names a label outside the basis
+    ("mul e12 e11 = 1*e21", "unknown label 'e12' in mul"),
+    # a second line for a pair the document already multiplies
+    ("mul e22 e21 = 0", "duplicate product e22 e21"),
+])
+def test_a_bad_mul_line_is_refused_by_its_line(tmp_path, capsys, line,
+                                                message):
+    text = (EXAMPLES / "lower_triangular.txt").read_text(encoding="utf-8")
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text.replace("end\n", f"  {line}\nend\n"),
+                   encoding="utf-8")
+    assert main(["simples", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == f"input error: line 12: {message}\n"
+
+
 @pytest.mark.parametrize("variables, relations", [
     ("x", ["x^100000"]),
     ("x y", ["x^100000", "y^2"]),

@@ -28,7 +28,7 @@ from conftest import (
     make_lower_triangular,
     make_split_quadratic,
 )
-from oracles import simple_modules_by_corners
+from oracles import dense_table, simple_modules_by_corners
 from test_resolution_sparse import local_kxy_quotients
 from test_rewrite import acyclic_quivers
 
@@ -243,10 +243,11 @@ def test_contraction_rejects_non_local():
 def test_eta_homomorphism_invariant():
     for name, alg in corpus():
         reg = regular_module(alg)
+        table = dense_table(alg)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 lhs = reg.action[i].mul(reg.action[j])
-                rhs = reg.act(alg.table[i][j])
+                rhs = reg.act(table[i][j])
                 assert lhs == rhs, name
 
 

@@ -22,6 +22,7 @@ words."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspec.ext import Resolution, ext
 from aspec.fields import GF, QQ
 from aspec.hull import (
     ExtData,
@@ -39,6 +40,7 @@ from aspec.topology import (
     global_sections_roundtrip,
     space_of_simples,
 )
+from oracles import GeneralExt
 from test_defining_system import assert_recovers
 from test_hull_one_pass import assert_matches_the_in_place_loop
 from test_rewrite import acyclic_quivers
@@ -86,6 +88,61 @@ def test_random_monomial_quivers_over_q_and_fp(case):
         roundtrip = global_sections_roundtrip(space)
         assert roundtrip["passed"], (field, roundtrip)
     assert dims[0] == dims[1]
+
+
+@st.composite
+def commutativity_quivers(draw):
+    """(vertices, arrows, relations) of an acyclic quiver on 4 or 5
+    vertices: the square 0 -> 1 -> 3, 0 -> 2 -> 3 and 0-3 more arrows
+    i -> j, i < j, with 1 or 2 relations c1 p - c2 q for parallel paths
+    p != q of length >= 2, c1 and c2 integers, many of them divisible
+    by 5.  Each relation is [(c1, p), (-c2, q)]."""
+    n = draw(st.integers(4, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ends = [(0, 1), (1, 3), (0, 2), (2, 3)] + draw(
+        st.lists(st.sampled_from(pairs), max_size=3))
+    arrows = [(f"a{k}", str(i), str(j)) for k, (i, j) in enumerate(ends)]
+    paths = []
+    layer = [[a] for a in arrows]
+    while layer:
+        paths += [p for p in layer if len(p) >= 2]
+        layer = [p + [a] for p in layer for a in arrows if a[1] == p[-1][2]]
+    parallel = [(p, q) for k, p in enumerate(paths) for q in paths[:k]
+                if (p[0][1], p[-1][2]) == (q[0][1], q[-1][2])]
+    coeff = st.sampled_from([1, 2, 3, 4, 5, 6, 10, 15, 25])
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        p, q = draw(st.sampled_from(parallel))
+        rels.append([(draw(coeff), [a[0] for a in p]),
+                     (-draw(coeff), [a[0] for a in q])])
+    return [str(i) for i in range(n)], arrows, rels
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(commutativity_quivers())
+def test_commutativity_relations_with_integral_coefficients(case):
+    # over F5 a coefficient divisible by 5 drops its path, so the
+    # relation may turn monomial or vanish, and Ext^2 with it
+    vertices, arrows, rels = case
+    for field in (QQ, F5):
+        alg = from_quiver(QuiverPresentation(vertices, arrows, [
+            [(field.of_int(c), path) for c, path in terms]
+            for terms in rels]), field=field)
+        simples = simple_modules(alg)
+        assert len(simples) == len(vertices)
+        for s in simples:
+            res = Resolution(s)
+            for t in simples:
+                for degree in (1, 2):
+                    assert ext(s, t, degree, resolution=res).cocycles == \
+                        GeneralExt(res, t, degree).cocycles, (field, degree)
+        tower, ohat = hull(alg, simples)
+        o = o_algebra(ohat)
+        assert tower.final.dim == o.dim == alg.dim, field
+        infos = maximal_ideals(o)
+        assert len(infos) == len(simples)
+        assert all(i["quotient_dim"] == i["module_dim"] == 1 and
+                   i["quotient_isomorphic_to_module"] for i in infos), field
 
 
 @st.composite

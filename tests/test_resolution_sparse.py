@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspec.algebra import Algebra
+from aspec.algebra import from_structure_constants
 from aspec.ext import (
     ProjectiveModule,
     Resolution,
@@ -35,6 +35,7 @@ from conftest import corpus
 from oracles import (
     DenseResolution,
     GeneralExt,
+    dense_table,
     ext_cocycles_dense,
     radical_trace_chain,
     vertex_projective_by_mul,
@@ -210,7 +211,8 @@ def test_a_projective_target_takes_the_general_path(monkeypatch):
 def structure_only(alg):
     """The same structure constants with no presentation, so the radical
     comes from the trace chain."""
-    return Algebra(alg.field, alg.labels, alg.table, alg.unit)
+    return from_structure_constants(alg.field, alg.labels, dense_table(alg),
+                                    alg.unit)
 
 
 def matrix_algebra(field, n):
@@ -227,7 +229,8 @@ def matrix_algebra(field, n):
     table = [[vec((i, l) if j == k else None) for (k, l) in units]
              for (i, j) in units]
     unit = [field.one if i == j else field.zero for (i, j) in units]
-    return Algebra(field, [f"E{i}{j}" for i, j in units], table, unit)
+    return from_structure_constants(field, [f"E{i}{j}" for i, j in units],
+                                    table, unit)
 
 
 def assert_radical_matches_chain(alg):

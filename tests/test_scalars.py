@@ -1,9 +1,12 @@
 """The normal form of Q scalars: an int when the denominator is 1, a
 reduced Fraction with denominator > 1 otherwise, never a float.  Over F_p:
 an int in 0..p-1, a rational mapped through the inverse of its
-denominator, never a float."""
+denominator, never a float.  Also lints `src/aspec`: no `Fraction(`
+outside `fields.py`, sympy imported only to factor, and no dense
+`.table` of structure constants."""
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,7 +80,7 @@ def test_constructors_normalize_their_scalars():
     poly = from_poly_quotient(QQ, ["x"], [{(2,): Fraction(2), (0,): zero}])
     assert sc.dim == 2 and quiver.dim == 5 and poly.dim == 2
     # the quiver algebra keeps the caller's presentation as it was given
-    assert abnormal_scalars([sc, poly, quiver.table, quiver.unit,
+    assert abnormal_scalars([sc, poly, quiver.products, quiver.unit,
                              quiver.idempotents]) == []
 
 
@@ -137,3 +140,11 @@ def test_src_builds_no_fraction_and_imports_sympy_lazily():
                 names = [node.module or ""]
             assert not any(n.split(".")[0] == "sympy" for n in names), \
                 path.name
+
+
+def test_src_holds_the_structure_constants_in_one_format():
+    # `Algebra.products` is the only table of structure constants; dense
+    # rows come in through `sparse_rows` and `from_structure_constants`
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\.table\b", text), path.name

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aspec.algebra import Algebra
+from aspec.algebra import Algebra, from_structure_constants
 from aspec.errors import ValidationError
 from aspec.fields import GF, QQ
 from aspec.linalg import Mat, Span
@@ -20,7 +20,11 @@ from aspec.modules import ModuleRep, regular_module, simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import corpus
-from oracles import algebra_validate_dense, module_validate_dense
+from oracles import (
+    algebra_validate_dense,
+    dense_table,
+    module_validate_dense,
+)
 from test_rewrite import acyclic_quivers
 
 F5 = GF(5)
@@ -43,10 +47,11 @@ def radical_indices(alg):
 def perturbed_algebra(alg, r, s, m, c):
     """alg with c * b_m added to the product b_r b_s, unvalidated."""
     f = alg.field
-    table = [[list(v) for v in row] for row in alg.table]
+    table = dense_table(alg)
     table[r][s][m] = f.add(table[r][s][m], c)
-    return Algebra(f, alg.labels, table, alg.unit,
-                   idempotents=alg.idempotents, validate=False)
+    return from_structure_constants(f, alg.labels, table, alg.unit,
+                                    idempotents=alg.idempotents,
+                                    validate=False)
 
 
 def perturbed_module(mod, b, r, c, x):
