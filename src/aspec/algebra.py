@@ -44,14 +44,29 @@ class Algebra:
     no dense basis vector to scan.  The unit axiom, the multiplication
     matrices, the two-sided ideal test and ext's projectives e A use
     them.
+
+    words[i], when given, is the word of b_i in the generators, as basis
+    indices: (i,) for a generator, else w = w'.g with w' the word of a
+    basis element and g a generator, which `validate` proves is
+    b_{w'} b_g = b_i.  `generators` lists the indices with word (i,);
+    without words every basis element is one.  Every identity in the
+    product that the engine checks holds on all of A once it holds with
+    a generator in the first slot (Light's associativity test), so the
+    checks run on the pairs (g, b) only.
     """
 
     def __init__(self, field, labels, products, unit, idempotents=None,
-                 presentation=None, validate=True):
+                 presentation=None, words=None, validate=True):
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.products = products
+        self.words = words
+        self.generators = list(range(self.dim)) if words is None else \
+            [i for i, w in enumerate(words) if w == (i,)]
+        self.generator_position = {g: p for p, g in
+                                   enumerate(self.generators)}
+        self._onto = None
         self.unit = list(unit)
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self.presentation = presentation
@@ -155,8 +170,9 @@ class Algebra:
     # -- validation --------------------------------------------------------
 
     def validate(self):
-        """Check the unit axiom and then associativity; the error names
-        the first failing basis element or triple in basis order.
+        """Check the unit axiom, that the generators generate, and then
+        associativity; the error names the first failing basis element,
+        or the first failing triple with a generator first.
 
         The associativity check costs the nonzero structure constants,
         not n^3 products: both sides of (b_i b_j) b_k = b_i (b_j b_k)
@@ -172,6 +188,12 @@ class Algebra:
                     self.basis_times(i, self.unit) != b:
                 raise ValidationError(
                     f"unit axiom fails on basis element {self.labels[i]!r}")
+        failing = self._generation_failure()
+        if failing is not None:
+            raise ValidationError(
+                "generation fails on basis element "
+                f"{self.labels[failing]!r}: it is not the product of its "
+                "word")
         failing = self._associator_failure()
         if failing:
             i, j, k = failing
@@ -181,17 +203,53 @@ class Algebra:
         if self.idempotents is not None:
             self.validate_idempotents(self.idempotents)
 
+    def _generation_failure(self):
+        """The first basis element b_i whose word w = w'.g does not give
+        b_{w'} b_g = b_i exactly, or None: one lookup per basis element.
+        A word is a generator's own (i,) or longer, so by induction on
+        its length every basis element is a product of generators."""
+        if self.words is None:
+            return None
+        index = {w: i for i, w in enumerate(self.words)}
+        one = self.field.one
+        for i, w in enumerate(self.words):
+            if i in self.generator_position:
+                continue
+            prefix = index.get(w[:-1]) if len(w) > 1 else None
+            if (prefix is None or w[-1] not in self.generator_position
+                    or self.products[prefix][w[-1]] != [(i, one)]):
+                return i
+        return None
+
+    def products_onto(self):
+        """Per basis element l, the (j, k, c) with c b_l a term of b_j b_k:
+        the nonzero structure constants indexed by target, built once."""
+        if self._onto is None:
+            onto = [[] for _ in range(self.dim)]
+            for j, row in enumerate(self.products):
+                for k, terms in enumerate(row):
+                    for l, c in terms:
+                        onto[l].append((j, k, c))
+            self._onto = onto
+        return self._onto
+
     def _associator_failure(self):
-        """The least triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k),
-        or None.
+        """The first triple (g, j, k), g a generator, with
+        (b_g b_j) b_k != b_g (b_j b_k), or None.
+
+        Light's test: S = {a : (a y) z = a (y z) for all y, z} is a
+        subspace and is closed under products, since for a, b in S,
+        ((ab)y)z = (a(by))z = a((by)z) = a(b(yz)) = (ab)(yz).  Every basis
+        element is a product of generators (`_generation_failure`), so
+        S = A once every generator lies in S.
 
         Both sides are summed over the nonzero structure constants, one
-        first index i at a time, as {(j, k, m): scalar} tables: the left
-        from every nonzero b_i b_j = sum c_l b_l and the nonzero rows
-        b_l b_k, the right from every nonzero b_i b_l and the pairs
-        (j, k) whose product has a b_l term.  An entry absent from one
-        side is zero there.  The tables of one i hold at most n^3
-        entries, and the check stops at the first i that fails.
+        generator g at a time, as {(j, k, m): scalar} tables: the left
+        from every nonzero b_g b_j = sum c_l b_l and the nonzero rows
+        b_l b_k, the right from every nonzero b_g b_l and the pairs
+        (j, k) whose product has a b_l term (`products_onto`).  An entry
+        absent from one side is zero there.  The tables of one g hold at
+        most n^3 entries, and the check stops at the first g that fails.
         """
         f = self.field
         add, mul = f.add, f.mul
@@ -199,11 +257,7 @@ class Algebra:
         products = self.products
         rows = [[(k, terms) for k, terms in enumerate(products[l]) if terms]
                 for l in range(n)]
-        having = [[] for _ in range(n)]    # l -> (j, k, c): c b_l in b_j b_k
-        for j in range(n):
-            for k in range(n):
-                for l, c in products[j][k]:
-                    having[l].append((j, k, c))
+        having = self.products_onto()
 
         def accumulate(side, j, k, c, terms):
             for m, t in terms:
@@ -213,7 +267,7 @@ class Algebra:
                 side[key] = add(o, t) if o else t
 
         zero = f.zero
-        for i in range(n):
+        for i in self.generators:
             left, right = {}, {}
             for j in range(n):
                 for l, c in products[i][j]:
@@ -338,12 +392,14 @@ class Algebra:
 
     def _is_two_sided_ideal(self, basis):
         """Whether span(basis) is closed under multiplication by every
-        basis element on either side."""
+        basis element on either side.  In a validated algebra the a with
+        I a in I form a subalgebra, and so do those with a I in I:
+        closure under the generators on both sides is enough."""
         ech = _Echelon(self.field, self.dim)
         for v in basis:
             ech.insert(v)
         for v in basis:
-            for b in range(self.dim):
+            for b in self.generators:
                 if not (ech.contains(self.times_basis(v, b))
                         and ech.contains(self.basis_times(b, v))):
                     return False

@@ -70,14 +70,19 @@ class _VertexProjective:
                 raise InternalInvariantError("e_v A not action-closed")
             return out
 
+        # e A is closed under the right action of A once it is closed
+        # under the generators (the a with (e A) a in e A form a
+        # subalgebra); the other products are read at the pivots
+        first = algebra.generator_position
         self.generator = coords(e)
         self.action = []
         for b in range(n):
             rows = []
             for w in self.basis:
                 img = algebra.times_basis(w, b)
-                rows.append([(c, x) for c, x in enumerate(coords(img)) if x]
-                            if any(img) else [])
+                img = coords(img) if b in first and any(img) else \
+                    [img[j] for j in pivots]
+                rows.append([(c, x) for c, x in enumerate(img) if x])
             self.action.append(rows)
         add, mul = f.add, f.mul
         gens = algebra.radical_generators()

@@ -6,9 +6,10 @@ psi(ab) = eta_i(a) psi(b) + psi(a) eta_j(b); an Ext^2 class becomes a
 map out of the bar resolution, built from deterministic linear solves,
 so classes are preserved on the nose.  The degree-2 comparison mu,
 which only the Ext^2 conversion reads, is lifted when an Ext^2 cochain
-is first requested, and only on the cells where it is nonzero: a
-hereditary algebra never lifts it.  The hull's obstruction calculus
-consumes and produces these forms.
+is first requested, and only on the cells where it is nonzero and a
+generator comes first: a hereditary algebra never lifts it.  The hull's
+obstruction calculus consumes and produces these forms, and checks and
+splits 2-cochains on the pairs (g, b) with g a generator of the algebra.
 """
 
 from __future__ import annotations
@@ -84,9 +85,11 @@ class BarComparison:
         return self._mu
 
     def _lift_mu(self):
-        """The cells of mu.  The vector w to lift vanishes unless
-        m.a != 0, nu(m, a) != 0 or ab != 0; a zero w has coordinates 0,
-        so only the nonzero ones are lifted."""
+        """The cells of mu with a generator first: two_cochain_of reads
+        no other, since a 2-cocycle is determined on the pairs (g, b)
+        (Lemma 1 below).  The vector w to lift vanishes unless m.a != 0,
+        nu(m, a) != 0 or ab != 0; a zero w has coordinates 0, so only
+        the nonzero ones are lifted."""
         algebra, module, nu = self.algebra, self.module, self.nu
         f = algebra.field
         p1 = self.res.terms[1]
@@ -95,7 +98,8 @@ class BarComparison:
         basis = [algebra.basis_vector(b) for b in range(algebra.dim)]
         out = {}
         for m, nu_m in enumerate(nu):
-            for a, nu_ma in enumerate(nu_m):
+            for a in algebra.generators:
+                nu_ma = nu_m[a]
                 ma = [(k, c) for k, c in
                       enumerate(module.action[a].data[m]) if c]
                 moves = not vec_is_zero(f, nu_ma)
@@ -133,50 +137,57 @@ class BarComparison:
         return out
 
     def two_cochain_of(self, cocycle_mat):
-        """Ext^2 cochain (P2 -> N) to a Hochschild 2-cochain on basis
-        pairs, every pair present."""
+        """Ext^2 cochain (P2 -> N) to a Hochschild 2-cocycle held on the
+        pairs (g, b) with g a generator, every such pair present: a
+        2-cocycle is determined there (see `flatten2`)."""
         f = self.algebra.field
         n = self.algebra.dim
-        out = {(a, b): Mat.zeros(f, self.module.dim, cocycle_mat.cols)
-               for a in range(n) for b in range(n)}
+        out = {(g, b): Mat.zeros(f, self.module.dim, cocycle_mat.cols)
+               for g in self.algebra.generators for b in range(n)}
         for (m, a, b), sol in self.mu.items():
             out[(a, b)].data[m] = cocycle_mat.apply_row(sol)
         return out
 
 
 # -- Hochschild cochain calculus -------------------------------------------
-
-
-def _products_onto(algebra):
-    """{e: [(x, y, coefficient of basis e in x*y)]}, the nonzero
-    structure constants read by target basis element."""
-    out = {}
-    for x, row in enumerate(algebra.products):
-        for y, terms in enumerate(row):
-            for e, c in terms:
-                out.setdefault(e, []).append((x, y, c))
-    return out
+#
+# Cochains are checked and split on the generator-first tuples (g, b, ...)
+# only.  Lemma 1: a 2-cocycle c that vanishes on every pair (g, b) is
+# zero.  Z = {a : c(a, .) = 0} is a subspace holding the generators, and
+# the cocycle identity c(aa', b) = eta_i(a) c(a', b) + c(a, a'b)
+# - c(a, a') eta_j(b) closes it under products, so Z = A.  Restriction
+# to those pairs is injective on cocycles: the unit coboundaries, the
+# Ext^2 basis and every stage defect keep their linear relations there.
 
 
 def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
     """delta of the unit p-cochain (p = len(args)) whose one nonzero
-    entry is c(args)[r0][c0] = 1, as {(basis tuple, r, c): coeff}:
-    eta_i(x) c(...) + sum_k (-1)^(k+1) c(.., x_k x_(k+1), ..)
-    + (-1)^(p+1) c(...) eta_j(x).  The actions are read from their
-    nonzero entries."""
+    entry is c(args)[r0][c0] = 1, as {(basis tuple, r, c): coeff} on the
+    tuples with a generator first: eta_i(x) c(...) + sum_k (-1)^(k+1)
+    c(.., x_k x_(k+1), ..) + (-1)^(p+1) c(...) eta_j(x).  The other
+    tuples are left out: by Lemma 1 (p = 1) and Lemma 2 (p = 2,
+    `is_two_cocycle`) they decide nothing more.  The actions are read
+    from their nonzero entries, the products from `onto`
+    (`Algebra.products_onto`)."""
     f = algebra.field
+    first = algebra.generator_position
     out = {}
 
     def put(key, x):
         out[key] = f.add(out.get(key, f.zero), x)
 
-    for x, entries in enumerate(source._entries):
-        for r, row in entries.items():
+    for x in algebra.generators:
+        for r, row in source._entries[x].items():
             for c, v in row:
                 if c == r0:
                     put(((x,) + args, r, c0), v)
-    for k, e in enumerate(args):
-        for x, y, v in onto.get(e, ()):
+    for x, y, v in onto[args[0]]:
+        if x in first:
+            put(((x, y) + args[1:], r0, c0), f.neg(v))
+    if args[0] not in first:
+        return out
+    for k, e in enumerate(args[1:], 1):
+        for x, y, v in onto[e]:
             put((args[:k] + (x, y) + args[k + 1:], r0, c0),
                 v if k % 2 else f.neg(v))
     for x, entries in enumerate(target._entries):
@@ -185,22 +196,30 @@ def _unit_coboundary(algebra, source, target, onto, args, r0, c0):
     return out
 
 
-def _flat_index(n, di, dj, key):
+def _flat_index(algebra, di, dj, key):
     """Position of entry (r, c) at the basis tuple args in the flat layout
-    of flatten2: tuples in lexicographic order, each block row by row."""
+    of flatten2: tuples in lexicographic order of the first generator's
+    position and then the basis indices, each block row by row."""
     args, r, c = key
-    idx = 0
-    for x in args:
+    n = algebra.dim
+    idx = algebra.generator_position[args[0]]
+    for x in args[1:]:
         idx = idx * n + x
     return (idx * di + r) * dj + c
 
 
 def is_two_cocycle(algebra, source, target, coch):
-    """eta(a) c(b,g) - c(ab,g) + c(a,bg) - c(a,b) eta(g) = 0 on basis
-    triples: delta of c summed over its nonzero entries, each the unit
-    2-cochain it scales.  A pair missing from `coch` is zero."""
+    """eta(g) c(b,e) - c(gb,e) + c(g,be) - c(g,b) eta(e) = 0 on the basis
+    triples with a generator g first: delta of c summed over its nonzero
+    entries, each the unit 2-cochain it scales.  A pair missing from
+    `coch` is zero.
+
+    Lemma 2: when eta_i and eta_j are algebra maps, the a with
+    delta c(a, ., .) = 0 form a subalgebra, by delta c(aa', b, e) =
+    eta_i(a) delta c(a', b, e) + delta c(a, a'b, e) - delta c(a, a', be)
+    + delta c(a, a', b) eta_j(e); so the check is exact."""
     f = algebra.field
-    onto = _products_onto(algebra)
+    onto = algebra.products_onto()
     acc = {}
     for (a, b), m in coch.items():
         for r, row in enumerate(m.data):
@@ -214,32 +233,36 @@ def is_two_cocycle(algebra, source, target, coch):
 
 
 def flatten2(algebra, source, target, coch):
-    """Flat coordinates of a basis-indexed 2-cochain, pairs (a, b) in
-    order, each block row by row; a pair missing from `coch` is zero."""
+    """Flat coordinates of a basis-indexed 2-cochain on the pairs (g, b),
+    g a generator, in order, each block row by row; a pair missing from
+    `coch` is zero.  Injective on 2-cocycles (Lemma 1)."""
     n = algebra.dim
     zero = [algebra.field.zero] * (source.dim * target.dim)
     out = []
-    for a in range(n):
+    for g in algebra.generators:
         for b in range(n):
-            m = coch.get((a, b))
+            m = coch.get((g, b))
             out += zero if m is None else [x for row in m.data for x in row]
     return out
 
 
 def coboundary_columns(algebra, source, target):
     """flatten2 of delta(psi) for the unit 1-cochains psi, whose single
-    nonzero entry psi(a)[r][c] = 1 runs over (a, r, c) in order."""
+    nonzero entry psi(a)[r][c] = 1 runs over (a, r, c) in order: each a
+    2-cocycle, so its relations with the others are those on all pairs
+    (Lemma 1)."""
     f = algebra.field
     n, di, dj = algebra.dim, source.dim, target.dim
-    onto = _products_onto(algebra)
+    size = len(algebra.generators) * n * di * dj
+    onto = algebra.products_onto()
     out = []
     for a in range(n):
         for r in range(di):
             for c in range(dj):
-                col = [f.zero] * (n * n * di * dj)
+                col = [f.zero] * size
                 for key, v in _unit_coboundary(algebra, source, target,
                                                onto, (a,), r, c).items():
-                    col[_flat_index(n, di, dj, key)] = v
+                    col[_flat_index(algebra, di, dj, key)] = v
                 out.append(col)
     return out
 
@@ -248,11 +271,14 @@ def two_cocycle_span(algebra, source, target, hh2_basis):
     """The Span over [coboundary_columns | Ext^2 basis] that
     split_two_cocycle reads coordinates from; one per block (i, j).
     The Ext^2 basis is independent modulo coboundaries exactly when the
-    span keeps every one of its vectors (`Span.kept`)."""
+    span keeps every one of its vectors (`Span.kept`).  All of them are
+    2-cocycles, so by Lemma 1 their relations on the pairs (g, b) are
+    those on all pairs."""
     return Span(algebra.field,
                 coboundary_columns(algebra, source, target)
                 + [flatten2(algebra, source, target, c) for c in hh2_basis],
-                algebra.dim ** 2 * source.dim * target.dim)
+                len(algebra.generators) * algebra.dim
+                * source.dim * target.dim)
 
 
 def split_two_cocycle(algebra, source, target, coch, span):
@@ -260,7 +286,8 @@ def split_two_cocycle(algebra, source, target, coch, span):
 
     `span` is the block's two_cocycle_span.  Returns (lambdas, psi).
     Raises when the class is outside the span, which would mean the
-    Ext^2 basis is incomplete.
+    Ext^2 basis is incomplete.  The coordinates are read on the pairs
+    (g, b) only; by Lemma 1 they are those on all pairs.
     """
     f = algebra.field
     di, dj = source.dim, target.dim

@@ -70,8 +70,11 @@ def from_poly_quotient(field, var_names, relations):
 
     products = rw.structure_constants(letters, ["v"],
                                       [word(m) for m in monos[1:]])
+    # generated by 1 and the variables left in the basis
+    words = [(0,)] + [tuple(index[mono((g,))] for g in word(m))
+                      for m in monos[1:]]
     alg = Algebra(field, [label(m) for m in monos], products,
-                  unit_vec(field, dim, 0))
+                  unit_vec(field, dim, 0), words=words)
     # the variables as elements of A (x = a when A = k[x]/(x - a))
     variables = [[field.zero] * dim for _ in range(nvars)]
     for vec, g in zip(variables, reversed(range(nvars))):

@@ -107,9 +107,13 @@ def from_quiver(presentation, field=QQ):
     unit = [field.one] * nv + [field.zero] * (dim - nv)
     idempotents = [unit_vec(field, dim, vi) for vi in range(nv)]
     q.basis_words = basis_words
+    # generated by the trivial paths and the arrows
+    index = {w: i for i, w in enumerate(paths, nv)}
+    words = [(vi,) for vi in range(nv)] + [
+        tuple(index[(a,)] for a in w) for w in paths]
 
     alg = Algebra(field, labels, products, unit, idempotents=idempotents,
-                  presentation=q, validate=False)
+                  presentation=q, words=words, validate=False)
     alg.radical()
     alg.validate()
     return alg

@@ -21,7 +21,10 @@ invert by `invert_unit`, read coordinates through a `Span`, solve for
 unit inverses in a `Span` of O's table, rref the flattened rho table
 and test simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
-`act`, one basis triple or pair at a time, and the powers of the arrow
+`act`, one basis triple or pair at a time, the all-first-index
+associator sums both sides over the nonzero structure constants as the
+engine's generator-first one does, the span of the products of
+generators echelonizes `Algebra.mul` products, and the powers of the arrow
 ideal multiply through `Algebra.mul` and echelonize by
 `row_space_basis`; the dense resolutions build
 each e A through `Algebra.mul`, act through dense `Mat`s and solve with
@@ -661,12 +664,27 @@ def is_two_cocycle_dense(algebra, source, target, coch):
     return True
 
 
-def _flat2(algebra, coch):
+def flatten2_dense(algebra, coch):
     """A full basis-indexed 2-cochain as one list, pairs (a, b) in order,
     each block row by row."""
     n = algebra.dim
     return [x for a in range(n) for b in range(n)
             for row in coch[(a, b)].data for x in row]
+
+
+def on_generator_pairs(algebra, coch):
+    """A full basis-indexed 2-cochain restricted to the pairs (g, b), g a
+    generator: the cochain the engine holds."""
+    return {(g, b): coch[(g, b)] for g in algebra.generators
+            for b in range(algebra.dim)}
+
+
+def flat_on_generator_pairs(algebra, source, target, flat):
+    """The coordinates of a `flatten2_dense` vector on the pairs (g, b), g a
+    generator: the layout of `hochschild.flatten2`."""
+    block = algebra.dim * source.dim * target.dim
+    return [x for g in algebra.generators
+            for x in flat[g * block:(g + 1) * block]]
 
 
 def coboundary_columns_dense(algebra, source, target):
@@ -680,7 +698,7 @@ def coboundary_columns_dense(algebra, source, target):
             for c in range(dj):
                 psi = [Mat.zeros(f, di, dj) for _ in range(n)]
                 psi[a].data[r][c] = f.one
-                out.append(_flat2(algebra,
+                out.append(flatten2_dense(algebra,
                                   coboundary_1(algebra, source, target, psi)))
     return out
 
@@ -690,7 +708,7 @@ def two_cocycle_classes_independent(algebra, source, target, cochains):
     ranks: appending them to the unit coboundaries adds one each."""
     p = getattr(algebra.field, "p", None)
     cob = coboundary_columns_dense(algebra, source, target)
-    flats = [_flat2(algebra, c) for c in cochains]
+    flats = [flatten2_dense(algebra, c) for c in cochains]
     return (naive_gauss_rank(cob + flats, p)
             == naive_gauss_rank(cob, p) + len(flats))
 
@@ -700,9 +718,9 @@ def split_two_cocycle_ext2_first(algebra, source, target, hh2_basis, coch):
     solved over the columns [Ext^2 basis | unit coboundaries] with the
     free variables set to 0; None when coch is outside their span."""
     p = getattr(algebra.field, "p", None)
-    cols = ([_flat2(algebra, c) for c in hh2_basis]
+    cols = ([flatten2_dense(algebra, c) for c in hh2_basis]
             + coboundary_columns_dense(algebra, source, target))
-    x = solve_by_augmented_rref(cols, _flat2(algebra, coch), p)
+    x = solve_by_augmented_rref(cols, flatten2_dense(algebra, coch), p)
     if x is None:
         return None
     return x[:len(hh2_basis)], x[len(hh2_basis):]
@@ -1462,6 +1480,90 @@ def algebra_validate_dense(alg):
                         f"({alg.labels[i]}, {alg.labels[j]}, {alg.labels[k]})")
     if alg.idempotents is not None:
         alg.validate_idempotents(alg.idempotents)
+
+
+def associator_failure_all_first(alg):
+    """The least triple (i, j, k) with (b_i b_j) b_k != b_i (b_j b_k), or
+    None, by the sparse associator over every first index i: both sides
+    as {(j, k, m): scalar} tables summed over the nonzero structure
+    constants, one i at a time.  The reference for the generator-first
+    `Algebra._associator_failure`."""
+    f = alg.field
+    n = alg.dim
+    products = alg.products
+    rows = [[(k, terms) for k, terms in enumerate(products[l]) if terms]
+            for l in range(n)]
+    having = [[] for _ in range(n)]    # l -> (j, k, c): c b_l in b_j b_k
+    for j in range(n):
+        for k in range(n):
+            for l, c in products[j][k]:
+                having[l].append((j, k, c))
+
+    def accumulate(side, j, k, c, terms):
+        for m, t in terms:
+            key = (j, k, m)
+            side[key] = f.add(side.get(key, f.zero), f.mul(c, t))
+
+    for i in range(n):
+        left, right = {}, {}
+        for j in range(n):
+            for l, c in products[i][j]:
+                for k, terms in rows[l]:
+                    accumulate(left, j, k, c, terms)
+        for l, terms in enumerate(products[i]):
+            if terms:
+                for j, k, c in having[l]:
+                    accumulate(right, j, k, c, terms)
+        failing = [key[:2] for key in left.keys() | right.keys()
+                   if left.get(key, f.zero) != right.get(key, f.zero)]
+        if failing:
+            return (i,) + min(failing)
+    return None
+
+
+def algebra_validate_all_first(alg):
+    """`Algebra.validate` with every first index: the unit axiom, the word
+    of each basis element multiplied out through `Algebra.mul` (when the
+    algebra has words), `associator_failure_all_first`, then the
+    idempotents; raises the same ValidationError."""
+    if len(alg.unit) != alg.dim:
+        raise ValidationError("unit vector has wrong length")
+    for i in range(alg.dim):
+        b = alg.basis_vector(i)
+        if alg.mul(alg.unit, b) != b or alg.mul(b, alg.unit) != b:
+            raise ValidationError(
+                f"unit axiom fails on basis element {alg.labels[i]!r}")
+    for i, word in enumerate(alg.words or ()):
+        prod = alg.unit
+        for g in word:
+            prod = alg.mul(prod, alg.basis_vector(g))
+        if prod != alg.basis_vector(i) or \
+                any(g not in alg.generators for g in word):
+            raise ValidationError(
+                "generation fails on basis element "
+                f"{alg.labels[i]!r}: it is not the product of its word")
+    failing = associator_failure_all_first(alg)
+    if failing:
+        i, j, k = failing
+        raise ValidationError(
+            "associativity fails on triple "
+            f"({alg.labels[i]}, {alg.labels[j]}, {alg.labels[k]})")
+    if alg.idempotents is not None:
+        alg.validate_idempotents(alg.idempotents)
+
+
+def generated_dimension(alg):
+    """The dimension of the span of all products of generators: span(G)
+    closed under right multiplication by G through `Algebra.mul`, each
+    round echelonized by `row_space_basis`."""
+    gens = [alg.basis_vector(g) for g in alg.generators]
+    rows = row_space_basis(alg.field, gens)
+    while True:
+        grown = row_space_basis(alg.field, rows + [
+            alg.mul(v, g) for v in rows for g in gens])
+        if len(grown) == len(rows):
+            return len(rows)
+        rows = grown
 
 
 def arrow_ideal_nilpotent_by_powers(alg):

@@ -17,7 +17,13 @@ from conftest import (
     make_k_times_k,
     make_kx3,
 )
-from oracles import coboundary_1, hh1_dimension
+from oracles import (
+    coboundary_1,
+    hh1_dimension,
+    is_two_cocycle_dense,
+    on_generator_pairs,
+    two_cochain_dense,
+)
 
 
 def ext_dim_oracle(alg_fp, si, sj, p):
@@ -186,8 +192,13 @@ def test_bar_comparison_two_cochain_is_cocycle():
     s = simple_modules(a)[0]
     e2 = ext(s, s, 2)
     bc = BarComparison(e2.resolution)
-    coch = bc.two_cochain_of(e2.cocycles[0])
-    assert is_two_cocycle(a, s, s, coch)
+    # the cochain is held on the pairs (g, b), g in the generators 1 and
+    # x; there it equals the eager cochain on all pairs, a cocycle
+    full = two_cochain_dense(bc, e2.cocycles[0])
+    assert bc.two_cochain_of(e2.cocycles[0]) == on_generator_pairs(a, full)
+    assert len(a.generators) < a.dim
+    assert is_two_cocycle(a, s, s, full)
+    assert is_two_cocycle_dense(a, s, s, full)
 
 
 def test_cup_dual_numbers_square_nonzero():

@@ -1,5 +1,7 @@
 """The sparse Hochschild coboundaries, cocycle check and split against
-the dense references in `tests/oracles.py`, and their use in the hull:
+the dense references in `tests/oracles.py`, and their use in the hull.
+The engine holds 2-cochains on the pairs (g, b), g a generator; each is
+compared with the restriction of the dense reference on all pairs:
 one coboundary span per block whatever the number of stages, one unit
 coboundary per nonzero defect entry, and a stage defect that is not a
 cocycle or an Ext^2 basis dependent modulo coboundaries still stops the
@@ -17,7 +19,6 @@ from aspec.fields import GF, QQ
 from aspec.hochschild import (
     BarComparison,
     coboundary_columns,
-    flatten2,
     is_two_cocycle,
     split_two_cocycle,
 )
@@ -29,8 +30,12 @@ from conftest import corpus, make_dual_numbers, make_kx3
 from oracles import (
     coboundary_1,
     coboundary_columns_dense,
+    flat_on_generator_pairs,
+    flatten2_dense,
     is_two_cocycle_dense,
+    on_generator_pairs,
     split_two_cocycle_ext2_first,
+    two_cochain_dense,
     two_cocycle_classes_independent,
 )
 from test_hull_one_pass import make_a3, make_kx4
@@ -77,12 +82,12 @@ BLOCKS = [(k, i, j) for k, (_, alg) in enumerate(ALGEBRAS)
 
 @lru_cache(maxsize=None)
 def _block(key):
-    """(algebra, source, target, coboundary columns)."""
+    """(algebra, source, target, dense coboundary columns on all pairs)."""
     k, i, j = key
     alg = ALGEBRAS[k][1]
     mods = _modules(alg)
     si, sj = mods[i], mods[j]
-    return alg, si, sj, coboundary_columns(alg, si, sj)
+    return alg, si, sj, coboundary_columns_dense(alg, si, sj)
 
 
 def _cochain(alg, si, sj, vec):
@@ -98,8 +103,9 @@ def _cochain(alg, si, sj, vec):
 def test_coboundary_columns_equal_the_dense_coboundaries(name, alg):
     for si in _modules(alg):
         for sj in _modules(alg):
-            assert (coboundary_columns(alg, si, sj)
-                    == coboundary_columns_dense(alg, si, sj)), name
+            assert coboundary_columns(alg, si, sj) == [
+                flat_on_generator_pairs(alg, si, sj, col)
+                for col in coboundary_columns_dense(alg, si, sj)], name
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -180,11 +186,24 @@ SPLIT_BLOCKS = [(k, i, j) for k, i, j in BLOCKS
                 if max(_modules(ALGEBRAS[k][1])[m].dim for m in (i, j)) <= 2]
 
 
+def _eager_hh2(store, pair):
+    """The pair's Ext^2 basis as eager 2-cochains on all pairs
+    (`two_cochain_dense`); the store holds their restrictions to the
+    pairs (g, b)."""
+    bc = store._comparison(pair.source)
+    full = [two_cochain_dense(bc, c) for c in pair.ext2.cocycles]
+    assert pair.hh2 == [on_generator_pairs(pair.algebra, c) for c in full]
+    return full
+
+
 @lru_cache(maxsize=None)
 def _pair(key):
-    """The block's _PairExt, from a store of its own."""
+    """The block's _PairExt, from a store of its own, and its Ext^2 basis
+    on all pairs."""
     alg, si, sj, _ = _block(key)
-    return ExtData(alg).pair(si, sj)
+    store = ExtData(alg)
+    pair = store.pair(si, sj)
+    return pair, _eager_hh2(store, pair)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -195,22 +214,22 @@ def test_split_agrees_with_the_ext2_first_reference(data):
     # defect reaches the split with its zero pairs left out
     key = data.draw(st.sampled_from(SPLIT_BLOCKS))
     alg, si, sj, cols = _block(key)
-    pair = _pair(key)
+    pair, hh2 = _pair(key)
     f = alg.field
     coeff = st.integers(-3, 3).map(f.normalize)
-    lambdas = data.draw(st.lists(coeff, min_size=len(pair.hh2),
-                                 max_size=len(pair.hh2)))
+    lambdas = data.draw(st.lists(coeff, min_size=len(hh2),
+                                 max_size=len(hh2)))
     weights = data.draw(st.lists(coeff, min_size=len(cols),
                                  max_size=len(cols)))
     size = alg.dim ** 2 * si.dim * sj.dim
     vec = [f.zero] * size
-    basis = [flatten2(alg, si, sj, c) for c in pair.hh2]
+    basis = [flatten2_dense(alg, c) for c in hh2]
     for w, col in zip(lambdas + weights, basis + cols):
         vec = [f.add(x, f.mul(w, y)) for x, y in zip(vec, col)]
     coch = _cochain(alg, si, sj, vec)
     sparse = {ab: m for ab, m in coch.items() if not m.is_zero()}
     got_lambdas, psi = split_two_cocycle(alg, si, sj, sparse, pair.span())
-    ref = split_two_cocycle_ext2_first(alg, si, sj, pair.hh2, coch)
+    ref = split_two_cocycle_ext2_first(alg, si, sj, hh2, coch)
     assert ref is not None
     assert got_lambdas == ref[0] == lambdas
     assert [x for m in psi for row in m.data for x in row] == ref[1]
@@ -224,7 +243,8 @@ def test_ext2_bases_are_independent_modulo_coboundaries(name, alg):
     for si in simple_modules(alg):
         for sj in simple_modules(alg):
             pair = store.pair(si, sj)
-            assert two_cocycle_classes_independent(alg, si, sj, pair.hh2)
+            assert two_cocycle_classes_independent(
+                alg, si, sj, _eager_hh2(store, pair))
             if pair.hh2:
                 nd = pair.span().count - len(pair.hh2)
                 assert [k for k in pair.span().kept if k >= nd] == \

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 
 from aspec.ext import ProjectiveModule, Resolution, ext
 from aspec.fields import GF, QQ
-from aspec.hochschild import BarComparison
+from aspec.hochschild import BarComparison, is_two_cocycle
 from aspec.hull import MatricOHat, hull
 from aspec.modules import simple_modules
 from aspec.polyquot import from_poly_quotient
 from aspec.quiver import from_quiver
 from conftest import corpus, make_a2
-from oracles import bar_mu_dense, two_cochain_dense
+from oracles import bar_mu_dense, on_generator_pairs, two_cochain_dense
 from test_rewrite import acyclic_quivers
 from test_validate import path_algebra
 
@@ -27,8 +27,9 @@ hull_module = sys.modules["aspec.hull"]
 
 def assert_mu_matches_dense(alg):
     """On every simple: the lifted cells of mu are the nonzero cells of
-    the eager mu, and every Ext^2 cocycle between simples gives the
-    same 2-cochain through both."""
+    the eager mu with a generator first, and every Ext^2 cocycle between
+    simples gives through mu the eager 2-cochain on the pairs (g, b),
+    g a generator; the eager cochain is a cocycle on all pairs."""
     if not alg.radical_basis():
         return
     simples = simple_modules(alg)
@@ -38,10 +39,13 @@ def assert_mu_matches_dense(alg):
         assert bc.mu == {(m, a, b): sol
                          for m, rows in enumerate(dense)
                          for a, cells in enumerate(rows)
-                         for b, sol in enumerate(cells) if any(sol)}
+                         for b, sol in enumerate(cells)
+                         if any(sol) and a in alg.generators}
         for t in simples:
             for c in ext(s, t, 2, resolution=bc.res).cocycles:
-                assert bc.two_cochain_of(c) == two_cochain_dense(bc, c)
+                full = two_cochain_dense(bc, c)
+                assert bc.two_cochain_of(c) == on_generator_pairs(alg, full)
+                assert is_two_cocycle(alg, s, t, full)
 
 
 def test_mu_matches_the_eager_lift_on_the_corpus():
@@ -96,10 +100,11 @@ def test_projectives_follow_replaced_idempotents(setup_work):
 
 def test_defects_scale_once_per_structure_constant(monkeypatch):
     # rho(ab) is summed over products[a][b]: one scaled table element
-    # added to the pair's buffer per nonzero structure constant, however
-    # many basis elements there are
+    # added to the pair's buffer per nonzero structure constant of the
+    # rows visited, however many basis elements there are; the stages
+    # visit every row, `_verify` the generators' rows 1 and x
     alg = from_poly_quotient(F5, ["x"], [{(8,): F5.one}])
-    nonzero = sum(len(terms) for row in alg.products for terms in row)
+    nonzero = [sum(map(len, row)) for row in alg.products]
     scales = []
     per_call = []
     add_into = MatricOHat._add_into
@@ -108,12 +113,16 @@ def test_defects_scale_once_per_structure_constant(monkeypatch):
                         lambda self, buf, c, terms: scales.append(c) or
                         add_into(self, buf, c, terms))
 
-    def counted(algebra, ohat):
+    def counted(algebra, ohat, rows=None):
         before = len(scales)
-        out = defects(algebra, ohat)
-        per_call.append(len(scales) - before)
+        out = defects(algebra, ohat, rows)
+        per_call.append((len(scales) - before, rows))
         return out
 
     monkeypatch.setattr(hull_module, "_defects", counted)
     hull(alg, simple_modules(alg))
-    assert per_call and all(n == nonzero for n in per_call)
+    assert alg.generators == [0, 1]
+    assert per_call[-1] == (nonzero[0] + nonzero[1], [0, 1])
+    assert len(per_call) > 1
+    assert all(n == sum(nonzero) and rows is None
+               for n, rows in per_call[:-1])
