@@ -49,7 +49,6 @@ class InputDocument:
     def __init__(self):
         self.field = None
         self.algebra = None
-        self.words = []            # per basis element, its generator names
         self.generators = {}       # generator name -> element of the algebra
         self.modules = {}          # name -> ModuleRep (or PointModule)
         self.points = []           # declared spectral point names/values
@@ -230,9 +229,6 @@ def _parse_algebra(doc, lines, pos, kind, error):
                 error(no, f"bad quiver line: {line!r}")
         pres = QuiverPresentation(vertices, arrows, relations)
         alg = doc.algebra = from_quiver(pres, field=f)
-        doc.words = [[f"e_{vertices[val]}"] if tag == "e" else
-                     [arrows[i][0] for i in val]
-                     for tag, val in pres.basis_words]
         for v in vertices:
             doc.generators[v] = doc.generators[f"e_{v}"] = \
                 alg.element_from_label(f"e_{v}")
@@ -285,7 +281,6 @@ def _parse_algebra(doc, lines, pos, kind, error):
                      for t in idems] or None
         doc.algebra = from_structure_constants(f, basis, table, unit,
                                                idempotents=idem_vecs)
-        doc.words = [[lab] for lab in basis]
         doc.generators = label_to_vec
     elif kind == "poly_quotient":
         var_names, rels = [], []
@@ -306,8 +301,6 @@ def _parse_algebra(doc, lines, pos, kind, error):
             except InputError as exc:
                 error(no, str(exc))
         alg = doc.algebra = from_poly_quotient(f, var_names, polys)
-        doc.words = [[v for v, e in zip(var_names, mono) for _ in range(e)]
-                     for mono in alg.poly_data["monomials"]]
         doc.generators = dict(zip(var_names, alg.poly_data["variables"]))
     elif kind == "poly_ring":
         var = "x"
@@ -367,19 +360,28 @@ def _parse_module(doc, lines, pos, error):
 
 def _expand_actions(doc, dim, actions, name, error, no0):
     """The action of every basis element: the product of its generators'
-    actions along its word, the identity for the empty word.  A generator
-    acts as declared under any name of the same element (a vertex as `1`
-    or `e_1`)."""
+    actions along its word (`Algebra.words`; without words every basis
+    element is its own).  A generator acts as declared under any name of
+    the same element (a vertex as `1` or `e_1`); the unit generator whose
+    label is no name, a quotient's monomial 1, acts as the identity."""
+    alg = doc.algebra
     by_element = {tuple(doc.generators[gen]): mat
                   for gen, mat in actions.items()}
+    acting = {}
+    for g in alg.generators:
+        element = tuple(alg.basis_vector(g))
+        acting[g] = Mat.identity(doc.field, dim) if (
+            element == tuple(alg.unit)
+            and alg.labels[g] not in doc.generators) \
+            else by_element.get(element)
     mats = []
-    for word in doc.words:
+    for word in alg.words or [(i,) for i in range(alg.dim)]:
         mat = Mat.identity(doc.field, dim)
-        for gen in word:
-            acting = by_element.get(tuple(doc.generators[gen]))
-            if acting is None:
-                error(no0, f"module {name!r}: missing action for {gen!r}")
-            mat = mat.mul(acting)
+        for g in word:
+            if acting[g] is None:
+                error(no0, f"module {name!r}: missing action for "
+                      f"{alg.labels[g]!r}")
+            mat = mat.mul(acting[g])
         mats.append(mat)
     return mats
 

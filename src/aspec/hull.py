@@ -12,8 +12,11 @@ part is absorbed into rho's next coefficients.  Free variables in every
 solve are pinned to zero, so the output presentation is deterministic.
 
 The state of the build is a defining system (Laudal; Siqveland): the
-relations and a 1-cochain on each free word, set once, from which rho is
-read by folding every cochain through its word's current normal form.
+relations and a 1-cochain on each free word, set once.  The obstruction
+of each stage is a generalized Massey product of the cochains already
+chosen, summed over the composable pairs of words of its length; rho
+is read once, after the last stage, by folding every cochain through
+its word's normal form, and `_verify` proves it multiplicative.
 
 `RPointedAlgebra` holds only the presentation of H; elements are
 computed in `MatricOHat`, the matric algebra with blocks of size
@@ -281,17 +284,7 @@ class MatricOHat:
                     cols = dims[k]
                     if out is None:
                         out = buf[key] = [zero] * (rows * cols)
-                    for a in range(rows):
-                        xa, oa = a * inner, a * cols
-                        for t in range(inner):
-                            xv = x[xa + t]
-                            if xv:
-                                yt = t * cols
-                                for b in range(cols):
-                                    yv = y[yt + b]
-                                    if yv:
-                                        o = oa + b
-                                        out[o] = acc(out[o], mul(xv, yv))
+                    _mul_into(acc, mul, out, x, y, rows, inner, cols)
 
     def _collect(self, buf):
         """The element of a buffer: word keys rewritten to the hull's
@@ -537,6 +530,7 @@ class _HullBuilder:
             raise ValidationError("the Ext store belongs to another algebra")
         self.algebra = algebra
         self.modules = list(modules)
+        self.dims = [m.dim for m in self.modules]
         self.order = order
         self.field = algebra.field
         self.r = len(modules)
@@ -575,13 +569,17 @@ class _HullBuilder:
         shortens a word, so H_n is H_N cut at n, and stage n reads no
         longer product.  The state is the defining system: the relations
         and C_free, a 1-cochain per free word, seeded on the letters.
-        Stage n splits the defect of each reduced word w of length n into
-        new relation terms and C_free[w], set once; `_matric` folds C_free
-        through the current normal forms.  Returns (H_N, C_free, new
-        relation keys per stage)."""
+        Stage n splits the defect of each reduced word w of length n, a
+        Massey sum of C_free (`_stage_defects`), into new relation terms
+        and C_free[w], set once.  No stage forms rho; `build` folds C_free
+        through the normal forms of H_N once (`_matric`).  Returns (H_N,
+        C_free, new relation keys per stage)."""
         f = self.field
         relations = {}        # (i, j, l) -> {word: coeff}
-        C_free = {(g,): psi for g, psi in enumerate(self.deriv_seed)}
+        self.C_free, self._by_len, self._spill = {}, {}, {}
+        self._last = (1, {})  # the last stage and its free Massey sum
+        for g, psi in enumerate(self.deriv_seed):
+            self._set_cochain((g,), psi)
         new_by_stage = {}
         for stage in range(2, last + 1):
             hull_alg = self._algebra(stage, relations)
@@ -591,9 +589,9 @@ class _HullBuilder:
                 break
             stage_new = []
             for w, (lambdas, psi) in self._stage_classes(
-                    stage, hull_alg, C_free).items():
+                    hull_alg, self._stage_defects(stage, hull_alg)).items():
                 block = hull_alg.word_block(w)
-                C_free[w] = psi
+                self._set_cochain(w, psi)
                 for l, lam in enumerate(lambdas):
                     if f.is_zero(lam):
                         continue
@@ -602,7 +600,7 @@ class _HullBuilder:
                     rel[w] = f.add(rel.get(w, f.zero), lam)
                     stage_new.append((key, w))
             new_by_stage[stage] = stage_new
-        return self._algebra(self.order, relations), C_free, new_by_stage
+        return self._algebra(self.order, relations), self.C_free, new_by_stage
 
     def _algebra(self, order, relations):
         """The r-pointed algebra of the given order on the relations; a
@@ -613,11 +611,11 @@ class _HullBuilder:
         except InputError:
             raise _over_budget(self.order) from None
 
-    def _stage_classes(self, stage, hull_alg, C_free):
-        """Split each nonzero defect of the given stage into its Ext^2
-        coordinates and a coboundary part: {word: (lambdas, psi)}."""
+    def _stage_classes(self, hull_alg, defects):
+        """Split each nonzero stage defect into its Ext^2 coordinates and
+        a coboundary part: {word: (lambdas, psi)}."""
         out = {}
-        for w, coch in self._stage_defects(stage, hull_alg, C_free).items():
+        for w, coch in defects.items():
             if not coch:
                 continue
             pair = self.pairs[hull_alg.word_block(w)]
@@ -629,24 +627,102 @@ class _HullBuilder:
                                        pair.target, coch, pair.span())
         return out
 
-    def _stage_defects(self, stage, hull_alg, C_free):
-        """Defect 2-cochains on the reduced words of the given length,
-        each {(a, b): Mat} over its nonzero pairs only.  hull_alg has
-        order `stage`, so no longer word occurs.  Every pair is formed,
-        not only those with a generator first: the cocycle check reads
-        D(b, e) and D(gb, e) for every b and e."""
-        out = {w: {} for w in hull_alg.words_by_len.get(stage, [])}
-        for ab, delta in _defects(self.algebra,
-                                  self._matric(hull_alg, C_free)).items():
-            for key, m in delta.items():
-                if key[0] == "e":
-                    raise InternalInvariantError(
-                        "defect has a degree-0 component")
-                if len(key[1]) < stage:
-                    raise InternalInvariantError(
-                        "defect below the current stage")
-                out[key[1]][ab] = m
+    def _set_cochain(self, w, psi):
+        """C_free[w] = psi, indexed by length and start block with its
+        nonzero rows as row-major scalars: (w, i, j, [(a, scalars)])."""
+        self.C_free[w] = psi
+        i, j = self.generators[w[0]][1], self.generators[w[-1]][2]
+        rows = [(a, sum(m.data, [])) for a, m in enumerate(psi)
+                if not m.is_zero()]
+        if rows:
+            self._by_len.setdefault(len(w), {}).setdefault(i, []).append(
+                (w, i, j, rows))
+
+    def _stage_defects(self, stage, hull_alg):
+        """Defect 2-cochains on the reduced words of length n = stage,
+        each {(a, b): Mat} over its nonzero pairs.  With eta the module
+        actions and psi_w = C_free[w], rho(ab) - rho(a) rho(b) is the
+        normal form of the free element F(a, b) =
+        sum_w [psi_w(ab) - eta(a) psi_w(b) - psi_w(a) eta(b)] w
+        - sum_(u, v) psi_u(a) psi_v(b) uv, as normal forms make a ring
+        map.  No C_free word has length n yet and no normal form is
+        shorter than its word, so the length-n slice is
+        D_n = NF_n(-sum_(|u| + |v| = n) psi_u(a) psi_v(b) uv)
+        + sum_X F[X] [NF_n(X)]_n, X over the reducible words shorter
+        than n: `_massey_sum`, then the spill of `_close_stage`, nonzero
+        only where a relation has gained a longer tail.  The slices below
+        n are not formed; `_verify` proves them zero.  Every pair is
+        formed: the cocycle check reads D(b, e) and D(gb, e) for all b."""
+        f = self.field
+        self._close_stage(hull_alg)
+        free = self._massey_sum(stage)
+        self._last = (stage, free)
+        buf = {}
+        for X, coch in list(free.items()) + list(self._spill.items()):
+            nf = ((X, f.one),) if hull_alg.is_reduced(X) else \
+                hull_alg.normal_form(X).items()
+            for w, c in nf:
+                if len(w) == stage:
+                    _add_cochain(f, buf.setdefault(w, {}), c, coch)
+        out = {}
+        for w in hull_alg.words_by_len.get(stage, []):
+            cols = self.dims[hull_alg.word_block(w)[1]]
+            out[w] = {ab: Mat._of(f, [x[r:r + cols]
+                                      for r in range(0, len(x), cols)], cols)
+                      for ab, x in buf.get(w, {}).items() if any(x)}
         return out
+
+    def _massey_sum(self, stage):
+        """-sum psi_u(a) psi_v(b) uv over the pairs of C_free words with
+        |u| + |v| = stage whose blocks compose, on their nonzero rows,
+        before normal forms: {uv: {(a, b): row-major scalars}}."""
+        f = self.field
+        dims, by_len = self.dims, self._by_len
+        out = {}
+        for l1 in range(1, stage):
+            right = by_len.get(stage - l1, {})
+            for group in by_len.get(l1, {}).values() if right else ():
+                for u, i, j, xs in group:
+                    for v, _, k, ys in right.get(j, ()):
+                        dest = out.setdefault(u + v, {})
+                        for a, x in xs:
+                            for b, y in ys:
+                                o = dest.get((a, b))
+                                if o is None:
+                                    o = dest[(a, b)] = \
+                                        [f.zero] * (dims[i] * dims[k])
+                                _mul_into(f.sub, f.mul, o, x, y, dims[i],
+                                          dims[j], dims[k])
+        return out
+
+    def _close_stage(self, hull_alg):
+        """Keep F on the words of the last stage that hull_alg reduces,
+        fixed from then on: the free Massey sum, plus psi_X(ab) -
+        eta(a) psi_X(b) - psi_X(a) eta(b) where that stage set psi_X."""
+        f = self.field
+        neg = f.neg(f.one)
+        onto = self.algebra.products_onto()
+        (stage, free), self._last = self._last, (None, {})
+        for X in dict.fromkeys(list(free) + [w for w in self.C_free
+                                             if len(w) == stage]):
+            if hull_alg.is_reduced(X):
+                continue
+            coch = {}
+            _add_cochain(f, coch, f.one, free.get(X, {}))
+            eta_i = self.modules[self.generators[X[0]][1]].action
+            eta_j = self.modules[self.generators[X[-1]][2]].action
+            for k, m in enumerate(self.C_free.get(X, ())):
+                if m.is_zero():
+                    continue
+                terms = [((a, b), c, m) for a, b, c in onto[k]]
+                for a in range(self.algebra.dim):
+                    terms += [((a, k), neg, eta_i[a].mul(m)),
+                              ((k, a), neg, m.mul(eta_j[a]))]
+                for ab, c, t in terms:
+                    if not t.is_zero():
+                        _add_cochain(f, coch, c, {ab: sum(t.data, [])})
+            if any(map(any, coch.values())):
+                self._spill[X] = coch
 
     def _matric(self, hull_alg, C_free):
         """The matric algebra over hull_alg with rho read off the defining
@@ -669,10 +745,20 @@ class _HullBuilder:
                         elem[key] = mat
                     elif key in elem:
                         del elem[key]
-        return MatricOHat(hull_alg, [m.dim for m in self.modules], table)
+        return MatricOHat(hull_alg, self.dims, table)
 
     def _verify(self, ohat):
-        """rho is unital and multiplicative, and pi . rho = eta exactly."""
+        """rho is unital and multiplicative, and pi . rho = eta exactly.
+
+        This also proves what the stages never formed.  Stage n forms
+        only the length-n slice of its defect NF_n(F) (`_stage_defects`).
+        The slices of length m < n read only the cochains of words of
+        length <= m and the relation words of length <= m, all fixed once
+        stage m is done, and H_n is H_N cut at n; so each is the length-m
+        slice of the final defect NF_N(F) = rho(ab) - rho(a) rho(b).  The
+        final test below, on the generator rows of H_N, proves that
+        defect zero on every pair, so no stage left a defect below its
+        length."""
         algebra = self.algebra
         f = self.field
         # rho(1) - 1 in one buffer: a valid hull builds no Mat here
@@ -695,6 +781,32 @@ class _HullBuilder:
         if _defects(algebra, ohat, algebra.generators):
             raise InternalInvariantError(
                 "rho is not multiplicative in the truncation")
+
+
+def _mul_into(acc, mul, out, x, y, rows, inner, cols):
+    """out = acc(out, x y) entrywise, for row-major blocks x (rows x
+    inner) and y (inner x cols), on their nonzero scalars."""
+    for a in range(rows):
+        xa, oa = a * inner, a * cols
+        for t in range(inner):
+            xv = x[xa + t]
+            if xv:
+                yt = t * cols
+                for b in range(cols):
+                    yv = y[yt + b]
+                    if yv:
+                        o = oa + b
+                        out[o] = acc(out[o], mul(xv, yv))
+
+
+def _add_cochain(field, dest, c, coch):
+    """dest += c * coch for 2-cochains {(a, b): row-major scalars}."""
+    for ab, x in coch.items():
+        out = dest.get(ab)
+        if out is None:
+            dest[ab] = [field.mul(c, v) if v else v for v in x]
+        else:
+            _add_scaled(field, out, c, x)
 
 
 def _defects(algebra, ohat, rows=None):
@@ -752,11 +864,16 @@ def hull(algebra, modules, order=None, ext_data=None):
 def massey_step(algebra, modules, order):
     """Obstruction classes at the given order for the canonical defining
     system: {word: Ext^2 coordinate list}, on the reduced words of that
-    length.  At order 2 this is the cup product on dual generators."""
+    length.  The obstruction is the generalized Massey product
+    D_n = NF_n(-sum_(|u| + |v| = n) psi_u psi_v uv) + sum_X F[X] [NF_n(X)]_n
+    of the cochains chosen at the lower orders, X over the reducible
+    words shorter than n (`_HullBuilder._stage_defects`).  At order 2
+    this is the cup product on dual generators."""
     builder = _HullBuilder(algebra, modules, max(order, 2))
     f = algebra.field
-    hull_alg, C_free, _ = builder._run_stages(order - 1)
-    classes = builder._stage_classes(order, hull_alg, C_free)
+    hull_alg, _, _ = builder._run_stages(order - 1)
+    classes = builder._stage_classes(
+        hull_alg, builder._stage_defects(order, hull_alg))
     out = {}
     for w in hull_alg.words_by_len.get(order, []):
         if w in classes:

@@ -15,9 +15,11 @@ reduce-per-pair builders of quivers and polynomial quotients, which
 differ from `from_quiver` and `from_poly_quotient` only in their
 tables, one reduction per pair of basis elements; the order-N stage loop
 splits its defects and builds its algebras, rho and C with the hull's
-own parts; the principal ideals by all products use O's own
-multiplication; the references for O^A(M) multiply in `MatricOHat`,
-invert by `invert_unit`, read coordinates through a `Span`, solve for
+own parts, and the per-stage defects form rho in each stage algebra
+with the hull's `_matric` and multiply it with its `_defects`; the
+principal ideals by all products use O's own multiplication; the
+references for O^A(M) multiply in `MatricOHat`, invert by
+`invert_unit`, read coordinates through a `Span`, solve for
 unit inverses in a `Span` of O's table, rref the flattened rho table
 and test simplicity with `is_simple`; the dense validity checks of
 algebras and modules multiply through `Algebra.mul`, `Mat.mul` and
@@ -58,6 +60,7 @@ from aspec.hochschild import split_two_cocycle
 from aspec.hull import (
     MatricOHat,
     RPointedAlgebra,
+    _defects,
     designated_units,
     invert_unit,
 )
@@ -1001,7 +1004,9 @@ def in_place_stages(builder, last):
         if not hull_alg.words_by_len.get(stage):
             break
         for w, (lambdas, psi) in builder._stage_classes(
-                stage, hull_alg, C).items():
+                hull_alg,
+                stage_defects_by_rho_table(builder, stage, hull_alg, C)
+                ).items():
             block = hull_alg.word_block(w)
             C[w] = psi
             for l, lam in enumerate(lambdas):
@@ -1015,6 +1020,26 @@ def in_place_stages(builder, last):
     if stage_new:
         C = refold(hull_alg, C)
     return hull_alg, C, new_by_stage
+
+
+def stage_defects_by_rho_table(builder, stage, hull_alg, C):
+    """The reference for `_HullBuilder._stage_defects`: rho read off the
+    cochains C in the stage algebra (`_matric`), rho(ab) - rho(a) rho(b)
+    on every pair (`_defects`), each {(a, b): Mat} cut to the reduced
+    words of the stage's length.  Every length of every product is
+    formed, so it raises where a defect has a degree-0 part or a shorter
+    word, which the Massey sum never forms."""
+    out = {w: {} for w in hull_alg.words_by_len.get(stage, [])}
+    ohat = builder._matric(hull_alg, C)
+    for ab, delta in _defects(builder.algebra, ohat).items():
+        for key, m in delta.items():
+            if key[0] == "e":
+                raise InternalInvariantError(
+                    "defect has a degree-0 component")
+            if len(key[1]) < stage:
+                raise InternalInvariantError("defect below the current stage")
+            out[key[1]][ab] = m
+    return out
 
 
 # -- the frame echelon: words modulo a two-sided ideal ------------------------

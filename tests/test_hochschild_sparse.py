@@ -167,8 +167,8 @@ def test_a_defect_that_is_not_a_cocycle_stops_the_hull(monkeypatch):
     s = simple_modules(alg)
     defects = hull_module._HullBuilder._stage_defects
 
-    def broken(self, stage, hull_alg, C):
-        out = defects(self, stage, hull_alg, C)
+    def broken(self, stage, hull_alg):
+        out = defects(self, stage, hull_alg)
         coch = next(iter(out.values()))
         coch[(0, 1)] = coch.get((0, 1), Mat.zeros(alg.field, 1, 1)).add(
             Mat.identity(alg.field, 1))
@@ -282,8 +282,8 @@ def test_a7_checks_each_nonzero_defect_entry_once(monkeypatch):
     unit = hochschild_module._unit_coboundary
     columns = hochschild_module.coboundary_columns
 
-    def counted_defects(self, stage, hull_alg, C):
-        out = defects(self, stage, hull_alg, C)
+    def counted_defects(self, stage, hull_alg):
+        out = defects(self, stage, hull_alg)
         entries.extend(x for coch in out.values() for m in coch.values()
                        for row in m.data for x in row if x)
         return out

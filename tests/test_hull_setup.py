@@ -1,8 +1,8 @@
 """The Ext setup a hull reads, at the cost of its nonzero data: the bar
 comparison lifts mu only when an Ext^2 cochain is requested and only on
 its nonzero cells, each indecomposable projective e_v A is built once
-per algebra, and the defects form rho(ab) from the nonzero structure
-constants.  The eager all-cells mu of `tests/oracles.py` is the
+per algebra, and `_verify`'s defects form rho(ab) from the nonzero
+structure constants.  The eager all-cells mu of `tests/oracles.py` is the
 reference for the lazy one."""
 
 import sys
@@ -101,14 +101,33 @@ def test_projectives_follow_replaced_idempotents(setup_work):
 def test_defects_scale_once_per_structure_constant(monkeypatch):
     # rho(ab) is summed over products[a][b]: one scaled table element
     # added to the pair's buffer per nonzero structure constant of the
-    # rows visited, however many basis elements there are; the stages
-    # visit every row, `_verify` the generators' rows 1 and x
+    # rows visited, however many basis elements there are.  The build
+    # makes one `_defects` call, `_verify`'s on the generators' rows 1
+    # and x; the stages read their defects off the cochains and scale no
+    # table element, and `_verify` scales one more for rho(1).  The
+    # cochain of t^k is nonzero on x^k only, so the Massey sum of stage n
+    # visits one row pair per split t^n = t^k t^(n-k)
     alg = from_poly_quotient(F5, ["x"], [{(8,): F5.one}])
     nonzero = [sum(map(len, row)) for row in alg.products]
     scales = []
     per_call = []
+    visits = []
     add_into = MatricOHat._add_into
     defects = hull_module._defects
+    mul_into = hull_module._mul_into
+    massey = hull_module._HullBuilder._massey_sum
+    monkeypatch.setattr(hull_module, "_mul_into",
+                        lambda *args: visits.append(args) or mul_into(*args))
+    per_stage = []
+
+    def counted_massey(self, stage):
+        before = len(visits)
+        out = massey(self, stage)
+        per_stage.append(len(visits) - before)
+        return out
+
+    monkeypatch.setattr(hull_module._HullBuilder, "_massey_sum",
+                        counted_massey)
     monkeypatch.setattr(MatricOHat, "_add_into",
                         lambda self, buf, c, terms: scales.append(c) or
                         add_into(self, buf, c, terms))
@@ -122,7 +141,6 @@ def test_defects_scale_once_per_structure_constant(monkeypatch):
     monkeypatch.setattr(hull_module, "_defects", counted)
     hull(alg, simple_modules(alg))
     assert alg.generators == [0, 1]
-    assert per_call[-1] == (nonzero[0] + nonzero[1], [0, 1])
-    assert len(per_call) > 1
-    assert all(n == sum(nonzero) and rows is None
-               for n, rows in per_call[:-1])
+    assert per_call == [(nonzero[0] + nonzero[1], [0, 1])]
+    assert len(scales) == nonzero[0] + nonzero[1] + 1
+    assert per_stage == list(range(1, 8))     # stages 2..8

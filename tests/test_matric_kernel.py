@@ -1,7 +1,7 @@
 """The scalar product kernel of `MatricOHat` against the `Mat` arithmetic
-of `tests/oracles.py`.  Every `_defects` call of a hull build, in the
-stages and in `_verify`, must return what `defects_by_mats` returns on
-the same matric algebra, and `MatricOHat.mul` must agree with
+of `tests/oracles.py`.  Every `_defects` call of a hull build, the one
+of `_verify`, must return what `defects_by_mats` returns on the same
+matric algebra, and `MatricOHat.mul` must agree with
 `matric_mul_by_mats` on every pair of rho table elements.  The families
 cover 1x1 blocks (the simples) and larger ones (the regular module, a
 direct sum of simples, a declared two-dimensional module).  The work
@@ -34,8 +34,8 @@ hull_module = sys.modules["aspec.hull"]
 
 def compare_defects(monkeypatch):
     """Compares every later `_defects` call with the references, on the
-    rows it visits (every row in the stages, the generators' rows in
-    `_verify`); returns the list of the largest block side of each
+    rows it visits (the generators' rows in `_verify`, every row when
+    none are given); returns the list of the largest block side of each
     call."""
     defects = hull_module._defects
     sides = []
