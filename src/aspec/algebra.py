@@ -649,10 +649,8 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     of an algebra homomorphism).  Returns (Algebra, basis_matrices).
     """
     n = mats[0].rows if mats else 0
-    flat = [sum(m.data, []) for m in mats]
-    basis_flat = row_space_basis(field, flat)
-    basis_mats = [Mat(field, [row[i * n:(i + 1) * n] for i in range(n)], cols=n)
-                  for row in basis_flat]
+    basis_flat = row_space_basis(field, [m.flat() for m in mats])
+    basis_mats = [Mat.of_flat(field, row, n, n) for row in basis_flat]
     dim = len(basis_mats)
     span = Span(field, basis_flat, n * n)
     labels = labels or [f"m{i}" for i in range(dim)]
@@ -661,13 +659,13 @@ def regular_algebra_of_matrices(field, mats, labels=None):
         row = []
         for b in basis_mats:
             prod = a.mul(b)
-            coeffs = span.coords(sum(prod.data, []))
+            coeffs = span.coords(prod.flat())
             if coeffs is None:
                 raise ValidationError("matrix span is not multiplicatively closed")
             row.append(coeffs)
         table.append(row)
     ident = Mat.identity(field, n)
-    unit = span.coords(sum(ident.data, []))
+    unit = span.coords(ident.flat())
     if unit is None:
         raise ValidationError("matrix span does not contain the identity")
     alg = Algebra(field, labels, sparse_rows(table), unit, validate=False)

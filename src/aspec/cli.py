@@ -32,7 +32,15 @@ from .hull import default_order, hull, maximal_ideals, o_algebra
 from .linalg import Mat, _add_scaled, row_space_basis
 from .modules import ModuleRep, SpectralPoint, simple_modules
 from .polyquot import from_poly_quotient
-from .polyring import PointModule, PolynomialRing, is_poly_ring
+from .polyring import (
+    PointModule,
+    PolynomialRing,
+    PolyOAlgebra,
+    ext_point_modules,
+    hull_poly_ring,
+    is_poly_ring,
+    poly_order,
+)
 from .quiver import QuiverPresentation, from_quiver
 from .topology import (
     SHEAF_CHECK_MAX_POINTS,
@@ -547,11 +555,12 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
     t0 = time.monotonic()
     alg = doc.algebra
     f = doc.field
-    order = order if order is not None else doc.options["order"]
-    if order is None and not is_poly_ring(alg):
-        order = max(2, default_order(alg))
     if order is None:
-        order = 4
+        order = doc.options["order"]
+    if is_poly_ring(alg):
+        order = poly_order(order)
+    elif order is None:
+        order = max(2, default_order(alg))
     if command == "simples":
         if is_poly_ring(alg):
             raise InputError("simples needs a finite-dimensional algebra; "
@@ -568,7 +577,6 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
         fam = _family(doc, module_names)
         entries = []
         if is_poly_ring(alg):
-            from .polyring import ext_point_modules
             for a in fam:
                 for b in fam:
                     for d in (1, 2):
@@ -588,7 +596,6 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
         report.add("ext", entries)
     elif command == "hull":
         if is_poly_ring(alg):
-            from .polyring import hull_poly_ring
             fam = _family(doc, module_names)
             tower, ohat = hull_poly_ring(alg, fam, order)
             entries = list(tower.final.presentation_lines(f.format))
@@ -614,7 +621,6 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
     elif command == "oalg":
         fam = _family(doc, module_names)
         if is_poly_ring(alg):
-            from .polyring import PolyOAlgebra
             o = PolyOAlgebra(alg, fam, order)
             report.add("oalg", [("dim", str(o.dim)),
                                 ("points", str(len(fam))),

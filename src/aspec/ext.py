@@ -306,9 +306,9 @@ class ExtSpace:
     def class_of(self, cochain_matrix):
         """Coordinates of a cocycle's class in the chosen basis."""
         f = self.target.algebra.field
-        vec = _flatten(cochain_matrix)
+        vec = cochain_matrix.flat()
         reduced = self._boundary_ech.reduce(vec)
-        reps = [self._boundary_ech.reduce(_flatten(c)) for c in self.cocycles]
+        reps = [self._boundary_ech.reduce(c.flat()) for c in self.cocycles]
         coeffs = Span(f, reps, len(vec)).coords(reduced)
         if coeffs is None:
             raise InternalInvariantError(
@@ -316,16 +316,12 @@ class ExtSpace:
         return coeffs
 
     def is_cocycle(self, cochain_matrix):
-        vec = _flatten(cochain_matrix)
+        vec = cochain_matrix.flat()
         return self._z_ech.contains(vec)
 
 
-def _flatten(mat):
-    return [x for row in mat.data for x in row]
-
-
 def _echelon_of(field, mats):
-    flats = [_flatten(m) for m in mats]
+    flats = [m.flat() for m in mats]
     ech = _Echelon(field, len(flats[0]) if flats else 0)
     for v in flats:
         ech.insert(v)
@@ -387,11 +383,10 @@ def ext(source, target, degree, resolution=None):
     prev_homs = res.homs(degree - 1, target)
     b_basis = [res.diffs[degree].mul(phi) for phi in prev_homs]
 
-    reps_flat = quotient_basis(f, [_flatten(m) for m in z_basis],
-                               [_flatten(m) for m in b_basis],
+    reps_flat = quotient_basis(f, [m.flat() for m in z_basis],
+                               [m.flat() for m in b_basis],
                                length=proj.dim * target.dim)
-    rep_mats = [Mat(f, [vec[i * target.dim:(i + 1) * target.dim]
-                        for i in range(proj.dim)], cols=target.dim)
+    rep_mats = [Mat.of_flat(f, vec, proj.dim, target.dim)
                 for vec in reps_flat]
     return ExtSpace(degree, source, target, res, rep_mats, z_basis, b_basis)
 

@@ -242,7 +242,7 @@ def flatten2(algebra, source, target, coch):
     for g in algebra.generators:
         for b in range(n):
             m = coch.get((g, b))
-            out += zero if m is None else [x for row in m.data for x in row]
+            out += zero if m is None else m.flat()
     return out
 
 
@@ -295,8 +295,7 @@ def split_two_cocycle(algebra, source, target, coch, span):
     if sol is None:
         raise InternalInvariantError(
             "2-cocycle not in span(Ext^2 basis) + coboundaries")
-    nd = algebra.dim * di * dj
-    psi = [Mat(f, [sol[(a * di + r) * dj:(a * di + r + 1) * dj]
-                   for r in range(di)], cols=dj)
+    size = di * dj
+    psi = [Mat.of_flat(f, sol[a * size:(a + 1) * size], di, dj)
            for a in range(algebra.dim)]
-    return sol[nd:], psi
+    return sol[algebra.dim * size:], psi

@@ -15,8 +15,9 @@ The state of the build is a defining system (Laudal; Siqveland): the
 relations and a 1-cochain on each free word, set once.  The obstruction
 of each stage is a generalized Massey product of the cochains already
 chosen, summed over the composable pairs of words of its length; rho
-is read once, after the last stage, by folding every cochain through
-its word's normal form, and `_verify` proves it multiplicative.
+is read once, after the last stage: rho(a) is the normal form of the
+free element eta(a) + sum_w psi_w(a) w, and `_verify` proves it
+multiplicative.
 
 `RPointedAlgebra` holds only the presentation of H; elements are
 computed in `MatricOHat`, the matric algebra with blocks of size
@@ -52,6 +53,7 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_is_zero,
+    vec_scale,
     vec_sub,
 )
 from .modules import ModuleRep, is_simple
@@ -98,9 +100,7 @@ class RPointedAlgebra:
         self.reduced_words = [w for _, good in layers for w in good]
         self._reduced = set(self.reduced_words)
         self._normal_forms = {}
-        self.basis_keys = [("e", i) for i in range(self.r)] + \
-            [("m", w) for w in self.reduced_words]
-        self.dim = len(self.basis_keys)
+        self.dim = self.r + len(self.reduced_words)
 
     def word_block(self, word):
         return (self.generators[word[0]][1], self.generators[word[-1]][2])
@@ -233,8 +233,7 @@ class MatricOHat:
             else:
                 w = key[1]
                 i, j = word_block(w)
-            out.append((key, i, j, len(w), w,
-                        m.data[0] if m.rows == 1 else sum(m.data, [])))
+            out.append((key, i, j, len(w), w, m.flat()))
         return out
 
     @staticmethod
@@ -245,17 +244,6 @@ class MatricOHat:
         for t in terms:
             groups.setdefault(t[1], {}).setdefault(t[3], []).append(t)
         return {i: sorted(g.items()) for i, g in groups.items()}
-
-    def _add_into(self, buf, c, terms):
-        """buf += c * (the element of the terms)."""
-        f = self.field
-        mul = f.mul
-        for key, _, _, _, _, x in terms:
-            out = buf.get(key)
-            if out is None:
-                buf[key] = [mul(c, v) if v else v for v in x]
-            else:
-                _add_scaled(f, out, c, x)
 
     def _product_into(self, buf, x_terms, y_index, subtract=False):
         """buf += x y (buf -= x y when subtracting), for x given by its
@@ -288,29 +276,19 @@ class MatricOHat:
 
     def _collect(self, buf):
         """The element of a buffer: word keys rewritten to the hull's
-        normal forms, a Mat for each nonzero block and none for zero."""
+        normal forms, a Mat for each nonzero block and none for zero.
+        This is the one fold from free words to H, for products and for
+        rho alike."""
         h = self.hull
         f = self.field
-        mul = f.mul
         reduced = h._reduced
         for key in [k for k in buf if k[0] == "m" and k[1] not in reduced]:
             x = buf.pop(key)
-            if not any(x):
-                continue
-            for w, c in h.normal_form(key[1]).items():
-                nk = ("m", w)
-                out = buf.get(nk)
-                if out is None:
-                    buf[nk] = [mul(c, v) if v else v for v in x]
-                else:
-                    _add_scaled(f, out, c, x)
-        out = {}
-        for key, x in buf.items():
             if any(x):
-                rows, cols = self.key_shape(key)
-                out[key] = Mat._of(f, [x[r * cols:(r + 1) * cols]
-                                       for r in range(rows)], cols)
-        return out
+                for w, c in h.normal_form(key[1]).items():
+                    _add_block(f, buf, ("m", w), c, x)
+        return {key: Mat.of_flat(f, x, *self.key_shape(key))
+                for key, x in buf.items() if any(x)}
 
     def is_zero(self, x):
         return all(m.is_zero() for m in x.values())
@@ -324,61 +302,48 @@ class MatricOHat:
 
     def _rho_buffer(self, elem_coords):
         """rho of an algebra element as a kernel buffer."""
+        f = self.field
         buf = {}
         for c, table_elem in zip(elem_coords, self.rho_table):
             if c:
-                self._add_into(buf, c, self._terms(table_elem))
+                for key, m in table_elem.items():
+                    _add_block(f, buf, key, c, m.flat())
         return buf
 
-    def _flat_words(self, order):
-        words = self.hull.reduced_words
-        return words if order is None else [w for w in words
-                                            if len(w) <= order]
+    def _flat_shapes(self, order=None):
+        """(key, rows, cols) of the blocks of the flat layout: the
+        degree-0 blocks, then the reduced words (of length at most the
+        order, when one is given)."""
+        keys = [("e", i) for i in range(len(self.dims))] + \
+            [("m", w) for w in self.hull.reduced_words
+             if order is None or len(w) <= order]
+        return [(key, *self.key_shape(key)) for key in keys]
 
     def flatten(self, elem, order=None):
-        """Deterministic flat coordinate vector of an element; with an
-        order, its image in the stage of that order (longer words
-        discarded)."""
-        f = self.field
+        """Deterministic flat coordinate vector of an element, each block
+        row-major; with an order, its image in the stage of that order
+        (longer words discarded)."""
+        zero = self.field.zero
         coords = []
-        for i in range(len(self.dims)):
-            m = elem.get(("e", i))
-            d = self.dims[i]
-            block = m.data if m is not None else [[f.zero] * d] * d
-            for row in block:
-                coords.extend(row)
-        for w in self._flat_words(order):
-            key = ("m", w)
-            r, c = self.key_shape(key)
+        for key, r, c in self._flat_shapes(order):
             m = elem.get(key)
-            block = m.data if m is not None else [[f.zero] * c] * r
-            for row in block:
-                coords.extend(row)
+            coords += [zero] * (r * c) if m is None else m.flat()
         return coords
 
     def unflatten(self, flat):
         """The element with the given flat coordinates (inverse of
         flatten without an order)."""
-        f = self.field
         out = {}
         pos = 0
-        keys = [("e", i) for i in range(len(self.dims))] + \
-            [("m", w) for w in self.hull.reduced_words]
-        for key in keys:
-            r, c = self.key_shape(key)
-            m = Mat(f, [flat[pos + i * c:pos + (i + 1) * c]
-                        for i in range(r)], cols=c)
+        for key, r, c in self._flat_shapes():
+            m = Mat.of_flat(self.field, flat[pos:pos + r * c], r, c)
             pos += r * c
             if not m.is_zero():
                 out[key] = m
         return out
 
     def flat_dim(self, order=None):
-        total = sum(d * d for d in self.dims)
-        for w in self._flat_words(order):
-            r, c = self.key_shape(("m", w))
-            total += r * c
-        return total
+        return sum(r * c for _, r, c in self._flat_shapes(order))
 
 
 class RhoImage:
@@ -632,7 +597,7 @@ class _HullBuilder:
         nonzero rows as row-major scalars: (w, i, j, [(a, scalars)])."""
         self.C_free[w] = psi
         i, j = self.generators[w[0]][1], self.generators[w[-1]][2]
-        rows = [(a, sum(m.data, [])) for a, m in enumerate(psi)
+        rows = [(a, m.flat()) for a, m in enumerate(psi)
                 if not m.is_zero()]
         if rows:
             self._by_len.setdefault(len(w), {}).setdefault(i, []).append(
@@ -663,12 +628,13 @@ class _HullBuilder:
                 hull_alg.normal_form(X).items()
             for w, c in nf:
                 if len(w) == stage:
-                    _add_cochain(f, buf.setdefault(w, {}), c, coch)
+                    dest = buf.setdefault(w, {})
+                    for ab, x in coch.items():
+                        _add_block(f, dest, ab, c, x)
         out = {}
         for w in hull_alg.words_by_len.get(stage, []):
-            cols = self.dims[hull_alg.word_block(w)[1]]
-            out[w] = {ab: Mat._of(f, [x[r:r + cols]
-                                      for r in range(0, len(x), cols)], cols)
+            i, j = hull_alg.word_block(w)
+            out[w] = {ab: Mat.of_flat(f, x, self.dims[i], self.dims[j])
                       for ab, x in buf.get(w, {}).items() if any(x)}
         return out
 
@@ -707,8 +673,9 @@ class _HullBuilder:
                                              if len(w) == stage]):
             if hull_alg.is_reduced(X):
                 continue
-            coch = {}
-            _add_cochain(f, coch, f.one, free.get(X, {}))
+            # the last stage's sum is read for the last time here, so
+            # its blocks take the terms below in place
+            coch = free.get(X, {})
             eta_i = self.modules[self.generators[X[0]][1]].action
             eta_j = self.modules[self.generators[X[-1]][2]].action
             for k, m in enumerate(self.C_free.get(X, ())):
@@ -720,32 +687,22 @@ class _HullBuilder:
                               ((k, a), neg, m.mul(eta_j[a]))]
                 for ab, c, t in terms:
                     if not t.is_zero():
-                        _add_cochain(f, coch, c, {ab: sum(t.data, [])})
+                        _add_block(f, coch, ab, c, t.flat())
             if any(map(any, coch.values())):
                 self._spill[X] = coch
 
     def _matric(self, hull_alg, C_free):
         """The matric algebra over hull_alg with rho read off the defining
-        system: each cochain of C_free lands on the normal form of its
-        word in hull_alg, a reduced word on itself, unscaled."""
-        table = [{("e", i): m.action[a] for i, m in enumerate(self.modules)
-                  if not m.action[a].is_zero()}
-                 for a in range(self.algebra.dim)]
-        for w, psi in C_free.items():
-            nf = ((w, None),) if hull_alg.is_reduced(w) else \
-                hull_alg.normal_form(w).items()
-            for nw, c in nf:
-                key = ("m", nw)
-                for elem, mat in zip(table, psi):
-                    if c is not None:
-                        mat = mat.scale(c)
-                    if key in elem:
-                        mat = mat.add(elem[key])
-                    if not mat.is_zero():
-                        elem[key] = mat
-                    elif key in elem:
-                        del elem[key]
-        return MatricOHat(hull_alg, self.dims, table)
+        system: rho(a) is the normal form, read by `_collect`, of the free
+        element eta(a) + sum_w psi_w(a) w over the cochains of C_free."""
+        ohat = MatricOHat(hull_alg, self.dims)
+        for a in range(self.algebra.dim):
+            free = {("e", i): m.action[a].flat()
+                    for i, m in enumerate(self.modules)}
+            for w, psi in C_free.items():
+                free[("m", w)] = psi[a].flat()
+            ohat.rho_table.append(ohat._collect(free))
+        return ohat
 
     def _verify(self, ohat):
         """rho is unital and multiplicative, and pi . rho = eta exactly.
@@ -799,14 +756,14 @@ def _mul_into(acc, mul, out, x, y, rows, inner, cols):
                         out[o] = acc(out[o], mul(xv, yv))
 
 
-def _add_cochain(field, dest, c, coch):
-    """dest += c * coch for 2-cochains {(a, b): row-major scalars}."""
-    for ab, x in coch.items():
-        out = dest.get(ab)
-        if out is None:
-            dest[ab] = [field.mul(c, v) if v else v for v in x]
-        else:
-            _add_scaled(field, out, c, x)
+def _add_block(field, dest, key, c, x):
+    """dest[key] += c * x for a block's row-major scalars x, in a new
+    list when dest has no such key."""
+    out = dest.get(key)
+    if out is None:
+        dest[key] = vec_scale(field, c, x)
+    else:
+        _add_scaled(field, out, c, x)
 
 
 def _defects(algebra, ohat, rows=None):
@@ -817,6 +774,7 @@ def _defects(algebra, ohat, rows=None):
     terms indexed once."""
     terms = [ohat._terms(t) for t in ohat.rho_table]
     index = [ohat._index(t) for t in terms]
+    f = algebra.field
     products = algebra.products
     out = {}
     for a in range(algebra.dim) if rows is None else rows:
@@ -824,7 +782,8 @@ def _defects(algebra, ohat, rows=None):
         for b, y in enumerate(index):
             buf = {}
             for k, c in products[a][b]:
-                ohat._add_into(buf, c, terms[k])
+                for t in terms[k]:
+                    _add_block(f, buf, t[0], c, t[5])
             ohat._product_into(buf, x, y, subtract=True)
             delta = ohat._collect(buf) if buf else None
             if delta:
@@ -957,8 +916,7 @@ class OAlgebra:
         out = []
         start = 0
         for d in self.ohat.dims:
-            out.append([Mat._of(f, [row[start + r * d:start + (r + 1) * d]
-                                    for r in range(d)], d)
+            out.append([Mat.of_flat(f, row[start:start + d * d], d, d)
                         for row in self.basis_flat])
             start += d * d
         return out
@@ -1063,7 +1021,7 @@ def maximal_ideals(o):
     out = []
     for i, d in enumerate(ohat.dims):
         mats = blocks[i]
-        m = Mat(f, [sum(a.data, []) for a in mats], cols=d * d)
+        m = Mat(f, [a.flat() for a in mats], cols=d * d)
         ker = kernel_basis(m.transpose())
         ker = row_space_basis(f, ker)
         image_dim = o.dim - len(ker)

@@ -14,6 +14,7 @@ result (the pivot choice, a zero verdict) confirm with `field.is_zero`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 
 from .errors import DimensionError, ValidationError
 
@@ -22,7 +23,10 @@ class Mat:
     """Immutable-by-convention dense matrix; rows of normalized field
     scalars.  `Mat(field, data)` normalizes its input; results of the
     operations are built by `_of`, which keeps the scalars the field
-    operations produced."""
+    operations produced.
+
+    A block's row-major scalars are its only flat layout: `flat()`
+    writes them and `of_flat` reads them back."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -49,6 +53,20 @@ class Mat:
         m.rows = len(data)
         m.cols = cols
         return m
+
+    @classmethod
+    def of_flat(cls, field, scalars, rows, cols):
+        """The rows x cols matrix whose row-major scalars are `scalars`,
+        kept as they are, as by `_of`."""
+        if len(scalars) != rows * cols:
+            raise DimensionError(
+                f"{len(scalars)} scalars do not fill {rows}x{cols}")
+        return cls._of(field, [scalars[r * cols:(r + 1) * cols]
+                               for r in range(rows)], cols)
+
+    def flat(self):
+        """The row-major scalars, a new list."""
+        return list(chain.from_iterable(self.data))
 
     @classmethod
     def zeros(cls, field, rows, cols):

@@ -13,6 +13,7 @@ from .errors import (
     UnsupportedAlgebraError,
     ValidationError,
 )
+from .fields import characteristic
 from .linalg import (
     Mat,
     Span,
@@ -24,6 +25,7 @@ from .linalg import (
     row_space_basis,
     unit_vec,
 )
+from .polyquot import factor_univariate, min_poly_of_matrix
 
 
 class ModuleRep:
@@ -236,10 +238,7 @@ def hom_A(m, n):
                         row[i * dn + k] = f.sub(row[i * dn + k], x)
                 rows.append(row)
     mat = Mat(f, rows, cols=dm * dn)
-    out = []
-    for v in kernel_basis(mat):
-        out.append(Mat(f, [v[i * dn:(i + 1) * dn] for i in range(dm)], cols=dn))
-    return out
+    return [Mat.of_flat(f, v, dm, dn) for v in kernel_basis(mat)]
 
 
 def is_isomorphic(m, n):
@@ -331,9 +330,6 @@ def is_field(alg):
     search along a Vandermonde line, then irreducibility of its minimal
     polynomial.
     """
-    from .fields import characteristic
-    from .polyquot import factor_univariate, min_poly_of_matrix
-
     f = alg.field
     if alg.dim == 1:
         return True

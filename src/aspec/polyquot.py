@@ -98,7 +98,7 @@ def min_poly_of_matrix(m):
     ech = _Echelon(f, n * n)
     power = Mat.identity(f, n)
     for d in range(n + 1):
-        r = ech.reduce(sum(power.data, []) + unit_vec(f, n + 1, d))
+        r = ech.reduce(power.flat() + unit_vec(f, n + 1, d))
         if vec_is_zero(f, r[:n * n]):
             return r[n * n:n * n + d + 1]
         ech.insert(r)

@@ -14,7 +14,13 @@ from __future__ import annotations
 from .algebra import Algebra, sparse_rows
 from .errors import InputError, InternalInvariantError, ValidationError
 from .hull import HullTower, MatricOHat, RPointedAlgebra
-from .linalg import Mat
+from .linalg import Mat, row_space_basis
+
+
+def poly_order(order):
+    """The truncation order of k[x] jets: `order`, or 4 when none is
+    given (k[x] has no radical index to take a default from)."""
+    return 4 if order is None else order
 
 
 class PolynomialRing:
@@ -173,7 +179,6 @@ class PolyOAlgebra:
         return out
 
     def _verify_surjective(self):
-        from .linalg import row_space_basis
         f = self.field
         rows = []
         coeffs = [f.one]

@@ -38,7 +38,7 @@ from .modules import (
     simple_modules,
 )
 from .polyquot import factor_univariate, min_poly_of_matrix
-from .polyring import PolyOAlgebra, is_poly_ring
+from .polyring import PolyOAlgebra, is_poly_ring, poly_order
 
 
 # Most points on which sheafify_check enumerates every cover of every
@@ -188,8 +188,8 @@ class ASpecSpace:
         if not fam:
             sec = SectionData("zero", None, key)
         elif is_poly_ring(self.algebra):
-            sec = SectionData("poly", PolyOAlgebra(self.algebra, fam,
-                                                   self.order or 4), key)
+            sec = SectionData("poly", PolyOAlgebra(
+                self.algebra, fam, poly_order(self.order)), key)
         else:
             tower, ohat = hull(self.algebra, fam, self.order, self._store())
             sec = SectionData("findim", o_algebra(ohat), key)
@@ -573,7 +573,7 @@ def spec_compare(algebra, order=None, points=None):
             raise InputError("the k[x] comparison needs user-supplied points")
         pts = [p if isinstance(p, SpectralPoint) else
                SpectralPoint(p, name=p.name) for p in points]
-        return compare_with_spec(ASpecSpace(algebra, pts, order=order or 4))
+        return compare_with_spec(ASpecSpace(algebra, pts, order=order))
     if not algebra.is_commutative():
         raise InputError("spec_compare needs a commutative algebra")
     data = getattr(algebra, "poly_data", None)

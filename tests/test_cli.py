@@ -475,6 +475,17 @@ def test_poly_ring_without_points_has_one_message(tmp_path, capsys, command):
         "input error: poly_ring commands need declared points\n"
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+@pytest.mark.parametrize("command", ["aspec", "stalk", "verify"])
+def test_poly_ring_order_below_two_is_an_input_error(capsys, command, order):
+    # k[x]'s default order applies only when no order is given; an
+    # explicit order 0 is refused like order 1, not read as the default
+    path = str(EXAMPLES / "poly_ring_two_points.txt")
+    assert main([command, "--input", path, "--order", order]) == 2
+    assert capsys.readouterr().err == \
+        "input error: truncation order must be >= 2\n"
+
+
 @pytest.mark.parametrize("text, command, order, built", [
     ((EXAMPLES / "a2_quiver.txt").read_text(), "aspec", None, 2),
     ((EXAMPLES / "a2_quiver.txt").read_text(), "verify", None, 4),

@@ -99,21 +99,25 @@ def test_projectives_follow_replaced_idempotents(setup_work):
 
 
 def test_defects_scale_once_per_structure_constant(monkeypatch):
-    # rho(ab) is summed over products[a][b]: one scaled table element
-    # added to the pair's buffer per nonzero structure constant of the
-    # rows visited, however many basis elements there are.  The build
-    # makes one `_defects` call, `_verify`'s on the generators' rows 1
-    # and x; the stages read their defects off the cochains and scale no
-    # table element, and `_verify` scales one more for rho(1).  The
-    # cochain of t^k is nonzero on x^k only, so the Massey sum of stage n
-    # visits one row pair per split t^n = t^k t^(n-k)
+    # rho(ab) is summed over products[a][b]: the blocks of one scaled
+    # table element added to the pair's buffer per nonzero structure
+    # constant of the rows visited, however many basis elements there
+    # are; on k[x]/x^8 every table element is one block, rho(x^k) = t^k.
+    # The build makes one `_defects` call, `_verify`'s on the generators'
+    # rows 1 and x, and one `_rho_buffer` call, `_verify`'s for rho(1),
+    # which scales one block; the stages read their defects off the
+    # cochains and scale no table element.  The cochain of t^k is nonzero
+    # on x^k only, so the Massey sum of stage n visits one row pair per
+    # split t^n = t^k t^(n-k)
     alg = from_poly_quotient(F5, ["x"], [{(8,): F5.one}])
     nonzero = [sum(map(len, row)) for row in alg.products]
     scales = []
     per_call = []
+    per_rho = []
     visits = []
-    add_into = MatricOHat._add_into
+    add_block = hull_module._add_block
     defects = hull_module._defects
+    rho_buffer = MatricOHat._rho_buffer
     mul_into = hull_module._mul_into
     massey = hull_module._HullBuilder._massey_sum
     monkeypatch.setattr(hull_module, "_mul_into",
@@ -128,9 +132,9 @@ def test_defects_scale_once_per_structure_constant(monkeypatch):
 
     monkeypatch.setattr(hull_module._HullBuilder, "_massey_sum",
                         counted_massey)
-    monkeypatch.setattr(MatricOHat, "_add_into",
-                        lambda self, buf, c, terms: scales.append(c) or
-                        add_into(self, buf, c, terms))
+    monkeypatch.setattr(hull_module, "_add_block",
+                        lambda field, dest, key, c, x: scales.append(c) or
+                        add_block(field, dest, key, c, x))
 
     def counted(algebra, ohat, rows=None):
         before = len(scales)
@@ -138,9 +142,16 @@ def test_defects_scale_once_per_structure_constant(monkeypatch):
         per_call.append((len(scales) - before, rows))
         return out
 
+    def counted_rho(self, elem_coords):
+        before = len(scales)
+        out = rho_buffer(self, elem_coords)
+        per_rho.append(len(scales) - before)
+        return out
+
     monkeypatch.setattr(hull_module, "_defects", counted)
+    monkeypatch.setattr(MatricOHat, "_rho_buffer", counted_rho)
     hull(alg, simple_modules(alg))
     assert alg.generators == [0, 1]
     assert per_call == [(nonzero[0] + nonzero[1], [0, 1])]
-    assert len(scales) == nonzero[0] + nonzero[1] + 1
+    assert per_rho == [1]
     assert per_stage == list(range(1, 8))     # stages 2..8

@@ -363,3 +363,31 @@ def test_public_mat_normalizes_its_input():
     m = Mat(QQ, [[Fraction(4, 2), Fraction(2, 4)], [-2, True]])
     assert m.data == [[2, Fraction(1, 2)], [-2, 1]]
     assert all(is_normal_rational(x) for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("rows, cols", [(1, 3), (3, 1), (3, 3), (2, 0),
+                                        (0, 2)])
+def test_flat_and_of_flat_round_trip(field, rows, cols):
+    rng = random.Random(rows * 10 + cols)
+    m = Mat(field, [[rng.randint(-6, 6) for _ in range(cols)]
+                    for _ in range(rows)], cols=cols)
+    flat = m.flat()
+    assert flat == [x for row in m.data for x in row]
+    back = Mat.of_flat(field, flat, rows, cols)
+    assert back == m
+    assert (back.rows, back.cols) == (rows, cols)
+    assert back.flat() == flat
+    # flat() is a new list: changing it leaves the matrix as it was
+    before = [list(row) for row in m.data]
+    assert all(flat is not row for row in m.data)
+    if flat:
+        flat[0] = field.add(flat[0], field.one)
+    flat.append(field.one)
+    assert m.data == before
+    assert m.flat() is not m.flat()
+
+
+def test_of_flat_rejects_a_wrong_length():
+    with pytest.raises(DimensionError):
+        Mat.of_flat(QQ, [QQ.one] * 5, 2, 3)
