@@ -7,7 +7,7 @@ highest word leads each rule.  The irreducible words are then the
 sorted words y^b x^a outside the leading ideal, and the order on them is
 the degree-lexicographic order on monomials with x > y.  Quotients must
 be finite-dimensional.  Univariate factorization of degree 2 and more
-is delegated to sympy, which is imported only when such a polynomial is
+is done by `factor`, which is imported only when such a polynomial is
 factored.
 """
 
@@ -110,8 +110,7 @@ def factor_univariate(field, coeffs):
     """Monic irreducible factors [(coeffs, multiplicity)] of a univariate
     poly (coeffs low degree first), sorted by length and then by the
     printed coefficients.  Degree at most 1 is answered here; higher
-    degrees go to sympy's dense factoring over QQ or GF(p), read from
-    and back into the coefficient lists."""
+    degrees go to `factor`, which is imported only then."""
     coeffs = list(coeffs)
     while coeffs and field.is_zero(coeffs[-1]):
         coeffs.pop()
@@ -119,21 +118,13 @@ def factor_univariate(field, coeffs):
         return []
     if len(coeffs) == 2:
         return [([field.div(coeffs[0], coeffs[1]), field.one], 1)]
-    from sympy.polys.densetools import dup_monic
-    from sympy.polys.domains import GF, QQ
-    from sympy.polys.factortools import dup_factor_list
-    rational = characteristic(field) == 0
-    dom = QQ if rational else GF(field.p)
-
-    def scalar(c):
-        if rational:
-            return field.div(int(c.numerator), int(c.denominator))
-        return field.normalize(int(c))
-
-    rep = [dom(int(c.numerator), int(c.denominator)) if rational
-           else dom(int(c)) for c in reversed(coeffs)]
-    _, factors = dup_factor_list(rep, dom)
-    out = [([scalar(c) for c in reversed(dup_monic(fac, dom))], int(mult))
-           for fac, mult in factors]
+    from . import factor
+    p = characteristic(field)
+    if p:
+        inv = field.inv(coeffs[-1])
+        out = factor.factor_mod_p([c * inv % p for c in coeffs], p)
+    else:
+        out = [([field.div(c, g[-1]) for c in g], e)
+               for g, e in factor.factor_rational(coeffs)]
     out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
     return out
