@@ -1,19 +1,14 @@
 """Univariate factorization over F_p and Q, on lists of ints.
 
 A polynomial is a list of ints, low degree first, with no trailing zero;
-[] is zero.  A helper given a modulus m returns coefficients in 0..m-1
-and divides only by polynomials whose leading coefficient is a unit mod m.
-
+[] is zero.  A helper given a modulus m returns coefficients in 0..m-1.
 Over F_p, p < 2^31 (Cantor and Zassenhaus, Math. Comp. 36, 1981): a
-square-free split, distinct-degree factorization with x^(p^d) mod f by
-repeated squaring, and equal-degree splitting by gcd(f, v^((p^d-1)/2) - 1),
-or by the trace v + v^2 + ... + v^(2^(d-1)) when p = 2.
-
-Over Q (Zassenhaus, J. Number Theory 1, 1969): a primitive f in Z[x] is
-split square-free by Yun's algorithm; each part is factored mod the
-smallest prime p that keeps it square-free and of the same degree, the
-factors are lifted to p^k > 2 |lc| B, B the Landau-Mignotte bound, and
-subsets of them, smallest first, are tried by division in Z[x].
+square-free split, distinct-degree factorization and equal-degree
+splitting.  Over Q (Zassenhaus, J. Number Theory 1, 1969): the
+square-free part of a primitive f in Z[x] is factored mod the smallest
+prime p that keeps it square-free and of its degree, the factors are
+lifted to p^k > 2 |lc| B, B the Landau-Mignotte bound, and their
+subsets, smallest first, are tried by division in Z[x].
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ _Q = 2**31 - 1
 
 
 def _mod(f, m=None):
-    """f mod m (in Z[x] when m is None), trimmed."""
+    """f mod m, trimmed; f itself, trimmed, when m is None."""
     f = f if m is None else [c % m for c in f]
     while f and not f[-1]:
         f.pop()
@@ -100,20 +95,17 @@ def _xgcd(f, g, p):
 
 
 def _powmod(f, e, g, m):
-    """f^e mod g, mod m."""
-    out, f = [1], _divmod(f, g, m)[1]
-    while e:
-        if e & 1:
-            out = _divmod(_mul(out, f), g, m)[1]
-        e >>= 1
-        if e:
-            f = _divmod(_mul(f, f), g, m)[1]
-    return out
+    """f^e mod g, mod m, for e >= 1."""
+    out = f
+    for bit in bin(e)[3:]:
+        out = _divmod(_mul(out, out), g, m)[1]
+        if bit == "1":
+            out = _mul(out, f)
+    return _divmod(out, g, m)[1]
 
 
 def factor_mod_p(f, p):
-    """Monic irreducible factors [(g, multiplicity)] of a monic f of
-    degree >= 1 over F_p."""
+    """Irreducible factors [(g, multiplicity)] over F_p of a monic f."""
     return [(h, e) for g, e in _sqf_mod_p(f, p)
             for part, d in _ddf(g, p) for h in _edf(part, d, p)]
 
@@ -135,8 +127,7 @@ def _sqf_mod_p(f, p):
 
 
 def _ddf(f, p):
-    """[(g, d)], g the product of the degree-d factors of a square-free
-    monic f."""
+    """[(g, d)], g the product of the degree-d factors of f (square-free)."""
     out, h, d = [], [0, 1], 0
     while 2 * (d + 1) < len(f):
         d += 1
@@ -150,10 +141,9 @@ def _ddf(f, p):
 
 
 def _edf(f, d, p, j=None):
-    """The factors of f, a monic product of distinct irreducibles of
-    degree d.  The v tried have the base-p digits of j = p, p + 1, ...
-    (x, x + 1, ...): a fixed sequence through every polynomial, so a split
-    is always found and never depends on chance."""
+    """The factors of f, a product of distinct irreducibles of degree d,
+    split by the v with the base-p digits of j = p, p + 1, ... (x, x + 1,
+    ...): a fixed sequence through every polynomial, so one splits f."""
     j = p if j is None else j
     while len(f) - 1 > d:
         v, k, j = [], j, j + 1
@@ -179,7 +169,14 @@ def factor_rational(coeffs):
     Z[x], primitive, with a positive leading coefficient."""
     den = lcm(*(c.denominator for c in coeffs))
     f = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
-    return [(h, e) for g, e in _yun(f) for h in _zassenhaus(g)]
+    c, out = _zgcd(f, _diff(f)), []
+    for h in _zassenhaus(_exact_quo(f, c)):
+        # h divides c = gcd(f, f') one time less than it divides f
+        e = 1
+        while len(c) > 1 and (q := _exact_quo(c, h)) is not None:
+            c, e = q, e + 1
+        out.append((h, e))
+    return out
 
 
 def _primitive(f):
@@ -217,26 +214,8 @@ def _zgcd(f, g):
     return f
 
 
-def _yun(f):
-    """Yun's square-free split [(g, e)] of a primitive f with lc(f) > 0:
-    the g primitive, square-free, coprime, lc(g) > 0, f = prod g^e."""
-    d = _diff(f)
-    c = _zgcd(f, d)
-    if len(c) == 1:
-        return [(f, 1)]
-    w, y, out, i = _exact_quo(f, c), _exact_quo(d, c), [], 1
-    while len(w) > 1:
-        z = _sub(y, _diff(w))
-        g = _zgcd(w, z)
-        if len(g) > 1:
-            out.append((g, i))
-        w, y, i = _exact_quo(w, g), _exact_quo(z, g), i + 1
-    return out
-
-
 def _zassenhaus(f):
-    """The irreducible factors, lc > 0, of a square-free primitive f in
-    Z[x] with lc(f) > 0."""
+    """The factors of a square-free primitive f in Z[x], lc(f) > 0."""
     n = len(f) - 1
     for p in count(2):
         if all(p % q for q in range(2, isqrt(p) + 1)) and f[-1] % p:
@@ -293,8 +272,7 @@ def _lift(f, modular, p, m):
 
 
 def _recombine(f, lifted, m):
-    """The factors of f, tried as lc(f) prod(S) mod m, symmetric, for the
-    subsets S of the lifted factors by increasing size."""
+    """The factors lc(f) prod(S) mod m of f, S the subsets of `lifted`."""
     out, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):

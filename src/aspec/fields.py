@@ -6,13 +6,12 @@ No floating point anywhere.
 Scalars are kept normalized.  Over Q a scalar is an `int` when its
 denominator is 1 and a reduced `Fraction` with denominator > 1
 otherwise; over F_p it is an int in 0..p-1.  Every operation returns a
-normalized scalar, and `normalize` (which the public `Mat` constructor,
-the parsers and the sympy converters apply) brings outside input into
-that form; it refuses a float.  Over F_p it maps a rational n/d (a
-`Fraction`, say) to n * d^-1 mod p, and raises ZeroDivisionError when p
-divides d.  Since an integral rational is a plain int, a bare `/` on two
-scalars gives a float: it is a bug, and `div` or `inv` is the only
-division.
+normalized scalar, and `normalize` (which the public `Mat` constructor
+and the parsers apply) brings outside input into that form; it refuses a
+float.  Over F_p it maps a rational n/d (a `Fraction`, say) to
+n * d^-1 mod p, and raises ZeroDivisionError when p divides d.  Since an
+integral rational is a plain int, a bare `/` on two scalars gives a
+float: it is a bug, and `div` or `inv` is the only division.
 
 A normalized scalar is falsy exactly when it is zero, so the kernels of
 linalg.py skip zero entries by truthiness, without a field call;

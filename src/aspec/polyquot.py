@@ -124,7 +124,9 @@ def factor_univariate(field, coeffs):
         inv = field.inv(coeffs[-1])
         out = factor.factor_mod_p([c * inv % p for c in coeffs], p)
     else:
-        out = [([field.div(c, g[-1]) for c in g], e)
-               for g, e in factor.factor_rational(coeffs)]
+        out = []
+        for g, e in factor.factor_rational(coeffs):
+            inv = field.inv(g[-1])
+            out.append(([field.mul(c, inv) for c in g], e))
     out.sort(key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
     return out

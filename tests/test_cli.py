@@ -326,17 +326,37 @@ SYMPY_PROBE = """
 import contextlib, io, sys
 import aspec.cli
 assert "sympy" not in sys.modules, "import aspec.cli"
-for path in sys.argv[1:]:
+assert "aspec.factor" not in sys.modules, "import aspec.cli"
+split = sys.argv.index("--factoring")
+examples, factoring = sys.argv[1:split], sys.argv[split + 1:]
+for path in examples + factoring:
+    with open(path, encoding="utf-8") as handle:
+        aspec.cli.parse(handle.read())
+assert "aspec.factor" not in sys.modules, "parse"
+runs = [("verify", path) for path in examples] + [
+    (command, path) for path in factoring
+    for command in ("simples", "aspec", "verify")]
+for command, path in runs:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert aspec.cli.main(["verify", "--input", path]) == 0, path
-    assert "sympy" not in sys.modules, path
+        assert aspec.cli.main([command, "--input", path]) == 0, path
+    assert "sympy" not in sys.modules, (command, path)
+assert "aspec.factor" in sys.modules
 """
 
 
-def test_verify_on_the_examples_never_imports_sympy():
-    # sympy is imported only to factor a univariate polynomial
+def test_the_commands_never_import_sympy(tmp_path):
+    # polynomials are factored in-tree, in `aspec.factor`, which neither
+    # importing the CLI nor parsing loads
+    factoring = []
+    for field, relation in [("Q", "x^4 - x^2"), ("F3", "x^3 - x"),
+                            ("F2147483647", "x^2 - 1")]:
+        doc = tmp_path / f"{field}.txt"
+        doc.write_text(DUAL_DOC.replace("Q", field).replace("x^2", relation),
+                       encoding="utf-8")
+        factoring.append(str(doc))
     proc = run_python(["-c", SYMPY_PROBE] +
-                      [str(p) for p in sorted(EXAMPLES.glob("*.txt"))])
+                      [str(p) for p in sorted(EXAMPLES.glob("*.txt"))] +
+                      ["--factoring"] + factoring)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -612,6 +632,28 @@ def test_spec_comparison_exit_codes(tmp_path, capsys):
     assert main(["verify", "--input", str(doc)]) == 2
     assert capsys.readouterr().err == \
         "input error: semisimple quotient does not split over the base field\n"
+
+
+@pytest.mark.parametrize("field, relation, code", [
+    ("F2", "x^2 + x", 0), ("F3", "x^3 - x", 0), ("F5", "x^5 - x", 0),
+    ("F5", "x^5 - 2", 0), ("F7", "x^7 - x", 0),
+    ("F2147483647", "x^2 - 1", 0), ("F2147483647", "x^3 - x", 0),
+    ("Q", "x^2 - 1/4", 0), ("Q", "4*x^2 - 1", 0),
+    # a residue field larger than the base field
+    ("F2", "x^4 + x", 2), ("F3", "x^9 - x", 2), ("Q", "x^3 - 2", 2),
+    ("Q", "x^4 - 10*x^2 + 1", 2), ("Q", "x^6 - 1", 2), ("Q", "x^5 - x", 2),
+])
+def test_one_relation_quotients_split_or_are_refused(tmp_path, capsys, field,
+                                                     relation, code):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(poly_quotient_doc("x", [relation]).replace(
+        "field Q", f"field {field}"), encoding="utf-8")
+    for command in ("simples", "verify"):
+        assert main([command, "--input", str(doc)]) == code, command
+        assert capsys.readouterr().err == ("" if code == 0 else
+                                           "input error: semisimple quotient "
+                                           "does not split over the base "
+                                           "field\n")
 
 
 def test_stalk_at_an_open_point_builds_one_hull(hull_builds):

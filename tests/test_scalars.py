@@ -2,7 +2,7 @@
 reduced Fraction with denominator > 1 otherwise, never a float.  Over F_p:
 an int in 0..p-1, a rational mapped through the inverse of its
 denominator, never a float.  Also lints `src/aspec`: no `Fraction(`
-outside `fields.py`, sympy imported only to factor, and no dense
+outside `fields.py`, no sympy import anywhere, and no dense
 `.table` of structure constants."""
 
 import ast
@@ -115,24 +115,13 @@ def test_abnormal_scalars_are_found():
         [0.5, Fraction(2)]
 
 
-def import_time_statements(tree):
-    """The statements of a module that run when it is imported: all but
-    the bodies of functions."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def test_src_builds_no_fraction_and_imports_sympy_lazily():
+def test_src_builds_no_fraction_and_imports_no_sympy():
+    # sympy is a test dependency only: `factor` factors in-tree
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name != "fields.py":
             assert "Fraction(" not in text, path.name
-        for node in import_time_statements(ast.parse(text)):
+        for node in ast.walk(ast.parse(text)):
             names = []
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]

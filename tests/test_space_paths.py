@@ -4,7 +4,8 @@
 the rho images, the sheaf check over every family of proper opens (the
 empty open included, each cover on its own), the closure hull on its own
 Ext store, and the roundtrip on the simples of O_X(X) with its own
-space.  Also the factoring of `polyquot` against sympy expressions."""
+space.  Also the factoring of `polyquot` against sympy expressions, and
+on large inputs against a time limit."""
 
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from oracles import (
     sheafify_check_all_covers,
     universal_map_by_span,
 )
+from test_cli import run_python
 from test_random_corpus import FP, over
 from test_rewrite import acyclic_quivers
 
@@ -160,17 +162,83 @@ def _random_polys(field, rng, count):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def _power_product(field, factors):
+    out = [field.one]
+    for poly, mult in factors:
+        for _ in range(mult):
+            out = _poly_mul(field, out, poly)
+    return out
+
+
+def _fixed_polys(field):
+    one, zero, two = field.one, field.zero, field.of_int(2)
+    half = field.div(one, two) if two else one
+    fixed = [[], [zero], [field.of_int(3)], [one, field.of_int(2)],
+             [half, field.of_int(3), zero],
+             [zero, field.neg(one), zero, one],
+             [zero, zero, field.neg(one), zero, one],
+             [one, zero, one],
+             [field.of_int(2), zero, zero, field.of_int(3)]]
+    if field == QQ:
+        fixed += [
+            # Swinnerton-Dyer: irreducible, split modulo every prime
+            [1, 0, -10, 0, 1], [576, 0, -960, 0, 352, 0, -40, 0, 1],
+            [-1, 0, 4], [Fraction(-1, 4), 0, 1],
+            _poly_mul(QQ, [-10**12, 1], [Fraction(3, 7), 1])]
+        fixed += [[-1] + [0] * (n - 1) + [1] for n in range(1, 25)]
+    elif field.p < 100:
+        # x^p - x, and x^p - 2, whose derivative is 0
+        fixed += [[zero, field.neg(one)] + [zero] * (field.p - 2) + [one],
+                  [field.neg(field.of_int(2))] + [zero] * (field.p - 1) +
+                  [one]]
+    if field == GF(3):
+        fixed.append(_power_product(field, [([one, zero, one], 3)]))
+    return fixed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7),
+                                   GF(2147483647)], ids=str)
 def test_factoring_matches_sympy_expressions(field):
     rng = random.Random(f"factor:{field}")
-    half = field.div(field.one, field.of_int(2))
-    fixed = [[], [field.zero], [field.of_int(3)], [field.one, field.of_int(2)],
-             [half, field.of_int(3), field.zero],
-             [field.zero, field.neg(field.one), field.zero, field.one],
-             [field.zero, field.zero, field.neg(field.one), field.zero,
-              field.one],
-             [field.one, field.zero, field.one],
-             [field.of_int(2), field.zero, field.zero, field.of_int(3)]]
-    for coeffs in fixed + _random_polys(field, rng, 60):
-        assert factor_univariate(field, coeffs) == \
-            factor_univariate_by_expressions(field, coeffs), coeffs
+    for coeffs in _fixed_polys(field) + _random_polys(field, rng, 60):
+        factors = factor_univariate(field, coeffs)
+        assert factors == factor_univariate_by_expressions(field, coeffs), \
+            coeffs
+        while coeffs and field.is_zero(coeffs[-1]):
+            coeffs = coeffs[:-1]
+        if coeffs:
+            monic = [field.div(c, coeffs[-1]) for c in coeffs]
+            assert _power_product(field, factors) == monic, coeffs
+
+
+LARGE_FACTORING = """
+import sys
+from aspec.fields import field_from_name
+from aspec.polyquot import factor_univariate
+field = field_from_name(sys.argv[1])
+for poly, mult in factor_univariate(field, map(field.parse, sys.argv[2:])):
+    print(*map(field.format, poly), mult)
+"""
+
+
+def _distinct_linear(field, roots):
+    assert len(set(roots)) == len(roots)
+    return [([field.neg(r), field.one], 1) for r in roots]
+
+
+@pytest.mark.parametrize("field, factors", [
+    (QQ, _distinct_linear(QQ, [i - 32 + Fraction(i % 5, 7)
+                               for i in range(64)])),
+    (GF(2147483647), _distinct_linear(GF(2147483647),
+                                      [pow(7, i, 2147483647)
+                                       for i in range(64)])),
+    (QQ, [([576, 0, -960, 0, 352, 0, -40, 0, 1], 1)]),
+], ids=["Q-linear-64", "F2147483647-linear-64", "Q-swinnerton-dyer-8"])
+def test_large_inputs_factor_within_ten_seconds(field, factors):
+    poly = _power_product(field, factors)
+    proc = run_python(["-c", LARGE_FACTORING, str(field)] +
+                      [field.format(c) for c in poly], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    want = sorted(factors, key=lambda t: (len(t[0]), [str(c) for c in t[0]]))
+    assert proc.stdout.splitlines() == \
+        [" ".join([*map(field.format, g), str(e)]) for g, e in want]
