@@ -14,11 +14,11 @@ subsets, smallest first, are tried by division in Z[x].
 from __future__ import annotations
 
 from itertools import combinations, count, zip_longest
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
-# a prime: f and g are coprime over Q when they are coprime mod _Q and _Q
-# does not divide lc(f)
-_Q = 2**31 - 1
+# a prime: f and g are coprime over Q when they are coprime mod _PRIME
+# and _PRIME does not divide lc(f)
+_PRIME = 2**31 - 1
 
 
 def _mod(f, m=None):
@@ -201,8 +201,9 @@ def _exact_quo(f, g):
 
 def _zgcd(f, g):
     """gcd(f, g) over Q for f != 0, primitive in Z[x] with lc > 0: by a
-    primitive remainder sequence, unless f, g are coprime mod _Q."""
-    if f[-1] % _Q and len(_gcd(_mod(f, _Q), _mod(g, _Q), _Q)) == 1:
+    primitive remainder sequence, unless f, g are coprime mod _PRIME."""
+    if f[-1] % _PRIME and len(_gcd(_mod(f, _PRIME), _mod(g, _PRIME),
+                                   _PRIME)) == 1:
         return [1]
     f, g = _primitive(f), g and _primitive(g)
     while g:
@@ -225,8 +226,10 @@ def _zassenhaus(f):
     modular = [h for g, d in _ddf(_monic(fp, p), p) for h in _edf(g, d, p)]
     if len(modular) == 1:
         return [f]
-    bound, m = 2 * f[-1] * (isqrt(n + 1) + 1) * 2**n * max(map(abs, f)), p
-    while m <= bound:
+    # m > 2 |lc(f)| B, B = C(n - 1, (n - 1)//2) ||f||_2: Mignotte's bound
+    # on lc(f)/lc(h) h, h a factor of degree < n
+    norm, m = isqrt(sum(c * c for c in f)) + 1, p
+    while m <= 2 * f[-1] * comb(n - 1, (n - 1) // 2) * norm:
         m *= m
     lifted = []
     for h in modular:
@@ -242,9 +245,7 @@ def _zassenhaus(f):
             lifted.append([-r % m, 1])
     rest = [h for h in modular if len(h) > 2]
     if rest:
-        g = _mod(f, m)
-        for h in lifted:
-            g = _divmod(g, h, m)[0]
+        g = _divmod(_mod(f, m), _prod(lifted, m), m)[0]
         lifted += _lift(g, rest, p, m)
     return _recombine(f, lifted, m)
 
