@@ -226,8 +226,8 @@ def _zassenhaus(f):
     modular = [h for g, d in _ddf(_monic(fp, p), p) for h in _edf(g, d, p)]
     if len(modular) == 1:
         return [f]
-    # m > 2 |lc(f)| B, B = C(n - 1, (n - 1)//2) ||f||_2: Mignotte's bound
-    # on lc(f)/lc(h) h, h a factor of degree < n
+    # Mignotte: for h | f of degree k < n, lc(f)/lc(h) h has coefficients
+    # at most C(k, j) ||f||_2 <= B = C(n - 1, (n - 1)//2) ||f||_2
     norm, m = isqrt(sum(c * c for c in f)) + 1, p
     while m <= 2 * f[-1] * comb(n - 1, (n - 1) // 2) * norm:
         m *= m

@@ -173,24 +173,22 @@ def _power_product(field, factors):
 def _fixed_polys(field):
     one, zero, two = field.one, field.zero, field.of_int(2)
     half = field.div(one, two) if two else one
-    fixed = [[], [zero], [field.of_int(3)], [one, field.of_int(2)],
+    fixed = [[], [zero], [field.of_int(3)], [one, two],
              [half, field.of_int(3), zero],
              [zero, field.neg(one), zero, one],
              [zero, zero, field.neg(one), zero, one],
              [one, zero, one],
-             [field.of_int(2), zero, zero, field.of_int(3)]]
+             [two, zero, zero, field.of_int(3)]]
     if field == QQ:
-        fixed += [
-            # Swinnerton-Dyer: irreducible, split modulo every prime
-            [1, 0, -10, 0, 1], [576, 0, -960, 0, 352, 0, -40, 0, 1],
-            [-1, 0, 4], [Fraction(-1, 4), 0, 1],
-            _poly_mul(QQ, [-10**12, 1], [Fraction(3, 7), 1])]
+        # Swinnerton-Dyer polynomials: irreducible, split mod every prime
+        fixed += [[1, 0, -10, 0, 1], [576, 0, -960, 0, 352, 0, -40, 0, 1]]
         fixed += [[-1] + [0] * (n - 1) + [1] for n in range(1, 25)]
+        fixed += [[-1, 0, 4], [Fraction(-1, 4), 0, 1],
+                  _poly_mul(QQ, [-10**12, 1], [Fraction(3, 7), 1])]
     elif field.p < 100:
-        # x^p - x, and x^p - 2, whose derivative is 0
+        # x^p - x, and x^p - 2 = (x - 2)^p, whose derivative is 0
         fixed += [[zero, field.neg(one)] + [zero] * (field.p - 2) + [one],
-                  [field.neg(field.of_int(2))] + [zero] * (field.p - 1) +
-                  [one]]
+                  [field.neg(two)] + [zero] * (field.p - 1) + [one]]
     if field == GF(3):
         fixed.append(_power_product(field, [([one, zero, one], 3)]))
     return fixed
