@@ -47,13 +47,6 @@ def _mul(f, g):
     return out
 
 
-def _prod(polys, m, first=1):
-    out = [first % m]
-    for h in polys:
-        out = _mod(_mul(out, h), m)
-    return out
-
-
 def _diff(f, m=None):
     return _mod([i * c for i, c in enumerate(f)][1:], m)
 
@@ -82,22 +75,10 @@ def _gcd(f, g, p):
     return _monic(f, p) if f else f
 
 
-def _xgcd(f, g, p):
-    """s, t with s f + t g = 1 over F_p, deg s < deg g, deg t < deg f."""
-    r0, r1, s0, s1, t0, t1 = f, g, [1], [], [], [1]
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
 def _powmod(f, e, g, m):
-    """f^e mod g, mod m, for e >= 1."""
-    out = f
-    for bit in bin(e)[3:]:
+    """f^e mod g, mod m."""
+    out = [1]
+    for bit in bin(e)[2:]:
         out = _divmod(_mul(out, out), g, m)[1]
         if bit == "1":
             out = _mul(out, f)
@@ -231,45 +212,35 @@ def _zassenhaus(f):
     norm, m = isqrt(sum(c * c for c in f)) + 1, p
     while m <= 2 * f[-1] * comb(n - 1, (n - 1) // 2) * norm:
         m *= m
-    lifted = []
-    for h in modular:
-        if len(h) == 2:
-            # a simple root r lifts by Newton's iteration r - f(r)/f'(r)
-            r, q = -h[0], p
-            while q < m:
-                q *= q
-                value = slope = 0       # f(r) and f'(r), by Horner
-                for c in reversed(f):
-                    slope, value = (slope * r + value) % q, (value * r + c) % q
-                r = (r - value * pow(slope, -1, q)) % q
-            lifted.append([-r % m, 1])
-    rest = [h for h in modular if len(h) > 2]
-    if rest:
-        g = _divmod(_mod(f, m), _prod(lifted, m), m)[0]
-        lifted += _lift(g, rest, p, m)
-    return _recombine(f, lifted, m)
+    return _recombine(f, [_lift(f, h, p, m) for h in modular], m)
 
 
-def _lift(f, modular, p, m):
-    """The monic factors mod m of f = lc(f) prod(modular) mod p, m a
-    power p^(2^i): Hensel lifting down a binary tree of the factors."""
-    if len(modular) == 1:
-        return [_monic(f, m)]
-    k = len(modular) // 2
-    g, h = _prod(modular[:k], p, f[-1]), _prod(modular[k:], p)
-    s, t = _xgcd(g, h, p)
+def _lift(f, h, p, m):
+    """The monic factor mod m of f that is h mod p, for h irreducible mod
+    p and coprime to f / h, by Newton's iteration."""
     q = p
+    if len(h) == 2:
+        # the root r of h goes to r - f(r)/f'(r)
+        r = -h[0]
+        while q < m:
+            q *= q
+            value = slope = 0       # f(r) and f'(r), by Horner
+            for c in reversed(f):
+                slope, value = (slope * r + value) % q, (value * r + c) % q
+            r = (r - value * pow(slope, -1, q)) % q
+        return [-r % m, 1]
+    # if f / lc(f) = h g + r mod q and u g = 1 mod (h, q), then h + (r u
+    # mod h) divides f / lc(f) mod q^2; u starts as g^(p^d - 2), as
+    # F_p[x]/(h) is a field of p^d elements
+    g = _divmod(_monic(_mod(f, p), p), h, p)[0]
+    u = _powmod(g, p**(len(h) - 1) - 2, h, p)
     while q < m:
-        # one step of von zur Gathen and Gerhard's Algorithm 15.10: from
-        # f = g h and s g + t h = 1 mod q to the same mod q^2, h monic
         q *= q
-        e = _sub(f, _mul(g, h), q)
-        a, r = _divmod(_mul(s, e), h, q)
-        g, h = _add(g, _add(_mul(t, e), _mul(a, g), q), q), _add(h, r, q)
-        b = _sub(_add(_mul(s, g), _mul(t, h), q), [1], q)
-        c, r = _divmod(_mul(s, b), h, q)
-        s, t = _sub(s, r, q), _sub(t, _add(_mul(t, b), _mul(c, g), q), q)
-    return _lift(g, modular[:k], p, m) + _lift(h, modular[k:], p, m)
+        fq = _monic(_mod(f, q), q)
+        h = _add(h, _divmod(_mul(_divmod(fq, h, q)[1], u), h, q)[1], q)
+        gu = _divmod(_mul(_divmod(fq, h, q)[0], u), h, q)[1]
+        u = _divmod(_mul(u, _sub([2], gu, q)), h, q)[1]
+    return h
 
 
 def _recombine(f, lifted, m):
@@ -277,7 +248,9 @@ def _recombine(f, lifted, m):
     out, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            g = _prod((lifted[i] for i in subset), m, f[-1])
+            g = [f[-1]]
+            for i in subset:
+                g = _mod(_mul(g, lifted[i]), m)
             g = _primitive([c - m if 2 * c > m else c for c in g])
             q = _exact_quo(f, g)
             if q is not None:
