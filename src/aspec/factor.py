@@ -52,6 +52,7 @@ def _diff(f, m=None):
 
 
 def _divmod(f, g, m):
+    """Quotient and remainder of f by g mod m, lc(g) a unit mod m."""
     dg, inv = len(g) - 1, pow(g[-1], -1, m)
     r, q = list(f), [0] * max(len(f) - dg, 0)
     for k in range(len(f) - 1 - dg, -1, -1):
