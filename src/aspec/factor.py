@@ -3,12 +3,11 @@
 A polynomial is a list of ints, low degree first, with no trailing zero;
 [] is zero.  A helper given a modulus m returns coefficients in 0..m-1.
 Over F_p, p < 2^31 (Cantor and Zassenhaus, Math. Comp. 36, 1981): a
-square-free split, distinct-degree factorization and equal-degree
-splitting.  Over Q (Zassenhaus, J. Number Theory 1, 1969): the
-square-free part of a primitive f in Z[x] is factored mod the smallest
-prime p that keeps it square-free and of its degree, the factors are
-lifted to p^k > 2 |lc| B, B the Landau-Mignotte bound, and their
-subsets, smallest first, are tried by division in Z[x].
+square-free split, then distinct-degree and equal-degree factorization.
+Over Q (Zassenhaus, J. Number Theory 1, 1969): a square-free primitive
+f in Z[x] is factored mod the smallest prime p that keeps it square-free
+and of its degree, the factors are lifted mod p^k > 2 |lc| B (Mignotte's
+bound B), and their products, fewest first, are tried by division.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 from itertools import combinations, count, zip_longest
 from math import comb, gcd, isqrt, lcm
 
-# a prime: f and g are coprime over Q when they are coprime mod _PRIME
-# and _PRIME does not divide lc(f)
-_PRIME = 2**31 - 1
+from .fields import is_prime
 
 
 def _mod(f, m=None):
@@ -29,12 +26,8 @@ def _mod(f, m=None):
     return f
 
 
-def _add(f, g, m):
+def _add(f, g, m=None):
     return _mod([a + b for a, b in zip_longest(f, g, fillvalue=0)], m)
-
-
-def _sub(f, g, m=None):
-    return _mod([a - b for a, b in zip_longest(f, g, fillvalue=0)], m)
 
 
 def _mul(f, g):
@@ -89,7 +82,7 @@ def _powmod(f, e, g, m):
 def factor_mod_p(f, p):
     """Irreducible factors [(g, multiplicity)] over F_p of a monic f."""
     return [(h, e) for g, e in _sqf_mod_p(f, p)
-            for part, d in _ddf(g, p) for h in _edf(part, d, p)]
+            for part, d in _ddf(g, p) for h in _edf(part, d, p, p)]
 
 
 def _sqf_mod_p(f, p):
@@ -114,7 +107,7 @@ def _ddf(f, p):
     while 2 * (d + 1) < len(f):
         d += 1
         h = _powmod(h, p, f, p)
-        g = _gcd(f, _sub(h, [0, 1], p), p)
+        g = _gcd(f, _add(h, [0, -1], p), p)
         if len(g) > 1:
             out.append((g, d))
             f = _divmod(f, g, p)[0]
@@ -122,11 +115,10 @@ def _ddf(f, p):
     return out + [(f, len(f) - 1)] if len(f) > 1 else out
 
 
-def _edf(f, d, p, j=None):
+def _edf(f, d, p, j):
     """The factors of f, a product of distinct irreducibles of degree d,
-    split by the v with the base-p digits of j = p, p + 1, ... (x, x + 1,
-    ...): a fixed sequence through every polynomial, so one splits f."""
-    j = p if j is None else j
+    split by the v whose base-p digits are j, j + 1, ...: from j = p, a
+    fixed sequence x, x + 1, ... through every polynomial, so one splits f."""
     while len(f) - 1 > d:
         v, k, j = [], j, j + 1
         while k:
@@ -138,7 +130,7 @@ def _edf(f, d, p, j=None):
                 t = _divmod(_mul(t, t), f, 2)[1]
                 w = _add(w, t, 2)
         else:
-            w = _sub(_powmod(v, (p**d - 1) // 2, f, p), [1], p)
+            w = _add(_powmod(v, (p**d - 1) // 2, f, p), [-1], p)
         g = _gcd(f, w, p)
         if 1 < len(g) < len(f):
             return _edf(g, d, p, j) + _edf(_divmod(f, g, p)[0], d, p, j)
@@ -146,9 +138,8 @@ def _edf(f, d, p, j=None):
 
 
 def factor_rational(coeffs):
-    """Irreducible factors [(g, multiplicity)] over Q of a polynomial of
-    degree >= 1 with rational coefficients (ints or Fractions): each g in
-    Z[x], primitive, with a positive leading coefficient."""
+    """Irreducible factors [(g, multiplicity)] over Q of f, of degree >= 1
+    in ints and Fractions: each g primitive in Z[x] with lc(g) > 0."""
     den = lcm(*(c.denominator for c in coeffs))
     f = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
     c, out = _zgcd(f, _diff(f)), []
@@ -182,30 +173,28 @@ def _exact_quo(f, g):
 
 
 def _zgcd(f, g):
-    """gcd(f, g) over Q for f != 0, primitive in Z[x] with lc > 0: by a
-    primitive remainder sequence, unless f, g are coprime mod _PRIME."""
-    if f[-1] % _PRIME and len(_gcd(_mod(f, _PRIME), _mod(g, _PRIME),
-                                   _PRIME)) == 1:
+    """gcd(f, g) over Q for f != 0, primitive in Z[x] with lc > 0: [1]
+    when f, g are coprime mod a prime p not dividing lc(f), which spares
+    the primitive remainder sequence and its coefficient growth."""
+    p = 2**31 - 1
+    if f[-1] % p and len(_gcd(_mod(f, p), _mod(g, p), p)) == 1:
         return [1]
-    f, g = _primitive(f), g and _primitive(g)
     while g:
-        r = f
+        r, g = f, _primitive(g)
         while len(r) >= len(g):
             shift = [0] * (len(r) - len(g))
-            r = _sub([a * g[-1] for a in r], shift + [b * r[-1] for b in g])
-        f, g = g, r and _primitive(r)
+            r = _add([a * g[-1] for a in r], shift + [-b * r[-1] for b in g])
+        f, g = g, r
     return f
 
 
 def _zassenhaus(f):
     """The factors of a square-free primitive f in Z[x], lc(f) > 0."""
     n = len(f) - 1
-    for p in count(2):
-        if all(p % q for q in range(2, isqrt(p) + 1)) and f[-1] % p:
-            fp = _mod(f, p)
-            if len(_gcd(fp, _diff(fp, p), p)) == 1:
-                break
-    modular = [h for g, d in _ddf(_monic(fp, p), p) for h in _edf(g, d, p)]
+    p = next(p for p in count(2) if is_prime(p) and f[-1] % p and
+             len(_gcd(_mod(f, p), _diff(_mod(f, p), p), p)) == 1)
+    modular = [h for g, d in _ddf(_monic(_mod(f, p), p), p)
+               for h in _edf(g, d, p, p)]
     if len(modular) == 1:
         return [f]
     # Mignotte: for h | f of degree k < n, lc(f)/lc(h) h has coefficients
@@ -220,8 +209,7 @@ def _lift(f, h, p, m):
     """The monic factor mod m of f that is h mod p, for h irreducible mod
     p and coprime to f / h, by Newton's iteration."""
     q = p
-    if len(h) == 2:
-        # the root r of h goes to r - f(r)/f'(r)
+    if len(h) == 2:     # the root r of h goes to r - f(r)/f'(r)
         r = -h[0]
         while q < m:
             q *= q
@@ -230,9 +218,8 @@ def _lift(f, h, p, m):
                 slope, value = (slope * r + value) % q, (value * r + c) % q
             r = (r - value * pow(slope, -1, q)) % q
         return [-r % m, 1]
-    # if f / lc(f) = h g + r mod q and u g = 1 mod (h, q), then h + (r u
-    # mod h) divides f / lc(f) mod q^2; u starts as g^(p^d - 2), as
-    # F_p[x]/(h) is a field of p^d elements
+    # if f / lc(f) = h g + r mod q and u g = 1 mod (h, q), h + (r u mod h)
+    # divides f / lc(f) mod q^2; u starts as g^(p^d - 2) in F_p[x]/(h)
     g = _divmod(_monic(_mod(f, p), p), h, p)[0]
     u = _powmod(g, p**(len(h) - 1) - 2, h, p)
     while q < m:
@@ -240,7 +227,7 @@ def _lift(f, h, p, m):
         fq = _monic(_mod(f, q), q)
         h = _add(h, _divmod(_mul(_divmod(fq, h, q)[1], u), h, q)[1], q)
         gu = _divmod(_mul(_divmod(fq, h, q)[0], u), h, q)[1]
-        u = _divmod(_mul(u, _sub([2], gu, q)), h, q)[1]
+        u = _divmod(_mul(u, _add([2], [-c for c in gu], q)), h, q)[1]
     return h
 
 
@@ -248,16 +235,14 @@ def _recombine(f, lifted, m):
     """The factors lc(f) prod(S) mod m of f, S the subsets of `lifted`."""
     out, size = [], 1
     while 2 * size <= len(lifted):
-        for subset in combinations(range(len(lifted)), size):
+        for subset in combinations(lifted, size):
             g = [f[-1]]
-            for i in subset:
-                g = _mod(_mul(g, lifted[i]), m)
+            for h in subset:
+                g = _mod(_mul(g, h), m)
             g = _primitive([c - m if 2 * c > m else c for c in g])
-            q = _exact_quo(f, g)
-            if q is not None:
+            if (q := _exact_quo(f, g)) is not None:
                 out.append(g)
-                f = q
-                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                f, lifted = q, [h for h in lifted if h not in subset]
                 break
         else:
             size += 1

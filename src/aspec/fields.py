@@ -27,7 +27,7 @@ from .errors import FieldMismatchError, InputError
 _PRIME_LIMIT = 2**31
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     if n % 2 == 0:
@@ -122,7 +122,7 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p):
-        if not (2 <= p < _PRIME_LIMIT) or not _is_prime(p):
+        if not (2 <= p < _PRIME_LIMIT) or not is_prime(p):
             raise InputError(f"F_p needs a prime p < 2^31, got {p}")
         self.p = p
         self.zero = 0
