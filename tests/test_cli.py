@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import os
 import random
 import resource
@@ -320,6 +322,72 @@ def test_golden_outputs(args, golden):
     assert proc.returncode == 0
     expected = (GOLDEN / golden).read_text()
     assert proc.stdout == expected
+
+
+# --elem and --modules of each example, as the benchmark's CLI jobs pass them
+EXAMPLE_ARGS = {
+    "a2_quiver": ("e_2", "S2"),
+    "dual_numbers": ("x", "S1"),
+    "local_kxy": ("x", "S1"),
+    "lower_triangular": ("1*e11", "S2"),
+    "poly_ring_two_points": ("x", "M(1)"),
+}
+
+KX3_N_DOC = """\
+field Q
+algebra poly_quotient
+  var x
+  relation x^3
+end
+module N
+  dim 2
+  action x [[0, 1], [0, 0]]
+end
+"""
+
+
+def transcript(path, runs):
+    """Each run's arguments, stdout, stderr and exit code, in order."""
+    parts = []
+    for extra in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(extra[:1] + ["--input", str(path)] + extra[1:])
+        parts.append(f"$ {' '.join(extra)}\n{out.getvalue()}"
+                     f"{err.getvalue()}exit: {code}\n")
+    return "".join(parts)
+
+
+def example_transcript(name):
+    """All eight commands on docs/examples/<name>.txt at its default order."""
+    elem, point = EXAMPLE_ARGS[name]
+    runs = [[cmd] + {"dset": ["--elem", elem],
+                     "stalk": ["--modules", point]}.get(cmd, [])
+            for cmd in ("simples", "ext", "hull", "oalg", "aspec", "dset",
+                        "stalk", "verify")]
+    return transcript(EXAMPLES / f"{name}.txt", runs)
+
+
+def kx3_n_transcript(tmp_path):
+    """hull and oalg of k[x]/(x^3) on S1 and the 2-dimensional N: its rho
+    has word terms in the blocks (1,2), (2,1) and (2,2)."""
+    doc = tmp_path / "kx3_n.txt"
+    doc.write_text(KX3_N_DOC, encoding="utf-8")
+    return transcript(doc, [["hull", "--modules", "S1,N"],
+                            ["oalg", "--modules", "S1,N"]])
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_ARGS))
+def test_example_commands_golden(name):
+    assert sorted(EXAMPLE_ARGS) == sorted(
+        p.stem for p in EXAMPLES.glob("*.txt"))
+    expected = (GOLDEN / f"examples_{name}.txt").read_text(encoding="utf-8")
+    assert example_transcript(name) == expected
+
+
+def test_block_rho_golden(tmp_path):
+    expected = (GOLDEN / "kx3_n_blocks.txt").read_text(encoding="utf-8")
+    assert kx3_n_transcript(tmp_path) == expected
 
 
 SYMPY_PROBE = """
