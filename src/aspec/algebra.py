@@ -322,12 +322,11 @@ class Algebra:
             powers = None
             arrows = None
             if self.presentation is not None:
-                paths = [(i, val) for i, (kind, val) in
-                         enumerate(self.presentation.basis_words)
-                         if kind == "w"]
-                basis = [self.basis_vector(i) for i, _ in paths]
-                arrows = [self.basis_vector(i) for i, w in paths
-                          if len(w) == 1]
+                # the trivial paths come first, then the paths of positive
+                # length, whose generators are the arrows
+                nv = len(self.presentation.vertices)
+                basis = [self.basis_vector(i) for i in range(nv, self.dim)]
+                arrows = [self.basis_vector(g) for g in self.generators[nv:]]
             elif characteristic(self.field) == 0:
                 basis = self._radical_trace_form()
             else:
@@ -642,7 +641,7 @@ def from_structure_constants(field, labels, table, unit, idempotents=None,
                    idempotents=idempotents, validate=validate)
 
 
-def regular_algebra_of_matrices(field, mats, labels=None):
+def regular_algebra_of_matrices(field, mats):
     """Algebra structure on the span of the given square matrices.
 
     The span must be unital and multiplicatively closed (e.g. the image
@@ -653,7 +652,6 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     basis_mats = [Mat.of_flat(field, row, n, n) for row in basis_flat]
     dim = len(basis_mats)
     span = Span(field, basis_flat, n * n)
-    labels = labels or [f"m{i}" for i in range(dim)]
     table = []
     for a in basis_mats:
         row = []
@@ -668,7 +666,8 @@ def regular_algebra_of_matrices(field, mats, labels=None):
     unit = span.coords(ident.flat())
     if unit is None:
         raise ValidationError("matrix span does not contain the identity")
-    alg = Algebra(field, labels, sparse_rows(table), unit, validate=False)
+    alg = Algebra(field, [f"m{i}" for i in range(dim)], sparse_rows(table),
+                  unit, validate=False)
     return alg, basis_mats
 
 

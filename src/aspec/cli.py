@@ -90,18 +90,18 @@ def _signed_terms(field, text):
     return out
 
 
-def parse_combination(field, text, label_to_vec, dim, what="element"):
+def parse_combination(field, text, label_to_vec, dim):
     """'1/2*e1 + x - 2*e2' as a coordinate vector; bare scalars mean
     scalar * 1 when a unit vector is supplied under the key '1'."""
     vec = [field.zero] * dim
     terms = _signed_terms(field, text)
     if not terms:
-        raise InputError(f"empty {what} expression")
+        raise InputError("empty element expression")
     for coeff, label in terms:
         if label not in label_to_vec and label[:1].isdigit():
             coeff, label = field.mul(coeff, field.parse(label)), "1"
         if label not in label_to_vec:
-            raise InputError(f"unknown label {label!r} in {what}")
+            raise InputError(f"unknown label {label!r} in element")
         _add_scaled(field, vec, coeff, label_to_vec[label])
     return vec
 
@@ -513,25 +513,21 @@ def _fmt_ohat_element(ohat, elem):
     h = ohat.hull
     f = ohat.field
     blocks = {}
-    for i in range(len(ohat.dims)):
-        m = elem.get(("e", i))
-        if m is not None and not m.is_zero():
-            entries = blocks.setdefault((i, i), {})
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if not f.is_zero(m.data[r][c]):
-                        entries.setdefault((r, c), []).append(
-                            f.format(m.data[r][c]))
-    for w in h.reduced_words:
-        m = elem.get(("m", w))
-        if m is not None and not m.is_zero():
-            mono = ".".join(h.generators[g][0] for g in w)
-            entries = blocks.setdefault(h.word_block(w), {})
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if not f.is_zero(m.data[r][c]):
-                        entries.setdefault((r, c), []).append(
-                            f"{f.format(m.data[r][c])}*{mono}")
+    for key in [("e", i) for i in range(len(ohat.dims))] + \
+            [("m", w) for w in h.reduced_words]:
+        m = elem.get(key)
+        if m is None or m.is_zero():
+            continue
+        if key[0] == "e":
+            block, mono = (key[1], key[1]), ""
+        else:
+            block = h.word_block(key[1])
+            mono = "*" + ".".join(h.generators[g][0] for g in key[1])
+        entries = blocks.setdefault(block, {})
+        for r, row in enumerate(m.data):
+            for c, x in enumerate(row):
+                if not f.is_zero(x):
+                    entries.setdefault((r, c), []).append(f.format(x) + mono)
     parts = []
     for (i, j) in sorted(blocks):
         entries = blocks[(i, j)]
@@ -580,7 +576,7 @@ def run(command, doc, order=None, module_names=None, elem_text=None):
             for a in fam:
                 for b in fam:
                     for d in (1, 2):
-                        dim = ext_point_modules(alg, a, b, d)
+                        dim = ext_point_modules(a, b, d)
                         entries.append(
                             (f"Ext^{d}({a.name},{b.name})", str(dim)))
         else:

@@ -80,7 +80,7 @@ class RPointedAlgebra:
     rewriting system, grown layer by layer.  Elements and their
     arithmetic live in MatricOHat, which is H itself with 1x1 blocks."""
 
-    def __init__(self, field, r, generators, order, relations=()):
+    def __init__(self, field, r, generators, order, relations):
         self.field = field
         self.r = r
         self.generators = list(generators)       # (label, i, j)
@@ -159,12 +159,12 @@ class MatricOHat:
     Mat only for each nonzero block.
     """
 
-    def __init__(self, hull_alg, dims=None, rho_table=()):
+    def __init__(self, hull_alg, dims=None):
         self.hull = hull_alg
         self.order = hull_alg.order
         self.field = hull_alg.field
         self.dims = [1] * hull_alg.r if dims is None else list(dims)
-        self.rho_table = list(rho_table)   # per algebra basis element
+        self.rho_table = []   # per algebra basis element
         self._image = None
 
     @property
@@ -766,9 +766,9 @@ def _add_block(field, dest, key, c, x):
         _add_scaled(field, out, c, x)
 
 
-def _defects(algebra, ohat, rows=None):
+def _defects(algebra, ohat, rows):
     """{(a, b): rho(ab) - rho(a) rho(b)} on the pairs where it is
-    nonzero, a in `rows` (every basis index by default), in one buffer
+    nonzero, a in `rows` (basis indices), in one buffer
     per pair: rho(ab) summed over the nonzero structure constants of ab,
     the product through the kernel of `MatricOHat`, each table element's
     terms indexed once."""
@@ -777,7 +777,7 @@ def _defects(algebra, ohat, rows=None):
     f = algebra.field
     products = algebra.products
     out = {}
-    for a in range(algebra.dim) if rows is None else rows:
+    for a in rows:
         x = terms[a]
         for b, y in enumerate(index):
             buf = {}
@@ -893,12 +893,11 @@ class OAlgebra:
         return _combination(self.field, algebra_elem_coords, self.images,
                             self.dim)
 
-    def as_algebra(self, labels=None):
+    def as_algebra(self):
         """Structure constants of O on its echelon basis, a new Algebra
         on every call."""
-        labels = labels or [f"o{i}" for i in range(self.dim)]
-        return Algebra(self.field, labels, self.products, self.unit,
-                       validate=False)
+        return Algebra(self.field, [f"o{i}" for i in range(self.dim)],
+                       self.products, self.unit, validate=False)
 
     @property
     def o_alg(self):

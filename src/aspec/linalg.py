@@ -247,16 +247,12 @@ class _Echelon:
         self.supports = []   # nonzero columns per row, ascending
 
     def reduce(self, v):
-        """v minus its combination of the rows.  A v shorter than the
-        rows is reduced on its own columns only (the head of each row)."""
+        """v minus its combination of the rows."""
         f = self.field
         v = list(v)
-        n = len(v)
         for row, pc, support in zip(self.rows, self.pivots, self.supports):
             c = v[pc]
             if c:
-                if len(row) > n:
-                    support = support[:bisect_left(support, n)]
                 _eliminate(f, v, c, row, support)
         return v
 
@@ -313,35 +309,21 @@ class Span:
     def coords(self, v):
         """x with sum_k x_k * vectors[k] = v, or None when v is outside."""
         f = self.field
-        self._check(v)
+        if len(v) != self.length:
+            raise DimensionError("vector length mismatch")
         r = self._ech.reduce(list(v) + [f.zero] * self.count)
         if not vec_is_zero(f, r[:self.length]):
             return None
         return [f.neg(x) if x else x for x in r[self.length:]]
 
-    def contains(self, v):
-        # v is shorter than the tagged rows: reduce() keeps only the head
-        self._check(v)
-        return vec_is_zero(self.field, self._ech.reduce(v))
 
-    def _check(self, v):
-        if len(v) != self.length:
-            raise DimensionError("vector length mismatch")
-
-
-def quotient_basis(field, space, sub, length=None):
-    """Vectors of `space` mapping to a basis of span(space)/span(sub).
+def quotient_basis(field, space, sub, length):
+    """Vectors of `space`, each `length` long, mapping to a basis of
+    span(space)/span(sub).
 
     Raises ValidationError when sub is not contained in span(space).
     Count equals dim span(space) - dim span(sub).
     """
-    if length is None:
-        if space:
-            length = len(space[0])
-        elif sub:
-            length = len(sub[0])
-        else:
-            return []
     space_ech = _Echelon(field, length)
     for v in space:
         space_ech.insert(v)

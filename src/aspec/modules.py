@@ -242,7 +242,12 @@ def hom_A(m, n):
 
 
 def is_isomorphic(m, n):
-    """Module isomorphism test (complete for semisimple summand scope)."""
+    """Module isomorphism test: an invertible hom among the basis homs
+    and their pairwise sums proves it; without one, it is exact when
+    both modules are semisimple (killed by the radical) and False
+    otherwise.  For M = sum a_i S_i and N = sum b_i S_i with
+    d_i = dim End S_i, dim End M - 2 dim Hom(M, N) + dim End N =
+    sum d_i (a_i - b_i)^2, so M = N exactly when the three agree."""
     if m.dim != n.dim:
         return False
     if m.dim == 0:
@@ -250,7 +255,6 @@ def is_isomorphic(m, n):
     homs = hom_A(m, n)
     if not homs:
         return False
-    f = m.algebra.field
     # search small combinations for an invertible hom
     candidates = list(homs)
     for i in range(len(homs)):
@@ -259,10 +263,8 @@ def is_isomorphic(m, n):
     for h in candidates:
         if rank(h) == m.dim:
             return True
-    # simples: any nonzero hom between simples is invertible
-    if is_simple(m) and is_simple(n):
-        return True
-    return False
+    return m.killed_by_radical() and n.killed_by_radical() and \
+        len(hom_A(m, m)) == len(homs) == len(hom_A(n, n))
 
 
 def is_simple(module):

@@ -104,17 +104,10 @@ def taylor_shift(field, coeffs, a):
     return out
 
 
-def ext_point_modules(ring, ma, mb, degree):
-    """dim Ext^degree(M_a, M_b) from the resolution
-    0 -> k[x] --(x-a)--> k[x] -> M_a -> 0."""
-    if degree >= 2:
-        return 0
-    f = ring.field
-    if degree == 1:
-        # coker of multiplication by (b - a)... evaluation of (x - a) on M_b
-        scalar = f.sub(mb.point, ma.point)
-        return 1 if f.is_zero(scalar) else 0
-    raise InputError("degree must be 1 or 2")
+def ext_point_modules(ma, mb, degree):
+    """dim Ext^degree(M_a, M_b) for degree >= 1: k[x] is hereditary, so
+    Ext^2 = 0, and Ext^1(M_a, M_b) = k exactly when a = b."""
+    return int(degree == 1 and ma.point == mb.point)
 
 
 class PolyMatricOHat(MatricOHat):
@@ -202,14 +195,13 @@ class PolyOAlgebra:
     def coords_of(self, elem):
         return self.flatten(elem)
 
-    def as_algebra(self, labels=None):
+    def as_algebra(self):
         f = self.field
-        if labels is None:
-            labels = []
-            for i in range(len(self.points)):
-                labels.append(f"one_{i + 1}")
-                for s in range(1, self.order + 1):
-                    labels.append(f"t{i + 1}^{s}")
+        labels = []
+        for i in range(len(self.points)):
+            labels.append(f"one_{i + 1}")
+            for s in range(1, self.order + 1):
+                labels.append(f"t{i + 1}^{s}")
         elems = self.basis_elements()
         table = [[self.flatten(self.ohat.mul(x, y)) for y in elems]
                  for x in elems]

@@ -76,8 +76,6 @@ def from_quiver(presentation, field=QQ):
     engine reads it off the leads, or refuses when they are still
     undecided at MAX_DEGREE.  Admissibility, a nilpotent arrow ideal, is
     proved by the radical before the costlier associativity check.
-    Sets `presentation.basis_words`, the ("e", vertex) and ("w", path)
-    entries of the basis, which the radical reads.
     """
     q = presentation
     rw = Rewriter(field)
@@ -99,14 +97,12 @@ def from_quiver(presentation, field=QQ):
     # assemble the basis: trivial paths first (vertex order), then words
     nv = len(q.vertices)
     paths = [w for layer in words for w in layer]
-    basis_words = [("e", vi) for vi in range(nv)] + [("w", w) for w in paths]
     labels = [f"e_{v}" for v in q.vertices] + [
         ".".join(q.arrows[i][0] for i in w) for w in paths]
     products = rw.structure_constants(q.arrows, q.vertices, paths)
-    dim = len(basis_words)
+    dim = nv + len(paths)
     unit = [field.one] * nv + [field.zero] * (dim - nv)
     idempotents = [unit_vec(field, dim, vi) for vi in range(nv)]
-    q.basis_words = basis_words
     # generated by the trivial paths and the arrows
     index = {w: i for i, w in enumerate(paths, nv)}
     words = [(vi,) for vi in range(nv)] + [

@@ -238,7 +238,7 @@ class Rewriter:
         self._lengths = {len(w) for w in self.rules}
         return fresh
 
-    def irreducible_words(self, letters, upto, budget=None):
+    def irreducible_words(self, letters, upto, budget):
         """Irreducible composable words in the letters (name, source,
         target), grown layer by layer.  Returns [(candidates, irreducible)]
         for the lengths 1, 2, ..., up to upto and the first empty layer,
@@ -270,7 +270,7 @@ class Rewriter:
                 return
             candidates = [w + (g,) for w in good for g in follows[w[-1]]]
 
-    def basis_words(self, letters, max_degree, vertices=1):
+    def basis_words(self, letters, max_degree, vertices):
         """The irreducible words in the letters by length [length 1, ...,
         L], of a quotient whose basis holds them and the trivial paths of
         its vertices.  Completes degree by degree, from the longest

@@ -1031,7 +1031,8 @@ def stage_defects_by_rho_table(builder, stage, hull_alg, C):
     word, which the Massey sum never forms."""
     out = {w: {} for w in hull_alg.words_by_len.get(stage, [])}
     ohat = builder._matric(hull_alg, C)
-    for ab, delta in _defects(builder.algebra, ohat).items():
+    for ab, delta in _defects(builder.algebra, ohat,
+                              range(builder.algebra.dim)).items():
         for key, m in delta.items():
             if key[0] == "e":
                 raise InternalInvariantError(
@@ -1359,7 +1360,7 @@ def maximal_ideals_full_sweep(o):
         span = two_sided_ideal_all_products(o_alg, idx)
         if len(span) == o.dim:
             continue
-        if not any(all(ideal.contains(v) for v in span)
+        if not any(all(ideal.coords(v) is not None for v in span)
                    for ideal in ideal_spans):
             raise InternalInvariantError(
                 "a proper principal ideal escapes every maximal ideal")

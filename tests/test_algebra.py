@@ -209,13 +209,14 @@ def test_the_arrow_ideal_powers_by_the_arrows_are_the_powers_by_the_ideal():
                if alg.presentation is not None]
     cases = [(alg, False) for alg in quivers] + admissibility_sweep()
     for alg, refused in cases:
-        basis_words = alg.presentation.basis_words
-        ideal = [alg.basis_vector(i) for i, (kind, _) in
-                 enumerate(basis_words) if kind == "w"]
+        # the trivial paths come first, then the paths, each with its
+        # word in the arrows
+        nv = len(alg.presentation.vertices)
+        ideal = [alg.basis_vector(i) for i in range(nv, alg.dim)]
         by_ideal = alg.ideal_powers(ideal)
         assert refused == bool(by_ideal[-1])
-        arrows = [alg.basis_vector(i) for i, (kind, w) in
-                  enumerate(basis_words) if kind == "w" and len(w) == 1]
+        arrows = [alg.basis_vector(i) for i in range(nv, alg.dim)
+                  if len(alg.words[i]) == 1]
         assert alg.ideal_powers(ideal, arrows) == by_ideal
         if not refused:
             alg._radical = None

@@ -19,7 +19,7 @@ from aspec.modules import (
     simple_modules,
 )
 from aspec.polyquot import from_poly_quotient
-from aspec.quiver import from_quiver
+from aspec.quiver import QuiverPresentation, from_quiver
 from conftest import (
     corpus,
     make_a2,
@@ -153,8 +153,8 @@ def test_hom_contains_identity():
         # identity is in the span
         from aspec.linalg import Span
         flat = [sum(h.data, []) for h in homs]
-        assert Span(alg.field, flat, reg.dim ** 2).contains(
-            sum(ident.data, [])), name
+        assert Span(alg.field, flat, reg.dim ** 2).coords(
+            sum(ident.data, [])) is not None, name
 
 
 def test_hom_schur_split():
@@ -170,6 +170,31 @@ def test_is_isomorphic_simples():
     s1, s2 = simple_modules(a)
     assert is_isomorphic(s1, s1)
     assert not is_isomorphic(s1, s2)
+
+
+def semisimple_module(alg, types):
+    """S_types[0] + S_types[1] + ... over k x ... x k, e_i acting as 1 on
+    the summands S_i and as 0 on the others."""
+    n = len(types)
+    return ModuleRep(alg, [Mat(QQ, [[int(r == c and t == i) for c in range(n)]
+                                     for r, t in enumerate(types)])
+                           for i in range(alg.dim)])
+
+
+def test_is_isomorphic_semisimple_without_an_invertible_basis_hom():
+    # over k x k x k, no basis hom of the regular module and no sum of
+    # two of them is invertible: dim Hom decides
+    alg = from_quiver(QuiverPresentation(["1", "2", "3"], []))
+    reg = regular_module(alg)
+    assert len(hom_A(reg, reg)) == 3
+    assert is_isomorphic(reg, reg)
+    assert is_isomorphic(reg, semisimple_module(alg, [2, 0, 1]))
+    m = semisimple_module(alg, [0, 0, 1])
+    n = semisimple_module(alg, [0, 1, 2])
+    assert (len(hom_A(m, m)), len(hom_A(m, n)), len(hom_A(n, n))) == \
+        (5, 3, 3)
+    assert not is_isomorphic(m, n) and not is_isomorphic(n, m)
+    assert is_isomorphic(m, semisimple_module(alg, [1, 0, 0]))
 
 
 def test_is_local():

@@ -229,8 +229,9 @@ def test_verify_stops_a_rho_that_is_not_multiplicative():
     x, x2 = _square(alg, ohat)
     table = list(ohat.rho_table)
     table[x2] = ohat.scale(alg.field.of_int(2), table[x2])
-    broken = MatricOHat(ohat.hull, ohat.dims, table)
-    assert list(_defects(alg, broken)) == [(x, x)]
+    broken = MatricOHat(ohat.hull, ohat.dims)
+    broken.rho_table = table
+    assert list(_defects(alg, broken, range(alg.dim))) == [(x, x)]
     with pytest.raises(InternalInvariantError, match="not multiplicative"):
         builder._verify(broken)
 

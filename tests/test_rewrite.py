@@ -429,7 +429,7 @@ def assert_words_as_guessed_degrees(make, max_degree):
     reference = guessed_degree_basis_words(rw, letters, max_degree)
     if reference is not None:
         rw, letters = make()
-        assert rw.basis_words(letters, max_degree) == reference
+        assert rw.basis_words(letters, max_degree, 1) == reference
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -452,8 +452,8 @@ def test_powers_match_the_guessed_degrees():
         words = guessed_degree_basis_words(quiver_rewriter(QQ, q), q.arrows,
                                            QUIVER_MAX_DEGREE)
         assert (words is None) == (n > QUIVER_MAX_DEGREE)
-        assert quiver_rewriter(QQ, q).basis_words(q.arrows,
-                                                  QUIVER_MAX_DEGREE) == words
+        assert quiver_rewriter(QQ, q).basis_words(
+            q.arrows, QUIVER_MAX_DEGREE, 1) == words
     for names, rels in [*[(["x"], [{(n,): 1}])
                           for n in range(2, POLY_MAX_DEGREE + 3)],
                         (["x", "y"], [{(40, 0): 1}, {(0, 3): 1}]),
@@ -462,7 +462,7 @@ def test_powers_match_the_guessed_degrees():
         words = guessed_degree_basis_words(*poly_rewriter(QQ, names, rels),
                                            POLY_MAX_DEGREE)
         assert poly_rewriter(QQ, names, rels)[0].basis_words(
-            poly_rewriter(QQ, names, rels)[1], POLY_MAX_DEGREE) == words
+            poly_rewriter(QQ, names, rels)[1], POLY_MAX_DEGREE, 1) == words
 
 
 @pytest.mark.parametrize("rels", [
@@ -482,8 +482,8 @@ def test_two_loop_words_match_the_guessed_degrees(rels):
     words = guessed_degree_basis_words(quiver_rewriter(QQ, q), q.arrows,
                                        QUIVER_MAX_DEGREE)
     assert sum(map(len, words)) >= 19
-    assert quiver_rewriter(QQ, q).basis_words(q.arrows,
-                                              QUIVER_MAX_DEGREE) == words
+    assert quiver_rewriter(QQ, q).basis_words(q.arrows, QUIVER_MAX_DEGREE,
+                                              1) == words
 
 
 def test_a_settled_lead_overlaps_every_lead():
@@ -499,8 +499,8 @@ def test_a_settled_lead_overlaps_every_lead():
     words = guessed_degree_basis_words(quiver_rewriter(F5, q), q.arrows,
                                        QUIVER_MAX_DEGREE)
     assert sum(map(len, words)) == 5
-    assert quiver_rewriter(F5, q).basis_words(q.arrows,
-                                              QUIVER_MAX_DEGREE) == words
+    assert quiver_rewriter(F5, q).basis_words(q.arrows, QUIVER_MAX_DEGREE,
+                                              1) == words
 
 
 @pytest.mark.parametrize("field, names, rels", NAMED_QUOTIENTS)
@@ -524,7 +524,7 @@ def test_a_long_lead_is_refused_unsearched():
     rw.add_relation({(0,) * 99999 + (1,): QQ.one})
     spent, spend = [], rw._spend
     rw._spend = lambda units: spent.append(units) or spend(units)
-    assert rw.basis_words([("a", "v", "v"), ("b", "v", "v")], 24) is None
+    assert rw.basis_words([("a", "v", "v"), ("b", "v", "v")], 24, 1) is None
     assert sum(spent) < 1000
 
 

@@ -41,7 +41,8 @@ def verdict(check, obj):
 
 def radical_indices(alg):
     span = Span(alg.field, alg.radical_basis(), alg.dim)
-    return [i for i in range(alg.dim) if span.contains(alg.basis_vector(i))]
+    return [i for i in range(alg.dim)
+            if span.coords(alg.basis_vector(i)) is not None]
 
 
 def perturbed_algebra(alg, r, s, m, c):
